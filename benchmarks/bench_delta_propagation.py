@@ -26,11 +26,10 @@ default and the baseline the headline compares against;
 ``(propagate, python)`` is the scalar-heap baseline for the vectorized
 propagate engine; ``(auto, numpy)`` is the shipped default.
 Every arm drives an identical warmup pass (different seed) before the
-timed pass, so ckey-rank interning has converged and
-``TaskArrays.rank_renumbers`` must *decay* between passes.  Timings are
-per-proposal medians; the (idempotent) resplice pass is replayed five
-times and the lowest-median pass kept, so a transient burst of machine
-contention cannot masquerade as an algorithmic regression.
+timed pass.  Timings are per-proposal medians; the (idempotent) resplice
+pass is replayed five times and the lowest-median pass kept, so a
+transient burst of machine contention cannot masquerade as an
+algorithmic regression.
 
 Emits ``BENCH_delta_propagation.json`` (path overridable via
 ``REPRO_BENCH_JSON``) with per-(algorithm, kernels, workload) rows --
@@ -47,8 +46,6 @@ Gates asserted for CI's perf-smoke job:
   ``propagate``'s fallback rate == 0 on the smoke model;
 * ``propagate`` touches strictly fewer tasks than ``delta`` on each
   workload, and >= 1.5x fewer over the combined proposal set;
-* rank renumbers decay: the timed pass interns no more ranks than the
-  warmup pass;
 * the headline -- the geometric mean over workloads of µs/proposal,
   old default ``(delta, python)`` vs new default ``(auto, numpy)`` --
   is >= 5x (the tentpole's 10x target is reported alongside), with the
@@ -128,8 +125,8 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
     """Run warmup + timed sequence; returns per-workload rows by workload."""
     os.environ["REPRO_SIM_KERNELS"] = kernels_mode
     sim = Simulator(graph, topo, expert_strategy(graph, topo), OpProfiler(), algorithm=algorithm)
-    # Warmup: converges ckey-rank interning (and the branch caches of the
-    # driven code paths) on a disjoint proposal prefix.
+    # Warmup: warms the branch caches of the driven code paths on a
+    # disjoint proposal prefix.
     for workload in ("mutation", "resplice"):
         _play(sim, warm_seq, workload)
     # One identity resplice per op: converges the per-op splice-recipe
@@ -137,7 +134,6 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
     # rather than first-touch recipe capture.
     for oid in graph.op_ids:
         sim.reconfigure(oid, sim.strategy[oid])
-    renumbers_warm = sim.task_graph.arrays.rank_renumbers
     out = {}
     for workload in ("mutation", "resplice"):
         before = sim.delta_stats
@@ -201,8 +197,6 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         }
     final = sim.delta_stats
     meta = {
-        "rank_renumbers_warm": renumbers_warm,
-        "rank_renumbers_timed": sim.task_graph.arrays.rank_renumbers - renumbers_warm,
         "auto_noop": final.auto_noop,
         "auto_propagate": final.auto_propagate,
         "auto_delta": final.auto_delta,
@@ -328,10 +322,6 @@ def test_delta_propagation(benchmark, scale):
         assert p["tasks_resimulated"] < d["tasks_resimulated"], (workload, p, d)
     assert auto_meta["fallbacks"] == 0 and auto_meta["guard_fallbacks"] == 0, auto_meta
     assert headline["touched_ratio_delta_over_propagate"] >= 1.5, headline
-    # Rank interning converged during warmup: the timed pass must not
-    # renumber more than the warmup pass did.
-    for arm, meta in metas.items():
-        assert meta["rank_renumbers_timed"] <= meta["rank_renumbers_warm"], (arm, meta)
     # The headline: >= 5x per-proposal over the pre-kernel default on the
     # combined workload (geometric mean), without a mutation regression.
     assert headline["headline_speedup_geomean"] >= 5.0, headline

@@ -21,6 +21,7 @@ def test_fig12(benchmark, scale):
     assert full and delta
     # Identical chains -> identical final quality.
     assert abs(full[-1]["best_iter_ms"] - delta[-1]["best_iter_ms"]) < 1e-6
-    # Delta completes the same chain at least as fast (modest in this
-    # implementation -- see EXPERIMENTS.md fidelity note).
+    # Delta completes the same chain no more than 10% slower: its
+    # cut-time repair re-simulates every task from the earliest change
+    # on, so it gains little here (see bench_table4_search_time.py).
     assert delta[-1]["elapsed_s"] <= full[-1]["elapsed_s"] * 1.10

@@ -57,12 +57,13 @@ def main() -> None:
     print_table(comparison_rows(results, batch=64), "Backend comparison")
 
     # 7. Timeline algorithms: proposals are simulated incrementally.
-    #    "delta" (default) re-simulates the suffix after the earliest
-    #    change; "propagate" is the paper's true change-propagation
-    #    engine -- it walks only actually-changed tasks and skips
-    #    unaffected parallel branches, repairing orders of magnitude
-    #    fewer tasks when a splice's timeline impact is localized.
-    #    All three algorithms are bit-identical, so this is purely a
+    #    "auto" (default) skips identity proposals and routes the rest;
+    #    "delta" re-simulates the suffix after the earliest change;
+    #    "propagate" is the paper's true change-propagation engine -- it
+    #    walks only actually-changed tasks and skips unaffected parallel
+    #    branches, repairing orders of magnitude fewer tasks when a
+    #    splice's timeline impact is localized; "full" re-simulates from
+    #    scratch.  All four are bit-identical, so this is purely a
     #    throughput knob (REPRO_SIM_ALGO in the bench harness):
     prop = planner.search("mcmc", cfg.replace(algorithm="propagate"))
     assert prop.best_cost_us == result.best_cost_us  # bit-identical

@@ -4,7 +4,7 @@ Each function returns plain ``list[dict]`` rows that
 :func:`repro.bench.reporting.print_table` renders in the paper's format;
 the ``benchmarks/`` pytest-benchmark files are thin wrappers that call
 these, print the rows, and assert the qualitative claims (who wins, by
-roughly what factor).  EXPERIMENTS.md records paper-vs-measured values.
+roughly what factor).
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ class ExecutionContext:
     graph: OperatorGraph
     topology: DeviceTopology
     profiler: OpProfiler
-    algorithm: str = "delta"
+    algorithm: str = "auto"
     training: bool = True
     early_stop_cost: float | None = None
     cache_size: int = DEFAULT_CACHE_SIZE

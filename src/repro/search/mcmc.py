@@ -10,12 +10,15 @@ uniformly from that op's configuration space -- symmetric by construction
 Each proposal is evaluated *speculatively* through the live
 :class:`~repro.sim.Simulator` (:meth:`~repro.sim.Simulator.propose`): the
 task graph is spliced incrementally and the timeline repaired by the
-delta algorithm (or rebuilt by the full algorithm, for the Table 4 / Fig.
-12 comparisons).  Accepted proposals are committed; rejected proposals
-are reverted from a snapshot (a timeline copy plus a structural splice
-undo), which restores the exact pre-proposal state *without* the undo
-re-simulation the apply-then-undo scheme needed -- at low acceptance
-rates that halves the simulator work per rejected proposal.
+configured timeline algorithm -- ``auto`` by default, which skips
+identity proposals and routes the rest to ``propagate``, ``delta`` or a
+full re-simulation (the named algorithms are pinned for the Table 4 /
+Fig. 12 comparisons).  Accepted proposals are committed; rejected
+proposals are reverted from a snapshot (a timeline copy plus a
+structural splice undo), which restores the exact pre-proposal state
+*without* the undo re-simulation the apply-then-undo scheme needed -- at
+low acceptance rates that halves the simulator work per rejected
+proposal.
 
 Cached evaluation and lazy timeline sync
 ----------------------------------------
@@ -99,12 +102,13 @@ class MCMCConfig:
     # improving.  Off by default -- the fixed-budget chain is bit-identical
     # to a run without any budget channel.
     adaptive: bool = False
-    # Per-chain simulation-algorithm override ("full" / "delta" /
-    # "propagate"); ``None`` inherits the fleet-wide
-    # ``ExecutionContext.algorithm``.  Rides inside the ChainSpec over
-    # every executor transport (including the distributed wire protocol),
-    # so remote workers honor it.  Result-neutral: all three algorithms
-    # produce bit-identical timelines.
+    # Per-chain simulation-algorithm override ("auto" / "propagate" /
+    # "delta" / "full", see repro.sim.simulator.ALGORITHMS); ``None``
+    # inherits the fleet-wide ``ExecutionContext.algorithm`` (default
+    # "auto").  Rides inside the ChainSpec over every executor transport
+    # (including the distributed wire protocol), so remote workers honor
+    # it.  Result-neutral: all four algorithms produce bit-identical
+    # timelines.
     algorithm: str | None = None
 
 

@@ -31,29 +31,19 @@ Canonical-key ranks
 -------------------
 The simulators break ready-time ties by :attr:`~repro.sim.taskgraph.Task.ckey`,
 a structural tuple.  Tuple comparisons in a priority queue are the
-single hottest comparison site, so every distinct ckey is interned to an
+single hottest comparison site, so every live slot also carries an
 integer *rank* with the defining property ``rank(a) < rank(b)`` iff
-``a < b`` for all interned keys -- heaps ordered by ``(time, rank)``
-therefore pop in exactly the ``(time, ckey)`` order of the reference
-algorithms, keeping timelines bit-identical.  Interning a key that sorts
-between existing ones shifts every key at or past the insertion point by
-*exactly one* rank, so a renumber is two in-place ``+1`` bumps (one over
-the rank table, one over the live ``rank`` column) rather than a tail
-re-dict plus a whole-column rescan; :attr:`~TaskArrays.rank_renumbers`
-counts them, and the ckey universe of a search problem is finite, so
-renumbering frequency decays to zero as the table saturates (the
-``bench_delta_propagation`` benchmark asserts the decay).
+``a < b`` -- heaps ordered by ``(time, rank)`` therefore pop in exactly
+the ``(time, ckey)`` order of the reference algorithms, keeping
+timelines bit-identical.  Ranks are a pure function of the key, computed
+by :class:`~repro.sim.taskgraph.TaskGraph` where it creates the task
+(see ``TaskGraph.ckey_rank``) and passed to :meth:`TaskArrays.add`;
+this module only stores them.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-
-try:  # numpy accelerates the renumber bumps; the loops below are the gate
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 __all__ = ["TaskArrays"]
 
@@ -79,16 +69,12 @@ class TaskArrays:
         "slot_of",
         "free",
         "dev_count",
-        "rank_renumbers",
-        "_sorted_ckeys",
-        "_ckey_idx",
-        "_idx_rank",
     )
 
     def __init__(self) -> None:
         self.exe = array("d")  # per-slot execution time (us)
         self.dev = array("q")  # per-slot device / connection id
-        self.rank = array("q")  # per-slot interned ckey rank
+        self.rank = array("q")  # per-slot ckey rank (order-preserving)
         self.tid = array("q")  # per-slot task id, -1 when the slot is free
         self.kind = array("b")  # per-slot TaskKind value
         self.nbytes = array("d")  # per-slot transfer volume (COMM tasks)
@@ -102,64 +88,6 @@ class TaskArrays:
         # predict a splice's repair cone -- live tasks at or after the
         # cut, per device chain -- without scanning the graph.
         self.dev_count: dict[int, int] = {}
-        self.rank_renumbers = 0  # mid-table inserts; decays to 0 at saturation
-        self._sorted_ckeys: list[tuple] = []  # all distinct ckeys, sorted
-        # ckey -> a stable per-key index into _idx_rank (its insertion
-        # number, never renumbered); _idx_rank[j] is key j's *current*
-        # rank.  Keeping ranks in a flat column instead of dict values
-        # makes a renumber one vectorizable += over integers.
-        self._ckey_idx: dict[tuple, int] = {}
-        self._idx_rank = array("q")
-
-    # -- ckey interning ----------------------------------------------------
-    def rank_of(self, ckey: tuple) -> int:
-        """Current rank of an already-interned key."""
-        return self._idx_rank[self._ckey_idx[ckey]]
-
-    def key_index(self, ckey: tuple) -> int:
-        """The *stable* intern index of an already-interned key.
-
-        Unlike ranks, intern indices are insertion numbers: never
-        renumbered and never reused (the table only grows), so they can
-        be memoized across splices; ``_idx_rank[key_index(k)]`` is always
-        the key's current rank.
-        """
-        return self._ckey_idx[ckey]
-
-    def intern(self, ckey: tuple) -> int:
-        """The rank of ``ckey``: order-preserving over all interned keys."""
-        j = self._ckey_idx.get(ckey)
-        if j is not None:
-            return self._idx_rank[j]
-        idx = bisect_left(self._sorted_ckeys, ckey)
-        self._sorted_ckeys.insert(idx, ckey)
-        self._ckey_idx[ckey] = len(self._idx_rank)
-        self._idx_rank.append(idx)
-        if idx == len(self._sorted_ckeys) - 1:
-            # Appending at the tail keeps every existing rank valid.
-            return idx
-        # Mid-table insert: every existing key at or past idx -- and every
-        # live slot holding one -- moves up by exactly one rank, so the
-        # renumber is two in-place +1 bumps over integer columns (the new
-        # key's own entry was appended above, after the bump cutoff is
-        # computed, so it must be excluded by position, not value).
-        self.rank_renumbers += 1
-        if _np is not None:
-            table = _np.frombuffer(self._idx_rank, dtype=_np.int64)[:-1]
-            table[table >= idx] += 1
-            if len(self.rank):
-                col = _np.frombuffer(self.rank, dtype=_np.int64)
-                col[col >= idx] += 1
-        else:  # pragma: no cover - numpy-less fallback, same semantics
-            table = self._idx_rank
-            for j in range(len(table) - 1):
-                if table[j] >= idx:
-                    table[j] += 1
-            col = self.rank
-            for slot in range(len(col)):
-                if col[slot] >= idx:
-                    col[slot] += 1
-        return idx
 
     # -- slot lifecycle ----------------------------------------------------
     def add(
@@ -168,11 +96,11 @@ class TaskArrays:
         exe_time: float,
         device: int,
         ckey: tuple,
+        rank: int,
         kind: int = 0,
         nbytes: float = 0.0,
     ) -> int:
         """Assign a slot to a new live task; returns the slot."""
-        rank = self.intern(ckey)
         dc = self.dev_count
         dc[device] = dc.get(device, 0) + 1
         if self.free:
@@ -289,7 +217,6 @@ class TaskArrays:
             assert self.kind[slot] == int(t.kind), f"kind mismatch for task {tid}"
             assert self.nbytes[slot] == t.nbytes, f"nbytes mismatch for task {tid}"
             assert self.ckey[slot] == t.ckey, f"ckey mismatch for task {tid}"
-            assert self.rank[slot] == self.rank_of(t.ckey)
             got_ins = sorted(self.tid[p] for p in self.ins[slot])
             got_outs = sorted(self.tid[s] for s in self.outs[slot])
             assert got_ins == sorted(t.ins), f"ins mismatch for task {tid}"
@@ -299,9 +226,10 @@ class TaskArrays:
             want[t.device] = want.get(t.device, 0) + 1
         got = {d: n for d, n in self.dev_count.items() if n}
         assert got == want, f"dev_count drift: {got} != {want}"
-        # Rank table is a bijection consistent with ckey ordering.
-        for a, b in zip(self._sorted_ckeys, self._sorted_ckeys[1:]):
-            assert a < b and self.rank_of(a) < self.rank_of(b)
+        # The live rank column is strictly increasing in ckey order.
+        live = sorted((self.ckey[s], self.rank[s]) for s in self.slot_of.values())
+        for (ka, ra), (kb, rb) in zip(live, live[1:]):
+            assert ka < kb and ra < rb, f"rank order breaks ckey order at {ka} < {kb}"
         for slot in self.free:
             assert self.tid[slot] == -1
             assert not self.ins[slot] and not self.outs[slot]

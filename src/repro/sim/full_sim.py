@@ -107,7 +107,7 @@ def full_simulate(tg: TaskGraph) -> Timeline:
 
     The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
     substrate: per-slot state lives in dense lists, the heap orders by
-    interned ckey *rank* (bit-identical pop order, integer comparisons),
+    ckey *rank* (bit-identical pop order, integer comparisons),
     and per-device execution orders are built by plain ``append`` -- heap
     pops arrive in globally nondecreasing ``(readyTime, ckey)`` order
     (a dequeued task schedules successors at ``readyTime >= its own

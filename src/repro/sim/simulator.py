@@ -96,10 +96,11 @@ class Simulator:
         self.reverts = 0  # snapshot restores that replaced an undo simulation
         self._pending: Timeline | None = None
         self._pending_noop = False  # pending proposal was an identity no-op
-        # Snapshot pooling (delta algorithm only): one scratch Timeline is
-        # recycled through the propose/commit/revert cycle instead of
-        # allocating a fresh four-dict copy per in-flight proposal --
-        # the remaining constant factor of the snapshot-undo scheme.
+        # Snapshot pooling (auto, delta and propagate; full never copies a
+        # timeline): one scratch Timeline is recycled through the
+        # propose/commit/revert cycle instead of allocating a fresh
+        # four-dict copy per in-flight proposal -- the remaining constant
+        # factor of the snapshot-undo scheme.
         # ``pool_snapshots=False`` restores per-proposal allocation (the
         # micro-benchmark A/B switch; results are identical either way).
         self.pool_snapshots = pool_snapshots

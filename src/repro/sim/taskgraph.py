@@ -85,14 +85,16 @@ class SpliceRecipe:
     new config, and the adjacent ops' configs (the graph, topology, and
     profiler are fixed per :class:`TaskGraph`, and the profiler is
     deterministic per task signature).  A recipe captures that function's
-    output once -- task field tuples in creation order, dependency links
-    as spec-index pairs, and the bookkeeping lists as index lists -- so a
-    re-seen key replays it with fresh task ids and *zero* profiler,
-    partition, or region calls.  Identity re-splices (re-applying an
-    op's current config -- the ``resplice`` benchmark workload and every
-    proposal that collides with the incumbent under a named algorithm)
-    capture their recipe from the live group state before the splice, so
-    even the first one replays.
+    output once -- task field tuples and ckey ranks in creation order,
+    dependency links as spec-index pairs, and the bookkeeping lists as
+    index lists -- so a re-seen key replays it with fresh task ids and
+    *zero* profiler, partition, or region calls.  Recipes are captured
+    only on identity re-splices (re-applying an op's current config --
+    the ``resplice`` benchmark workload and every proposal that collides
+    with the incumbent under a named algorithm), from the live group
+    state before the splice, so even the first one replays.  A rebuild
+    after a real config change captures nothing: real searches almost
+    never replay those keys.
 
     Links to surviving neighbor tasks are stored symbolically as
     ``(op, fwd|bwd, k)`` so a recipe stays valid when the neighbor was
@@ -101,7 +103,7 @@ class SpliceRecipe:
     """
 
     specs: list[tuple]  # (kind, device, exe, ckey, op_id, index, backward, nbytes, conn)
-    kidx: list[int]  # per-spec stable intern index of the ckey (see key_index)
+    ranks: list[int]  # per-spec ckey rank (see TaskGraph.ckey_rank)
     internal: list[tuple[int, int]]  # links between two new tasks, spec indices
     external: list[tuple[int, int, tuple[int, int, int]]]  # (dir, spec idx, (op, f/b, k))
     fwd_idx: dict[int, list[int]]
@@ -131,6 +133,7 @@ class SpliceRecord:
     members: tuple[int, ...]
     old_cfg: object  # the members' shared ParallelConfig before the splice
     removed_tasks: list[Task]
+    removed_ranks: list[int]  # the removed tasks' ckey ranks, same order
     added_lo: int  # added task ids are the contiguous range [added_lo, added_hi)
     added_hi: int
     fwd_lists: dict[int, list[int]]
@@ -138,6 +141,23 @@ class SpliceRecord:
     sync_key: str
     sync_list: list[int]
     edge_lists: dict[tuple[int, int, int], list[int]]
+
+
+def _bits(n: int) -> int:
+    """Bit width of a field whose values range over ``0 .. n-1``."""
+    return max(n - 1, 0).bit_length()
+
+
+def _shifts(width: int, fields: tuple[int, ...]) -> tuple[int, ...]:
+    """Left shifts of a ckey's kind and fields, most significant first.
+
+    The kind sits above ``width``; each field takes the next ``fields[i]``
+    bits below, and bits left over pad the low end with zeros.
+    """
+    out = [width]
+    for w in fields:
+        out.append(out[-1] - w)
+    return tuple(out)
 
 
 class TaskGraph:
@@ -185,6 +205,9 @@ class TaskGraph:
         self.edge_tasks: dict[tuple[int, int, int], list[int]] = {}
 
         strategy.validate(graph, topology)
+        self._set_rank_layout(
+            max([topology.num_devices] + [strategy[o].num_tasks for o in graph.op_ids])
+        )
         for oid in graph.op_ids:
             self._make_op_tasks(oid)
         for edge in graph.edges():
@@ -192,12 +215,69 @@ class TaskGraph:
         for gkey, members in graph.param_groups().items():
             self._make_sync(gkey, members)
 
+    # -- ckey ranks ----------------------------------------------------------
+    def _set_rank_layout(self, task_range: int) -> None:
+        """Lay out ckey ranks for task and shard indices below ``task_range``.
+
+        A rank packs a ckey into one integer: the kind in the top two
+        bits, then the kind's fields, most significant first, each just
+        wide enough for its range -- op ids ``num_ops`` (ids are dense),
+        input slots the largest in-degree, task and shard indices
+        ``task_range``, ring hops and update devices ``num_devices``, the
+        backward flag one bit.  Shorter kinds are padded with zero low
+        bits, so ranks order exactly like the tuples they encode.
+        """
+        graph = self.graph
+        op_b = _bits(graph.num_ops)
+        slot_b = _bits(max((len(graph.inputs_of(o)) for o in graph.op_ids), default=0))
+        task_b = _bits(task_range)
+        dev_b = _bits(self.topology.num_devices)
+        width = 2 * op_b + slot_b + 2 * task_b + 1  # kind 1 has the most fields
+        if width + 2 > 63:
+            raise ValueError(
+                f"ckey ranks need {width + 2} bits, more than the 63 an int64 "
+                f"rank column holds ({graph.num_ops} ops, task range {task_range})"
+            )
+        sync = _shifts(width, (op_b, task_b, dev_b))  # (2|3, op, shard, hop|device)
+        self._rank_shifts = (
+            _shifts(width, (op_b, task_b, 1)),  # (0, op, k, bwd)
+            # (1, src, dst, slot, kj, ki, bwd)
+            _shifts(width, (op_b, op_b, slot_b, task_b, task_b, 1)),
+            sync,
+            sync,
+        )
+        self._task_bits = task_b
+
+    def ckey_rank(self, ckey: tuple) -> int:
+        """The heap rank of ``ckey``: ``ckey_rank(a) < ckey_rank(b)`` iff ``a < b``.
+
+        The reference encoder.  The construction loops inline the same
+        arithmetic with per-op, per-edge and per-group bases hoisted out
+        of their task loops, and splice records and recipes carry ranks
+        along, so the hot paths never walk a tuple.
+        """
+        return sum(v << s for v, s in zip(ckey, self._rank_shifts[ckey[0]]))
+
+    def _widen_task_field(self, num_tasks: int) -> None:
+        """Make room in the task-index field for a ``num_tasks``-task config.
+
+        Only a config that repeats devices can outgrow a field sized by
+        the device count, so this is rare: re-encode every live rank and
+        drop the recipe cache, whose recipes hold ranks of the old layout.
+        """
+        self._set_rank_layout(num_tasks)
+        rank = self.arrays.rank
+        for slot, ckey in enumerate(self.arrays.ckey):
+            if ckey is not None:
+                rank[slot] = self.ckey_rank(ckey)
+        self._recipes.clear()
+
     # -- small helpers -----------------------------------------------------
-    def _new_task(self, **kw) -> Task:
+    def _new_task(self, rank: int, **kw) -> Task:
         t = Task(tid=self._next_tid, **kw)
         self._next_tid += 1
         self.tasks[t.tid] = t
-        self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, int(t.kind), t.nbytes)
+        self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
         return t
 
     def _link(self, a: int, b: int) -> None:
@@ -217,10 +297,15 @@ class TaskGraph:
         fwd_ids: list[int] = []
         bwd_ids: list[int] = []
         make_bwd = self.training and not op.is_source
+        _, s_op, s_k, s_bwd = self._rank_shifts[0]
+        base = oid << s_op
+        bwd_bit = 1 << s_bwd
         for k in range(cfg.num_tasks):
             region = cfg.task_region(op, k)
             dev = self.topology.device(cfg.devices[k])
+            rank = base + (k << s_k)
             f = self._new_task(
+                rank,
                 kind=TaskKind.NORMAL,
                 device=dev.did,
                 exe_time=self.profiler.task_time(op, region, dev),
@@ -231,6 +316,7 @@ class TaskGraph:
             fwd_ids.append(f.tid)
             if make_bwd:
                 b = self._new_task(
+                    rank + bwd_bit,
                     kind=TaskKind.NORMAL,
                     device=dev.did,
                     exe_time=self.profiler.task_time(op, region, dev, backward=True),
@@ -259,12 +345,16 @@ class TaskGraph:
         comm_ids: list[int] = []
         src_fwd, dst_fwd = self.fwd[edge.src], self.fwd[edge.dst]
         src_bwd, dst_bwd = self.bwd[edge.src], self.bwd[edge.dst]
+        s_kind, s_src, s_dst, s_slot, s_kj, s_ki, s_bwd = self._rank_shifts[1]
+        base = (1 << s_kind) + (edge.src << s_src) + (edge.dst << s_dst) + (edge.slot << s_slot)
+        bwd_bit = 1 << s_bwd
 
         for kj in range(dst_cfg.num_tasks):
             need = dst_op.input_region(dst_cfg.task_region(dst_op, kj), edge.slot)
             if need is None:
                 continue
             dev_j = dst_cfg.devices[kj]
+            kj_base = base + (kj << s_kj)
             for ki, vol in overlapping_tasks(src_op, src_cfg, need):
                 dev_i = src_cfg.devices[ki]
                 nbytes = float(vol * dtype)
@@ -274,7 +364,9 @@ class TaskGraph:
                         self._link(dst_bwd[kj], src_bwd[ki])
                     continue
                 conn = self.topology.connection(dev_i, dev_j)
+                rank = kj_base + (ki << s_ki)
                 c = self._new_task(
+                    rank,
                     kind=TaskKind.COMM,
                     device=conn.cid,
                     exe_time=self.profiler.comm_time(nbytes, conn),
@@ -289,6 +381,7 @@ class TaskGraph:
                     # Gradient flows the reverse direction in backward.
                     rconn = self.topology.connection(dev_j, dev_i)
                     cb = self._new_task(
+                        rank + bwd_bit,
                         kind=TaskKind.COMM,
                         device=rconn.cid,
                         exe_time=self.profiler.comm_time(nbytes, rconn),
@@ -331,14 +424,19 @@ class TaskGraph:
 
         created: list[int] = []
         dtype = op0.out_shape.dtype_bytes
+        s_kind, s_op, s_shard, s_last = self._rank_shifts[2]  # kind 3 shares the layout
+        ring_base = (2 << s_kind) + (members[0] << s_op)
+        upd_base = ring_base + (1 << s_kind)
         for shard_idx, task_idxs in enumerate(replica_sets.values()):
             shard_elems = op0.param_shard_volume(cfg.task_region(op0, task_idxs[0]))
             if shard_elems == 0:
                 continue
             devs = sorted({cfg.devices[k] for k in task_idxs})
             grads = [self.bwd[m][k] for m in members for k in task_idxs]
+            shard = shard_idx << s_shard
             if len(devs) == 1:
                 upd = self._new_task(
+                    upd_base + shard + (devs[0] << s_last),
                     kind=TaskKind.UPDATE,
                     device=devs[0],
                     exe_time=self.profiler.update_time(shard_elems, self.topology.device(devs[0])),
@@ -356,6 +454,7 @@ class TaskGraph:
                 nxt = devs[(i + 1) % k_g]
                 conn = self.topology.connection(d, nxt)
                 c = self._new_task(
+                    ring_base + shard + (i << s_last),
                     kind=TaskKind.COMM,
                     device=conn.cid,
                     exe_time=self.profiler.comm_time(hop_bytes, conn),
@@ -370,6 +469,7 @@ class TaskGraph:
                     self._link(g, c.tid)
             for d in devs:
                 upd = self._new_task(
+                    upd_base + shard + (d << s_last),
                     kind=TaskKind.UPDATE,
                     device=d,
                     exe_time=self.profiler.update_time(shard_elems, self.topology.device(d)),
@@ -434,18 +534,17 @@ class TaskGraph:
             for k, t in enumerate(self.bwd[o]):
                 rev[t] = (o, 1, k)
         specs: list[tuple] = []
-        kidx: list[int] = []
         internal: list[tuple[int, int]] = []
         external: list[tuple[int, int, tuple[int, int, int]]] = []
         tasks = self.tasks
-        key_index = self.arrays.key_index
+        rank, slot_of = self.arrays.rank, self.arrays.slot_of
+        ranks = [rank[slot_of[tid]] for tid in new_tids]
         for i, tid in enumerate(new_tids):
             t = tasks[tid]
             specs.append(
                 (t.kind, t.device, t.exe_time, t.ckey,
                  t.op_id, t.index, t.backward, t.nbytes, t.conn)
             )
-            kidx.append(key_index(t.ckey))
             for p in t.ins:
                 j = new_map.get(p)
                 if j is not None:
@@ -463,7 +562,7 @@ class TaskGraph:
                     return None
                 external.append((1, i, ref))
         return SpliceRecipe(
-            specs, kidx, internal, external, fwd_idx, bwd_idx, edge_idx, sync_idx
+            specs, ranks, internal, external, fwd_idx, bwd_idx, edge_idx, sync_idx
         )
 
     def _store_recipe(self, rkey, recipe) -> None:
@@ -488,18 +587,15 @@ class TaskGraph:
         new_tids: list[int] = []
         new_tasks: list[Task] = []
         new_slots: list[int] = []
-        # Inlined arrays.add: replayed ckeys are already interned (the
-        # intern table never shrinks), so the memoized stable intern
-        # index turns rank lookup into one array read, and the column
-        # writes run without per-task call overhead.
+        # Inlined arrays.add: the recipe carries each task's rank, so the
+        # column writes run without per-task call overhead.
         free = arrays.free
         exe_a, dev_a, rank_a = arrays.exe, arrays.dev, arrays.rank
         tid_a, kind_a, nbytes_a = arrays.tid, arrays.kind, arrays.nbytes
         ckey_a = arrays.ckey
-        idx_rank = arrays._idx_rank
         slot_of = arrays.slot_of
         dev_count = arrays.dev_count
-        for spec, j in zip(recipe.specs, recipe.kidx):
+        for spec, rank in zip(recipe.specs, recipe.ranks):
             # Spec tuples are stored in Task field order (tid excluded),
             # so construction is one positional call.
             t = Task(tid, *spec)
@@ -521,7 +617,7 @@ class TaskGraph:
             d = spec[1]
             dev_a[slot] = d
             dev_count[d] = dev_count.get(d, 0) + 1
-            rank_a[slot] = idx_rank[j]
+            rank_a[slot] = rank
             tid_a[slot] = tid
             kind_a[slot] = spec[0]
             nbytes_a[slot] = spec[7]
@@ -614,27 +710,35 @@ class TaskGraph:
                     seen_edges.add(key)
                     touched_edges.append(e)
 
+        # A config with more tasks than the rank layout's task field holds
+        # (possible only with repeated devices) widens the field first, so
+        # the record below and the rebuild both use the new layout.
+        if new_cfg.num_tasks > 1 << self._task_bits:
+            self._widen_task_field(new_cfg.num_tasks)
+
         # Recipe lookup: the rebuild below is a pure function of this key
-        # (see SpliceRecipe).  An identity re-splice whose key is cold is
-        # captured from the live group state *before* the splice -- the
-        # current build is exactly what the key produces -- so even the
-        # first identity proposal replays instead of rebuilding.  Replay
-        # rides the same escape hatch as the numpy kernels:
+        # (see SpliceRecipe).  Recipes are captured only here, on an
+        # identity re-splice whose key is cold, from the live group state
+        # *before* the splice -- the current build is exactly what the key
+        # produces -- so even the first identity proposal replays instead
+        # of rebuilding.  A real config change with an empty cache has
+        # nothing to look up, so it skips building the key.  Replay rides
+        # the same escape hatch as the numpy kernels:
         # ``REPRO_SIM_KERNELS=python`` forces the reference rebuild
         # (profiler, partition, and region calls included), which is both
         # the debugging baseline for recipe bugs and the pre-optimization
         # cost the benchmarks compare against.
         old_cfg = self.strategy[members[0]]
+        identity = new_cfg == old_cfg
         recipe = None
-        rkey = None
-        if kernels.kernels_enabled():
+        if kernels.kernels_enabled() and (identity or self._recipes):
             neighbor_ops = sorted(
                 ({e.src for e in touched_edges} | {e.dst for e in touched_edges})
                 - member_set
             )
             rkey = (gkey, new_cfg, tuple((o, self.strategy[o]) for o in neighbor_ops))
             recipe = self._recipes.get(rkey)
-            if recipe is None and new_cfg == old_cfg:
+            if recipe is None and identity:
                 recipe = self._capture_recipe(members, member_set, touched_edges, gkey)
                 if recipe is not None:
                     self._store_recipe(rkey, recipe)
@@ -646,17 +750,20 @@ class TaskGraph:
         for e in touched_edges:
             removed_ids.update(self.edge_tasks.get((e.src, e.dst, e.slot), ()))
 
+        removed: dict[int, Task] = {tid: self.tasks[tid] for tid in removed_ids}
         record: SpliceRecord | None = None
         if keep_record:
             # Saved *before* any mutation: the Task objects keep their
             # adjacency lists (only surviving neighbors' lists are edited
             # below), and the bookkeeping lists are replaced wholesale by
             # the rebuild, so holding references is enough.
+            rank, slot_of = self.arrays.rank, self.arrays.slot_of
             record = SpliceRecord(
                 op_id=op_id,
                 members=members,
-                old_cfg=self.strategy[members[0]],
-                removed_tasks=[self.tasks[tid] for tid in removed_ids],
+                old_cfg=old_cfg,
+                removed_tasks=list(removed.values()),
+                removed_ranks=[rank[slot_of[tid]] for tid in removed],
                 added_lo=self._next_tid,
                 added_hi=self._next_tid,
                 fwd_lists={m: self.fwd[m] for m in members},
@@ -669,7 +776,6 @@ class TaskGraph:
                 },
             )
 
-        removed: dict[int, Task] = {tid: self.tasks[tid] for tid in removed_ids}
         dirty: set[int] = set()
         # Frees the slots and scrubs them from surviving neighbors' rows
         # (intra-batch edges skip the scan entirely); the slots are
@@ -689,7 +795,7 @@ class TaskGraph:
 
         if recipe is not None:
             self.recipe_hits += 1
-            self.last_splice_identity = new_cfg == old_cfg
+            self.last_splice_identity = identity
             dirty.update(self._replay_recipe(recipe, members, new_cfg, gkey))
         else:
             self.recipe_misses += 1
@@ -702,10 +808,6 @@ class TaskGraph:
                 dirty.update(self._connect_edge(e))
             self._make_sync(gkey, members)
             dirty.update(self.sync[gkey])
-            if rkey is not None:
-                fresh = self._capture_recipe(members, member_set, touched_edges, gkey)
-                if fresh is not None:
-                    self._store_recipe(rkey, fresh)
         # Surviving neighbor tasks that gained predecessors: consumers'
         # forward tasks (fed by our new fwd/comm tasks) and producers'
         # backward tasks (fed by our new bwd/comm tasks).
@@ -748,9 +850,9 @@ class TaskGraph:
                     surv.ins.remove(t.tid)
 
         removed_set = {t.tid for t in rec.removed_tasks}
-        for t in rec.removed_tasks:
+        for t, rank in zip(rec.removed_tasks, rec.removed_ranks):
             self.tasks[t.tid] = t
-            self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, int(t.kind), t.nbytes)
+            self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
         for t in rec.removed_tasks:
             # Each edge is re-recorded in the arrays exactly once: through
             # the consumer's ins for every predecessor, plus the producer's

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.profiler.profiler import OpProfiler
+from repro.sim.full_sim import full_simulate
+from repro.sim.simulator import Simulator
 from repro.sim.taskgraph import TaskGraph, TaskKind
 from repro.soap.config import ParallelConfig
 from repro.soap.presets import data_parallelism, single_device
@@ -162,3 +164,31 @@ class TestReplaceConfig:
         assert {tid: (t.device, t.exe_time, sorted(t.ins), sorted(t.outs)) for tid, t in tg.tasks.items()} == tasks_before
         with pytest.raises(RuntimeError):
             tg.undo_last_splice()  # valid exactly once
+
+
+class TestSpliceRecipes:
+    def test_recipes_are_captured_only_on_identity_resplices(
+        self, tiny_rnn_graph, topo4, monkeypatch
+    ):
+        # Recipe replay rides the kernels switch; pin it on.
+        monkeypatch.setenv("REPRO_SIM_KERNELS", "numpy")
+        graph = tiny_rnn_graph
+        sim = Simulator(
+            graph, topo4, data_parallelism(graph, topo4), OpProfiler(), algorithm="delta"
+        )
+        tg = sim.task_graph
+        oid = graph.param_groups()["lstm1"][0]
+        cfg = ParallelConfig.single(1)
+        # A real config change rebuilds the group and captures nothing.
+        sim.reconfigure(oid, cfg)
+        assert tg.recipe_misses == 1 and not tg.last_splice_identity
+        assert not tg._recipes
+        # An identity re-splice under a named algorithm (auto would skip
+        # it before the splice) captures the live build, then replays it.
+        cost = sim.reconfigure(oid, cfg)
+        assert tg.recipe_hits == 1 and tg.last_splice_identity
+        assert len(tg._recipes) == 1
+        # The next one replays the cached recipe.
+        assert sim.reconfigure(oid, cfg) == cost == full_simulate(tg).makespan
+        assert tg.recipe_hits == 2 and tg.last_splice_identity
+        assert len(tg._recipes) == 1 and tg.recipe_misses == 1
