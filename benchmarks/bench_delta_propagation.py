@@ -7,24 +7,22 @@ Inception / 16-device acceptance setting over two proposal workloads:
     random configuration changes -- the regular MCMC proposal.  Their
     timeline impact is dense (a changed op's shifted times reach nearly
     every later task through data edges or device chains), so the true
-    change cone approaches the cut-time suffix; under the numpy kernels
-    the cut-time algorithm hands saturated suffixes to the vectorized
+    change cone approaches the cut-time suffix; under the kernel loops
+    the cut-time algorithm hands saturated suffixes to the
     full sweep (``DeltaStats.saturation_handoffs``).
 ``resplice``
     identity reconfigurations -- re-submitting an operation's current
     config, representative of proposals that collide with the incumbent
     (common in small per-op config spaces) and of re-applied configs in
-    distributed search gossip.  The ``auto`` router detects the empty
-    change cone *before* the splice and skips the machinery outright;
-    the named algorithms run the full splice + repair and show what that
+    distributed search gossip.  ``auto`` detects the empty change cone
+    *before* the splice and skips the machinery outright; the named
+    algorithms run the full splice + repair and show what that
     detection saves.
 
-Arms are (algorithm, kernels) pairs: every algorithm under the numpy
-kernels, plus ``propagate``/``delta``/``auto`` under
-``REPRO_SIM_KERNELS=python`` -- ``(delta, python)`` is the pre-kernel
-default and the baseline the headline compares against;
-``(propagate, python)`` is the scalar-heap baseline for the vectorized
-propagate engine; ``(auto, numpy)`` is the shipped default.
+Arms are (algorithm, kernels) pairs: every algorithm under the kernel
+loops, plus ``delta``/``auto`` under ``REPRO_SIM_KERNELS=python`` --
+``(delta, python)`` is the pre-kernel default and the baseline the
+headline compares against; ``(auto, numpy)`` is the shipped default.
 Every arm drives an identical warmup pass (different seed) before the
 timed pass.  Timings are per-proposal medians; the (idempotent) resplice
 pass is replayed five times and the lowest-median pass kept, so a
@@ -42,24 +40,18 @@ Gates asserted for CI's perf-smoke job:
 
 * bitwise-identical costs across every (algorithm, kernels) arm on both
   workloads;
-* ``auto``'s fallback rate == 0 (zero auto-route fallbacks) and
-  ``propagate``'s fallback rate == 0 on the smoke model;
-* ``propagate`` touches strictly fewer tasks than ``delta`` on each
-  workload, and >= 1.5x fewer over the combined proposal set;
+* ``auto``'s fallback rate == 0 (zero auto fallbacks);
 * the headline -- the geometric mean over workloads of µs/proposal,
   old default ``(delta, python)`` vs new default ``(auto, numpy)`` --
-  is >= 5x (the tentpole's 10x target is reported alongside), with the
-  mutation workload independently gated against regression;
-* the vectorized propagate engine beats its scalar heap twin >= 3x on
-  the resplice workload (``(propagate, numpy)`` vs
-  ``(propagate, python)`` µs/proposal);
-* occupancy routing accuracy >= 90%: a proposal is correctly routed
-  when the named numpy arm of its chosen route costs within 10% of the
-  cheapest named numpy arm on that workload (``noop`` routes -- empty
-  cones detected pre-splice -- are always correct);
-* zero mid-repair mispredictions: the ``(auto, numpy)`` arm finishes
-  with ``saturation_handoffs == 0`` -- every suffix the router sent to
-  ``delta`` stayed under the saturation threshold instead of being
+  is >= 5x (the 10x target is reported alongside), with the mutation
+  workload independently gated against regression;
+* routing accuracy >= 90%: a proposal is correctly routed when the
+  named numpy arm of its route (``full``, the only repair ``auto``
+  runs) costs within 10% of the cheapest named numpy arm on that
+  workload (``noop`` routes -- empty cones detected pre-splice -- are
+  always correct);
+* zero saturation handoffs on the ``(auto, numpy)`` arm: ``auto``
+  never runs the cut-time algorithm, so none of its repairs is
   re-routed to the full sweep mid-repair.
 """
 
@@ -86,7 +78,6 @@ _SMOKE_DEVICES = 16
 # (algorithm, kernels) arms.  (delta, python) is the pre-kernel default
 # (the headline baseline); (auto, numpy) is the shipped default.
 _ARMS = [(alg, "numpy") for alg in ALGORITHMS] + [
-    ("propagate", "python"),
     ("delta", "python"),
     ("auto", "python"),
 ]
@@ -139,13 +130,8 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         before = sim.delta_stats
         inv0, resim0 = before.invocations, before.tasks_resimulated
         total0 = before.tasks_total
-        fb0 = before.fallbacks + before.guard_fallbacks
+        fb0 = before.fallbacks
         routes0 = dict(before.route_counts)
-        pred0, act0, err0 = (
-            before.predicted_cone_tasks,
-            before.actual_cone_tasks,
-            before.cone_abs_error,
-        )
         # Identity resplices are idempotent, so the resplice pass can be
         # replayed; five passes widen the measurement window past
         # transient machine contention, and the pass with the lowest
@@ -161,9 +147,7 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         else:
             resim = (st.tasks_resimulated - resim0) // reps
             total = (st.tasks_total - total0) // reps
-            fb_rate = (
-                (st.fallbacks + st.guard_fallbacks - fb0) / max(1, st.invocations - inv0)
-            )
+            fb_rate = (st.fallbacks - fb0) / max(1, st.invocations - inv0)
         # Route telemetry (meaningful for the auto arms; zero elsewhere).
         routes = {
             r: c // reps
@@ -172,7 +156,6 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
             )
             if c
         }
-        actual_cone = (st.actual_cone_tasks - act0) // reps
         out[workload] = {
             "algorithm": algorithm,
             "kernels": kernels_mode,
@@ -187,23 +170,13 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
             "resim_fraction": round(resim / total, 4) if total else None,
             "fallback_rate": round(fb_rate, 4),
             "route_counts": routes,
-            "predicted_cone_tasks": (st.predicted_cone_tasks - pred0) // reps,
-            "actual_cone_tasks": actual_cone,
-            "cone_abs_error": (st.cone_abs_error - err0) // reps,
-            "cone_rel_error": round(
-                (st.cone_abs_error - err0) / actual_cone, 4
-            ) if actual_cone else None,
             "costs": costs,
         }
     final = sim.delta_stats
     meta = {
         "auto_noop": final.auto_noop,
-        "auto_propagate": final.auto_propagate,
-        "auto_delta": final.auto_delta,
-        "auto_full": final.auto_full,
         "saturation_handoffs": final.saturation_handoffs,
         "fallbacks": final.fallbacks,
-        "guard_fallbacks": final.guard_fallbacks,
         "recipe_hits": sim.task_graph.recipe_hits,
         "recipe_misses": sim.task_graph.recipe_misses,
     }
@@ -260,35 +233,23 @@ def test_delta_propagation(benchmark, scale):
         for w in ("mutation", "resplice")
     }
     headline_ratio = math.exp(sum(math.log(r) for r in ratios.values()) / len(ratios))
-    prop_touched = sum(
-        results[("propagate", "numpy")][w]["tasks_resimulated"] for w in ("mutation", "resplice")
-    )
-    delta_touched = sum(
-        results[("delta", "numpy")][w]["tasks_resimulated"] for w in ("mutation", "resplice")
-    )
     auto_meta = metas[("auto", "numpy")]
     headline = {
         "model": _SMOKE_MODEL,
         "devices": topo.num_devices,
         "proposals_per_workload": steps,
-        "propagate_tasks_touched": prop_touched,
-        "delta_tasks_touched": delta_touched,
-        "touched_ratio_delta_over_propagate": round(delta_touched / max(1, prop_touched), 2),
         "mutation_speedup_vs_scalar_default": round(ratios["mutation"], 2),
         "resplice_speedup_vs_scalar_default": round(ratios["resplice"], 2),
         "headline_speedup_geomean": round(headline_ratio, 2),
         "headline_target": 10.0,
         "auto_noop": auto_meta["auto_noop"],
-        "auto_propagate": auto_meta["auto_propagate"],
-        "auto_delta": auto_meta["auto_delta"],
-        "auto_full": auto_meta["auto_full"],
         "saturation_handoffs": auto_meta["saturation_handoffs"],
     }
-    # Occupancy-routing accuracy: a proposal is correctly routed when the
-    # named numpy arm of its route is within 10% of the cheapest named
-    # numpy arm on that workload; pre-splice noop detection is always
-    # correct (no named arm can beat skipping the splice entirely).
-    named = ("propagate", "delta", "full")
+    # Routing accuracy: a proposal is correctly routed when the named
+    # numpy arm of its route is within 10% of the cheapest named numpy
+    # arm on that workload; pre-splice noop detection is always correct
+    # (no named arm can beat skipping the splice entirely).
+    named = ("delta", "full")
     routed_total = routed_correct = 0
     for workload in ("mutation", "resplice"):
         cheapest = min(us(alg, "numpy", workload) for alg in named)
@@ -297,9 +258,6 @@ def test_delta_propagation(benchmark, scale):
             if route == "noop" or us(route, "numpy", workload) <= 1.1 * cheapest:
                 routed_correct += count
     headline["routing_accuracy"] = round(routed_correct / max(1, routed_total), 4)
-    headline["propagate_kernel_resplice_ratio"] = round(
-        us("propagate", "python", "resplice") / max(0.1, us("propagate", "numpy", "resplice")), 2
-    )
     print_table(printable, "Timeline repair -- algorithm x kernels (us/proposal)")
     print_table([headline], "Headline: us/proposal, (auto, numpy) vs (delta, python)")
 
@@ -314,23 +272,15 @@ def test_delta_propagation(benchmark, scale):
 
     # CI gates.
     for workload in ("mutation", "resplice"):
-        p = results[("propagate", "numpy")][workload]
-        d = results[("delta", "numpy")][workload]
         a = results[("auto", "numpy")][workload]
-        assert p["fallback_rate"] == 0.0, (workload, p)
-        assert a["fallback_rate"] == 0.0, (workload, a)  # zero auto-route fallbacks
-        assert p["tasks_resimulated"] < d["tasks_resimulated"], (workload, p, d)
-    assert auto_meta["fallbacks"] == 0 and auto_meta["guard_fallbacks"] == 0, auto_meta
-    assert headline["touched_ratio_delta_over_propagate"] >= 1.5, headline
+        assert a["fallback_rate"] == 0.0, (workload, a)  # zero auto fallbacks
+    assert auto_meta["fallbacks"] == 0, auto_meta
     # The headline: >= 5x per-proposal over the pre-kernel default on the
     # combined workload (geometric mean), without a mutation regression.
     assert headline["headline_speedup_geomean"] >= 5.0, headline
     assert headline["mutation_speedup_vs_scalar_default"] >= 0.9, headline
-    # The vectorized propagate engine vs its scalar heap twin on the
-    # workload it owns (identity resplices).
-    assert headline["propagate_kernel_resplice_ratio"] >= 3.0, headline
-    # Occupancy routing: >= 90% of proposals land on (within 10% of) the
-    # a-posteriori cheapest named algorithm, and no delta-routed repair
+    # Routing: >= 90% of proposals land on (within 10% of) the
+    # a-posteriori cheapest named algorithm, and no auto repair
     # saturates mid-flight and re-routes to the full sweep.
     assert headline["routing_accuracy"] >= 0.9, headline
     assert auto_meta["saturation_handoffs"] == 0, auto_meta

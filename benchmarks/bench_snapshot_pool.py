@@ -1,11 +1,13 @@
 """Micro-benchmark: pooled vs per-proposal timeline snapshots.
 
-Rejected MCMC proposals revert from a timeline snapshot
+Under ``algorithm="delta"``, which repairs the timeline in place,
+rejected MCMC proposals revert from a timeline snapshot
 (``Simulator.propose/revert``).  With snapshot pooling the simulator
 recycles one scratch ``Timeline`` through the propose/resolve cycle
-(``Timeline.copy_into``) instead of allocating four dicts plus the
-per-device order lists for every in-flight proposal -- the remaining
-constant factor the snapshot-undo scheme left on the table.
+(``Timeline.copy_into``) instead of allocating three dicts for every
+in-flight proposal.  The default ``auto`` (and ``full``) never snapshot:
+they keep the pre-proposal timeline object as the revert target, so the
+bench pins ``delta``.
 
 Asserted here: pooling is cost-exact (identical makespans down the whole
 proposal sequence -- it is an allocation strategy, not an algorithm
@@ -37,6 +39,7 @@ def _propose_revert_cycles(graph, topo, *, pool_snapshots: bool):
         topo,
         data_parallelism(graph, topo),
         OpProfiler(),
+        algorithm="delta",
         pool_snapshots=pool_snapshots,
     )
     space = ConfigSpace(graph, topo)

@@ -67,10 +67,9 @@ class BenchScale:
     search_executor: str = "auto"
     search_cluster: tuple[str, ...] = ()
     # Timeline algorithm driving every search's simulator
-    # ("auto"/"full"/"delta"/"propagate"); result-neutral (bit-identical
-    # timelines), pure throughput.  "auto" routes each proposal to the
-    # cheapest repair (identity no-op / propagate / cut-time delta).
-    # REPRO_SIM_ALGO overrides.
+    # ("auto"/"full"/"delta"); result-neutral (bit-identical timelines),
+    # pure throughput.  "auto" skips identity proposals and re-simulates
+    # the rest with the full sweep.  REPRO_SIM_ALGO overrides.
     sim_algorithm: str = "auto"
 
 
@@ -110,7 +109,7 @@ def current_scale() -> BenchScale:
     ``REPRO_CLUSTER`` select the chain executor and its worker-daemon
     cluster (comma-separated ``host:port[*capacity]`` list), and
     ``REPRO_SIM_ALGO`` picks the timeline algorithm
-    (``auto``/``full``/``delta``/``propagate``) -- results are invariant
+    (``auto``/``full``/``delta``) -- results are invariant
     to all of these; only wall time and cache accounting change.
     """
     scale = FULL_SCALE if os.environ.get("REPRO_FULL") == "1" else CI_SCALE

@@ -256,17 +256,11 @@ class ExperimentRunner:
             "store_warm_hits": stats.warm_hits,
             "store_appended": stats.appended,
         }
-        # Timeline-repair route telemetry, when the backend surfaced it
-        # (mcmc fleets running the auto router): per-route proposal
-        # counts and the occupancy estimator's predicted-vs-actual
-        # repair-cone accounting.
-        extras = result.extras or {}
-        routes = extras.get("route_counts")
+        # Timeline-repair mix, when the backend surfaced it (mcmc fleets
+        # running auto): identity no-ops vs full sweeps.
+        routes = (result.extras or {}).get("route_counts")
         if routes:
             row["route_counts"] = dict(routes)
-            row["predicted_cone_tasks"] = extras.get("predicted_cone_tasks", 0)
-            row["actual_cone_tasks"] = extras.get("actual_cone_tasks", 0)
-            row["cone_abs_error"] = extras.get("cone_abs_error", 0)
         return row
 
     def run(self) -> RunStats:

@@ -141,7 +141,6 @@ class McmcBackend:
         init_costs: dict[str, float] = {}
         simulations = 0
         route_counts: dict[str, int] = {}
-        predicted_cone = actual_cone = cone_err = 0
         for r in results:
             if r.skipped:
                 continue
@@ -150,9 +149,6 @@ class McmcBackend:
             simulations += r.trace.simulations + 1  # +1: the chain's init simulation
             for route, n in r.trace.route_counts.items():
                 route_counts[route] = route_counts.get(route, 0) + n
-            predicted_cone += r.trace.predicted_cone_tasks
-            actual_cone += r.trace.actual_cone_tasks
-            cone_err += r.trace.cone_abs_error
             if r.best_cost_us < best_cost:
                 best_cost = r.best_cost_us
                 best_strategy = r.best_strategy
@@ -191,11 +187,8 @@ class McmcBackend:
                 "init_costs": init_costs,
                 "chains": results,
                 "workers": observed_workers,
-                # Fleet-wide timeline-repair route telemetry (auto router).
+                # Fleet-wide timeline-repair mix under auto (noop/full).
                 "route_counts": route_counts,
-                "predicted_cone_tasks": predicted_cone,
-                "actual_cone_tasks": actual_cone,
-                "cone_abs_error": cone_err,
             },
         )
 

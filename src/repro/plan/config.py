@@ -157,11 +157,10 @@ class SearchConfig:
     inits: tuple[str, ...] = ("data_parallel", "random")
     seed: int = 0
     # Timeline algorithm the chains' simulators run: "auto" (the
-    # default: per-proposal routing between an identity no-op, change
-    # propagation, and the cut-time repair -- see repro.sim.simulator),
-    # "delta" (cut-time incremental repair), "propagate" (change
-    # propagation with branch skipping, see repro.sim.propagate), or
-    # "full" (from-scratch).  Result-neutral -- all four are
+    # default: identity proposals are no-ops, every other proposal is a
+    # full sweep -- see repro.sim.simulator), "delta" (cut-time
+    # incremental repair, kept for the paper's Table 4), or "full"
+    # (from-scratch on every proposal).  Result-neutral -- all three are
     # bit-identical -- and serialized like every other field, so remote
     # ChainSpec dispatch honors it.
     algorithm: str = "auto"

@@ -91,11 +91,27 @@ class PlanResult:
                 f"({self.store_hit_rate:.1%} hit rate, {self.store_stats.warm_hits} warm), "
                 f"{self.store_stats.appended} new entries flushed"
             )
+        routes = self.extras.get("route_counts")
+        if routes:
+            lines.append(f"timeline repair: {_repair_mix(routes)}")
         init_costs = self.extras.get("init_costs") or {}
         for name, c in init_costs.items():
             speedup = c / self.best_cost_us if self.best_cost_us > 0 else float("inf")
             lines.append(f"  vs {name}: {c / 1e3:.3f} ms ({speedup:.2f}x)")
         return "\n".join(lines)
+
+
+# What each timeline-repair route is called in summaries.
+_ROUTE_NAMES = {"full": "full sweep", "noop": "identity no-op"}
+
+
+def _repair_mix(route_counts: dict[str, int]) -> str:
+    """``{"full": 38, "noop": 2}`` -> ``"38 full sweeps, 2 identity no-ops"``."""
+    parts = []
+    for route, n in sorted(route_counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        name = _ROUTE_NAMES.get(route, route)
+        parts.append(f"{n} {name}{'' if n == 1 else 's'}")
+    return ", ".join(parts)
 
 
 def comparison_rows(results: dict[str, PlanResult], batch: int) -> list[dict]:

@@ -11,14 +11,15 @@ Each proposal is evaluated *speculatively* through the live
 :class:`~repro.sim.Simulator` (:meth:`~repro.sim.Simulator.propose`): the
 task graph is spliced incrementally and the timeline repaired by the
 configured timeline algorithm -- ``auto`` by default, which skips
-identity proposals and routes the rest to ``propagate``, ``delta`` or a
-full re-simulation (the named algorithms are pinned for the Table 4 /
-Fig. 12 comparisons).  Accepted proposals are committed; rejected
-proposals are reverted from a snapshot (a timeline copy plus a
-structural splice undo), which restores the exact pre-proposal state
-*without* the undo re-simulation the apply-then-undo scheme needed -- at
-low acceptance rates that halves the simulator work per rejected
-proposal.
+identity proposals and re-simulates the rest with the full sweep (the
+named ``delta``/``full`` algorithms are pinned for the Table 4 / Fig. 12
+comparisons).  Accepted proposals are committed; rejected proposals are
+reverted by a structural splice undo plus the pre-proposal timeline --
+the old timeline object under ``auto``/``full``, a snapshot copy under
+``delta``, which repairs in place -- restoring the exact pre-proposal
+state *without* the undo re-simulation the apply-then-undo scheme
+needed; at low acceptance rates that halves the simulator work per
+rejected proposal.
 
 Cached evaluation and lazy timeline sync
 ----------------------------------------
@@ -102,12 +103,12 @@ class MCMCConfig:
     # improving.  Off by default -- the fixed-budget chain is bit-identical
     # to a run without any budget channel.
     adaptive: bool = False
-    # Per-chain simulation-algorithm override ("auto" / "propagate" /
-    # "delta" / "full", see repro.sim.simulator.ALGORITHMS); ``None``
-    # inherits the fleet-wide ``ExecutionContext.algorithm`` (default
-    # "auto").  Rides inside the ChainSpec over every executor transport
-    # (including the distributed wire protocol), so remote workers honor
-    # it.  Result-neutral: all four algorithms produce bit-identical
+    # Per-chain simulation-algorithm override ("auto" / "delta" / "full",
+    # see repro.sim.simulator.ALGORITHMS); ``None`` inherits the
+    # fleet-wide ``ExecutionContext.algorithm`` (default "auto").  Rides
+    # inside the ChainSpec over every executor transport (including the
+    # distributed wire protocol), so remote workers honor it.
+    # Result-neutral: all three algorithms produce bit-identical
     # timelines.
     algorithm: str | None = None
 
@@ -143,13 +144,9 @@ class SearchTrace:
     checkpoints: list[tuple[int, float, float]] = field(default_factory=list)
     stop_reason: str = "iterations"
     # Timeline-repair route telemetry, snapshotted from the simulator's
-    # DeltaStats at chain end: per-route proposal counts from the auto
-    # router (noop/propagate/delta/full) and the occupancy estimator's
-    # predicted-vs-actual repair-cone accounting.
+    # DeltaStats at chain end: how ``auto`` handled each simulated
+    # proposal ("noop" identity short circuits, "full" sweeps).
     route_counts: dict = field(default_factory=dict)
-    predicted_cone_tasks: int = 0
-    actual_cone_tasks: int = 0
-    cone_abs_error: int = 0
 
     def record(self, cost: float, best: float, t: float) -> None:
         self.costs.append(cost)
@@ -393,9 +390,5 @@ def mcmc_search(
 
     if not trace.checkpoints or trace.checkpoints[-1][0] != len(trace.costs):
         trace.checkpoint(len(trace.costs), best_cost, time.perf_counter() - t0)
-    st = simulator.delta_stats
-    trace.route_counts = dict(st.route_counts)
-    trace.predicted_cone_tasks = st.predicted_cone_tasks
-    trace.actual_cone_tasks = st.actual_cone_tasks
-    trace.cone_abs_error = st.cone_abs_error
+    trace.route_counts = dict(simulator.delta_stats.route_counts)
     return best_strategy, best_cost, trace

@@ -100,7 +100,7 @@ def optimize(
     time_budget_s: float | None = None,
     inits: tuple[str, ...] = ("data_parallel", "random"),
     seed: int = 0,
-    algorithm: str = "delta",
+    algorithm: str = "auto",
     beta_scale: float = 50.0,
     training: bool = True,
     workers: int = 1,

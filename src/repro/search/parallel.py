@@ -97,7 +97,7 @@ def run_chains(
     *,
     workers: int = 1,
     cache_size: int = DEFAULT_CACHE_SIZE,
-    algorithm: str = "delta",
+    algorithm: str = "auto",
     training: bool = True,
     early_stop_cost: float | None = None,
     store_root: "str | os.PathLike | None" = None,

@@ -173,9 +173,9 @@ def search_context(
     in (see the module docstring).  Pass either ``profiler`` or a bare
     ``noise_amplitude``; both default to the noiseless profiler.
 
-    The built-in timeline algorithms (``auto``/``full``/``delta``/
-    ``propagate``) produce bit-identical costs (property-tested at
-    ``tol=0`` in ``tests/sim``), so they address one shard: a search
+    The built-in timeline algorithms (``auto``/``full``/``delta``)
+    produce bit-identical costs (property-tested at ``tol=0`` in
+    ``tests/sim``), so they address one shard: a search
     run under ``algorithm="auto"`` warm-starts from evaluations a
     delta- or full-simulation search flushed, and vice versa.  Unknown
     algorithm names still get their own context.

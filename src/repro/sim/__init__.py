@@ -10,7 +10,6 @@ from repro.sim.arrays import TaskArrays
 from repro.sim.delta_sim import DeltaStats, delta_simulate
 from repro.sim.full_sim import Timeline, full_simulate
 from repro.sim.metrics import IterationMetrics, compute_metrics, throughput_samples_per_sec
-from repro.sim.propagate import propagate_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator, simulate_strategy
 from repro.sim.taskgraph import Task, TaskGraph, TaskKind
 
@@ -19,7 +18,6 @@ __all__ = [
     "ALGORITHMS",
     "DeltaStats",
     "delta_simulate",
-    "propagate_simulate",
     "Timeline",
     "full_simulate",
     "IterationMetrics",

@@ -68,7 +68,6 @@ class TaskArrays:
         "outs",
         "slot_of",
         "free",
-        "dev_count",
     )
 
     def __init__(self) -> None:
@@ -83,11 +82,6 @@ class TaskArrays:
         self.outs: list[list[int]] = []  # per-slot successor slots (CSR row)
         self.slot_of: dict[int, int] = {}  # live task id -> slot
         self.free: list[int] = []  # recycled slots (LIFO)
-        # Per-device live-task occupancy (device/connection id -> count).
-        # Kept incrementally by add/discard so the auto router can
-        # predict a splice's repair cone -- live tasks at or after the
-        # cut, per device chain -- without scanning the graph.
-        self.dev_count: dict[int, int] = {}
 
     # -- slot lifecycle ----------------------------------------------------
     def add(
@@ -101,8 +95,6 @@ class TaskArrays:
         nbytes: float = 0.0,
     ) -> int:
         """Assign a slot to a new live task; returns the slot."""
-        dc = self.dev_count
-        dc[device] = dc.get(device, 0) + 1
         if self.free:
             slot = self.free.pop()
             self.exe[slot] = exe_time
@@ -144,7 +136,6 @@ class TaskArrays:
         mutations.
         """
         slot = self.slot_of.pop(tid)
-        self.dev_count[self.dev[slot]] -= 1
         live = self.tid
         for p in self.ins[slot]:
             if live[p] != -1:
@@ -171,12 +162,9 @@ class TaskArrays:
         pop = self.slot_of.pop
         ckeys = self.ckey
         slots = [pop(t) for t in tids]
-        dc = self.dev_count
-        devs = self.dev
         for s in slots:
             live[s] = -1
             ckeys[s] = None
-            dc[devs[s]] -= 1
         ins, outs = self.ins, self.outs
         for s in slots:
             row = ins[s]
@@ -221,11 +209,6 @@ class TaskArrays:
             got_outs = sorted(self.tid[s] for s in self.outs[slot])
             assert got_ins == sorted(t.ins), f"ins mismatch for task {tid}"
             assert got_outs == sorted(t.outs), f"outs mismatch for task {tid}"
-        want: dict[int, int] = {}
-        for t in tasks.values():
-            want[t.device] = want.get(t.device, 0) + 1
-        got = {d: n for d, n in self.dev_count.items() if n}
-        assert got == want, f"dev_count drift: {got} != {want}"
         # The live rank column is strictly increasing in ckey order.
         live = sorted((self.ckey[s], self.rank[s]) for s in self.slot_of.values())
         for (ka, ra), (kb, rb) in zip(live, live[1:]):

@@ -31,33 +31,17 @@ ordered at or after the earliest change, including parallel branches the
 change cannot reach -- a conservative over-approximation that is simple
 to prove correct but forfeits the skip-unaffected-branches property the
 paper's delta implementation exploits for its 2.2-6.9x end-to-end search
-speedups.  :mod:`repro.sim.propagate` (``algorithm="propagate"``) now
-implements that property: a true change-propagation engine that walks
-only *actually-changed* tasks, terminates each branch the moment a
-recomputed ``(ready, start, end)`` triple equals its old value, and
-falls back to this algorithm (then to full simulation) behind a cascade
-guard.  Measured on Inception/16 devices
-(``benchmarks/bench_delta_propagation.py``): splices whose timeline
-impact is localized (identity re-splices; absorbed changes) repair
-~100x fewer tasks -- the vectorized propagate engine replays them at
-~3.4x lower wall cost than its own scalar heap, ~20x below this
-variant -- while dense random mutations, whose true change cone
-approaches the suffix, stay at task parity with a slightly higher
-constant factor.  The default ``algorithm="auto"`` router therefore
-sizes the cone *before* repairing: localized splices go to
-``propagate``, dense mutations land here while the predicted occupancy
-cone (per-device ``TaskArrays.dev_count`` summaries + chain bisects)
-stays under :data:`_SATURATION_FRAC` of the graph, and past that the
-router skips straight to the vectorized full sweep.  On the bench's
-mutation workload that rule routes 100% of proposals within 10% of the
-a-posteriori cheapest algorithm and leaves
-:attr:`DeltaStats.saturation_handoffs` -- this module's own mid-repair
-re-route when a suffix it accepted saturates anyway -- at zero.  This
-variant is also the guard's safety net and the reference the property
-suite checks the incremental algorithms against (all four algorithms
-produce bit-identical timelines, ``tol=0``).  A defensive check falls
-back to full simulation if a suffix task ever becomes ready before the
-cut (never observed; counted in :attr:`DeltaStats.fallbacks`).
+speedups.  On the dense random mutations an MCMC search proposes, the
+suffix routinely covers most of the graph, so under the kernels a suffix
+of at least :data:`_SATURATION_FRAC` of the tasks is handed to the full
+sweep outright (:attr:`DeltaStats.saturation_handoffs`; bit-identical by
+the same argument as the defensive fallback).  Skipping unaffected
+branches does not pay on those proposals either (README "Timeline
+algorithms"), so the default ``auto`` algorithm repairs with the full
+sweep and this module reproduces the paper's Table 4 comparison of full
+and delta search.  A defensive check falls back to full simulation if a
+suffix task ever becomes ready before the cut (never observed; counted in
+:attr:`DeltaStats.fallbacks`).
 
 Like the full algorithm, the suffix sweep runs on the flat
 :class:`~repro.sim.arrays.TaskArrays` substrate -- static columns and
@@ -68,7 +52,6 @@ instead of probing the ``dict[int, Task]`` per field access.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.sim import kernels
@@ -84,39 +67,23 @@ _SATURATION_FRAC = 0.5
 
 @dataclass
 class DeltaStats:
-    """Work accounting for the incremental algorithms (drives Table 4).
+    """Work accounting for the timeline repair (drives Table 4).
 
-    Shared by the cut-time delta algorithm and the change-propagation
-    engine (:mod:`repro.sim.propagate`): both count every repaired task
-    in ``tasks_resimulated``, so ``resim_fraction`` compares the two
-    directly.  ``propagated_tasks``/``branch_skips`` are only written by
-    the propagation engine; ``guard_fallbacks`` counts its cascade-guard
-    handoffs to the cut-time algorithm (``fallbacks`` counts authoritative
-    full re-simulations, from either algorithm's defensive paths).
+    ``invocations``/``tasks_resimulated``/``tasks_total``/``fallbacks``/
+    ``saturation_handoffs`` are written by the cut-time delta algorithm
+    (``fallbacks`` counts authoritative full re-simulations).  The
+    ``auto`` algorithm only writes ``route_counts`` -- per-route proposal
+    counts: ``"noop"`` for identity proposals it short-circuits before
+    the splice, ``"full"`` for full sweeps -- and ``auto_noop``.
     """
 
     invocations: int = 0
     fallbacks: int = 0
     tasks_resimulated: int = 0
     tasks_total: int = 0
-    propagated_tasks: int = 0  # tasks whose times a propagation pass recomputed
-    branch_skips: int = 0  # propagation pops whose triple was unchanged
-    guard_fallbacks: int = 0  # cascade-guard handoffs to the cut-time algorithm
-    auto_propagate: int = 0  # auto-router proposals sent to change propagation
-    auto_delta: int = 0  # auto-router proposals sent to the cut-time algorithm
-    auto_noop: int = 0  # auto-router proposals short-circuited (identity config)
-    auto_full: int = 0  # auto-router proposals sent straight to the full sweep
+    auto_noop: int = 0  # auto proposals short-circuited (identity config)
     saturation_handoffs: int = 0  # saturated suffixes handed to the full kernel
-    # Route telemetry (auto router only): per-route proposal counts --
-    # including the pre-splice "noop" short circuit -- plus the occupancy
-    # estimator's accounting: the summed predicted repair-cone sizes, the
-    # tasks the routed algorithms actually repaired, and the accumulated
-    # absolute prediction error.  Flows through the bench grid and the
-    # repro.exp trial rows.
     route_counts: dict = field(default_factory=dict)
-    predicted_cone_tasks: int = 0
-    actual_cone_tasks: int = 0
-    cone_abs_error: int = 0
 
     @property
     def resim_fraction(self) -> float:
@@ -125,19 +92,20 @@ class DeltaStats:
     @property
     def fallback_rate(self) -> float:
         """Fraction of invocations that abandoned the incremental path."""
-        if not self.invocations:
-            return 0.0
-        return (self.fallbacks + self.guard_fallbacks) / self.invocations
+        return self.fallbacks / self.invocations if self.invocations else 0.0
+
+
+def _adopt(tl: Timeline, fresh: Timeline) -> Timeline:
+    """Make ``tl`` (repaired in place by its caller) hold ``fresh``."""
+    tl.ready, tl.start, tl.end = fresh.ready, fresh.start, fresh.end
+    tl.makespan = fresh.makespan
+    return tl
 
 
 def _fallback(tg: TaskGraph, tl: Timeline, stats: DeltaStats | None) -> Timeline:
     if stats is not None:
         stats.fallbacks += 1
-    fresh = full_simulate(tg)
-    tl.ready, tl.start, tl.end = fresh.ready, fresh.start, fresh.end
-    tl.device_order = fresh.device_order
-    tl.makespan = fresh.makespan
-    return tl
+    return _adopt(tl, full_simulate(tg))
 
 
 def delta_simulate(
@@ -157,11 +125,10 @@ def delta_simulate(
         stats.invocations += 1
         stats.tasks_total += len(tg.tasks)
     arr = tg.arrays
-    exe, dev, rank, tids, ckeys = arr.exe, arr.dev, arr.rank, arr.tid, arr.ckey
+    exe, dev, rank, tids = arr.exe, arr.dev, arr.rank, arr.tid
     all_ins, all_outs = arr.ins, arr.outs
     slot_of = arr.slot_of
     ready, start, end = tl.ready, tl.start, tl.end
-    order = tl.device_order
 
     # ---- cut time --------------------------------------------------------
     # A lower bound on each seed's new ready time: the max over its
@@ -198,8 +165,7 @@ def delta_simulate(
         if est < t_cut:
             t_cut = est
 
-    # Drop removed tasks' timeline entries (their device-order entries all
-    # sit at or after the cut and disappear with the truncation below).
+    # Drop removed tasks' timeline entries.
     for tid in removed:
         ready.pop(tid, None)
         start.pop(tid, None)
@@ -209,70 +175,58 @@ def delta_simulate(
         # Nothing structural changed: no removed task had a timeline entry
         # and no seed survived, so every end time -- and with them the
         # running makespan the timeline already holds -- is untouched.
-        # (This used to rescan all end times per no-op proposal.)
         return tl
 
     # ---- partition into fixed prefix and suffix ---------------------------
-    # Suffix members come from two places, avoiding a full-graph scan:
-    # survivors past the cut are exactly the truncated device-order tails,
-    # and new tasks (no timeline entry yet) are all in the dirty seed set.
-    suffix: list[int] = []
-    dev_last_end: dict[int, float] = {}
-    makespan = 0.0
-    for d, lst in order.items():
-        cut_idx = bisect_left(lst, (t_cut,))
-        for entry in lst[cut_idx:]:
-            tid = entry[-1]
-            if tid in slot_of:  # truncated entries of *removed* tasks just vanish
-                suffix.append(tid)
-        del lst[cut_idx:]
-        if lst:
-            last = end[lst[-1][-1]]
-            dev_last_end[d] = last
-            if last > makespan:
-                makespan = last
-    for tid in dirty:
-        if tid in slot_of and tid not in ready:
-            suffix.append(tid)
+    # A survivor ready before the cut keeps its times; the rest join the
+    # suffix together with the new tasks (no timeline entry yet; all in
+    # the dirty seed set).
+    suffix = [tid for tid, r in ready.items() if r >= t_cut]
+    suffix += [tid for tid in dirty if tid in slot_of and tid not in ready]
     if stats is not None:
         stats.tasks_resimulated += len(suffix)
-    suffix_slots = {slot_of[tid] for tid in suffix}
 
     # ---- saturation handoff ----------------------------------------------
     # When the suffix covers most of the graph (dense mutations routinely
     # re-simulate ~80% of tasks), the cut-time machinery buys nothing over
-    # Algorithm 1 while still paying for truncation and boundary seeding;
-    # the vectorized full sweep is strictly cheaper.  Hand off at the
+    # Algorithm 1 while still paying for the prefix scan and boundary
+    # seeding; the full sweep is strictly cheaper.  Hand off at the
     # t_cut -> 0 limit of this algorithm -- the result is bit-identical by
     # the same argument as the defensive fallback, so this is a pure
     # routing decision.  Only taken on the kernel path: the scalar
     # reference keeps the pure cut-time behavior the property suite and
     # the paper's Table 4 accounting describe.
-    if (
-        kernels.kernels_enabled()
-        and len(suffix_slots) >= _SATURATION_FRAC * len(tg.tasks)
-    ):
+    if kernels.kernels_enabled() and len(suffix) >= _SATURATION_FRAC * len(tg.tasks):
         if stats is not None:
             stats.saturation_handoffs += 1
             stats.tasks_resimulated += len(tg.tasks) - len(suffix)
-        fresh = full_simulate(tg)
-        tl.ready, tl.start, tl.end = fresh.ready, fresh.start, fresh.end
-        tl.device_order = fresh.device_order
-        tl.makespan = fresh.makespan
-        return tl
+        return _adopt(tl, full_simulate(tg))
+
+    # A device runs its tasks FIFO by ready time and end times never
+    # decrease along that order, so the prefix's last end per device is
+    # its largest one.
+    dev_end = [0.0] * (max(dev) + 1)
+    makespan = 0.0
+    for tid, r in ready.items():
+        if r < t_cut:
+            e = end[tid]
+            d = dev[slot_of[tid]]
+            if e > dev_end[d]:
+                dev_end[d] = e
+            if e > makespan:
+                makespan = e
+    suffix_slots = {slot_of[tid] for tid in suffix}
 
     # ---- Algorithm 1 over the suffix ----------------------------------------
     if kernels.kernels_enabled():
-        # Bit-identical level-batched drain (repro.sim.kernels); the
-        # scalar sweep below is the REPRO_SIM_KERNELS=python reference.
-        scheduled, mk, ok = kernels.suffix_drain(
-            tg, suffix_slots, t_cut, ready, start, end, order, dev_last_end, makespan
-        )
-        if not ok or scheduled != len(suffix_slots):
+        # Bit-identical lean loop (repro.sim.kernels); the scalar sweep
+        # below is the REPRO_SIM_KERNELS=python reference.
+        mk = kernels.suffix_drain(tg, suffix_slots, t_cut, ready, start, end, dev_end)
+        if mk is None:
             # Pre-cut pop (prefix-safety violation), a dependency cycle,
             # or bookkeeping drift: re-run authoritatively.
             return _fallback(tg, tl, stats)
-        tl.makespan = mk
+        tl.makespan = mk if mk > makespan else makespan
         return tl
 
     heap: list[tuple[float, int, int]] = []
@@ -302,17 +256,16 @@ def delta_simulate(
             return _fallback(tg, tl, stats)
         tid = tids[slot]
         d = dev[slot]
-        s = dev_last_end.get(d, 0.0)
+        s = dev_end[d]
         if r > s:
             s = r
         e = s + exe[slot]
         ready[tid] = r
         start[tid] = s
         end[tid] = e
-        dev_last_end[d] = e
+        dev_end[d] = e
         if e > makespan:
             makespan = e
-        order.setdefault(d, []).append((r, ckeys[slot], tid))
         scheduled += 1
         for nxt in all_outs[slot]:
             if nxt not in suffix_slots:

@@ -22,7 +22,6 @@ cross-worker reproducibility of parallel search
 from __future__ import annotations
 
 import heapq
-import sys
 
 from repro.sim import kernels
 from repro.sim.taskgraph import TaskGraph
@@ -31,23 +30,21 @@ __all__ = ["Timeline", "full_simulate"]
 
 
 class Timeline:
-    """Simulated schedule: per-task times plus per-device execution order.
+    """Simulated schedule: per-task ready, start and end times.
 
-    ``device_order[d]`` is the list of ``(readyTime, ckey, tid)`` triples
-    of tasks executed on device ``d``, kept sorted -- which *is* the
-    execution order, because FIFO-by-ready-time with deterministic
-    tie-breaking makes "sorted by (readyTime, ckey)" and "execution order"
-    the same thing.  The delta simulator relies on this invariant to
-    maintain the ``preTask``/``nextTask`` chains of Table 2 implicitly.
+    Each device executes its tasks in ``(readyTime, ckey)`` order
+    (FIFO by ready time with canonical tie-breaking), so a device's
+    execution order is recoverable from ``ready`` and the task graph's
+    ``ckey``/``device`` columns whenever it is needed; the timeline does
+    not store it.
     """
 
-    __slots__ = ("ready", "start", "end", "device_order", "makespan")
+    __slots__ = ("ready", "start", "end", "makespan")
 
     def __init__(self) -> None:
         self.ready: dict[int, float] = {}
         self.start: dict[int, float] = {}
         self.end: dict[int, float] = {}
-        self.device_order: dict[int, list[tuple[float, tuple[int, ...], int]]] = {}
         self.makespan: float = 0.0
 
     def copy(self) -> "Timeline":
@@ -55,18 +52,17 @@ class Timeline:
         tl.ready = dict(self.ready)
         tl.start = dict(self.start)
         tl.end = dict(self.end)
-        tl.device_order = {d: list(v) for d, v in self.device_order.items()}
         tl.makespan = self.makespan
         return tl
 
     def copy_into(self, target: "Timeline") -> "Timeline":
         """Copy this timeline's state into ``target``, reusing its storage.
 
-        Clearing and refilling the existing dicts (and per-device lists)
-        keeps their already-grown hash tables and list buffers alive, so
-        a caller that snapshots on every proposal -- the MCMC speculative
-        path -- recycles one scratch timeline instead of allocating four
-        dicts plus a list per device each iteration.
+        Clearing and refilling the existing dicts keeps their
+        already-grown hash tables alive, so a caller that snapshots on
+        every proposal -- the ``delta`` algorithm's speculative path --
+        recycles one scratch timeline instead of allocating three dicts
+        each iteration.
         """
         target.ready.clear()
         target.ready.update(self.ready)
@@ -74,15 +70,6 @@ class Timeline:
         target.start.update(self.start)
         target.end.clear()
         target.end.update(self.end)
-        stale = target.device_order.keys() - self.device_order.keys()
-        for d in stale:
-            del target.device_order[d]
-        for d, order in self.device_order.items():
-            dst = target.device_order.get(d)
-            if dst is None:
-                target.device_order[d] = list(order)
-            else:
-                dst[:] = order
         target.makespan = self.makespan
         return target
 
@@ -106,28 +93,22 @@ def full_simulate(tg: TaskGraph) -> Timeline:
     """Simulate the task graph from scratch; returns the full timeline.
 
     The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
-    substrate: per-slot state lives in dense lists, the heap orders by
-    ckey *rank* (bit-identical pop order, integer comparisons),
-    and per-device execution orders are built by plain ``append`` -- heap
-    pops arrive in globally nondecreasing ``(readyTime, ckey)`` order
-    (a dequeued task schedules successors at ``readyTime >= its own
-    endTime >= its own readyTime``), so each device's subsequence is
-    already sorted and the former per-pop ``insort`` was always an
-    append.  Sortedness is asserted under pytest only.
+    substrate: per-slot state lives in dense lists and the heap orders by
+    ckey *rank* (bit-identical pop order, integer comparisons).
 
     Raises ``RuntimeError`` if the task graph contains a dependency cycle
     (which would indicate a construction bug, not a user error).
 
-    When the numpy kernels are enabled (the default; see
-    :mod:`repro.sim.kernels`) the sweep below is replaced by a
-    bit-identical level-batched drain; ``REPRO_SIM_KERNELS=python``
-    forces this scalar reference.
+    When the kernels are enabled (the default; see
+    :mod:`repro.sim.kernels`) the sweep below is replaced by the leaner
+    bit-identical loop there; ``REPRO_SIM_KERNELS=python`` forces this
+    scalar reference.
     """
     if kernels.kernels_enabled():
         return kernels.full_kernel(tg)
     tl = Timeline()
     arr = tg.arrays
-    exe, dev, rank, tids, ckeys = arr.exe, arr.dev, arr.rank, arr.tid, arr.ckey
+    exe, dev, rank, tids = arr.exe, arr.dev, arr.rank, arr.tid
     all_ins, all_outs = arr.ins, arr.outs
     num_slots = len(tids)
     total = arr.num_live
@@ -149,8 +130,6 @@ def full_simulate(tg: TaskGraph) -> Timeline:
     ready = tl.ready
     start = tl.start
     end = tl.end
-    order = tl.device_order
-    check_sorted = "pytest" in sys.modules
     while heap:
         r, _, slot = heapq.heappop(heap)
         tid = tids[slot]
@@ -163,16 +142,6 @@ def full_simulate(tg: TaskGraph) -> Timeline:
         start[tid] = s
         end[tid] = e
         dev_last_end[d] = e
-        entry = (r, ckeys[slot], tid)
-        lst = order.get(d)
-        if lst is None:
-            order[d] = [entry]
-        else:
-            if check_sorted:
-                assert lst[-1] <= entry, (
-                    f"device {d} execution order regressed: {lst[-1]} > {entry}"
-                )
-            lst.append(entry)
         scheduled += 1
         for nxt in all_outs[slot]:
             if e > slot_ready[nxt]:

@@ -1,92 +1,48 @@
-"""Numpy bulk kernels behind the timeline sweeps (Algorithm 1 and 2).
+"""Lean loops behind the timeline sweeps (Algorithm 1 and Algorithm 2's suffix).
 
 The reference sweeps in :mod:`~repro.sim.full_sim` and
-:mod:`~repro.sim.delta_sim` pay one Python bytecode dispatch per task per
-proposal.  This module batches that work where the schedule structure
-allows it without changing a single output bit:
+:mod:`~repro.sim.delta_sim` write every popped task's times straight into
+the timeline's dicts and keep each device's last end time in a dict.
+:func:`_sweep` pops the heap in exactly the same order with less work per
+pop, without changing a single output bit:
 
-* **Level-batched heap drains** -- consecutive heap pops sharing a ready
-  time form a *level*.  The drain's main loop is the reference pop loop
-  plus a two-op streak tracker, so thin levels (narrow graph regions,
-  the common case) pay essentially nothing; once a streak of equal-ready
-  pops reaches ``FAT_RUN`` the rest of the level is collected and -- when
-  every member has positive execution time, so none can schedule an
-  equal-ready successor -- the whole batch schedules in one vectorized
-  step.  A *stable* sort by device preserves the heap's ``(rank, slot)``
-  tie order inside each device, which is exactly the scalar per-device
-  execution order.
-* **Vectorized per-device end-time chain scans** -- within a device
-  segment the first task starts at ``max(readyTime, devLastEnd)`` and
-  every later one starts exactly at its chain predecessor's end
-  (positive exe keeps ends strictly past the shared ready time), so the
-  scan is a short carry loop of pure adds in the reference evaluation
-  order; float adds and maxes reproduce the scalar results bit for bit.
-* **Batched ready-time maxes** -- a batch's successor relaxation gathers
-  the CSR successor rows once, groups them by successor with one stable
-  argsort, and reduces each group's end-time max with
-  ``np.maximum.reduceat`` -- all O(batch edges), no full-width column
-  scans -- before a compact per-unique-successor scatter updates
-  ``slot_ready``/``indeg`` and releases newly-ready tasks.
+* the columns the loop reads are turned into lists once per sweep;
+* each device's last end time lives in a dense list indexed by device id
+  (device and connection ids share one small id space);
+* a popped task's start and end go into per-slot lists.  Its ready time
+  is already in the per-slot ready list: a task is pushed only once its
+  last predecessor has finished, at its final ready time.  The full sweep
+  turns each per-slot list into the timeline's dict with one
+  ``dict(zip(...))``; the delta suffix updates only its own tasks.
 
-The delta suffix reuses the same drain without a membership test:
-non-suffix slots enter with an in-degree of zero, so the first decrement
-drives them negative and they can never reach the ``indeg == 0``
-scheduling condition again; their ``slot_ready`` updates land in scratch
-that nobody reads.  Dropping the per-edge membership probe (and the
-dict-based drain state) is what makes the kernel suffix sweep cheaper
-than the scalar reference even when no level is fat.
+The delta suffix reuses the loop without a membership test: slots outside
+the suffix enter with an in-degree of zero, so the first decrement drives
+them negative and they can never reach the ``indeg == 0`` scheduling
+condition; their ready-time updates land in scratch that nobody reads.
 
-Bit-identity is the contract (the property suites in
-``tests/sim/test_sim_kernels.py`` enforce it), which is what lets all
-timeline algorithms keep sharing one persistent-store shard.  Setting
-``REPRO_SIM_KERNELS=python`` forces the scalar reference
-implementations -- the escape hatch for debugging and for environments
-without numpy (where the kernels disable themselves).
+Bit-identity is the contract (``tests/sim/test_sim_kernels.py`` compares
+both modes A/B), which is what lets every timeline algorithm share one
+persistent-store shard.  Setting ``REPRO_SIM_KERNELS=python`` forces the
+scalar reference implementations -- the escape hatch for debugging.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left
-from itertools import chain, repeat
 
-try:  # pragma: no cover - exercised via kernels_enabled() both ways
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+__all__ = ["kernels_enabled", "full_kernel", "suffix_drain"]
 
-__all__ = [
-    "kernels_enabled",
-    "full_kernel",
-    "suffix_drain",
-    "propagate_drain",
-    "FAT_RUN",
-]
-
-# Streak length at which an equal-ready level is declared fat: after this
-# many consecutive pops share a ready time, the rest of the level is
-# collected and batch-scheduled.  Below this the per-call numpy dispatch
-# overhead exceeds the scalar loop it replaces (measured crossover on the
-# Inception/16 acceptance graphs); tests drop it to exercise the
-# vectorized path on small graphs.
-FAT_RUN = 48
-
-# A collected remainder smaller than this schedules through the scalar
-# merge-drain even when all-positive -- a vectorized step's fixed
-# dispatch overhead needs this many tasks to amortize.
-_VEC_MIN = 32
-
-
-# The valid REPRO_SIM_KERNELS values (empty/unset means "numpy").
+# The valid REPRO_SIM_KERNELS values; empty/unset means "numpy", the
+# mode that runs this module's loops (which need no numpy themselves).
 _KERNEL_MODES = ("python", "numpy")
 
 
 def kernels_enabled() -> bool:
-    """Whether the numpy kernels back the sweeps (checked per call).
+    """Whether the lean loops back the sweeps (checked per call).
 
     ``REPRO_SIM_KERNELS`` selects the implementation: ``numpy`` (or
-    unset/empty) runs the bulk kernels, ``python`` forces the scalar
+    unset/empty) runs this module's loops, ``python`` forces the scalar
     reference loops.  Anything else raises ``ValueError`` -- a typo like
     ``REPRO_SIM_KERNELS=phyton`` used to silently select the kernels,
     which is exactly the opposite of what the escape hatch is for.
@@ -97,72 +53,60 @@ def kernels_enabled() -> bool:
             f"unknown REPRO_SIM_KERNELS value {mode!r}; valid: "
             f"{'/'.join(_KERNEL_MODES)} (empty selects numpy)"
         )
-    if _np is None:
-        return False
     return mode != "python"
 
 
 def full_kernel(tg):
-    """Algorithm 1 on the numpy kernels; bit-identical to ``full_simulate``."""
+    """Algorithm 1 on the lean loop; bit-identical to ``full_simulate``."""
     from .full_sim import Timeline
 
-    np = _np
-    tl = Timeline()
     arr = tg.arrays
     ns = arr.num_slots
     total = arr.num_live
     if total == 0:
-        return tl
-    # Vectorized init: in-degrees from the CSR predecessor row lengths,
-    # the frontier found in one masked scan (free slots have cleared
-    # rows, so the live mask keeps them out of the initial heap).
-    ind_np = np.fromiter(map(len, arr.ins), np.int64, count=ns)
-    live = np.frombuffer(arr.tid, dtype=np.int64) != -1
-    frontier = np.flatnonzero(live & (ind_np == 0))
-    rank_np = np.frombuffer(arr.rank, dtype=np.int64)
-    heap = list(zip(repeat(0.0), rank_np[frontier].tolist(), frontier.tolist()))
+        return Timeline()
+    tids = arr.tid.tolist()
+    rank = arr.rank.tolist()
+    dev = arr.dev.tolist()
+    indeg = list(map(len, arr.ins))
+    # Free slots have cleared rows, so the live test keeps them out.
+    heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and tids[s] != -1]
     heapq.heapify(heap)
-    scheduled, makespan, _ = _drain(
-        heap,
-        arr,
-        ind_np.tolist(),
-        [0.0] * ns,
-        float("-inf"),
-        tl.ready,
-        tl.start,
-        tl.end,
-        tl.device_order,
-        {},
-        0.0,
-    )
+    ready = [0.0] * ns
+    start = [0.0] * ns
+    end = [_UNSET] * ns
+    _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
+           [0.0] * (max(dev) + 1))
+    scheduled = ns - end.count(_UNSET)
     if scheduled != total:
         raise RuntimeError(
             f"task graph has a cycle: scheduled {scheduled} of {total} tasks"
         )
-    tl.makespan = makespan
+    tl = Timeline()
+    tl.ready = dict(zip(tids, ready))
+    tl.start = dict(zip(tids, start))
+    tl.end = dict(zip(tids, end))
+    if total != ns:
+        # Free slots all map to task id -1; drop that one stray key.
+        del tl.ready[-1], tl.start[-1], tl.end[-1]
+    tl.makespan = max(end)  # free slots hold _UNSET, below every end time
     return tl
 
 
-def suffix_drain(
-    tg,
-    suffix_slots,
-    t_cut,
-    ready,
-    start,
-    end,
-    order,
-    dev_last_end,
-    makespan,
-):
-    """Algorithm 1 over a delta suffix on the numpy kernels.
+def suffix_drain(tg, suffix_slots, t_cut, ready, start, end, dev_end):
+    """Algorithm 1 over a delta suffix on the lean loop.
 
     Same contract as the scalar suffix sweep in ``delta_simulate``:
-    repairs the timeline dicts in place past ``t_cut``.  Returns
-    ``(scheduled, makespan, ok)``; ``ok`` is False when a pop lands
-    before the cut (the caller's prefix-safety fallback).
+    re-simulates the suffix slots after the fixed prefix, whose per-device
+    last end times ``dev_end`` holds (a dense list, consumed), and writes
+    the suffix's times into the timeline dicts.  Returns the suffix's
+    largest end time, or ``None`` -- leaving the dicts untouched -- when a
+    suffix task becomes ready before ``t_cut`` or never becomes ready (the
+    caller's authoritative fallback).
     """
     arr = tg.arrays
-    rank, tids = arr.rank, arr.tid
+    tids = arr.tid
+    rank = arr.rank.tolist()
     all_ins = arr.ins
     ns = len(tids)
     memb = bytearray(ns)
@@ -186,697 +130,50 @@ def suffix_drain(
         if n == 0:
             heap.append((est, rank[slot], slot))
     heapq.heapify(heap)
-    return _drain(
-        heap,
-        arr,
-        indeg,
-        slot_ready,
-        t_cut,
-        ready,
-        start,
-        end,
-        order,
-        dev_last_end,
-        makespan,
-    )
+    s_s = [0.0] * ns
+    e_s = [_UNSET] * ns
+    _sweep(heap, arr.exe.tolist(), arr.dev.tolist(), rank, arr.outs, indeg,
+           slot_ready, s_s, e_s, dev_end)
+    slots = list(suffix_slots)
+    if not slots:
+        return 0.0
+    readies = list(map(slot_ready.__getitem__, slots))
+    ends = list(map(e_s.__getitem__, slots))
+    if min(readies) < t_cut or min(ends) == _UNSET:
+        return None
+    stids = [tids[s] for s in slots]
+    ready.update(zip(stids, readies))
+    start.update(zip(stids, map(s_s.__getitem__, slots)))
+    end.update(zip(stids, ends))
+    return max(ends)
 
 
-def propagate_drain(tg, tl, removed, dirty):
-    """Algorithm 2 (change propagation) drained in batched repair fronts.
+# End time of a slot the sweep has not scheduled (every real one is >= 0).
+_UNSET = -1.0
 
-    Same contract as the scalar engine in
-    :func:`~repro.sim.propagate.propagate_simulate`, which dispatches
-    here when the kernels are enabled: repairs ``tl`` in place given a
-    splice's ``removed``/``dirty`` sets, converging on exactly the
-    fixed point of the scheduling equations -- so the result is
-    bit-identical to the scalar loop and to the reference sweeps.
-    Instead of a global priority queue settling one task per pop, the
-    repair runs in *rounds of fronts*:
 
-    1. **Batched detach.**  Removed chain entries are dropped per
-       device in one pass.  A removed entry whose canonical key
-       returns on the same device is *replaced in place* -- the
-       identity-resplice fast path: the newcomer inherits the old
-       entry's position *and its whole (ready, start, end) triple* as
-       an optimistic guess, so no list memmove happens and -- when the
-       re-derivation verifies the guess -- the change cone collapses on
-       contact instead of reopening every data successor.  The rest
-       bisect-delete descending (located indices stay valid), or, when
-       a device loses a dense run, rebuild through one set-membership
-       filter.  Every entry that follows a dropped or relocated one is
-       *touch-marked*: its chain predecessor changed.
-    2. **Ready fronts.**  Every task whose ready time may have moved
-       (dirty seeds, data successors of changed ends, released
-       waiters) re-derives ``max(pred ends)`` together.  A task with
-       an unreadable or still-unsettled predecessor *parks* in that
-       predecessor's waiter list -- the scalar engine's data gate --
-       and is released by its settle, so the fronts sweep the cone in
-       dependency order instead of thrashing on stale values.  Entries
-       whose ready moved relocate by bisect, touch-marking the
-       displaced followers at both positions.
-    3. **Chain re-scan fronts.**  Each device re-walks only from its
-       touched positions, in position order, recomputing
-       ``start = max(ready, prev end)`` / ``end = start + exe`` and
-       stopping at the first entry whose pair is unchanged (branch
-       termination); changed ends reopen data successors for the next
-       ready front.  A walk that keeps writing switches to the
-       vectorized busy-segment sweep (:func:`_chain_sweep`), which
-       left-folds ``np.add.accumulate`` chains in the scalar
-       evaluation order -- bit-identical adds -- and splits at idle
-       gaps.
+def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end):
+    """The heap drain shared by the full and delta kernels.
 
-    Optimistic guesses are always re-verified before the drain can
-    finish, and every value write reopens its readers, so the loop can
-    only terminate at the unique fixed point.  Returns ``(recomputed,
-    skips, ok)``; ``ok=False`` signals chain/timeline drift or a stuck
-    front -- the caller must re-simulate authoritatively.  Returns
-    ``None`` -- *before touching the timeline* -- when the occupancy
-    pre-scan routes the repair to the scalar engine instead.
+    Pops ``heap`` in ``(readyTime, rank)`` order exactly like the scalar
+    sweeps.  ``exe``/``dev``/``rank`` are the arrays' columns as lists,
+    ``indeg``/``slot_ready``/``start``/``end`` dense per-slot lists and
+    ``dev_end`` a dense per-device list of last end times; the last five
+    are written in place.  A popped slot's ready time is its final
+    ``slot_ready`` entry: it was pushed at that value.
     """
-    np = _np
-    arr = tg.arrays
-    exe, dev, tids_a, ckeys = arr.exe, arr.dev, arr.tid, arr.ckey
-    all_ins, all_outs = arr.ins, arr.outs
-    slot_of = arr.slot_of
-    ready, start, end = tl.ready, tl.start, tl.end
-    order = tl.device_order
-    ns = len(tids_a)
-    fat = FAT_RUN
-
-    # ---- new-task index (drives matching and the routing pre-scan) ------
-    by_ckey: dict = {}  # new task ckey -> slot (for removed matching)
-    for tid in dirty:
-        slot = slot_of.get(tid)
-        if slot is not None and tid not in ready:
-            by_ckey[ckeys[slot]] = slot
-
-    # ---- decline pre-scan (occupancy routing, engine level) --------------
-    # The front engine converges in one or two rounds when the splice is
-    # *contact-shaped*: every removed chain entry is replaced in place by
-    # a same-ckey/same-device newcomer that inherits its triple, so the
-    # cone collapses on contact (identity resplices, revert-heavy MCMC
-    # tails).  Dense mutations instead push real time changes through the
-    # cut-time suffix, where the unordered rounds degenerate into chaotic
-    # iteration the scalar heap never suffers.  Decide *before mutating
-    # anything*: proceed when the splice is contact-shaped or its
-    # occupancy cone (tasks at or after the cut across all device
-    # chains) is small; otherwise return ``None`` and let the caller run
-    # the scalar heap engine -- same fixed point, no fallback.
-    matched = 0
-    n_entries = 0
-    t_cut = None
-    for rtid, t in removed.items():
-        r = ready.get(rtid)
-        if r is None:
-            continue
-        n_entries += 1
-        if t_cut is None or r < t_cut:
-            t_cut = r
-        nslot = by_ckey.get(t.ckey)
-        if nslot is not None and dev[nslot] == t.device and rtid in end:
-            matched += 1
-    if matched != n_entries:
-        cone = 0
-        for lst in order.values():
-            cone += len(lst) - bisect_left(lst, (t_cut,))
-        if cone > PROPAGATE_CONE_LIMIT:
-            return None
-    elif tg.last_splice_identity and matched == len(by_ckey):
-        # Pure identity replay, fully contact-shaped: the splice is a
-        # pure function of its recipe key, so the rebuilt subgraph *is*
-        # the removed one modulo task ids -- same ckeys, exe times,
-        # devices, and boundary attachments.  The timeline fixed point
-        # is invariant under that renaming, so the whole repair is the
-        # rename itself: swap each entry's tid and move its triple.  No
-        # verification rounds are needed (the property suite and the
-        # bench's bitwise gate cross-check the invariance).
-        by_dev: dict = {}
-        for rtid, t in removed.items():
-            r = ready.pop(rtid, None)
-            if r is None:
-                continue
-            row = by_dev.get(t.device)
-            if row is None:
-                row = by_dev[t.device] = []
-            row.append((r, t.ckey, rtid))
-        start_pop = start.pop
-        end_pop = end.pop
-        for d, entries in by_dev.items():
-            lst = order.get(d)
-            if not lst:
-                _giveup("rename-locate")
-                return 0, 0, False
-            entries.sort()
-            n = len(lst)
-            # Merge walk: a splice's entries sit in near-contiguous runs,
-            # so after each replacement the next one is usually adjacent;
-            # bisect only across survivor gaps.
-            idx = bisect_left(lst, entries[0])
-            for entry in entries:
-                if idx >= n or lst[idx] != entry:
-                    idx = bisect_left(lst, entry, idx)
-                    if idx >= n or lst[idx] != entry:
-                        _giveup("rename-locate")
-                        return 0, 0, False
-                r, ck, rtid = entry
-                ntid = tids_a[by_ckey[ck]]
-                lst[idx] = (r, ck, ntid)
-                idx += 1
-                ready[ntid] = r
-                start[ntid] = start_pop(rtid)
-                end[ntid] = end_pop(rtid)
-        return 0, matched, True
-
-    # ---- seed classification: survivors vs new tasks ---------------------
-    # ``unsettled`` gates the ready fronts: readers park on a slot whose
-    # bit is set instead of consuming a value that is about to change.
-    # Allocated only past the routing pre-scan: the identity rename and
-    # the scalar-engine decline never touch them.
-    open_: set[int] = set()  # slots whose ready time needs re-deriving
-    unsettled = bytearray(ns)  # readers park on these
-    pend_r = bytearray(ns)  # ready not re-derived yet: walks defer
-    for tid in dirty:
-        slot = slot_of.get(tid)
-        if slot is None:
-            continue
-        open_.add(slot)
-        unsettled[slot] = 1
-        pend_r[slot] = 1
-
-    # ---- batched detach of removed chain entries -------------------------
-    touched: dict[int, set] = {}  # device -> chain entries to re-scan
-    entry_r: dict[int, float] = {}  # slot -> its entry's (maybe guessed) r
-    dels: dict[int, list] = {}
-    for rtid, t in removed.items():
-        r = ready.pop(rtid, None)
-        s_old = start.pop(rtid, None)
-        e_old = end.pop(rtid, None)
-        if r is None:
-            continue
-        d = t.device
-        nslot = by_ckey.get(t.ckey)
-        if nslot is not None and dev[nslot] == d and e_old is not None:
-            lst = order.get(d)
-            entry = (r, t.ckey, rtid)
-            idx = bisect_left(lst, entry) if lst else -1
-            if idx < 0 or idx >= len(lst) or lst[idx] != entry:
-                _giveup("replace-locate")
-                return 0, 0, False
-            del by_ckey[t.ckey]
-            ntid = tids_a[nslot]
-            # In-place replacement: ckeys are unique among live tasks,
-            # so swapping the tid component cannot break the sort.  The
-            # newcomer inherits its counterpart's triple as a readable
-            # guess (its bit stays clear: readers need not park); the
-            # walk verifies it before the drain can finish, and a wrong
-            # guess is repaired through the ordinary reopen path.
-            repl = (r, t.ckey, ntid)
-            lst[idx] = repl
-            entry_r[nslot] = r
-            ready[ntid] = r
-            start[ntid] = s_old
-            end[ntid] = e_old
-            unsettled[nslot] = 0
-            marks = touched.get(d)
-            if marks is None:
-                marks = touched[d] = set()
-            marks.add(repl)
-        else:
-            row = dels.get(d)
-            if row is None:
-                row = dels[d] = []
-            row.append((r, t.ckey, rtid))
-    for d, entries in dels.items():
-        lst = order.get(d)
-        if lst is None:
-            _giveup("del-locate")
-            return 0, 0, False
-        marks = touched.get(d)
-        if marks is None:
-            marks = touched[d] = set()
-        if len(entries) > max(8, len(lst) // 16):
-            # Bulk detach: one membership filter, marking the first
-            # survivor after every dropped run.
-            drop = set(entries)
-            kept = []
-            found = 0
-            gap = False
-            for x in lst:
-                if x in drop:
-                    found += 1
-                    gap = True
-                else:
-                    if gap:
-                        marks.add(x)
-                        fs = slot_of.get(x[2])
-                        if fs is not None:
-                            unsettled[fs] = 1
-                        gap = False
-                    kept.append(x)
-            if found != len(drop):
-                _giveup("bulk-detach")
-                return 0, 0, False
-            order[d] = kept
-        else:
-            entries.sort(reverse=True)
-            for entry in entries:
-                idx = bisect_left(lst, entry)
-                if idx >= len(lst) or lst[idx] != entry:
-                    _giveup("del-locate")
-                    return 0, 0, False
-                del lst[idx]
-                if idx < len(lst):
-                    fe = lst[idx]
-                    marks.add(fe)
-                    fs = slot_of.get(fe[2])
-                    if fs is not None:
-                        unsettled[fs] = 1
-
-    # ---- repair rounds ---------------------------------------------------
-    in_open = bytearray(ns)  # membership filter for the next ready front
-    recomputed = bytearray(ns)  # unique-slot membership for the stats
-    waiters: dict[int, list] = {}  # pred slot -> slots parked on its settle
-    rec_count = 0
-    skips = 0
-    visits = 0
-    budget = 16 * arr.num_live + 64
-    # Parking follows the *stale* device order, so -- exactly like the
-    # scalar engine -- the gate discipline can transiently deadlock on
-    # crossed chain positions.  When a round settles nothing, a *force*
-    # round releases every parked task and drops the ordering gates:
-    # wrong values written against stale inputs are repaired by their
-    # writers reopening the readers, so the fixed point is unaffected.
-    force = False
-    while open_ or touched or waiters:
-        progress = 0
-        # -- ready front: re-derive ready times, relocate entries ----------
-        work = open_
-        open_ = set()
-        for slot in work:
-            in_open[slot] = 0
-        for slot in work:
-            visits += 1
-            r = 0.0
-            gate = -1
-            for p in all_ins[slot]:
-                pe = end.get(tids_a[p])
-                if pe is None or (unsettled[p] and not force):
-                    gate = p
-                    break
-                if pe > r:
-                    r = pe
-            if gate >= 0:
-                row = waiters.get(gate)
-                if row is None:
-                    waiters[gate] = [slot]
-                else:
-                    row.append(slot)
-                continue
-            pend_r[slot] = 0
-            tid = tids_a[slot]
-            ck = ckeys[slot]
-            d = dev[slot]
-            er = entry_r.get(slot)
-            if er is None:
-                er = ready.get(tid)
-            marks = touched.get(d)
-            if marks is None:
-                marks = touched[d] = set()
-            if er == r and er is not None:
-                ready[tid] = r
-                marks.add((r, ck, tid))  # verify (start, end) in place
-            elif er is None:
-                # First placement of a new task.
-                lst = order.get(d)
-                if lst is None:
-                    lst = order[d] = []
-                entry = (r, ck, tid)
-                j = bisect_left(lst, entry)
-                lst.insert(j, entry)
-                entry_r[slot] = r
-                ready[tid] = r
-                progress += 1
-                marks.add(entry)
-                if j + 1 < len(lst):
-                    fe = lst[j + 1]  # displaced follower: new preTask
-                    marks.add(fe)
-                    fs = slot_of.get(fe[2])
-                    if fs is not None:
-                        unsettled[fs] = 1
-            else:
-                # Relocate: the entry's sort key moved.
-                lst = order.get(d)
-                old_entry = (er, ck, tid)
-                idx = bisect_left(lst, old_entry) if lst else -1
-                if idx < 0 or idx >= len(lst) or lst[idx] != old_entry:
-                    _giveup("reloc-locate")
-                    return rec_count, skips, False
-                del lst[idx]
-                if idx < len(lst):
-                    fe = lst[idx]  # follower at the vacated position
-                    marks.add(fe)
-                    fs = slot_of.get(fe[2])
-                    if fs is not None:
-                        unsettled[fs] = 1
-                entry = (r, ck, tid)
-                j = bisect_left(lst, entry)
-                lst.insert(j, entry)
-                entry_r[slot] = r
-                ready[tid] = r
-                progress += 1
-                marks.add(entry)
-                if j + 1 < len(lst):
-                    fe = lst[j + 1]  # follower at the new position
-                    marks.add(fe)
-                    fs = slot_of.get(fe[2])
-                    if fs is not None:
-                        unsettled[fs] = 1
-
-        # -- chain re-scan front: walk-on-change from touched positions ----
-        work_t = touched
-        touched = {}
-        for d, entries in work_t.items():
-            lst = order.get(d)
-            if not lst:
-                continue
-            n = len(lst)
-            idxs = []
-            for entry in entries:
-                i = bisect_left(lst, entry)
-                if i < n and lst[i] == entry:
-                    idxs.append(i)
-                # A stale mark (its entry relocated this round) is
-                # dropped: the relocation re-marked the new entry.
-            idxs.sort()
-            last = -1
-            for i0 in idxs:
-                if i0 <= last:
-                    continue  # a previous walk already covered it
-                i = i0
-                if i > 0:
-                    pslot = slot_of.get(lst[i - 1][2])
-                    if pslot is not None and unsettled[pslot] and not force:
-                        # Chain predecessor pending rewrite: its own
-                        # settle either walks on into this position or
-                        # leaves the deferred mark for the next round.
-                        nm = touched.get(d)
-                        if nm is None:
-                            nm = touched[d] = set()
-                        nm.add(lst[i])
-                        continue
-                    prev_e = end.get(lst[i - 1][2])
-                else:
-                    prev_e = 0.0
-                streak = 0
-                while i < n:
-                    if prev_e is None:
-                        # Chain predecessor not yet settled (a pending
-                        # new task): revisit once it lands.
-                        nm = touched.get(d)
-                        if nm is None:
-                            nm = touched[d] = set()
-                        nm.add(lst[i])
-                        break
-                    if streak >= fat and np is not None and n - i >= _VEC_MIN:
-                        res = _chain_sweep(
-                            np, lst, i, min(n, i + _SWEEP_CHUNK), prev_e,
-                            exe, slot_of, start, end, all_outs, in_open,
-                            open_, recomputed, unsettled,
-                            pend_r, waiters, force,
-                        )
-                        if res is None:
-                            _giveup("sweep-stale")
-                            return rec_count, skips, False
-                        i2, prev_e, rc_add, verified = res
-                        rec_count += rc_add
-                        progress += i2 - i
-                        if verified:
-                            progress += 1
-                            skips += 1
-                            last = i2
-                            break
-                        if i2 > i:
-                            last = i2 - 1
-                            i = i2
-                            continue
-                        streak = 0  # entry at i defers: scalar step handles it
-                    visits += 1
-                    r_i = lst[i][0]
-                    tid_i = lst[i][2]
-                    slot_i = slot_of.get(tid_i)
-                    if slot_i is None:
-                        _giveup("walk-stale")
-                        return rec_count, skips, False
-                    if pend_r[slot_i] and not force:
-                        # Ready re-derivation pending: writing (start,
-                        # end) now would be premature.  Revisit once the
-                        # ready front settles (or relocates) the entry.
-                        nm = touched.get(d)
-                        if nm is None:
-                            nm = touched[d] = set()
-                        nm.add(lst[i])
-                        break
-                    s = prev_e if prev_e > r_i else r_i
-                    e = s + exe[slot_i]
-                    if start.get(tid_i) == s and end.get(tid_i) == e:
-                        # Branch termination: nothing downstream of this
-                        # chain can read a different value through it.
-                        skips += 1
-                        last = i
-                        progress += 1
-                        unsettled[slot_i] = 0
-                        ws = waiters.pop(slot_i, None)
-                        if ws is not None:
-                            for x in ws:
-                                if not in_open[x]:
-                                    in_open[x] = 1
-                                    open_.add(x)
-                        break
-                    start[tid_i] = s
-                    end[tid_i] = e
-                    progress += 1
-                    if not recomputed[slot_i]:
-                        recomputed[slot_i] = 1
-                        rec_count += 1
-                    for nxt in all_outs[slot_i]:
-                        unsettled[nxt] = 1
-                        pend_r[nxt] = 1
-                        if not in_open[nxt]:
-                            in_open[nxt] = 1
-                            open_.add(nxt)
-                    unsettled[slot_i] = 0
-                    ws = waiters.pop(slot_i, None)
-                    if ws is not None:
-                        for x in ws:
-                            if not in_open[x]:
-                                in_open[x] = 1
-                                open_.add(x)
-                    last = i
-                    prev_e = e
-                    streak += 1
-                    i += 1
-
-        if visits > budget:
-            _giveup("budget")
-            return rec_count, skips, False
-        if force:
-            if progress == 0:
-                # A full force round settled nothing: a genuine
-                # dependency cycle (construction bug), not transient
-                # staleness.
-                _giveup("stuck")
-                return rec_count, skips, False
-            # One-round pulse: unlike the scalar engine (whose heap
-            # keeps even force rounds in time order), the open set is
-            # unordered, so staying forced degenerates into chaotic
-            # iteration.  The pulse repairs the stale chain positions
-            # the deadlock hinged on; gated rounds then converge.
-            force = False
-        elif not open_ and progress == 0 and (touched or waiters):
-            force = True
-            for row in waiters.values():
-                for x in row:
-                    if not in_open[x]:
-                        in_open[x] = 1
-                        open_.add(x)
-            waiters.clear()
-    return rec_count, skips, True
-
-
-# Chunk length for the vectorized chain sweep: bounds how far past the
-# live front a sweep computes (and gathers old values) before checking
-# whether the change has already died out.
-_SWEEP_CHUNK = 256
-
-# Occupancy-routing bound for the front engine: a non-contact splice
-# whose cut-time suffix holds more than this many chain entries is
-# declined to the scalar heap engine (see ``propagate_drain``).
-PROPAGATE_CONE_LIMIT = 256
-
-LAST_GIVEUP = None
-
-
-def _giveup(tag):
-    global LAST_GIVEUP
-    LAST_GIVEUP = tag
-
-
-def _chain_sweep(
-    np, lst, i, j, prev_e, exe, slot_of, start, end,
-    all_outs, in_open, open_, recomputed, unsettled, pend_r, waiters,
-    force=False,
-):
-    """Vectorized busy-segment re-scan of chain entries ``lst[i:j]``.
-
-    Busy runs (no idle gap: each ready time is at or before the prior
-    end) satisfy ``end[k] = end[k-1] + exe[k]`` -- a left fold that
-    ``np.add.accumulate`` evaluates in exactly the scalar order, so the
-    floats are bit-identical.  The sweep guesses the whole remaining
-    chunk is one busy run, splits at the first idle gap the guess
-    reveals, and re-folds from there.
-
-    Writes ``start``/``end`` for every entry up to the first one whose
-    pair re-derives unchanged (branch termination), reopening the data
-    successors of each written entry.  Returns ``(stop, prev_e,
-    rec_add, verified)``: ``stop`` is the index after the last written
-    entry, ``prev_e`` the end carried into a continuation, ``verified``
-    whether the entry at ``stop`` re-derived unchanged.  ``None``
-    signals a stale entry (drift).
-    """
-    seg = lst[i:j]
-    tds = [x[2] for x in seg]
-    sl = []
-    for t in tds:
-        s_ = slot_of.get(t)
-        if s_ is None:
-            return None
-        if pend_r[s_] and not force:
-            # Cap the segment before the first entry whose ready is
-            # still pending; the caller's scalar step defers it.
-            break
-        sl.append(s_)
-    m = len(sl)
-    if m == 0:
-        return i, prev_e, 0, False
-    del seg[m:]
-    del tds[m:]
-    r_arr = np.fromiter((x[0] for x in seg), np.float64, count=m)
-    x_arr = np.frombuffer(exe, dtype=np.float64)[np.array(sl, dtype=np.int64)]
-    s_arr = np.empty(m)
-    e_arr = np.empty(m)
-    k0 = 0
-    ep = prev_e
-    while k0 < m:
-        r0 = r_arr[k0]
-        s0 = r0 if r0 > ep else ep
-        acc = x_arr[k0:].copy()
-        acc[0] += s0
-        np.add.accumulate(acc, out=acc)
-        viol = np.flatnonzero(r_arr[k0 + 1 :] > acc[:-1])
-        v = k0 + 1 + int(viol[0]) if viol.size else m
-        e_arr[k0:v] = acc[: v - k0]
-        s_arr[k0] = s0
-        if v > k0 + 1:
-            # Inside a busy run each start is exactly the prior end.
-            s_arr[k0 + 1 : v] = acc[: v - k0 - 1]
-        ep = float(acc[v - k0 - 1])
-        k0 = v
-    s_l = s_arr.tolist()
-    e_l = e_arr.tolist()
-    sget, eget = start.get, end.get
-    stop = -1
-    for k in range(m):
-        t = tds[k]
-        if sget(t) == s_l[k] and eget(t) == e_l[k]:
-            stop = k
-            break
-    w = m if stop < 0 else stop
-    rec_add = 0
-    if w:
-        start.update(zip(tds[:w], s_l[:w]))
-        end.update(zip(tds[:w], e_l[:w]))
-        for k in range(w):
-            s_ = sl[k]
-            if not recomputed[s_]:
-                recomputed[s_] = 1
-                rec_add += 1
-            unsettled[s_] = 0
-            ws = waiters.pop(s_, None)
-            if ws is not None:
-                for x in ws:
-                    if not in_open[x]:
-                        in_open[x] = 1
-                        open_.add(x)
-            for nxt in all_outs[s_]:
-                unsettled[nxt] = 1
-                pend_r[nxt] = 1
-                if not in_open[nxt]:
-                    in_open[nxt] = 1
-                    open_.add(nxt)
-    if stop >= 0:
-        # The entry at ``stop`` re-derived unchanged: it settles too.
-        s_ = sl[stop]
-        unsettled[s_] = 0
-        ws = waiters.pop(s_, None)
-        if ws is not None:
-            for x in ws:
-                if not in_open[x]:
-                    in_open[x] = 1
-                    open_.add(x)
-        return i + stop, 0.0, rec_add, True
-    return i + m, float(e_l[-1]), rec_add, False
-
-
-def _drain(
-    heap,
-    arr,
-    indeg,
-    slot_ready,
-    t_cut,
-    ready,
-    start,
-    end,
-    order,
-    dev_last_end,
-    makespan,
-):
-    """Hybrid level-batched heap drain shared by the full and delta kernels.
-
-    ``indeg``/``slot_ready`` are dense per-slot lists (scratch, consumed).
-    Returns ``(scheduled, makespan, ok)``.
-    """
-    np = _np
-    exe, dev, rank, tids, ckeys = arr.exe, arr.dev, arr.rank, arr.tid, arr.ckey
-    all_outs = arr.outs
     pop = heapq.heappop
     push = heapq.heappush
-    fat = FAT_RUN
-    scheduled = 0
-    prev_r = float("-inf")
-    streak = 0
     while heap:
-        r, rk, slot = pop(heap)
-        if r < t_cut:
-            return scheduled, makespan, False
-        tid = tids[slot]
+        r, _, slot = pop(heap)
         d = dev[slot]
-        s = dev_last_end.get(d, 0.0)
+        s = dev_end[d]
         if r > s:
             s = r
         e = s + exe[slot]
-        ready[tid] = r
-        start[tid] = s
-        end[tid] = e
-        dev_last_end[d] = e
-        if e > makespan:
-            makespan = e
-        entry = (r, ckeys[slot], tid)
-        lst = order.get(d)
-        if lst is None:
-            order[d] = [entry]
-        else:
-            lst.append(entry)
-        scheduled += 1
+        dev_end[d] = e
+        start[slot] = s
+        end[slot] = e
         for nxt in all_outs[slot]:
             if e > slot_ready[nxt]:
                 slot_ready[nxt] = e
@@ -884,172 +181,3 @@ def _drain(
             indeg[nxt] = v
             if v == 0:
                 push(heap, (slot_ready[nxt], rank[nxt], nxt))
-        if r != prev_r:
-            prev_r = r
-            streak = 1
-            continue
-        streak += 1
-        if streak != fat or not heap or heap[0][0] != r:
-            continue
-        # A fat equal-ready level: collect its queued remainder.
-        rks = []
-        sls = []
-        positive = True
-        while heap and heap[0][0] == r:
-            _, rk2, s2 = pop(heap)
-            rks.append(rk2)
-            sls.append(s2)
-            if positive and exe[s2] <= 0.0:
-                positive = False
-        if positive and len(sls) >= _VEC_MIN:
-            # No member can schedule an equal-ready successor (positive
-            # exe pushes strictly past r), so the collected batch is the
-            # complete remaining level: schedule it wholesale.
-            scheduled += len(sls)
-            m = _vector_step(
-                np, r, sls, arr, indeg, slot_ready,
-                ready, start, end, order, dev_last_end, heap, push,
-            )
-            if m > makespan:
-                makespan = m
-            continue
-        # Scalar merge-drain: a zero-exe member can schedule an
-        # equal-ready successor mid-run, so merge the collected batch
-        # against the heap by (rank, slot) to keep the global pop order
-        # exact.
-        for s3 in _merge_run(heap, pop, r, rks, sls):
-            tid = tids[s3]
-            d = dev[s3]
-            s = dev_last_end.get(d, 0.0)
-            if r > s:
-                s = r
-            e = s + exe[s3]
-            ready[tid] = r
-            start[tid] = s
-            end[tid] = e
-            dev_last_end[d] = e
-            if e > makespan:
-                makespan = e
-            entry = (r, ckeys[s3], tid)
-            lst = order.get(d)
-            if lst is None:
-                order[d] = [entry]
-            else:
-                lst.append(entry)
-            scheduled += 1
-            for nxt in all_outs[s3]:
-                if e > slot_ready[nxt]:
-                    slot_ready[nxt] = e
-                v = indeg[nxt] - 1
-                indeg[nxt] = v
-                if v == 0:
-                    push(heap, (slot_ready[nxt], rank[nxt], nxt))
-    return scheduled, makespan, True
-
-
-def _merge_run(heap, pop, r, rks, sls):
-    """Yield a collected batch merged with same-ready heap arrivals.
-
-    Lazy on purpose: the caller's loop body pushes successors before
-    advancing, so each step sees any equal-ready task a zero-exe member
-    just scheduled and interleaves it in exact ``(rank, slot)`` order.
-    """
-    n = len(sls)
-    i = 0
-    while i < n:
-        if heap and heap[0][0] == r and (heap[0][1], heap[0][2]) < (rks[i], sls[i]):
-            yield pop(heap)[2]
-        else:
-            yield sls[i]
-            i += 1
-
-
-def _vector_step(
-    np, r, sls, arr, indeg, slot_ready,
-    ready, start, end, order, dev_last_end, heap, push,
-):
-    """Schedule one fat equal-ready batch in bulk; returns its max end time."""
-    tids, ckeys, rank = arr.tid, arr.ckey, arr.rank
-    all_outs = arr.outs
-    sl = np.array(sls, dtype=np.int64)
-    bd = np.frombuffer(arr.dev, dtype=np.int64)[sl]
-    by_dev = np.argsort(bd, kind="stable")
-    ss = sl[by_dev]
-    sd = bd[by_dev]
-    bx = np.frombuffer(arr.exe, dtype=np.float64)[ss]
-    n = len(ss)
-    head = np.empty(n, bool)
-    head[0] = True
-    np.not_equal(sd[1:], sd[:-1], out=head[1:])
-    h = np.flatnonzero(head)
-    hd = sd[h].tolist()
-    dl = np.fromiter(
-        (dev_last_end.get(d, 0.0) for d in hd), np.float64, count=len(hd)
-    )
-    s_arr = np.empty(n)
-    e_arr = np.empty(n)
-    sh = np.maximum(r, dl)
-    s_arr[h] = sh
-    e_arr[h] = sh + bx[h]
-    if len(h) < n:
-        # Per-device chain scan: positive exe keeps every end strictly
-        # past r, so each later member starts exactly at its chain
-        # predecessor's end.  The carry loop adds in the scalar
-        # evaluation order (left fold), preserving float identity.
-        seg = np.cumsum(head) - 1
-        pos = np.arange(n) - h[seg]
-        for j in range(1, int(pos.max()) + 1):
-            nxt = np.flatnonzero(pos == j)
-            prev = e_arr[nxt - 1]
-            s_arr[nxt] = prev
-            e_arr[nxt] = prev + bx[nxt]
-    # Bulk writeback: same dict contents and same per-device append order
-    # as the scalar pops would produce.
-    ss_l = ss.tolist()
-    tds = [tids[x] for x in ss_l]
-    ready.update(zip(tds, repeat(r)))
-    start.update(zip(tds, s_arr.tolist()))
-    end.update(zip(tds, e_arr.tolist()))
-    entries = list(zip(repeat(r), (ckeys[x] for x in ss_l), tds))
-    bounds = h.tolist()
-    bounds.append(n)
-    for k, d in enumerate(hd):
-        lo, hi = bounds[k], bounds[k + 1]
-        lst = order.get(d)
-        if lst is None:
-            order[d] = entries[lo:hi]
-        else:
-            lst.extend(entries[lo:hi])
-        dev_last_end[d] = e_arr[hi - 1].item()
-    # Batched ready-time maxes over the gathered CSR successor rows,
-    # grouped by successor via one stable argsort -- everything O(batch
-    # edges).  The scatter back is per *unique* successor.  Pushes happen
-    # only once a successor's last predecessor has scheduled, so the
-    # pushed ready times are final -- and positive exe guarantees they
-    # land strictly after r, never inside this batch.
-    rows = [all_outs[x] for x in ss_l]
-    ln = np.fromiter(map(len, rows), np.int64, count=n)
-    tot = int(ln.sum())
-    if tot:
-        succ = np.fromiter(chain.from_iterable(rows), np.int64, count=tot)
-        so = np.argsort(succ, kind="stable")
-        grp = succ[so]
-        ev = np.repeat(e_arr, ln)[so]
-        first = np.empty(tot, bool)
-        first[0] = True
-        np.not_equal(grp[1:], grp[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        mx = np.maximum.reduceat(ev, starts)
-        cnt = np.empty(len(starts), np.int64)
-        np.subtract(starts[1:], starts[:-1], out=cnt[:-1])
-        cnt[-1] = tot - starts[-1]
-        for u, m, c in zip(
-            grp[starts].tolist(), mx.tolist(), cnt.tolist()
-        ):
-            if m > slot_ready[u]:
-                slot_ready[u] = m
-            v = indeg[u] - c
-            indeg[u] = v
-            if v == 0:
-                push(heap, (slot_ready[u], rank[u], u))
-    return e_arr.max().item()

@@ -1,46 +1,34 @@
 """Simulator facade: a task graph plus its live timeline.
 
 Bundles the pieces the execution optimizer needs: build once, then
-:meth:`Simulator.reconfigure` one operation at a time.  Four timeline
+:meth:`Simulator.reconfigure` one operation at a time.  Three timeline
 algorithms share the same incremental task-graph update:
 
 ``"auto"`` (default)
-    per-proposal routing, cheapest-first.  A proposal whose config equals
-    the operation's current config has an empty change cone: the splice
-    would rebuild the exact task structure it removes, so the router
-    skips the splice *and* the repair outright (``DeltaStats.auto_noop``)
-    -- the common case in small per-op config spaces, where random
-    proposals regularly collide with the incumbent.  Otherwise a
-    pre-flight cone estimator
-    (:func:`~repro.sim.propagate.preflight_route`) predicts whether the
-    splice's timeline impact is localized -- every replacement task
-    structurally identical (ckey, exe, device) to a removed one -- and
-    dispatches to ``"propagate"`` when so (``DeltaStats.auto_propagate``).
-    Dense mutations are sized *before* any repair runs, against the
-    per-device occupancy summaries ``TaskArrays.dev_count`` keeps
-    incrementally across splices: the predicted repair cone (tasks at or
-    after the cut time, one bisect per occupied chain --
-    :func:`~repro.sim.propagate.predicted_cone`) routes to ``"delta"``
-    when under half the graph (``auto_delta``), else straight to the
-    vectorized full sweep (``auto_full``) without paying the cut-time
-    machinery first.  Every decision lands in
-    ``DeltaStats.route_counts`` and the predicted-vs-actual cone sizes
-    in ``predicted_cone_tasks`` / ``actual_cone_tasks`` /
-    ``cone_abs_error``, and the telemetry rides through
-    ``SearchTrace`` into the bench grid and ``repro.exp`` trial rows;
+    identity short-circuit, then Algorithm 1.  A proposal whose config
+    equals the operation's current config has an empty change cone: the
+    splice would rebuild the exact task structure it removes, so ``auto``
+    skips the splice *and* the repair outright -- the common case in
+    small per-op config spaces, where random proposals regularly collide
+    with the incumbent.  Every other proposal is spliced and re-simulated
+    from scratch by the full sweep.  Both decisions are counted in
+    ``DeltaStats.route_counts`` (``"noop"``/``"full"``), which rides
+    through ``SearchTrace`` into ``PlanResult.extras``, the
+    ``result.summary()`` repair line and the ``repro.exp`` trial rows;
 ``"delta"``
-    the cut-time incremental repair (Algorithm 2, conservative variant);
-``"propagate"``
-    true change propagation (:mod:`repro.sim.propagate`): walks only
-    actually-changed tasks, skips unaffected parallel branches, and
-    falls back behind a cascade guard (``propagate_guard_frac``) to the
-    cut-time algorithm (pre-flight) or a full re-simulation (mid-flight);
+    the cut-time incremental repair (Algorithm 2, conservative variant),
+    kept to reproduce the paper's Table 4 comparison;
 ``"full"``
-    re-simulate from scratch (Algorithm 1) -- how the paper isolates the
-    simulation algorithms in Table 4 and Figure 12.
+    re-simulate from scratch (Algorithm 1) on every proposal, identity
+    ones included -- how the paper isolates the simulation algorithms in
+    Table 4 and Figure 12.
 
-All four produce bit-identical timelines for every reachable state
+All three produce bit-identical timelines for every reachable state
 (property-tested at ``tol=0``), so the choice is pure throughput.
+``auto`` needs nothing incremental because random MCMC mutations shift
+the times of nearly every later task: on the end-to-end benchmark's
+searches no incremental repair beats the full sweep (README "Timeline
+algorithms" has the measurements).
 """
 
 from __future__ import annotations
@@ -51,20 +39,14 @@ from repro.profiler.profiler import OpProfiler
 from repro.sim.delta_sim import DeltaStats, delta_simulate
 from repro.sim.full_sim import Timeline, full_simulate
 from repro.sim.metrics import IterationMetrics, compute_metrics
-from repro.sim.propagate import (
-    DEFAULT_GUARD_FRAC,
-    preflight_route,
-    propagate_simulate,
-)
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.config import ParallelConfig
 from repro.soap.strategy import Strategy
 
 __all__ = ["ALGORITHMS", "Simulator", "simulate_strategy"]
 
-#: The valid ``algorithm=`` names, in "most incremental first" order
-#: (``auto`` routes between the two incremental algorithms per proposal).
-ALGORITHMS = ("auto", "propagate", "delta", "full")
+#: The valid ``algorithm=`` names; ``auto`` is the default.
+ALGORITHMS = ("auto", "delta", "full")
 
 
 class Simulator:
@@ -79,7 +61,6 @@ class Simulator:
         training: bool = True,
         algorithm: str = "auto",
         pool_snapshots: bool = True,
-        propagate_guard_frac: float = DEFAULT_GUARD_FRAC,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(
@@ -89,18 +70,17 @@ class Simulator:
         self.topology = topology
         self.profiler = profiler or OpProfiler()
         self.algorithm = algorithm
-        self.propagate_guard_frac = propagate_guard_frac
         self.task_graph = TaskGraph(graph, topology, strategy, self.profiler, training=training)
         self.timeline: Timeline = full_simulate(self.task_graph)
         self.delta_stats = DeltaStats()
         self.reverts = 0  # snapshot restores that replaced an undo simulation
         self._pending: Timeline | None = None
         self._pending_noop = False  # pending proposal was an identity no-op
-        # Snapshot pooling (auto, delta and propagate; full never copies a
-        # timeline): one scratch Timeline is recycled through the
+        # Snapshot pooling (delta only: auto and full build a fresh
+        # timeline per repair and keep the old object as the revert
+        # target): one scratch Timeline is recycled through the
         # propose/commit/revert cycle instead of allocating a fresh
-        # four-dict copy per in-flight proposal -- the remaining constant
-        # factor of the snapshot-undo scheme.
+        # three-dict copy per in-flight proposal.
         # ``pool_snapshots=False`` restores per-proposal allocation (the
         # micro-benchmark A/B switch; results are identical either way).
         self.pool_snapshots = pool_snapshots
@@ -115,77 +95,36 @@ class Simulator:
     def strategy(self) -> Strategy:
         return self.task_graph.strategy
 
-    def _identity(self, op_id: int, cfg: ParallelConfig) -> bool:
-        """Whether ``cfg`` equals ``op_id``'s current config (empty cone).
+    def _noop(self, op_id: int, cfg: ParallelConfig) -> bool:
+        """Whether ``auto`` short-circuits this proposal (counted if so).
 
-        Group members always share one config, so the splice would remove
-        and rebuild structurally identical tasks and the repaired timeline
-        is provably the current one.  Only the auto router may act on
+        ``cfg`` equal to ``op_id``'s current config means an empty change
+        cone: group members always share one config, so the splice would
+        remove and rebuild structurally identical tasks and the repaired
+        timeline is provably the current one.  Only ``auto`` acts on
         this: the named algorithms run their machinery unconditionally so
         they stay honest benchmarking/reference configurations.
         """
-        return self.algorithm == "auto" and cfg == self.task_graph.strategy[op_id]
+        if self.algorithm != "auto" or cfg != self.task_graph.strategy[op_id]:
+            return False
+        st = self.delta_stats
+        st.auto_noop += 1
+        st.route_counts["noop"] = st.route_counts.get("noop", 0) + 1
+        return True
 
     def _repair(self, removed: dict, dirty: set[int]) -> None:
         """Bring the timeline up to date after a task-graph splice."""
-        algo = self.algorithm
-        st = self.delta_stats
-        predicted = None
-        if algo == "auto":
-            algo, predicted = preflight_route(
-                self.task_graph,
-                self.timeline,
-                removed,
-                dirty,
-                guard_frac=self.propagate_guard_frac,
-            )
-            if algo == "propagate":
-                st.auto_propagate += 1
-            elif algo == "full":
-                st.auto_full += 1
-            else:
-                st.auto_delta += 1
-            st.route_counts[algo] = st.route_counts.get(algo, 0) + 1
-            resim0 = st.tasks_resimulated
-        if algo == "delta":
-            delta_simulate(self.task_graph, self.timeline, removed, dirty, st)
-        elif algo == "propagate":
-            propagate_simulate(
-                self.task_graph,
-                self.timeline,
-                removed,
-                dirty,
-                st,
-                guard_frac=self.propagate_guard_frac,
-            )
-        elif predicted is not None:
-            # Auto-routed full sweep: a routing destination, not a
-            # fallback -- the occupancy cone saturated the graph, so the
-            # vectorized Algorithm 1 is predicted cheapest outright.
-            # Accounted like the saturation handoff it pre-empts.
-            st.invocations += 1
-            st.tasks_total += len(self.task_graph.tasks)
-            st.tasks_resimulated += len(self.task_graph.tasks)
-            self.timeline = full_simulate(self.task_graph)
-        else:
-            self.timeline = full_simulate(self.task_graph)
-        if predicted is not None:
-            actual = st.tasks_resimulated - resim0
-            st.predicted_cone_tasks += predicted
-            st.actual_cone_tasks += actual
-            st.cone_abs_error += abs(predicted - actual)
-
-    @property
-    def _incremental(self) -> bool:
-        """Whether the algorithm repairs the timeline in place."""
-        return self.algorithm != "full"
+        if self.algorithm == "delta":
+            delta_simulate(self.task_graph, self.timeline, removed, dirty, self.delta_stats)
+            return
+        if self.algorithm == "auto":
+            routes = self.delta_stats.route_counts
+            routes["full"] = routes.get("full", 0) + 1
+        self.timeline = full_simulate(self.task_graph)
 
     def reconfigure(self, op_id: int, cfg: ParallelConfig) -> float:
         """Apply one configuration change; returns the new cost (us)."""
-        if self._identity(op_id, cfg):
-            st = self.delta_stats
-            st.auto_noop += 1
-            st.route_counts["noop"] = st.route_counts.get("noop", 0) + 1
+        if self._noop(op_id, cfg):
             return self.timeline.makespan
         removed, dirty = self.task_graph.replace_config(op_id, cfg)
         self._repair(removed, dirty)
@@ -197,28 +136,23 @@ class Simulator:
 
         Must be resolved with :meth:`commit` or :meth:`revert` before the
         next proposal.  ``revert`` restores the exact pre-proposal state
-        from a snapshot -- no re-simulation -- which halves the simulator
-        work of a rejected MCMC proposal compared to apply-then-undo.
+        without re-simulating, which halves the simulator work of a
+        rejected MCMC proposal compared to apply-then-undo.
         """
         if self._pending is not None:
             raise RuntimeError("previous proposal not resolved (commit or revert first)")
-        if self._identity(op_id, cfg):
-            # Empty change cone: nothing to snapshot, splice, or repair.
-            # The pending marker keeps propose/commit/revert pairing
-            # intact; resolution is a flag flip either way.
-            self.delta_stats.auto_noop += 1
-            self.delta_stats.route_counts["noop"] = (
-                self.delta_stats.route_counts.get("noop", 0) + 1
-            )
+        if self._noop(op_id, cfg):
+            # Empty change cone: nothing to splice or repair.  The pending
+            # marker keeps propose/commit/revert pairing intact;
+            # resolution is a flag flip either way.
             self._pending = self.timeline
             self._pending_noop = True
             return self.timeline.makespan
-        # The incremental algorithms (delta, propagate) repair the timeline
-        # in place, so reverting needs a copy; the full algorithm builds a
-        # fresh timeline and the old object can be kept as-is.  With
-        # pooling on, the copy reuses the scratch timeline recycled by the
-        # last commit/revert.
-        if self._incremental:
+        # delta repairs the timeline in place, so reverting needs a copy
+        # (with pooling on, into the scratch timeline recycled by the last
+        # commit/revert); auto and full build a fresh timeline, so the old
+        # object itself is the revert target.
+        if self.algorithm == "delta":
             scratch, self._scratch = self._scratch, None
             saved = (
                 self.timeline.copy_into(scratch)
@@ -232,6 +166,11 @@ class Simulator:
         self._pending = saved
         return self.timeline.makespan
 
+    @property
+    def _pools(self) -> bool:
+        """Whether resolved proposals feed the snapshot pool."""
+        return self.algorithm == "delta" and self.pool_snapshots
+
     def commit(self) -> None:
         """Adopt the pending proposal."""
         if self._pending is None:
@@ -242,7 +181,7 @@ class Simulator:
             self._pending = None
             self._pending_noop = False
             return
-        if self._incremental and self.pool_snapshots:
+        if self._pools:
             # The unused snapshot becomes the next proposal's scratch.
             self._scratch = self._pending
         self._pending = None
@@ -259,7 +198,7 @@ class Simulator:
             self.reverts += 1
             return self.timeline.makespan
         self.task_graph.undo_last_splice()
-        if self._incremental and self.pool_snapshots:
+        if self._pools:
             # The discarded (repaired-in-place) timeline becomes scratch.
             self._scratch = self.timeline
         self.timeline = self._pending
@@ -283,3 +222,18 @@ def simulate_strategy(
     tg = TaskGraph(graph, topology, strategy, profiler, training=training)
     tl = full_simulate(tg)
     return compute_metrics(tg, tl)
+
+
+# Removed entry points.  The end-to-end benchmark's tracer
+# (benchmarks/e2e/tracing.py) still lists these two names among its wrap
+# points, and its tests require every point to resolve; nothing calls
+# them, so their layers (sim.route, and propagate's share of sim.repair)
+# read 0.  Delete both together with those wrap points.
+def propagate_simulate(*args, **kwargs):
+    """Removed: the change-propagation engine; use ``delta_simulate``."""
+    raise NotImplementedError("the change-propagation engine was removed")
+
+
+def preflight_route(*args, **kwargs):
+    """Removed: ``auto`` no longer routes; it runs the full sweep."""
+    raise NotImplementedError("the auto router was removed")

@@ -190,11 +190,6 @@ class TaskGraph:
         self.arrays = TaskArrays()
         self._next_tid = 0
         self._last_splice: SpliceRecord | None = None
-        # True iff the most recent replace_config was a pure identity
-        # recipe replay: the rebuilt subgraph is provably the removed one
-        # modulo task ids (the splice is a pure function of its recipe
-        # key), so consumers may repair timelines by renaming alone.
-        self.last_splice_identity = False
         # Bookkeeping for incremental splicing.  Parameter-sync tasks are
         # keyed by weight-sharing *group*: ops sharing parameters (e.g.
         # unrolled steps of one recurrent layer) synchronize gradients once
@@ -594,7 +589,6 @@ class TaskGraph:
         tid_a, kind_a, nbytes_a = arrays.tid, arrays.kind, arrays.nbytes
         ckey_a = arrays.ckey
         slot_of = arrays.slot_of
-        dev_count = arrays.dev_count
         for spec, rank in zip(recipe.specs, recipe.ranks):
             # Spec tuples are stored in Task field order (tid excluded),
             # so construction is one positional call.
@@ -614,9 +608,7 @@ class TaskGraph:
                 arrays.ins.append([])
                 arrays.outs.append([])
             exe_a[slot] = spec[2]
-            d = spec[1]
-            dev_a[slot] = d
-            dev_count[d] = dev_count.get(d, 0) + 1
+            dev_a[slot] = spec[1]
             rank_a[slot] = rank
             tid_a[slot] = tid
             kind_a[slot] = spec[0]
@@ -683,16 +675,14 @@ class TaskGraph:
         -------
         (removed, dirty):
             ``removed`` -- mapping of removed task id -> the removed
-            :class:`Task` object (consumers read its ``device`` to
-            detach timeline entries, and the auto router compares its
-            ``ckey``/``exe_time`` against the replacement tasks);
+            :class:`Task` object (delta simulation drops their timeline
+            entries);
             ``dirty`` -- ids of new tasks plus surviving tasks whose
             predecessor sets changed (the seeds for delta simulation).
         """
         members = self.graph.group_members(op_id)
         member_set = set(members)
         gkey = self.graph.group_key(op_id)
-        self.last_splice_identity = False
 
         # Sync groups of *neighboring* weight-shared ops are untouched:
         # their gradients' producers keep their task ids.
@@ -723,7 +713,7 @@ class TaskGraph:
         # produces -- so even the first identity proposal replays instead
         # of rebuilding.  A real config change with an empty cache has
         # nothing to look up, so it skips building the key.  Replay rides
-        # the same escape hatch as the numpy kernels:
+        # the same escape hatch as the simulator kernels:
         # ``REPRO_SIM_KERNELS=python`` forces the reference rebuild
         # (profiler, partition, and region calls included), which is both
         # the debugging baseline for recipe bugs and the pre-optimization
@@ -795,7 +785,6 @@ class TaskGraph:
 
         if recipe is not None:
             self.recipe_hits += 1
-            self.last_splice_identity = identity
             dirty.update(self._replay_recipe(recipe, members, new_cfg, gkey))
         else:
             self.recipe_misses += 1

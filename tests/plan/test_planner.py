@@ -145,3 +145,42 @@ class TestConsoleCheck:
         listed = proc.stdout.split()
         for name in ("mcmc", "exhaustive", "optcnn", "reinforce"):
             assert name in listed
+
+
+class TestDefaultsAndSummary:
+    def test_legacy_wrappers_default_to_the_search_config_algorithm(self):
+        """Every entry point runs the same timeline repair by default."""
+        import inspect
+
+        from repro.search.exec.base import ExecutionContext
+        from repro.search.parallel import run_chains
+
+        default = SearchConfig().algorithm
+        for fn in (optimize, run_chains):
+            assert inspect.signature(fn).parameters["algorithm"].default == default
+        assert ExecutionContext.__dataclass_fields__["algorithm"].default == default
+
+    def test_summary_reports_the_repair_mix(self, lenet_graph, topo4):
+        res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(
+            "mcmc", SearchConfig(budget=BudgetConfig(iterations=30), seed=1)
+        )
+        routes = res.extras["route_counts"]
+        assert set(routes) <= {"full", "noop"} and routes.get("full", 0) > 0
+        line = next(s for s in res.summary().splitlines() if s.startswith("timeline repair:"))
+        assert f"{routes['full']} full sweep" in line
+        if routes.get("noop"):
+            assert f"{routes['noop']} identity no-op" in line
+
+    def test_summary_repair_line_wording(self):
+        from repro.plan.result import _repair_mix
+
+        assert _repair_mix({"noop": 2, "full": 38}) == "38 full sweeps, 2 identity no-ops"
+        assert _repair_mix({"full": 1}) == "1 full sweep"
+
+    def test_summary_omits_the_line_without_route_counts(self, lenet_graph, topo4):
+        res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(
+            "mcmc",
+            SearchConfig(budget=BudgetConfig(iterations=10), seed=1, algorithm="delta"),
+        )
+        assert res.extras["route_counts"] == {}
+        assert "timeline repair" not in res.summary()

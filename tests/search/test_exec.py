@@ -171,13 +171,13 @@ class TestClusterSpec:
 
 
 class TestAlgorithmSelection:
-    """algorithm="propagate" is result-neutral end to end (acceptance:
-    bit-identical to "full" for workers in {1, 4} across executors)."""
+    """The timeline algorithm is result-neutral end to end: bit-identical
+    to "full" for workers in {1, 4} across executors."""
 
     def test_planner_algorithms_bit_identical_workers1(self, lenet_graph, topo2):
         planner = Planner(lenet_graph, topo2)
         results = {}
-        for alg in ("full", "delta", "propagate"):
+        for alg in ("full", "delta", "auto"):
             cfg = SearchConfig(budget=BudgetConfig(iterations=20), seed=3, algorithm=alg)
             results[alg] = planner.search("mcmc", cfg)
         base = results["full"]
@@ -186,7 +186,7 @@ class TestAlgorithmSelection:
             assert res.best_strategy.signature() == base.best_strategy.signature(), alg
             assert res.simulations == base.simulations, alg
 
-    def test_pool_propagate_matches_full_workers4(self, lenet_graph, topo2):
+    def test_pool_delta_matches_full_workers4(self, lenet_graph, topo2):
         planner = Planner(lenet_graph, topo2)
         cfg = SearchConfig(
             budget=BudgetConfig(iterations=20),
@@ -194,9 +194,9 @@ class TestAlgorithmSelection:
             execution=ExecutionConfig(workers=4, executor="pool"),
         )
         full = planner.search("mcmc", cfg.replace(algorithm="full"))
-        prop = planner.search("mcmc", cfg.replace(algorithm="propagate"))
-        assert prop.best_cost_us == full.best_cost_us
-        assert prop.best_strategy.signature() == full.best_strategy.signature()
+        delta = planner.search("mcmc", cfg.replace(algorithm="delta"))
+        assert delta.best_cost_us == full.best_cost_us
+        assert delta.best_strategy.signature() == full.best_strategy.signature()
 
     def test_per_chain_algorithm_override(self, lenet_graph, topo2):
         """MCMCConfig.algorithm pins one chain's simulator; results are
@@ -204,7 +204,7 @@ class TestAlgorithmSelection:
         spec = ChainSpec(
             "pinned",
             data_parallelism(lenet_graph, topo2),
-            MCMCConfig(iterations=15, seed=5, algorithm="propagate"),
+            MCMCConfig(iterations=15, seed=5, algorithm="delta"),
         )
         default = ChainSpec(
             "default", data_parallelism(lenet_graph, topo2), MCMCConfig(iterations=15, seed=5)
@@ -216,15 +216,15 @@ class TestAlgorithmSelection:
         assert res[0].trace.costs == res[1].trace.costs
 
     @pytest.mark.slow
-    def test_distributed_propagate_matches_inprocess(self, lenet_graph, topo2):
+    def test_distributed_delta_matches_inprocess(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=2, iterations=15)
         ref = run_chains(
-            lenet_graph, topo2, specs, OpProfiler(), executor="inprocess", algorithm="propagate"
+            lenet_graph, topo2, specs, OpProfiler(), executor="inprocess", algorithm="delta"
         )
         with _Workers(2, once=True) as w:
             dist = run_chains(
                 lenet_graph, topo2, specs, OpProfiler(),
-                executor="distributed", cluster=w.cluster, algorithm="propagate",
+                executor="distributed", cluster=w.cluster, algorithm="delta",
             )
         assert chains_equal(ref, dist)
 

@@ -267,7 +267,7 @@ class TestCompositeFingerprints:
         # The built-in timeline algorithms produce bit-identical costs
         # (tests/sim locks tol=0), so they deliberately share one shard...
         assert base == search_context(graph, topo, algorithm="full")
-        assert base == search_context(graph, topo, algorithm="propagate")
+        assert base == search_context(graph, topo, algorithm="auto")
         # ...while an unknown algorithm still gets its own context.
         assert base != search_context(graph, topo, algorithm="my-approx-sim")
         assert base != search_context(graph, topo, noise_amplitude=0.03)

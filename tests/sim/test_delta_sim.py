@@ -16,7 +16,7 @@ from repro.models.rnn import rnnlm
 from repro.profiler.profiler import OpProfiler
 from repro.sim.delta_sim import DeltaStats, delta_simulate
 from repro.sim.full_sim import full_simulate
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import ALGORITHMS, Simulator
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism, expert_strategy
 from repro.soap.space import ConfigSpace
@@ -175,16 +175,18 @@ class TestSimulatorFacade:
             oid = int(rng.choice(lenet_graph.op_ids))
             muts.append((oid, space.random_config(oid, rng)))
         costs = {}
-        for alg in ("full", "delta"):
+        for alg in ALGORITHMS:
             sim = Simulator(
                 lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(), algorithm=alg
             )
             costs[alg] = [sim.reconfigure(o, c) for o, c in muts]
-        assert np.allclose(costs["full"], costs["delta"])
+        assert costs["auto"] == costs["delta"] == costs["full"]  # bitwise
 
     def test_unknown_algorithm_rejected(self, lenet_graph, topo4):
-        with pytest.raises(ValueError):
-            Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(), algorithm="magic")
+        assert ALGORITHMS == ("auto", "delta", "full")
+        for name in ("magic", "propagate"):
+            with pytest.raises(ValueError):
+                Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(), algorithm=name)
 
     def test_metrics_accessor(self, lenet_graph, topo4):
         sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
@@ -192,9 +194,11 @@ class TestSimulatorFacade:
 
 
 class TestSnapshotPooling:
-    """Snapshot pooling recycles one scratch Timeline through the
-    propose/commit/revert cycle; it must be indistinguishable from
-    per-proposal copies in everything but allocation count."""
+    """Under ``delta``, snapshot pooling recycles one scratch Timeline
+    through the propose/commit/revert cycle; it must be indistinguishable
+    from per-proposal copies in everything but allocation count.  ``auto``
+    and ``full`` never snapshot: the pre-proposal timeline object itself
+    is the revert target."""
 
     def _proposal_sequence(self, graph, topo, seed, steps=40):
         rng = np.random.default_rng(seed)
@@ -214,6 +218,7 @@ class TestSnapshotPooling:
                 topo4,
                 data_parallelism(lenet_graph, topo4),
                 OpProfiler(),
+                algorithm="delta",
                 pool_snapshots=pooled,
             )
             costs = []
@@ -229,7 +234,10 @@ class TestSnapshotPooling:
     def test_pooled_revert_restores_exact_timeline(self, lenet_graph, topo4):
         rng = np.random.default_rng(3)
         space = ConfigSpace(lenet_graph, topo4)
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm="delta",
+        )
         assert sim.pool_snapshots
         base = sim.cost
         for _ in range(12):
@@ -243,7 +251,10 @@ class TestSnapshotPooling:
     def test_scratch_is_recycled_not_leaked(self, lenet_graph, topo4):
         rng = np.random.default_rng(5)
         space = ConfigSpace(lenet_graph, topo4)
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm="delta",
+        )
         oid = int(lenet_graph.op_ids[0])
         sim.propose(oid, space.random_config(oid, rng))
         sim.revert()
@@ -260,21 +271,46 @@ class TestSnapshotPooling:
         from repro.sim.full_sim import Timeline
 
         a, b = Timeline(), Timeline()
-        a.ready = {1: 0.0}
-        a.start = {1: 0.0}
-        a.end = {1: 2.0}
-        a.device_order = {0: [(0.0, (0,), 1)], 7: [(0.0, (1,), 2)]}
+        a.ready = {1: 0.0, 2: 0.0}
+        a.start = {1: 0.0, 2: 0.0}
+        a.end = {1: 2.0, 2: 1.0}
         a.makespan = 2.0
         a.copy_into(b)
-        assert b.device_order == a.device_order
-        # Now copy a timeline with *fewer* devices into the same target:
-        # stale per-device lists must disappear, not linger.
+        assert b.equals(a, tol=0.0) and b.makespan == 2.0
+        # Now copy a timeline with *fewer* tasks into the same target:
+        # stale entries must disappear, not linger.
         c = Timeline()
         c.ready = {3: 1.0}
         c.start = {3: 1.0}
         c.end = {3: 4.0}
-        c.device_order = {0: [(1.0, (2,), 3)]}
         c.makespan = 4.0
         c.copy_into(b)
-        assert b.device_order == c.device_order
+        assert b.ready == c.ready and b.start == c.start
         assert b.end == c.end and b.makespan == 4.0
+
+    @pytest.mark.parametrize("algorithm", ["auto", "full"])
+    def test_auto_and_full_never_snapshot(self, lenet_graph, topo4, monkeypatch, algorithm):
+        from repro.sim.full_sim import Timeline
+
+        def forbidden(*args):
+            raise AssertionError("timeline snapshot taken")
+
+        monkeypatch.setattr(Timeline, "copy", forbidden)
+        monkeypatch.setattr(Timeline, "copy_into", forbidden)
+        rng = np.random.default_rng(8)
+        space = ConfigSpace(lenet_graph, topo4)
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm=algorithm,
+        )
+        for i in range(12):
+            before = sim.timeline
+            oid = int(rng.choice(lenet_graph.op_ids))
+            sim.propose(oid, space.random_config(oid, rng))
+            if i % 3:
+                sim.revert()
+                assert sim.timeline is before  # the revert target is the old object
+            else:
+                sim.commit()
+        assert sim._scratch is None
+        assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)

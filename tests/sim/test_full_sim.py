@@ -9,6 +9,14 @@ from repro.sim.taskgraph import Task, TaskGraph, TaskKind
 from repro.soap.presets import data_parallelism, model_parallelism, single_device
 
 
+def device_orders(tg, tl):
+    """Each device's tasks in FIFO order, i.e. sorted by (readyTime, ckey)."""
+    orders = {}
+    for tid, t in tg.tasks.items():
+        orders.setdefault(t.device, []).append((tl.ready[tid], t.ckey, tid))
+    return {d: sorted(v) for d, v in orders.items()}
+
+
 class TestFullSimulate:
     def test_empty_graph(self, mlp_graph, topo4):
         tg = TaskGraph(mlp_graph, topo4, single_device(mlp_graph), OpProfiler(), training=False)
@@ -34,7 +42,7 @@ class TestFullSimulate:
     def test_device_fifo_no_overlap(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         tl = full_simulate(tg)
-        for dev, lst in tl.device_order.items():
+        for dev, lst in device_orders(tg, tl).items():
             for (r1, k1, t1), (r2, k2, t2) in zip(lst, lst[1:]):
                 assert (r1, k1) < (r2, k2)
                 assert tl.end[t1] <= tl.start[t2] + 1e-9
@@ -70,14 +78,21 @@ class TestFullSimulate:
         assert a.equals(b)
         assert a.makespan == b.makespan
 
-    def test_device_orders_built_by_append_stay_sorted(self, lenet_graph, topo4):
-        """Heap pops arrive in globally sorted (ready, ckey) order, so the
-        per-device order lists are appended, never insorted -- and must
-        still come out sorted (the delta algorithms bisect into them)."""
-        tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+    def test_device_orders_built_by_append_stay_sorted(self, lenet_graph, multinode):
+        """Heap pops arrive in globally sorted (ready, ckey) order, so each
+        device serves its tasks in append order -- which must be the
+        sorted FIFO order: in (ready, ckey) order every task starts
+        exactly when both its inputs and its device are free (assumptions
+        A3 and A4), the order the delta algorithm's prefix/suffix split
+        and its per-device end times rely on."""
+        tg = TaskGraph(lenet_graph, multinode, data_parallelism(lenet_graph, multinode), OpProfiler())
         tl = full_simulate(tg)
-        for lst in tl.device_order.values():
-            assert lst == sorted(lst)
+        for lst in device_orders(tg, tl).values():
+            prev_end = 0.0
+            for r, _, tid in lst:
+                assert tl.start[tid] == max(r, prev_end)
+                assert tl.end[tid] == tl.start[tid] + tg.tasks[tid].exe_time
+                prev_end = tl.end[tid]
 
 
 class TestTimeline:

@@ -1,28 +1,33 @@
-"""Change-propagation engine: ``full == delta == propagate`` at ``tol=0``.
+"""Change propagation: every repair path equals a fresh full sweep at ``tol=0``.
 
-The Section 5.3 invariant, extended to the third algorithm: for every
-reachable (task graph, timeline) state -- random graphs x random
-splice/undo sequences, including revert-heavy MCMC traces and the
-cascade-guard fallback paths -- the propagation engine repairs the
-timeline to *bitwise* equality with a from-scratch full simulation, while
-touching strictly fewer tasks than the cut-time delta algorithm on
-graphs with skippable branches.
+After a task-graph splice the timeline must be brought up to date by
+propagating the change to every later task.  The Section 5.3 invariant is
+that however a repair path does this, it lands on the timeline a
+from-scratch Algorithm 1 sweep would produce.  Two paths do less than a
+full sweep per proposal: ``delta`` re-simulates only the suffix after the
+cut time (Algorithm 2), and ``auto`` skips the splice and the repair
+outright when a proposal's config is the current one.  For random graphs
+x random splice/undo sequences, including revert-heavy MCMC traces and
+identity re-splices, both must repair the timeline to *bitwise* equality
+with a fresh full simulation.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.builder import GraphBuilder
-from repro.machine.clusters import p100_cluster, single_node
-from repro.models.lenet import lenet
+from repro.machine.clusters import single_node
 from repro.models.mlp import mlp
 from repro.profiler.profiler import OpProfiler
+from repro.sim import ALGORITHMS as EXPORTED_ALGORITHMS
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator
 from repro.soap.presets import data_parallelism, expert_strategy
 from repro.soap.space import ConfigSpace
+
+#: The algorithms that do less than a full sweep on some proposals.
+REPAIRS = ("auto", "delta")
 
 
 def make_branchy():
@@ -42,9 +47,9 @@ def make_branchy():
     return b.graph
 
 
-def drive(graph, topo, algorithm, seed, steps, check_every=1, init=data_parallelism, **sim_kw):
+def drive(graph, topo, algorithm, seed, steps, check_every=1, init=data_parallelism):
     """Mixed mutation styles (commit / revert / apply-undo), exactness checks."""
-    sim = Simulator(graph, topo, init(graph, topo), OpProfiler(), algorithm=algorithm, **sim_kw)
+    sim = Simulator(graph, topo, init(graph, topo), OpProfiler(), algorithm=algorithm)
     space = ConfigSpace(graph, topo)
     rng = np.random.default_rng(seed)
     costs = []
@@ -63,7 +68,8 @@ def drive(graph, topo, algorithm, seed, steps, check_every=1, init=data_parallel
             sim.reconfigure(oid, cfg)
             costs.append(sim.reconfigure(oid, old))
         else:
-            # Identity re-splice: the pure UpdateTaskGraph + repair path.
+            # Identity re-splice: auto's short circuit, delta's pure
+            # UpdateTaskGraph + repair path.
             costs.append(sim.reconfigure(oid, sim.strategy[oid]))
         if i % check_every == 0:
             ref = full_simulate(sim.task_graph)
@@ -74,25 +80,30 @@ def drive(graph, topo, algorithm, seed, steps, check_every=1, init=data_parallel
 
 class TestPropagateEqualsFull:
     def test_lenet_mixed_trace(self, lenet_graph, topo4):
-        sim, _ = drive(lenet_graph, topo4, "propagate", seed=0, steps=50)
-        assert sim.delta_stats.fallbacks == 0
+        for alg in REPAIRS:
+            sim, _ = drive(lenet_graph, topo4, alg, seed=0, steps=50)
+            assert sim.delta_stats.fallbacks == 0
 
     def test_multinode(self, mlp_graph, multinode):
-        sim, _ = drive(mlp_graph, multinode, "propagate", seed=1, steps=50)
-        assert sim.delta_stats.fallbacks == 0
+        for alg in REPAIRS:
+            sim, _ = drive(mlp_graph, multinode, alg, seed=1, steps=50)
+            assert sim.delta_stats.fallbacks == 0
 
     def test_weight_shared_rnn(self, tiny_rnn_graph, topo4):
-        sim, _ = drive(tiny_rnn_graph, topo4, "propagate", seed=2, steps=30)
-        assert sim.delta_stats.fallbacks == 0
+        for alg in REPAIRS:
+            sim, _ = drive(tiny_rnn_graph, topo4, alg, seed=2, steps=30)
+            assert sim.delta_stats.fallbacks == 0
 
     def test_from_expert_init(self, lenet_graph, topo4):
-        drive(lenet_graph, topo4, "propagate", seed=3, steps=25, init=expert_strategy)
+        for alg in REPAIRS:
+            drive(lenet_graph, topo4, alg, seed=3, steps=25, init=expert_strategy)
 
     def test_all_three_algorithms_agree_bitwise(self, lenet_graph, topo4):
         outcomes = {
             alg: drive(lenet_graph, topo4, alg, seed=7, steps=40)[1] for alg in ALGORITHMS
         }
-        assert outcomes["propagate"] == outcomes["delta"] == outcomes["full"]
+        assert len(outcomes) == 3
+        assert outcomes["auto"] == outcomes["delta"] == outcomes["full"]
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -101,7 +112,8 @@ class TestPropagateEqualsFull:
         hidden = tuple(int(h) for h in rng.choice([16, 32, 48], size=rng.integers(1, 3)))
         graph = mlp(batch=16, in_dim=int(rng.choice([16, 32])), hidden=hidden, num_classes=8)
         topo = single_node(int(rng.choice([2, 3])), "p100")
-        drive(graph, topo, "propagate", seed=seed, steps=8)
+        for alg in REPAIRS:
+            drive(graph, topo, alg, seed=seed, steps=8)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -109,128 +121,68 @@ class TestPropagateEqualsFull:
         """A low-acceptance chain: long runs of propose/revert pairs."""
         graph = mlp(batch=16, in_dim=32, hidden=(32,), num_classes=8)
         topo = single_node(3, "p100")
-        sim = Simulator(graph, topo, data_parallelism(graph, topo), OpProfiler(),
-                        algorithm="propagate")
         space = ConfigSpace(graph, topo)
-        rng = np.random.default_rng(seed)
-        for i in range(30):
-            oid = int(rng.choice(graph.op_ids))
-            sim.propose(oid, space.random_config(oid, rng))
-            if rng.random() < 0.15:
-                sim.commit()
-            else:
-                sim.revert()
-            ref = full_simulate(sim.task_graph)
-            assert ref.equals(sim.timeline, tol=0.0), f"diverged at step {i}"
+        for alg in REPAIRS:
+            sim = Simulator(graph, topo, data_parallelism(graph, topo), OpProfiler(),
+                            algorithm=alg)
+            rng = np.random.default_rng(seed)
+            for i in range(30):
+                oid = int(rng.choice(graph.op_ids))
+                sim.propose(oid, space.random_config(oid, rng))
+                if rng.random() < 0.15:
+                    sim.commit()
+                else:
+                    sim.revert()
+                ref = full_simulate(sim.task_graph)
+                assert ref.equals(sim.timeline, tol=0.0), f"[{alg}] diverged at step {i}"
 
     def test_cost_is_path_independent(self, lenet_graph, topo4):
         """Same strategy reached via different splice paths: bitwise-equal
-        cost under the propagation engine (the cache-soundness invariant)."""
+        cost under every repair path (the cache-soundness invariant)."""
         from repro.sim.simulator import simulate_strategy
 
         prof = OpProfiler()
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), prof,
-                        algorithm="propagate")
         space = ConfigSpace(lenet_graph, topo4)
-        rng = np.random.default_rng(11)
-        seen: dict[tuple, float] = {}
-        for _ in range(40):
-            oid = int(rng.choice(lenet_graph.op_ids))
-            cost = sim.reconfigure(oid, space.random_config(oid, rng))
-            sig = sim.strategy.signature()
-            if sig in seen:
-                assert seen[sig] == cost
-            seen[sig] = cost
-            assert simulate_strategy(lenet_graph, topo4, sim.strategy, prof).makespan_us == cost
-
-
-class TestCascadeGuard:
-    def test_preflight_guard_hands_off_to_delta(self, lenet_graph, topo4):
-        """guard_frac=0 makes every splice trip the pre-flight guard: the
-        cut-time algorithm runs instead, results stay bitwise-exact."""
-        sim, _ = drive(
-            lenet_graph, topo4, "propagate", seed=5, steps=20, propagate_guard_frac=0.0
-        )
-        st_ = sim.delta_stats
-        assert st_.guard_fallbacks == st_.invocations > 0
-        assert st_.propagated_tasks == 0  # never actually propagated
-        assert st_.fallback_rate == 1.0
-
-    def test_default_guard_rarely_trips_and_stays_exact(self, lenet_graph, topo4):
-        sim, _ = drive(lenet_graph, topo4, "propagate", seed=6, steps=30)
-        st_ = sim.delta_stats
-        # Small graphs may trip the pre-flight guard on big splices; the
-        # authoritative-full path must stay untouched.
-        assert st_.fallbacks == 0
-        assert st_.guard_fallbacks + st_.invocations >= st_.invocations
-
-    def test_guard_counts_surface_in_stats(self, lenet_graph, topo4):
-        sim, _ = drive(lenet_graph, topo4, "propagate", seed=8, steps=30)
-        st_ = sim.delta_stats
-        assert st_.invocations > 0
-        assert st_.propagated_tasks > 0
-        assert st_.branch_skips > 0
-        assert 0.0 <= st_.fallback_rate <= 1.0
+        for alg in REPAIRS:
+            sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), prof,
+                            algorithm=alg)
+            rng = np.random.default_rng(11)
+            seen: dict[tuple, float] = {}
+            for _ in range(40):
+                oid = int(rng.choice(lenet_graph.op_ids))
+                cost = sim.reconfigure(oid, space.random_config(oid, rng))
+                sig = sim.strategy.signature()
+                if sig in seen:
+                    assert seen[sig] == cost
+                seen[sig] = cost
+                assert simulate_strategy(lenet_graph, topo4, sim.strategy, prof).makespan_us == cost
 
 
 class TestBranchSkipping:
-    def test_propagate_touches_strictly_fewer_tasks_than_delta(self, topo4):
-        """On a branchy graph over a mixed trace (mutations + identity
-        re-splices) the propagation engine repairs strictly fewer tasks
-        than the cut-time suffix re-simulation."""
-        graph = make_branchy()
-        simp, costs_p = drive(graph, topo4, "propagate", seed=9, steps=40)
-        simd, costs_d = drive(graph, topo4, "delta", seed=9, steps=40)
-        assert costs_p == costs_d  # same trace, bitwise-equal costs
-        sp, sd = simp.delta_stats, simd.delta_stats
-        assert sp.tasks_resimulated < sd.tasks_resimulated
-        assert sp.branch_skips > 0
-
     def test_identity_resplice_is_splice_local(self, topo4):
-        """An identity reconfigure repairs O(splice) tasks, not O(suffix):
-        the purest form of the skip-unaffected-branches property."""
+        """An identity reconfigure changes nothing, so ``auto`` skips the
+        splice and the repair -- no task is re-simulated -- while
+        ``delta``, which always splices, re-simulates its suffix and lands
+        on the same timeline."""
         graph = make_branchy()
         prof = OpProfiler()
-        for alg, frac_bound in (("propagate", 0.5), ("delta", None)):
+        oid = graph.id_of("left0")
+        sims = {}
+        for alg in REPAIRS:
             sim = Simulator(graph, topo4, data_parallelism(graph, topo4), prof, algorithm=alg)
-            oid = graph.id_of("left0")
             for _ in range(5):
                 sim.reconfigure(oid, sim.strategy[oid])
             assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
-            if frac_bound is not None:
-                assert sim.delta_stats.resim_fraction < frac_bound
-            frac = sim.delta_stats.resim_fraction
-        # delta's suffix fraction for the same no-op trace is strictly larger.
-        sim_p = Simulator(graph, topo4, data_parallelism(graph, topo4), prof,
-                          algorithm="propagate")
-        sim_d = Simulator(graph, topo4, data_parallelism(graph, topo4), prof,
-                          algorithm="delta")
-        oid = graph.id_of("left0")
-        for _ in range(5):
-            sim_p.reconfigure(oid, sim_p.strategy[oid])
-            sim_d.reconfigure(oid, sim_d.strategy[oid])
-        assert sim_p.delta_stats.tasks_resimulated < sim_d.delta_stats.tasks_resimulated
+            sims[alg] = sim
+        auto, delta = sims["auto"].delta_stats, sims["delta"].delta_stats
+        assert auto.route_counts == {"noop": 5}
+        assert auto.invocations == 0
+        assert auto.tasks_resimulated == 0 < delta.tasks_resimulated
+        assert delta.invocations == 5 and delta.fallbacks == 0
+        assert sims["auto"].cost == sims["delta"].cost
 
 
 class TestFacade:
-    def test_propagate_is_a_valid_algorithm(self, lenet_graph, topo4):
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4),
-                        OpProfiler(), algorithm="propagate")
-        assert sim.cost > 0
-
     def test_algorithms_tuple_exported(self):
-        assert set(ALGORITHMS) == {"auto", "full", "delta", "propagate"}
-
-    def test_snapshot_pooling_with_propagate(self, lenet_graph, topo4):
-        """propose/commit/revert recycles snapshots for propagate too."""
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4),
-                        OpProfiler(), algorithm="propagate")
-        space = ConfigSpace(lenet_graph, topo4)
-        rng = np.random.default_rng(3)
-        base = sim.cost
-        for _ in range(10):
-            oid = int(rng.choice(lenet_graph.op_ids))
-            sim.propose(oid, space.random_config(oid, rng))
-            assert sim.revert() == base
-        assert sim._scratch is not None  # the pool is live
-        assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
+        assert ALGORITHMS == ("auto", "delta", "full")
+        assert EXPORTED_ALGORITHMS is ALGORITHMS

@@ -1,24 +1,21 @@
-"""Vectorized propagate engine == scalar heap engine, bit for bit.
+"""Delta's change-propagation kernels == scalar reference, bit for bit.
 
-:func:`repro.sim.kernels.propagate_drain` has one extra degree of
-freedom compared to the full/suffix kernels: after its occupancy
-pre-scan it may *decline* a repair (return ``None``), in which case
-``propagate_simulate`` runs the scalar heap engine -- that is routing,
-not a fallback, and must not show up in ``DeltaStats``.  These suites
-pin down both halves A/B by flipping ``REPRO_SIM_KERNELS``:
+``delta`` propagates a splice through the timeline by re-simulating the
+suffix after the cut time.  Under the kernels that suffix runs through
+:func:`repro.sim.kernels.suffix_drain`, or -- once it covers at least
+``delta_sim._SATURATION_FRAC`` of the tasks -- is handed to the full
+sweep; under ``REPRO_SIM_KERNELS=python`` the scalar reference loop
+re-simulates it.  These suites pin both kernel paths A/B by flipping the
+env var, on proposal chains that mix mutations with identity re-splices
+(which ``delta``, unlike ``auto``, always splices and repairs):
 
-* repairs the kernel accepts (identity resplices, small cones) land on
-  timelines bitwise equal to the scalar engine's -- same costs, same
-  dict contents, same per-device order lists;
-* repairs it declines (dense mutations past ``PROPAGATE_CONE_LIMIT``)
-  reach the same fixed point through the scalar engine;
-* the guard / park / give-up paths stay bit-identical even when forced
-  by extreme thresholds, because a mid-flight abort re-simulates from
-  scratch and the fixed point is unique.
+* with the handoff disabled, every repair takes ``suffix_drain`` and must
+  land on timelines bitwise equal to the scalar loop's -- same costs, same
+  dict contents;
+* at the production handoff fraction, the mix of suffix drains and full
+  sweeps must do the same.
 
-Thresholds (``FAT_RUN``, ``_VEC_MIN``, ``PROPAGATE_CONE_LIMIT``) are
-monkeypatched low/high so the batched paths actually fire on test-sized
-graphs; at production values only wide levels take them.
+The mode is also validated: a typo'd ``REPRO_SIM_KERNELS`` fails loudly.
 """
 
 import os
@@ -31,13 +28,15 @@ from hypothesis import strategies as st
 from repro.machine.clusters import single_node
 from repro.models.mlp import mlp
 from repro.profiler.profiler import OpProfiler
-from repro.sim import kernels
+from repro.sim import delta_sim, kernels
 from repro.sim.full_sim import full_simulate
-from repro.sim.propagate import _locate, propagate_simulate
 from repro.sim.simulator import Simulator
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
+
+#: A handoff fraction no suffix can reach: every repair takes suffix_drain.
+NO_HANDOFF = 2.0
 
 
 class TestKernelModeValidation:
@@ -66,38 +65,9 @@ class TestKernelModeValidation:
             full_simulate(tg)
 
 
-class TestLocateDuplicateTimeRuns:
-    def test_bisect_on_full_triple(self):
-        """Device chains routinely hold long runs of equal ready times
-        (a data-parallel level lands together); _locate must find any
-        member of the run by one bisect on the full (r, ckey, tid) key,
-        not a linear scan of the run."""
-        r = 7.25
-        lst = [(r, ("op", k % 5), 100 + k) for k in range(64)]
-        lst.sort()
-        for idx, (rr, ck, tid) in enumerate(lst):
-            assert _locate(lst, rr, ck, tid) == idx
-
-    def test_absent_entries_in_duplicate_run(self):
-        r = 1.5
-        lst = sorted((r, ("c", k), k) for k in range(16))
-        assert _locate(lst, r, ("c", 3), 999) == -1  # tid not in run
-        assert _locate(lst, r, ("z",), 3) == -1  # ckey past the run
-        assert _locate(lst, 2.5, ("c", 3), 3) == -1  # time not present
-        assert _locate([], r, ("c", 0), 0) == -1
-
-    def test_mixed_times_and_runs(self):
-        lst = sorted(
-            [(0.0, ("a",), 1), (0.0, ("a",), 2), (0.0, ("b",), 3), (4.0, ("a",), 4)]
-        )
-        for idx, (rr, ck, tid) in enumerate(lst):
-            assert _locate(lst, rr, ck, tid) == idx
-        assert _locate(lst, 0.0, ("a",), 3) == -1
-
-
 def _mutation_chain(graph, topo, seed, steps, identity_every=3):
     """A deterministic proposal chain mixing mutations and identity
-    resplices (the propagate engine's two regimes)."""
+    resplices."""
     space = ConfigSpace(graph, topo)
     rng = np.random.default_rng(seed)
     muts = []
@@ -110,7 +80,7 @@ def _mutation_chain(graph, topo, seed, steps, identity_every=3):
     return muts
 
 
-def _drive_ab(graph, topo, muts, algorithm="propagate"):
+def _drive_ab(graph, topo, muts, algorithm="delta"):
     """Run one chain under both kernel modes; assert bitwise identity at
     every step and return the two simulators."""
     outcomes = {}
@@ -130,23 +100,18 @@ def _drive_ab(graph, topo, muts, algorithm="propagate"):
     costs_np, sim_np = outcomes["numpy"]
     assert costs_np == costs_py  # bitwise, every step
     assert sim_np.timeline.equals(sim_py.timeline, tol=0.0)
-    # Compare occupied chains only: a device whose last task migrated
-    # away may keep an empty [] entry in one engine and no key in the
-    # other -- same schedule either way.
-    chains = lambda tl: {d: c for d, c in tl.device_order.items() if c}
-    assert chains(sim_np.timeline) == chains(sim_py.timeline)
+    assert sim_np.timeline.equals(full_simulate(sim_np.task_graph), tol=0.0)
     return sim_py, sim_np
 
 
 class TestPropagateKernelBitIdentity:
     def test_lenet_mixed_chain(self, lenet_graph, topo4, monkeypatch):
-        monkeypatch.setattr(kernels, "FAT_RUN", 2)
-        monkeypatch.setattr(kernels, "_VEC_MIN", 2)
+        monkeypatch.setattr(delta_sim, "_SATURATION_FRAC", NO_HANDOFF)
         monkeypatch.setenv("REPRO_SIM_KERNELS", "python")  # restored by monkeypatch
         sim_py, sim_np = _drive_ab(
             lenet_graph, topo4, _mutation_chain(lenet_graph, topo4, 11, 24)
         )
-        # Declines route to the scalar engine -- they are NOT fallbacks.
+        assert sim_np.delta_stats.saturation_handoffs == 0  # suffix_drain every time
         assert sim_np.delta_stats.fallbacks == 0
         assert sim_py.delta_stats.fallbacks == 0
 
@@ -154,94 +119,57 @@ class TestPropagateKernelBitIdentity:
         self, lenet_graph, multinode, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SIM_KERNELS", "python")
-        _drive_ab(
+        sim_py, sim_np = _drive_ab(
             lenet_graph, multinode, _mutation_chain(lenet_graph, multinode, 5, 18)
         )
-
-    def test_forced_decline_always_scalar(self, lenet_graph, topo4, monkeypatch):
-        """PROPAGATE_CONE_LIMIT=0 declines every non-identity repair: the
-        numpy arm becomes scalar-engine-for-mutations and must still be
-        bitwise identical, with zero recorded fallbacks."""
-        monkeypatch.setattr(kernels, "PROPAGATE_CONE_LIMIT", 0)
-        monkeypatch.setenv("REPRO_SIM_KERNELS", "python")
-        sim_py, sim_np = _drive_ab(
-            lenet_graph, topo4, _mutation_chain(lenet_graph, topo4, 13, 15)
-        )
         assert sim_np.delta_stats.fallbacks == 0
-
-    def test_forced_accept_huge_cone(self, lenet_graph, topo4, monkeypatch):
-        """An unbounded cone limit forces the kernel to attempt every
-        dense repair, driving the batched detach / chain re-scan / waiter
-        machinery; a mid-flight give-up re-simulates from scratch, so the
-        fixed point stays bitwise identical either way."""
-        monkeypatch.setattr(kernels, "FAT_RUN", 2)
-        monkeypatch.setattr(kernels, "_VEC_MIN", 2)
-        monkeypatch.setattr(kernels, "PROPAGATE_CONE_LIMIT", 10**9)
-        monkeypatch.setenv("REPRO_SIM_KERNELS", "python")
-        _drive_ab(lenet_graph, topo4, _mutation_chain(lenet_graph, topo4, 17, 12))
-
-    def test_forced_guard_path(self, lenet_graph, topo4, monkeypatch):
-        """guard_frac=0.0 trips the seed-set guard on every repair: the
-        propagate engine hands off to delta before touching the timeline
-        (counted in guard_fallbacks, never a mid-flight abort)."""
-        monkeypatch.setenv("REPRO_SIM_KERNELS", "numpy")
-        tg = TaskGraph(
-            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler()
-        )
-        tl = full_simulate(tg)
-        space = ConfigSpace(lenet_graph, topo4)
-        rng = np.random.default_rng(3)
-        oid = lenet_graph.id_of("conv1")
-        cfg = space.random_config(oid, rng)
-        while cfg == tg.strategy[oid]:
-            cfg = space.random_config(oid, rng)
-        removed, dirty = tg.replace_config(oid, cfg)
-        from repro.sim.delta_sim import DeltaStats
-
-        stats = DeltaStats()
-        out = propagate_simulate(tg, tl, removed, dirty, stats, guard_frac=0.0)
-        assert stats.guard_fallbacks == 1
-        assert out.equals(full_simulate(tg), tol=0.0)
+        assert sim_py.delta_stats.saturation_handoffs == 0  # scalar path never hands off
 
     def test_identity_resplices_only(self, lenet_graph, topo4, monkeypatch):
-        """The kernel's home turf: every proposal is an identity resplice
-        (recipe replay), taking the rename fast path once recipes warm."""
+        """Every proposal re-splices an op's current config: the splice
+        rebuilds identical tasks and the suffix drain must reproduce the
+        timeline it started from."""
+        monkeypatch.setattr(delta_sim, "_SATURATION_FRAC", NO_HANDOFF)
         monkeypatch.setenv("REPRO_SIM_KERNELS", "python")
+        base = full_simulate(
+            TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        ).makespan
         muts = [(oid, None) for oid in lenet_graph.op_ids] * 2
         sim_py, sim_np = _drive_ab(lenet_graph, topo4, muts)
+        assert sim_np.cost == sim_py.cost == base
+        assert sim_np.delta_stats.invocations == len(muts)
         assert sim_np.delta_stats.fallbacks == 0
-        assert sim_np.delta_stats.guard_fallbacks == 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_property_random_graphs(self, seed):
         graph = mlp(batch=16, in_dim=32, hidden=(48, 24), num_classes=8)
         topo = single_node(4, "p100")
-        saved = (kernels.FAT_RUN, kernels._VEC_MIN)
-        kernels.FAT_RUN = kernels._VEC_MIN = 2
+        saved = delta_sim._SATURATION_FRAC
+        delta_sim._SATURATION_FRAC = NO_HANDOFF
         try:
             _drive_ab(graph, topo, _mutation_chain(graph, topo, seed, 12))
         finally:
             os.environ.pop("REPRO_SIM_KERNELS", None)
-            kernels.FAT_RUN, kernels._VEC_MIN = saved
+            delta_sim._SATURATION_FRAC = saved
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_property_revert_heavy_traces(self, seed):
-        """Revert-heavy MCMC access pattern under algorithm="propagate":
-        commits, snapshot reverts, and apply-then-undo pairs stay bitwise
-        equal across kernel modes at every step."""
+        """Revert-heavy MCMC access pattern under algorithm="delta":
+        commits, snapshot reverts, apply-then-undo pairs and identity
+        resplices stay bitwise equal across kernel modes at every step."""
         graph = mlp(batch=16, in_dim=32, hidden=(32,), num_classes=8)
         topo = single_node(3, "p100")
-        saved = (kernels.FAT_RUN, kernels._VEC_MIN)
-        kernels.FAT_RUN = kernels._VEC_MIN = 2
+        saved = delta_sim._SATURATION_FRAC
+        delta_sim._SATURATION_FRAC = NO_HANDOFF
         try:
             sims = {}
             for mode in ("python", "numpy"):
                 os.environ["REPRO_SIM_KERNELS"] = mode
                 sims[mode] = Simulator(
                     graph, topo, data_parallelism(graph, topo), OpProfiler(),
-                    algorithm="propagate",
+                    algorithm="delta",
                 )
             space = ConfigSpace(graph, topo)
             rng = np.random.default_rng(seed)
@@ -272,4 +200,4 @@ class TestPropagateKernelBitIdentity:
                 ), f"step {step}"
         finally:
             os.environ.pop("REPRO_SIM_KERNELS", None)
-            kernels.FAT_RUN, kernels._VEC_MIN = saved
+            delta_sim._SATURATION_FRAC = saved

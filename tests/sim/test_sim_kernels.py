@@ -1,19 +1,13 @@
-"""Numpy kernels == scalar reference, bit for bit; auto-router behavior.
+"""Kernel loops == scalar reference, bit for bit; ``auto``'s short circuit.
 
-The kernels in :mod:`repro.sim.kernels` back ``full_simulate`` and the
-delta suffix sweep whenever numpy is importable and
-``REPRO_SIM_KERNELS=python`` is not set.  Their contract is *bitwise*
-identity with the scalar reference loops -- same dict contents, same
-per-device order lists, same makespan float -- which these suites
-enforce A/B by flipping the env var, on random graphs and on
-revert-heavy MCMC traces.  ``FAT_RUN``/``_VEC_MIN`` are dropped via
-monkeypatch so the vectorized batch step and the merge-drain actually
-fire on test-sized graphs (at their production values only wide levels
-take the batched path).
+The loops in :mod:`repro.sim.kernels` back ``full_simulate`` and the
+delta suffix sweep unless ``REPRO_SIM_KERNELS=python`` is set.  Their
+contract is *bitwise* identity with the scalar reference loops -- same
+dict contents, same makespan float -- which these suites enforce A/B by
+flipping the env var, on random graphs and on revert-heavy MCMC traces.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,17 +16,10 @@ from repro.machine.clusters import single_node
 from repro.profiler.profiler import OpProfiler
 from repro.sim import kernels
 from repro.sim.full_sim import full_simulate
-from repro.sim.propagate import preflight_route
 from repro.sim.simulator import Simulator
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
-
-
-def force_vectorized(monkeypatch):
-    """Make every equal-ready streak of >= 2 take a batched path."""
-    monkeypatch.setattr(kernels, "FAT_RUN", 2)
-    monkeypatch.setattr(kernels, "_VEC_MIN", 2)
 
 
 def drift_strategy(graph, topo, seed, steps):
@@ -65,31 +52,19 @@ class TestFullKernelBitIdentity:
         out = full_simulate(tg)
         assert out.makespan == ref.makespan  # bitwise, not approx
         assert out.equals(ref, tol=0.0)
-        assert out.device_order == ref.device_order
         return out
 
     def test_lenet_data_parallel(self, lenet_graph, topo4, monkeypatch):
-        force_vectorized(monkeypatch)
         self._ab(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), monkeypatch)
 
     def test_weight_shared_rnn(self, tiny_rnn_graph, topo4, monkeypatch):
-        force_vectorized(monkeypatch)
-        self._ab(
-            tiny_rnn_graph, topo4, data_parallelism(tiny_rnn_graph, topo4), monkeypatch
-        )
-
-    def test_merge_drain_only(self, tiny_rnn_graph, topo4, monkeypatch):
-        # _VEC_MIN above any batch size: every collected level goes
-        # through the scalar merge-drain (the zero-exe-safe interleave).
-        monkeypatch.setattr(kernels, "FAT_RUN", 2)
-        monkeypatch.setattr(kernels, "_VEC_MIN", 10**9)
         self._ab(
             tiny_rnn_graph, topo4, data_parallelism(tiny_rnn_graph, topo4), monkeypatch
         )
 
     def test_production_thresholds_too(self, lenet_graph, multinode, monkeypatch):
-        # No FAT_RUN override: exercises the pure streak-tracked scalar
-        # main loop of the kernel drain.
+        # Multi-node: cross-node transfers of every GPU pair queue on the
+        # one shared IB connection of their node pair.
         self._ab(
             lenet_graph, multinode, data_parallelism(lenet_graph, multinode), monkeypatch
         )
@@ -103,8 +78,6 @@ class TestFullKernelBitIdentity:
         tg = TaskGraph(graph, topo, strat, OpProfiler())
         import os
 
-        saved = (kernels.FAT_RUN, kernels._VEC_MIN)
-        kernels.FAT_RUN = kernels._VEC_MIN = 2
         try:
             os.environ["REPRO_SIM_KERNELS"] = "python"
             ref = full_simulate(tg)
@@ -112,15 +85,13 @@ class TestFullKernelBitIdentity:
             out = full_simulate(tg)
         finally:
             os.environ.pop("REPRO_SIM_KERNELS", None)
-            kernels.FAT_RUN, kernels._VEC_MIN = saved
         assert out.makespan == ref.makespan
         assert out.equals(ref, tol=0.0)
-        assert out.device_order == ref.device_order
 
 
 class TestSuffixDrainBitIdentity:
     def _chain(self, graph, topo, seed, steps, monkeypatch, algorithm="delta"):
-        """Drive one mutation chain twice, python vs numpy kernels, and
+        """Drive one mutation chain twice, python vs kernel loops, and
         assert the repaired timelines stay bitwise equal step by step."""
         space = ConfigSpace(graph, topo)
         rng = np.random.default_rng(seed)
@@ -141,11 +112,9 @@ class TestSuffixDrainBitIdentity:
         costs_np, sim_np = outcomes["numpy"]
         assert costs_np == costs_py  # bitwise, every step
         assert sim_np.timeline.equals(sim_py.timeline, tol=0.0)
-        assert sim_np.timeline.device_order == sim_py.timeline.device_order
         return sim_py, sim_np
 
     def test_lenet_mutation_chain(self, lenet_graph, topo4, monkeypatch):
-        force_vectorized(monkeypatch)
         sim_py, sim_np = self._chain(lenet_graph, topo4, 7, 30, monkeypatch)
         assert sim_py.delta_stats.fallbacks == 0
         assert sim_np.delta_stats.fallbacks == 0
@@ -156,22 +125,19 @@ class TestSuffixDrainBitIdentity:
         self._chain(lenet_graph, multinode, 8, 20, monkeypatch)
 
     def test_auto_chain(self, lenet_graph, topo4, monkeypatch):
-        force_vectorized(monkeypatch)
         self._chain(lenet_graph, topo4, 9, 20, monkeypatch, algorithm="auto")
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_property_revert_heavy_mcmc_traces(self, seed):
         """A revert-heavy proposal trace (the MCMC access pattern) under
-        numpy kernels matches the scalar reference bitwise at every step:
+        the kernels matches the scalar reference bitwise at every step:
         commits, snapshot reverts, and apply-then-undo pairs all land on
         identical timelines."""
         import os
 
         graph = mlp(batch=16, in_dim=32, hidden=(32,), num_classes=8)
         topo = single_node(3, "p100")
-        saved = (kernels.FAT_RUN, kernels._VEC_MIN)
-        kernels.FAT_RUN = kernels._VEC_MIN = 2
         try:
             sims = {}
             for mode in ("python", "numpy"):
@@ -205,48 +171,9 @@ class TestSuffixDrainBitIdentity:
                 ), f"step {step}"
         finally:
             os.environ.pop("REPRO_SIM_KERNELS", None)
-            kernels.FAT_RUN, kernels._VEC_MIN = saved
 
 
 class TestAutoRouting:
-    def test_preflight_identity_resplice_routes_to_propagate(
-        self, lenet_graph, topo4
-    ):
-        """A splice whose replacements are structurally identical to the
-        removed tasks (the pure UpdateTaskGraph path) must route to the
-        propagation engine."""
-        tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
-        tl = full_simulate(tg)
-        oid = lenet_graph.id_of("conv1")
-        removed, dirty = tg.replace_config(oid, tg.strategy[oid])
-        route, cone = preflight_route(tg, tl, removed, dirty)
-        assert route == "propagate"
-        assert cone == len(dirty)
-
-    def test_preflight_dense_mutation_routes_to_delta(self, lenet_graph, topo4, rng):
-        tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
-        tl = full_simulate(tg)
-        space = ConfigSpace(lenet_graph, topo4)
-        oid = lenet_graph.id_of("conv1")
-        cfg = space.random_config(oid, rng)
-        while cfg == tg.strategy[oid]:
-            cfg = space.random_config(oid, rng)
-        removed, dirty = tg.replace_config(oid, cfg)
-        route, cone = preflight_route(tg, tl, removed, dirty)
-        # Dense side: the cut-time algorithm, or -- when the occupancy
-        # cone saturates the graph under the kernels -- the full sweep.
-        assert route in ("delta", "full")
-        assert cone > 0
-
-    def test_preflight_guard_kicks_to_delta_on_huge_seed_sets(
-        self, lenet_graph, topo4
-    ):
-        tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
-        tl = full_simulate(tg)
-        everything = set(tg.tasks)
-        route, _ = preflight_route(tg, tl, {}, everything)
-        assert route in ("delta", "full")
-
     def test_auto_counts_router_decisions(self, lenet_graph, topo4, rng):
         sim = Simulator(
             lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
@@ -258,15 +185,14 @@ class TestAutoRouting:
         while cfg == sim.strategy[oid]:
             cfg = space.random_config(oid, rng)
         sim.reconfigure(oid, cfg)
+        sim.reconfigure(oid, sim.strategy[oid])
         st = sim.delta_stats
-        # Dense mutation: routed to the cut-time algorithm, or straight
-        # to the full sweep when the occupancy cone saturates the graph.
-        assert st.auto_delta + st.auto_full == 1
-        assert sum(st.route_counts.values()) == 1
-        assert st.actual_cone_tasks > 0
-        # The occupancy estimator mirrors the cut-time suffix, so its
-        # prediction is within the handful of boundary tasks.
-        assert st.cone_abs_error <= 0.1 * st.actual_cone_tasks
+        # A real change is a full sweep, an identity one a no-op; neither
+        # touches the delta algorithm's accounting.
+        assert st.route_counts == {"full": 1, "noop": 1}
+        assert st.auto_noop == 1
+        assert st.invocations == 0
+        assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
 
     def test_auto_identity_reconfigure_is_a_noop(self, lenet_graph, topo4):
         """cfg == current config short-circuits before the splice: no
@@ -324,7 +250,7 @@ class TestSaturationHandoff:
         self, lenet_graph, topo4, rng, monkeypatch
     ):
         """With kernels on, a suffix covering most of the graph re-routes
-        to the vectorized full sweep -- counted, not a fallback -- and the
+        to the full sweep -- counted, not a fallback -- and the
         result stays bitwise equal to the scalar cut-time reference."""
         monkeypatch.setenv("REPRO_SIM_KERNELS", "numpy")
         space = ConfigSpace(lenet_graph, topo4)
