@@ -174,7 +174,7 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         }
     final = sim.delta_stats
     meta = {
-        "auto_noop": final.auto_noop,
+        "noop_proposals": final.route_counts.get("noop", 0),
         "saturation_handoffs": final.saturation_handoffs,
         "fallbacks": final.fallbacks,
         "recipe_hits": sim.task_graph.recipe_hits,
@@ -242,7 +242,7 @@ def test_delta_propagation(benchmark, scale):
         "resplice_speedup_vs_scalar_default": round(ratios["resplice"], 2),
         "headline_speedup_geomean": round(headline_ratio, 2),
         "headline_target": 10.0,
-        "auto_noop": auto_meta["auto_noop"],
+        "noop_proposals": auto_meta["noop_proposals"],
         "saturation_handoffs": auto_meta["saturation_handoffs"],
     }
     # Routing accuracy: a proposal is correctly routed when the named

@@ -9,11 +9,13 @@ substrate.
 
 Quickstart::
 
-    from repro import models, machine, search
+    from repro import machine, models
+    from repro.plan import BudgetConfig, Planner, SearchConfig
 
     graph = models.alexnet(batch=256)
     topo = machine.p100_cluster(num_nodes=1, gpus_per_node=4)
-    result = search.optimize(graph, topo, budget_iters=500, seed=0)
+    config = SearchConfig(budget=BudgetConfig(iterations=500), seed=0)
+    result = Planner(graph, topo).search("mcmc", config)
     print(result.summary())
 """
 

@@ -1,6 +1,10 @@
-"""Automated-framework baselines the paper compares against (Section 8.2.3)."""
+"""Automated-framework baselines the paper compares against (Section 8.2.3).
 
-from repro.baselines.optcnn import OptCNNResult, optcnn_optimize
-from repro.baselines.reinforce import ReinforceResult, reinforce_optimize
+Both run through the planner: ``Planner.search("optcnn")`` and
+``Planner.search("reinforce")`` (see :mod:`repro.plan.backends`).
+"""
 
-__all__ = ["OptCNNResult", "optcnn_optimize", "ReinforceResult", "reinforce_optimize"]
+from repro.baselines.optcnn import OptCNNResult
+from repro.baselines.reinforce import ReinforceResult
+
+__all__ = ["OptCNNResult", "ReinforceResult"]

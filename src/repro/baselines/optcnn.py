@@ -37,7 +37,7 @@ from repro.soap.partition import overlapping_tasks
 from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
 
-__all__ = ["OptCNNResult", "optcnn_optimize"]
+__all__ = ["OptCNNResult"]
 
 
 @dataclass
@@ -238,31 +238,3 @@ def _optcnn_impl(
         candidates_per_group={g: len(c) for g, c in candidates.items()},
     )
 
-
-def optcnn_optimize(
-    graph: OperatorGraph,
-    topology: DeviceTopology,
-    profiler: OpProfiler | None = None,
-    max_sweeps: int = 8,
-) -> OptCNNResult:
-    """Minimize OptCNN's additive objective over per-group configurations.
-
-    .. deprecated::
-        Thin compatibility wrapper.  Prefer the unified planner API::
-
-            Planner(graph, topology, profiler).search(
-                "optcnn", SearchConfig(backend_options={"optcnn": {"max_sweeps": 8}})
-            )
-    """
-    from repro.plan import Planner, SearchConfig
-
-    res = Planner(graph, topology, profiler=profiler).search(
-        "optcnn",
-        SearchConfig(backend_options={"optcnn": {"max_sweeps": max_sweeps}}),
-    )
-    return OptCNNResult(
-        strategy=res.best_strategy,
-        predicted_cost_us=res.extras["predicted_cost_us"],
-        sweeps=res.extras["sweeps"],
-        candidates_per_group=res.extras["candidates_per_group"],
-    )

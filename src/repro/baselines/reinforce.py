@@ -32,7 +32,7 @@ from repro.sim.simulator import simulate_strategy
 from repro.soap.config import ParallelConfig
 from repro.soap.strategy import Strategy
 
-__all__ = ["ReinforceResult", "reinforce_optimize"]
+__all__ = ["ReinforceResult"]
 
 
 @dataclass
@@ -119,41 +119,3 @@ def _reinforce_impl(
         episodes=episodes,
     )
 
-
-def reinforce_optimize(
-    graph: OperatorGraph,
-    topology: DeviceTopology,
-    profiler: OpProfiler | None = None,
-    episodes: int = 300,
-    lr: float = 1.0,
-    entropy_bonus: float = 0.01,
-    seed: int = 0,
-    training: bool = True,
-) -> ReinforceResult:
-    """Policy-gradient search over per-group device placements.
-
-    .. deprecated::
-        Thin compatibility wrapper.  Prefer the unified planner API::
-
-            Planner(graph, topology, profiler, training).search(
-                "reinforce",
-                SearchConfig(seed=seed, backend_options={"reinforce": {"episodes": 300}}),
-            )
-    """
-    from repro.plan import Planner, SearchConfig
-
-    res = Planner(graph, topology, profiler=profiler, training=training).search(
-        "reinforce",
-        SearchConfig(
-            seed=seed,
-            backend_options={
-                "reinforce": {"episodes": episodes, "lr": lr, "entropy_bonus": entropy_bonus}
-            },
-        ),
-    )
-    return ReinforceResult(
-        strategy=res.best_strategy,
-        best_cost_us=res.best_cost_us,
-        history=res.extras["history"],
-        episodes=res.extras["episodes"],
-    )

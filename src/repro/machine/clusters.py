@@ -11,8 +11,8 @@ reproducing the paper's *shape* is the compute-to-communication ratio and
 the intra- vs inter-node gap, both of which these numbers preserve.
 
 Link policies are module-level callables (not closures) so topologies can
-be pickled into the parallel-search worker processes
-(:mod:`repro.search.parallel`).
+be pickled into the process-pool and remote search workers
+(:mod:`repro.search.exec`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ gives all of those searchers one backend-agnostic surface:
 * :class:`Planner` -- the facade, constructed from
   ``(graph, topology, profiler, training)``;
 * :class:`SearchConfig` -- a frozen, JSON-round-trippable search policy
-  (structured sub-configs instead of 14 kwargs);
+  (budget, execution, store and early-stop sub-configs);
 * :class:`~repro.plan.registry.SearchBackend` + a string-keyed registry
   (:func:`register_backend` / :func:`get_backend` /
   :func:`available_backends`) under which ``mcmc``, ``exhaustive``,
@@ -22,37 +22,6 @@ Quickstart::
     planner = Planner(graph, topology)
     result = planner.search("mcmc", SearchConfig(budget=BudgetConfig(iterations=500)))
     table = planner.compare(["mcmc", "optcnn", "reinforce"])
-
-Migrating from ``repro.search.optimize()``
-------------------------------------------
-``optimize()`` (and the baseline entry points ``exhaustive_search``,
-``optcnn_optimize``, ``reinforce_optimize``) still work as thin
-delegating wrappers, but new code should construct a ``SearchConfig``:
-
-==================  =============================================
-legacy kwarg        ``SearchConfig`` field
-==================  =============================================
-``budget_iters``    ``budget.iterations``
-``time_budget_s``   ``budget.time_s``
-``checkpoint_every``  ``budget.checkpoint_every``
-``adaptive``        ``budget.adaptive``
-(MCMCConfig) ``no_improve_frac``  ``budget.no_improve_frac``
-``workers``         ``execution.workers``
-``cache_size``      ``execution.cache_size``
-(new) executor selection  ``execution.executor``  (``"auto"``/``"inprocess"``/``"pool"``/``"distributed"``)
-(new) worker-daemon cluster  ``execution.cluster``  (``("host:port", ...)``; see ``repro.search.worker``)
-``store``           ``store.root``
-``early_stop_cost``  ``early_stop.cost_us``
-``inits``           ``inits``
-``seed``            ``seed``
-``algorithm``       ``algorithm``
-``beta_scale``      ``beta_scale``
-``profiler``        ``Planner(profiler=...)``  (problem, not policy)
-``training``        ``Planner(training=...)``  (problem, not policy)
-(exhaustive) ``max_configs_per_op``  ``backend_options["exhaustive"]``
-(optcnn) ``max_sweeps``             ``backend_options["optcnn"]``
-(reinforce) ``episodes``/``lr``/``entropy_bonus``  ``backend_options["reinforce"]``
-==================  =============================================
 
 ``python -m repro.plan --list-backends`` prints the registry (CI runs it
 so backend-registration breakage fails loudly).

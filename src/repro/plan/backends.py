@@ -5,10 +5,10 @@ Each backend adapts one search engine to the common
 :class:`~repro.plan.config.SearchConfig`, search the planner's
 ``(graph, topology)`` problem, return a
 :class:`~repro.plan.result.PlanResult` whose cost/metrics are evaluated
-on the FlexFlow simulator substrate.  The MCMC orchestration (chain
-fan-out, persistent store wiring, accounting aggregation) *lives here
-now*; ``repro.search.optimizer.optimize`` is a thin compatibility
-wrapper over ``Planner.search("mcmc", ...)``.
+on the FlexFlow simulator substrate.  The MCMC orchestration lives
+here: chain specs from the config's inits and seeds, the store's context
+digest, executor selection, and aggregation of the per-chain accounting;
+the executors of :mod:`repro.search.exec` only run the chains.
 
 Store sharing
 -------------
@@ -37,8 +37,9 @@ from repro.plan.errors import SearchError
 from repro.plan.result import PlanResult
 from repro.plan.registry import register_backend
 from repro.search.cache import CacheStats
+# Importing the package also registers the built-in executors.
+from repro.search.exec import ChainSpec, ExecutionContext, get_executor
 from repro.search.mcmc import MCMCConfig
-from repro.search.parallel import ChainSpec, run_chains
 from repro.search.store import StoreStats, StrategyStore, shared_store
 from repro.sim.simulator import simulate_strategy
 from repro.soap.presets import data_parallelism, expert_strategy
@@ -68,6 +69,26 @@ def _backend_options(config: SearchConfig, name: str, defaults: Mapping[str, Any
     return merged
 
 
+def _store_context(planner, config: SearchConfig) -> str | None:
+    """The store's context digest, or ``None`` when the store is off.
+
+    The store is off when ``config.store.root`` is unset, and also when
+    the digest fails: that is warned about, because a broken digest must
+    never kill a search.
+    """
+    if config.store.root is None:
+        return None
+    try:
+        return planner.store_context(config)
+    except Exception as exc:
+        warnings.warn(
+            f"strategy store disabled (context digest failed: {exc!r})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+
+
 class McmcBackend:
     """The paper's execution optimizer: multi-start MCMC over SOAP space."""
 
@@ -75,10 +96,12 @@ class McmcBackend:
 
     def run(self, planner, config: SearchConfig) -> PlanResult:
         _backend_options(config, self.name, {})  # policy lives in SearchConfig itself
+        if not config.inits:
+            raise ValueError("mcmc search needs at least one chain: SearchConfig.inits is empty")
         graph, topology = planner.graph, planner.topology
         profiler, training = planner.profiler, planner.training
-        budget = config.budget
-        workers = max(1, config.execution.workers)
+        budget, execution = config.budget, config.execution
+        workers = max(1, execution.workers)
         space = ConfigSpace(graph, topology)
         rng = np.random.default_rng(config.seed)
 
@@ -117,22 +140,31 @@ class McmcBackend:
         ]
 
         t0 = time.perf_counter()
-        results = run_chains(
-            graph,
-            topology,
-            specs,
-            profiler,
-            workers=workers,
-            cache_size=config.execution.cache_size,
+        store_context = _store_context(planner, config)
+        executor = execution.executor
+        if executor == "auto":
+            # A configured cluster is an explicit request for remote
+            # workers; otherwise fan out locally when it can actually help.
+            if execution.cluster:
+                executor = "distributed"
+            else:
+                executor = "pool" if workers > 1 and len(specs) > 1 else "inprocess"
+        ctx = ExecutionContext(
+            graph=graph,
+            topology=topology,
+            profiler=profiler,
             algorithm=config.algorithm,
             training=training,
             early_stop_cost=config.early_stop.cost_us,
-            store_root=config.store.root,
+            cache_size=execution.cache_size,
+            store_root=config.store.root if store_context is not None else None,
+            store_context=store_context,
             store_shared=config.store.shared,
-            executor=config.execution.executor,
-            cluster=config.execution.cluster,
-            join_bind=config.execution.join_bind,
+            workers=workers,
+            cluster=tuple(execution.cluster),
+            join_bind=execution.join_bind,
         )
+        results = get_executor(executor).run(ctx, specs)
         wall = time.perf_counter() - t0
 
         best_strategy: Strategy | None = None
@@ -170,7 +202,7 @@ class McmcBackend:
             )
         metrics = simulate_strategy(graph, topology, best_strategy, profiler, training=training)
         # Report the worker count actually observed (distinct processes that
-        # ran chains), not the request: run_chains clamps to the chain count
+        # ran chains), not the request: the pool clamps to the chain count
         # and falls back to in-process execution on unpicklable inputs.
         observed_workers = len({r.worker_pid for r in results}) or 1
         return PlanResult(
@@ -204,24 +236,16 @@ class ExhaustiveBackend:
         opts = _backend_options(
             config, self.name, {"max_configs_per_op": None, "prune_every": 1}
         )
+        # Same context digest the mcmc backend uses -> complete-strategy
+        # evaluations are shared between the two (see module docstring).
+        context = _store_context(planner, config)
         store = None
-        if config.store.root is not None:
-            # Same context digest the mcmc backend uses -> complete-strategy
-            # evaluations are shared between the two (see module docstring).
-            try:
-                context = planner.store_context(config)
-                store = (
-                    shared_store(config.store.root, context)
-                    if config.store.shared
-                    else StrategyStore(config.store.root, context)
-                )
-            except Exception as exc:  # a broken digest must never kill a search
-                warnings.warn(
-                    f"strategy store disabled (context digest failed: {exc!r})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                store = None
+        if context is not None:
+            store = (
+                shared_store(config.store.root, context)
+                if config.store.shared
+                else StrategyStore(config.store.root, context)
+            )
         t0 = time.perf_counter()
         ex = _exhaustive_impl(
             planner.graph,

@@ -1,12 +1,10 @@
 """Structured, serializable search configuration.
 
-:class:`SearchConfig` replaces the kwarg explosion that ``optimize()``
-had accreted (14 growing keyword arguments) with a frozen dataclass of
-frozen sub-configs: budget, execution fan-out, persistent store, and
-early stop each get their own small namespace, every backend consumes
-the same object, and the whole thing round-trips losslessly through
-JSON -- the prerequisite for shipping configs to remote search workers
-(the ROADMAP's ``ChainSpec`` dispatch seam).
+:class:`SearchConfig` is a frozen dataclass of frozen sub-configs:
+budget, execution fan-out, persistent store, and early stop each get
+their own small namespace, every backend consumes the same object, and
+the whole thing round-trips losslessly through JSON, so a config can be
+shipped to a planning server or embedded in an experiment spec.
 
 Use :meth:`SearchConfig.replace` (or :func:`dataclasses.replace` on any
 sub-config) to derive variants::
@@ -26,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.search.parallel import DEFAULT_CACHE_SIZE
+from repro.search.exec.base import DEFAULT_CACHE_SIZE
 
 __all__ = [
     "BudgetConfig",
@@ -50,8 +48,7 @@ def _check_keys(cls, data: Mapping[str, Any], label: str) -> None:
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Iteration/time budget of one search chain (legacy ``budget_iters``
-    and friends)."""
+    """Iteration/time budget of one search chain."""
 
     iterations: int = 1000
     time_s: float | None = None

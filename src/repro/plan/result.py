@@ -42,7 +42,7 @@ class PlanResult:
     store_stats: StoreStats = field(default_factory=StoreStats)
     extras: dict[str, Any] = field(default_factory=dict)
 
-    # -- legacy-compatible accounting surface ------------------------------
+    # -- accounting shorthands ---------------------------------------------
     @property
     def cache_hits(self) -> int:
         return self.cache_stats.hits

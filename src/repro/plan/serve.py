@@ -76,9 +76,14 @@ from dataclasses import dataclass
 
 from repro.plan.config import ExecutionConfig, SearchConfig, StoreConfig
 from repro.plan.planner import Planner
-from repro.search.exec.distributed import ClusterSpec, dedupe_cluster, parse_address
+from repro.search.exec.distributed import (
+    JOIN_TIMEOUT_S,
+    ClusterSpec,
+    accept_join,
+    dedupe_cluster,
+    parse_address,
+)
 from repro.search.exec.protocol import (
-    PROTOCOL_VERSION,
     SERVE_PROTOCOL_VERSION,
     ProtocolError,
     recv_msg,
@@ -87,10 +92,6 @@ from repro.search.exec.protocol import (
 from repro.search.store import flush_shared_stores, shared_store
 
 __all__ = ["PlanServer", "ServeStats", "serve", "spawn_local_server", "main"]
-
-# A join registration is three small frames; a stalled joiner must not
-# wedge the registration loop.
-_JOIN_TIMEOUT_S = 10.0
 
 
 def _log(msg: str) -> None:
@@ -292,7 +293,9 @@ class PlanServer:
             for t in workers:
                 t.join()
             if join_thread is not None:
-                join_thread.join(timeout=_JOIN_TIMEOUT_S + 1.0)
+                # accept_join() gives up on a stalled joiner after
+                # JOIN_TIMEOUT_S, so the registration thread ends by then.
+                join_thread.join(timeout=JOIN_TIMEOUT_S + 1.0)
             flushed = flush_shared_stores()
             with self._work:
                 sessions = list(self._sessions)
@@ -350,37 +353,11 @@ class PlanServer:
                 return  # listener closed (drain)
             peer = f"{addr[0]}:{addr[1]}"
             try:
-                try:
-                    conn.settimeout(_JOIN_TIMEOUT_S)
-                    msg = recv_msg(conn)
-                    if msg is None or msg.get("type") != "join":
-                        raise ProtocolError(f"expected join, got {msg!r}")
-                    ack = {"type": "join_ack", "version": PROTOCOL_VERSION}
-                    if msg.get("version") != PROTOCOL_VERSION:
-                        ack["error"] = (
-                            f"worker speaks protocol v{msg.get('version')}, "
-                            f"server speaks v{PROTOCOL_VERSION}"
-                        )
-                        send_msg(conn, ack)
-                        raise ProtocolError(ack["error"])
-                    advertise = str(msg.get("advertise") or "")
-                    if not advertise:
-                        ack["error"] = (
-                            "join carries no advertise address (start the "
-                            "worker with --bind and --join)"
-                        )
-                        send_msg(conn, ack)
-                        raise ProtocolError(ack["error"])
-                    adv = ClusterSpec.parse(advertise).address
-                    send_msg(conn, ack)
-                finally:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                advertise = accept_join(conn)
             except (OSError, ProtocolError, ValueError) as exc:
                 _log(f"worker join from {peer} rejected: {exc!r}")
                 continue
+            adv = ClusterSpec.parse(advertise).address
             with self._work:
                 known = {ClusterSpec.parse(e).address for e in self.cluster}
                 if adv in known:
@@ -390,11 +367,7 @@ class PlanServer:
                 # (_normalize_config) never see a half-built fleet.
                 self.cluster = self.cluster + (advertise,)
                 self.stats.workers_joined += 1
-            _log(
-                f"worker {advertise} joined the fleet "
-                f"(pid={msg.get('pid')}, capacity={msg.get('capacity')}); "
-                f"fleet is now {len(self.cluster)} worker(s)"
-            )
+            _log(f"worker {advertise} joined the fleet ({len(self.cluster)} worker(s) now)")
 
     # -- per-session reader ------------------------------------------------
     def _read_session(self, session: _Session) -> None:

@@ -6,18 +6,13 @@ from repro.search.cache import (
     config_digest,
     strategy_fingerprint,
 )
-from repro.search.exhaustive import ExhaustiveResult, exhaustive_search
+from repro.search.exhaustive import ExhaustiveResult
 from repro.search.mcmc import BudgetChannel, MCMCConfig, SearchTrace, mcmc_search
-from repro.search.optimizer import OptimizeResult, optimize
-from repro.search.parallel import (
+from repro.search.exec import (
     DEFAULT_CACHE_SIZE,
+    ChainExecutor,
     ChainResult,
     ChainSpec,
-    default_workers,
-    run_chains,
-)
-from repro.search.exec import (
-    ChainExecutor,
     DistributedExecutor,
     ExecutionContext,
     InProcessExecutor,
@@ -53,17 +48,12 @@ __all__ = [
     "topology_digest",
     "BudgetChannel",
     "ExhaustiveResult",
-    "exhaustive_search",
     "MCMCConfig",
     "SearchTrace",
     "mcmc_search",
-    "OptimizeResult",
-    "optimize",
     "DEFAULT_CACHE_SIZE",
     "ChainResult",
     "ChainSpec",
-    "default_workers",
-    "run_chains",
     "ChainExecutor",
     "ExecutionContext",
     "InProcessExecutor",

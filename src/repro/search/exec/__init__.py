@@ -1,7 +1,10 @@
 """Pluggable chain executors: where search chains run.
 
-The execution layer behind :func:`repro.search.parallel.run_chains` and
-the ``mcmc`` planner backend.  Three built-in executors implement the
+The execution layer behind the ``mcmc`` planner backend
+(:class:`repro.plan.backends.McmcBackend`), which turns a
+:class:`~repro.plan.SearchConfig` into :class:`ChainSpec`\\ s and an
+:class:`ExecutionContext` and hands them to one executor.  Three
+built-in executors implement the
 :class:`~repro.search.exec.base.ChainExecutor` protocol:
 
 ``inprocess``
@@ -22,6 +25,31 @@ pure functions of the strategy; every chain carries its own RNG), so the
 executor is a pure capacity decision.  Additional transports register
 through :func:`register_executor`.
 
+Determinism
+-----------
+* The evaluation cache and the persistent store (or a remote worker's
+  in-memory overlay of it) only skip redundant simulations; accept /
+  reject decisions are unchanged.  Hit *accounting* may vary with
+  scheduling, because chains co-located in one worker share a cache;
+  the search results never do.
+* With ``early_stop_cost=None`` (the default) every chain runs to its
+  own budget, and results are bit-identical across ``inprocess``,
+  ``pool`` (any worker count) and ``distributed`` (any cluster size,
+  even under mid-search worker deaths and joins).  A target cost
+  broadcasts the global best between chains and stops them once it is
+  met: the returned best still meets the target, but which chain found
+  it first may vary with timing.  Adaptive budgets are timing-dependent
+  in the same way, on every executor.
+
+Persistence
+-----------
+The caller computes the store's search-context digest once and passes
+it in the context with ``store_root``.  Local executors open the shard
+per worker and flush it when each chain completes; the distributed
+executor ships a snapshot of the entries to each remote daemon and
+flushes the evaluations they return into the coordinator's shard, so
+no shared filesystem is needed.
+
 ``python -m repro.search.exec --smoke`` runs the loopback end-to-end
 check CI uses: spawn two local daemons, search through ``distributed``,
 assert parity with ``inprocess``.
@@ -35,7 +63,6 @@ from repro.search.exec.base import (
     ChainSpec,
     ExecutionContext,
     available_executors,
-    default_workers,
     get_executor,
     register_executor,
     run_one_chain,
@@ -75,7 +102,6 @@ __all__ = [
     "VersionMismatchError",
     "available_executors",
     "dedupe_cluster",
-    "default_workers",
     "get_executor",
     "parse_cluster",
     "register_executor",

@@ -50,7 +50,6 @@ __all__ = [
     "register_executor",
     "get_executor",
     "available_executors",
-    "default_workers",
     "run_one_chain",
 ]
 
@@ -60,14 +59,6 @@ DEFAULT_CACHE_SIZE = 4096
 # before re-reading the (possibly cross-process) best -- keeps lock and
 # socket traffic off the per-iteration hot path.
 _POLL_STRIDE = 8
-
-
-def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS`` or the machine's CPU count."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -294,9 +285,7 @@ def run_one_chain(
         spec.init,
         ctx.profiler,
         training=ctx.training,
-        # A chain may pin its own simulation algorithm; the context's is
-        # the fleet-wide default.  Either way the choice is result-neutral.
-        algorithm=spec.config.algorithm or ctx.algorithm,
+        algorithm=ctx.algorithm,
     )
     init_cost = sim.cost
     if best is not None:

@@ -85,6 +85,7 @@ __all__ = [
     "ClusterSpec",
     "DispatchStats",
     "DistributedExecutor",
+    "accept_join",
     "dedupe_cluster",
     "parse_address",
     "parse_cluster",
@@ -93,8 +94,9 @@ __all__ = [
 _CONNECT_TIMEOUT_S = 10.0
 _HANDSHAKE_TIMEOUT_S = 30.0
 # A join registration is three small frames on a fresh connection; a
-# joiner that stalls longer than this must not hold up the search loop.
-_JOIN_TIMEOUT_S = 10.0
+# joiner that stalls longer than this (see accept_join) must not hold up
+# the search loop or the planning server's registration thread.
+JOIN_TIMEOUT_S = 10.0
 
 
 def parse_address(addr: str, *, allow_ephemeral: bool = False) -> tuple[str, int]:
@@ -161,6 +163,50 @@ class ClusterSpec:
         if self.cap is not None:
             cap = min(cap, self.cap)
         return cap
+
+
+def accept_join(conn: socket.socket) -> str:
+    """Answer one ``join`` registration on ``conn`` and close it.
+
+    The handshake of every registration listener (the distributed
+    coordinator's and the planning server's): read the ``join`` frame,
+    check its protocol version, require an ``advertise`` address and
+    validate it, then send ``join_ack``.  A refused join gets a
+    ``join_ack`` whose ``error`` says why (naming both versions on a
+    mismatch) and raises :class:`VersionMismatchError` or
+    :class:`ProtocolError`; a malformed address raises ``ValueError``
+    and a dead connection ``OSError``.  Returns the advertised
+    ``host:port[*N]`` entry.
+    """
+    try:
+        conn.settimeout(JOIN_TIMEOUT_S)
+        msg = recv_msg(conn)
+        if msg is None or msg.get("type") != "join":
+            raise ProtocolError(f"expected join, got {msg!r}")
+        ack = {"type": "join_ack", "version": PROTOCOL_VERSION}
+        if msg.get("version") != PROTOCOL_VERSION:
+            ack["error"] = (
+                f"worker speaks protocol v{msg.get('version')}, "
+                f"registration listener speaks v{PROTOCOL_VERSION}"
+            )
+            send_msg(conn, ack)
+            raise VersionMismatchError(ack["error"])
+        advertise = str(msg.get("advertise") or "")
+        if not advertise:
+            ack["error"] = (
+                "join carries no advertise address (start the worker "
+                "with --bind and --join)"
+            )
+            send_msg(conn, ack)
+            raise ProtocolError(ack["error"])
+        ClusterSpec.parse(advertise)  # validate before acking
+        send_msg(conn, ack)
+        return advertise
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass
 
 
 def dedupe_cluster(entries) -> tuple[str, ...]:
@@ -334,37 +380,9 @@ class DistributedExecutor:
         except OSError:
             return
         peer = f"{addr[0]}:{addr[1]}"
-        advertise = None
         try:
-            try:
-                conn.settimeout(_JOIN_TIMEOUT_S)
-                msg = recv_msg(conn)
-                if msg is None or msg.get("type") != "join":
-                    raise ProtocolError(f"expected join, got {msg!r}")
-                ack = {"type": "join_ack", "version": PROTOCOL_VERSION}
-                if msg.get("version") != PROTOCOL_VERSION:
-                    ack["error"] = (
-                        f"worker speaks protocol v{msg.get('version')}, "
-                        f"coordinator speaks v{PROTOCOL_VERSION}"
-                    )
-                    send_msg(conn, ack)
-                    raise VersionMismatchError(ack["error"])
-                advertise = msg.get("advertise")
-                if not advertise:
-                    ack["error"] = (
-                        "join carries no advertise address (start the worker "
-                        "with --bind and --join)"
-                    )
-                    send_msg(conn, ack)
-                    raise ProtocolError(ack["error"])
-                ClusterSpec.parse(str(advertise))  # validate before acking
-                send_msg(conn, ack)
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if any(w.addr == ClusterSpec.parse(str(advertise)).address for w in workers):
+            advertise = accept_join(conn)
+            if any(w.addr == ClusterSpec.parse(advertise).address for w in workers):
                 raise ProtocolError(
                     f"advertised address {advertise} is already in the fleet"
                 )
@@ -372,7 +390,7 @@ class DistributedExecutor:
             # *current* store snapshot (start-of-session entries plus
             # everything the fleet flushed since).
             w = self._connect(
-                str(advertise),
+                advertise,
                 ctx,
                 store.entries() if store is not None else [],
                 joined=True,

@@ -30,7 +30,7 @@ from repro.sim.taskgraph import TaskGraph
 from repro.soap.config import ParallelConfig
 from repro.soap.strategy import Strategy
 
-__all__ = ["ExhaustiveResult", "exhaustive_search"]
+__all__ = ["ExhaustiveResult"]
 
 
 @dataclass
@@ -171,42 +171,3 @@ def _exhaustive_impl(
         simulations=simulations,
     )
 
-
-def exhaustive_search(
-    graph: OperatorGraph,
-    topology: DeviceTopology,
-    profiler: OpProfiler | None = None,
-    training: bool = True,
-    max_configs_per_op: int | None = None,
-    prune_every: int = 1,
-) -> ExhaustiveResult:
-    """Branch-and-bound enumeration of the full strategy space.
-
-    .. deprecated::
-        Thin compatibility wrapper.  Prefer the unified planner API::
-
-            Planner(graph, topology, profiler, training).search(
-                "exhaustive",
-                SearchConfig(backend_options={"exhaustive": {"max_configs_per_op": 3}}),
-            )
-    """
-    from repro.plan import Planner, SearchConfig
-
-    res = Planner(graph, topology, profiler=profiler, training=training).search(
-        "exhaustive",
-        SearchConfig(
-            backend_options={
-                "exhaustive": {
-                    "max_configs_per_op": max_configs_per_op,
-                    "prune_every": prune_every,
-                }
-            }
-        ),
-    )
-    return ExhaustiveResult(
-        best_strategy=res.best_strategy,
-        best_cost_us=res.best_cost_us,
-        explored=res.extras["explored"],
-        pruned=res.extras["pruned"],
-        simulations=res.simulations,
-    )

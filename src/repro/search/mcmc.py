@@ -103,14 +103,6 @@ class MCMCConfig:
     # improving.  Off by default -- the fixed-budget chain is bit-identical
     # to a run without any budget channel.
     adaptive: bool = False
-    # Per-chain simulation-algorithm override ("auto" / "delta" / "full",
-    # see repro.sim.simulator.ALGORITHMS); ``None`` inherits the
-    # fleet-wide ``ExecutionContext.algorithm`` (default "auto").  Rides
-    # inside the ChainSpec over every executor transport (including the
-    # distributed wire protocol), so remote workers honor it.
-    # Result-neutral: all three algorithms produce bit-identical
-    # timelines.
-    algorithm: str | None = None
 
 
 class BudgetChannel(Protocol):

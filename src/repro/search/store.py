@@ -162,7 +162,7 @@ def search_context(
     topology: DeviceTopology,
     *,
     training: bool = True,
-    algorithm: str = "delta",
+    algorithm: str = "auto",
     profiler: OpProfiler | None = None,
     noise_amplitude: float | None = None,
 ) -> str:

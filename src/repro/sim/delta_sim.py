@@ -74,14 +74,13 @@ class DeltaStats:
     (``fallbacks`` counts authoritative full re-simulations).  The
     ``auto`` algorithm only writes ``route_counts`` -- per-route proposal
     counts: ``"noop"`` for identity proposals it short-circuits before
-    the splice, ``"full"`` for full sweeps -- and ``auto_noop``.
+    the splice, ``"full"`` for full sweeps.
     """
 
     invocations: int = 0
     fallbacks: int = 0
     tasks_resimulated: int = 0
     tasks_total: int = 0
-    auto_noop: int = 0  # auto proposals short-circuited (identity config)
     saturation_handoffs: int = 0  # saturated suffixes handed to the full kernel
     route_counts: dict = field(default_factory=dict)
 

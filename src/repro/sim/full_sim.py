@@ -15,8 +15,8 @@ makespan depend on the *path* the search took to reach a strategy.  With
 canonical tie-breaking the timeline is a pure function of
 ``(operator graph, topology, strategy, training)`` -- the property that
 the strategy-evaluation cache (:mod:`repro.search.cache`) and the
-cross-worker reproducibility of parallel search
-(:mod:`repro.search.parallel`) both rely on.
+cross-executor reproducibility of multi-chain search
+(:mod:`repro.search.exec`) both rely on.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ class Timeline:
     def copy_into(self, target: "Timeline") -> "Timeline":
         """Copy this timeline's state into ``target``, reusing its storage.
 
-        Clearing and refilling the existing dicts keeps their
-        already-grown hash tables alive, so a caller that snapshots on
-        every proposal -- the ``delta`` algorithm's speculative path --
-        recycles one scratch timeline instead of allocating three dicts
-        each iteration.
+        Nothing in the simulator calls this (``delta`` snapshots with
+        :meth:`copy`); it is kept only because the end-to-end benchmark's
+        tracer wraps it (see the note at the end of
+        :mod:`repro.sim.simulator`).
         """
         target.ready.clear()
         target.ready.update(self.ready)

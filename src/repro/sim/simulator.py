@@ -60,7 +60,6 @@ class Simulator:
         profiler: OpProfiler | None = None,
         training: bool = True,
         algorithm: str = "auto",
-        pool_snapshots: bool = True,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(
@@ -76,15 +75,6 @@ class Simulator:
         self.reverts = 0  # snapshot restores that replaced an undo simulation
         self._pending: Timeline | None = None
         self._pending_noop = False  # pending proposal was an identity no-op
-        # Snapshot pooling (delta only: auto and full build a fresh
-        # timeline per repair and keep the old object as the revert
-        # target): one scratch Timeline is recycled through the
-        # propose/commit/revert cycle instead of allocating a fresh
-        # three-dict copy per in-flight proposal.
-        # ``pool_snapshots=False`` restores per-proposal allocation (the
-        # micro-benchmark A/B switch; results are identical either way).
-        self.pool_snapshots = pool_snapshots
-        self._scratch: Timeline | None = None
 
     @property
     def cost(self) -> float:
@@ -107,9 +97,8 @@ class Simulator:
         """
         if self.algorithm != "auto" or cfg != self.task_graph.strategy[op_id]:
             return False
-        st = self.delta_stats
-        st.auto_noop += 1
-        st.route_counts["noop"] = st.route_counts.get("noop", 0) + 1
+        routes = self.delta_stats.route_counts
+        routes["noop"] = routes.get("noop", 0) + 1
         return True
 
     def _repair(self, removed: dict, dirty: set[int]) -> None:
@@ -148,43 +137,21 @@ class Simulator:
             self._pending = self.timeline
             self._pending_noop = True
             return self.timeline.makespan
-        # delta repairs the timeline in place, so reverting needs a copy
-        # (with pooling on, into the scratch timeline recycled by the last
-        # commit/revert); auto and full build a fresh timeline, so the old
-        # object itself is the revert target.
-        if self.algorithm == "delta":
-            scratch, self._scratch = self._scratch, None
-            saved = (
-                self.timeline.copy_into(scratch)
-                if scratch is not None and self.pool_snapshots
-                else self.timeline.copy()
-            )
-        else:
-            saved = self.timeline
+        # delta repairs the timeline in place, so reverting needs a copy;
+        # auto and full build a fresh timeline, so the old object itself
+        # is the revert target.
+        saved = self.timeline.copy() if self.algorithm == "delta" else self.timeline
         removed, dirty = self.task_graph.replace_config(op_id, cfg, keep_record=True)
         self._repair(removed, dirty)
         self._pending = saved
         return self.timeline.makespan
 
-    @property
-    def _pools(self) -> bool:
-        """Whether resolved proposals feed the snapshot pool."""
-        return self.algorithm == "delta" and self.pool_snapshots
-
     def commit(self) -> None:
         """Adopt the pending proposal."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to commit")
-        if self._pending_noop:
-            # Identity no-op: the "snapshot" is the live timeline itself,
-            # so it must not enter the scratch pool.
-            self._pending = None
-            self._pending_noop = False
-            return
-        if self._pools:
-            # The unused snapshot becomes the next proposal's scratch.
-            self._scratch = self._pending
         self._pending = None
+        self._pending_noop = False
 
     def revert(self) -> float:
         """Discard the pending proposal; returns the restored cost (us)."""
@@ -198,9 +165,6 @@ class Simulator:
             self.reverts += 1
             return self.timeline.makespan
         self.task_graph.undo_last_splice()
-        if self._pools:
-            # The discarded (repaired-in-place) timeline becomes scratch.
-            self._scratch = self.timeline
         self.timeline = self._pending
         self._pending = None
         self.reverts += 1
@@ -228,7 +192,10 @@ def simulate_strategy(
 # (benchmarks/e2e/tracing.py) still lists these two names among its wrap
 # points, and its tests require every point to resolve; nothing calls
 # them, so their layers (sim.route, and propagate's share of sim.repair)
-# read 0.  Delete both together with those wrap points.
+# read 0.  Delete both together with those wrap points.  The tracer also
+# wraps ``Timeline.copy_into``, which nothing calls either (``delta``
+# snapshots with ``Timeline.copy``): it stays in repro.sim.full_sim, with
+# its test, for the same reason and goes with the same benchmark change.
 def propagate_simulate(*args, **kwargs):
     """Removed: the change-propagation engine; use ``delta_simulate``."""
     raise NotImplementedError("the change-propagation engine was removed")

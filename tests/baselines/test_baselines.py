@@ -1,14 +1,10 @@
 """Tests for the OptCNN and REINFORCE baselines (through the planner API).
 
-The algorithms are exercised via ``Planner.search("optcnn"/"reinforce")``;
-one legacy class keeps the deprecated ``optcnn_optimize`` /
-``reinforce_optimize`` wrappers covered.
+The algorithms are exercised via ``Planner.search("optcnn"/"reinforce")``.
 """
 
 import pytest
 
-from repro.baselines.optcnn import optcnn_optimize
-from repro.baselines.reinforce import reinforce_optimize
 from repro.machine.clusters import single_node
 from repro.models.mlp import mlp
 from repro.plan import Planner, SearchConfig
@@ -84,22 +80,3 @@ class TestReinforce:
         res = reinforce(tiny_rnn_graph, topo4, episodes=20, seed=2)
         res.best_strategy.validate(tiny_rnn_graph, topo4)
 
-
-class TestLegacyWrappers:
-    """Deprecated function entry points still return their legacy types."""
-
-    def test_optcnn_optimize_matches_backend(self, lenet_graph, topo4):
-        legacy = optcnn_optimize(lenet_graph, topo4)
-        modern = optcnn(lenet_graph, topo4)
-        legacy.strategy.validate(lenet_graph, topo4)
-        assert legacy.strategy.signature() == modern.best_strategy.signature()
-        assert legacy.predicted_cost_us == modern.extras["predicted_cost_us"]
-        assert legacy.sweeps == modern.extras["sweeps"]
-
-    def test_reinforce_optimize_matches_backend(self, lenet_graph, topo4):
-        legacy = reinforce_optimize(lenet_graph, topo4, episodes=15, seed=3)
-        modern = reinforce(lenet_graph, topo4, episodes=15, seed=3)
-        assert legacy.best_cost_us == modern.best_cost_us
-        assert legacy.strategy.signature() == modern.best_strategy.signature()
-        assert legacy.history == modern.extras["history"]
-        assert legacy.episodes == 15

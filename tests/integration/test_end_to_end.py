@@ -6,10 +6,16 @@ import pytest
 from repro.machine.clusters import k80_cluster, p100_cluster, single_node
 from repro.models.mlp import mlp
 from repro.models.rnn import rnnlm
+from repro.plan import BudgetConfig, Planner, SearchConfig
 from repro.profiler.profiler import OpProfiler
-from repro.search.optimizer import optimize
 from repro.sim.simulator import simulate_strategy
 from repro.soap.presets import data_parallelism, expert_strategy, model_parallelism
+
+
+def search(graph, topo, iterations, profiler=None):
+    """One seed-0 ``Planner.search("mcmc")`` with ``iterations`` per chain."""
+    cfg = SearchConfig(budget=BudgetConfig(iterations=iterations), seed=0)
+    return Planner(graph, topo, profiler=profiler).search("mcmc", cfg)
 
 
 class TestSearchBeatsBaselines:
@@ -18,7 +24,7 @@ class TestSearchBeatsBaselines:
         graph = mlp(batch=64, in_dim=512, hidden=(4096, 4096), num_classes=1024)
         prof = OpProfiler()
         dp = simulate_strategy(graph, topo4, data_parallelism(graph, topo4), prof).makespan_us
-        res = optimize(graph, topo4, profiler=prof, budget_iters=250, seed=0)
+        res = search(graph, topo4, 250, profiler=prof)
         assert res.best_cost_us < dp * 0.95  # a real improvement, not noise
 
     def test_flexflow_beats_dp_on_multinode_rnn(self):
@@ -27,7 +33,7 @@ class TestSearchBeatsBaselines:
         topo = p100_cluster(2, 4)
         prof = OpProfiler()
         dp = simulate_strategy(graph, topo, data_parallelism(graph, topo), prof)
-        res = optimize(graph, topo, profiler=prof, budget_iters=200, seed=0)
+        res = search(graph, topo, 200, profiler=prof)
         assert res.best_cost_us < dp.makespan_us
         assert res.metrics.total_comm_bytes < dp.total_comm_bytes
 
@@ -36,7 +42,7 @@ class TestSearchBeatsBaselines:
         prof = OpProfiler()
         dp = simulate_strategy(graph, topo4, data_parallelism(graph, topo4), prof).makespan_us
         ex = simulate_strategy(graph, topo4, expert_strategy(graph, topo4), prof).makespan_us
-        res = optimize(graph, topo4, profiler=prof, budget_iters=250, seed=0)
+        res = search(graph, topo4, 250, profiler=prof)
         assert res.best_cost_us <= min(dp, ex) * 1.001
 
 
@@ -66,7 +72,7 @@ class TestStrategyStructure:
         graph = rnnlm(batch=64, steps=4, hidden=512, vocab=8000)
         topo = single_node(4, "p100")
         prof = OpProfiler()
-        res = optimize(graph, topo, profiler=prof, budget_iters=300, seed=0)
+        res = search(graph, topo, 300, profiler=prof)
         dp = simulate_strategy(graph, topo, data_parallelism(graph, topo), prof)
         # The winning strategy must cut parameter traffic vs pure DP.
         assert res.metrics.total_comm_bytes <= dp.total_comm_bytes
@@ -74,7 +80,7 @@ class TestStrategyStructure:
     def test_search_serializable_roundtrip(self, lenet_graph, topo4):
         from repro.soap.strategy import Strategy
 
-        res = optimize(lenet_graph, topo4, budget_iters=50, seed=0)
+        res = search(lenet_graph, topo4, 50)
         text = res.best_strategy.to_json(lenet_graph)
         back = Strategy.from_json(text, lenet_graph)
         prof = OpProfiler()

@@ -1,4 +1,4 @@
-"""Planner facade: legacy parity, error handling, store compaction, CLI."""
+"""Planner facade: error handling, store compaction, CLI, defaults."""
 
 import subprocess
 import sys
@@ -8,56 +8,12 @@ import pytest
 from repro.plan import (
     BudgetConfig,
     EarlyStopConfig,
-    ExecutionConfig,
     Planner,
     SearchConfig,
     SearchError,
     StoreConfig,
 )
 from repro.profiler.profiler import OpProfiler
-from repro.search.optimizer import optimize
-
-
-class TestLegacyParity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_search_mcmc_bit_identical_to_optimize(self, lenet_graph, topo4, workers):
-        """Acceptance: Planner.search("mcmc", cfg) == legacy optimize()."""
-        legacy = optimize(
-            lenet_graph, topo4, budget_iters=50, seed=3, workers=workers, cache_size=256
-        )
-        res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(
-            "mcmc",
-            SearchConfig(
-                budget=BudgetConfig(iterations=50),
-                execution=ExecutionConfig(workers=workers, cache_size=256),
-                seed=3,
-            ),
-        )
-        assert res.best_cost_us == legacy.best_cost_us
-        assert res.best_strategy.signature() == legacy.best_strategy.signature()
-        assert res.simulations == legacy.simulations
-        for name, trace in legacy.traces.items():
-            assert res.extras["traces"][name].costs == trace.costs
-
-    def test_wrapper_result_surface_preserved(self, lenet_graph, topo4):
-        """optimize() still returns a fully-populated OptimizeResult."""
-        legacy = optimize(lenet_graph, topo4, budget_iters=40, seed=0, cache_size=512)
-        assert legacy.workers == 1
-        assert legacy.cache_hits + legacy.cache_misses > 0
-        assert "best per-iteration time" in legacy.summary()
-        assert len(legacy.chains) == len(legacy.traces)
-
-    def test_exhaustive_wrapper_matches_backend(self, topo2):
-        from repro.models.mlp import mlp
-        from repro.search.exhaustive import exhaustive_search
-
-        graph = mlp(batch=8, in_dim=16, hidden=(), num_classes=4)
-        prof = OpProfiler()
-        legacy = exhaustive_search(graph, topo2, profiler=prof)
-        res = Planner(graph, topo2, profiler=prof).search("exhaustive")
-        assert res.best_cost_us == legacy.best_cost_us
-        assert res.extras["explored"] == legacy.explored
-        assert res.extras["pruned"] == legacy.pruned
 
 
 class TestSearchErrors:
@@ -71,10 +27,6 @@ class TestSearchErrors:
         )
         with pytest.raises(SearchError, match="skipped by the early-stop"):
             planner.search("mcmc", cfg)
-
-    def test_legacy_optimize_raises_search_error_not_assert(self, lenet_graph, topo4):
-        with pytest.raises(SearchError):
-            optimize(lenet_graph, topo4, budget_iters=20, early_stop_cost=float("inf"))
 
     def test_unknown_init_still_value_error(self, lenet_graph, topo4):
         with pytest.raises(ValueError, match="alien"):
@@ -148,17 +100,26 @@ class TestConsoleCheck:
 
 
 class TestDefaultsAndSummary:
-    def test_legacy_wrappers_default_to_the_search_config_algorithm(self):
+    def test_every_default_is_the_search_config_algorithm(self):
         """Every entry point runs the same timeline repair by default."""
         import inspect
 
+        from repro.bench.harness import BenchScale
+        from repro.exp.spec import ExperimentSpec, Trial
         from repro.search.exec.base import ExecutionContext
-        from repro.search.parallel import run_chains
+        from repro.search.store import search_context
+        from repro.sim.simulator import Simulator
 
         default = SearchConfig().algorithm
-        for fn in (optimize, run_chains):
-            assert inspect.signature(fn).parameters["algorithm"].default == default
-        assert ExecutionContext.__dataclass_fields__["algorithm"].default == default
+        for fn in (Simulator, search_context):
+            assert inspect.signature(fn).parameters["algorithm"].default == default, fn
+        for cls, name in (
+            (ExecutionContext, "algorithm"),
+            (Trial, "algorithm"),
+            (BenchScale, "sim_algorithm"),
+        ):
+            assert cls.__dataclass_fields__[name].default == default, cls
+        assert ExperimentSpec.__dataclass_fields__["algorithms"].default == (default,)
 
     def test_summary_reports_the_repair_mix(self, lenet_graph, topo4):
         res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(

@@ -80,7 +80,7 @@ class TestRoundTrip:
 class TestUnknownKeys:
     def test_top_level_unknown_key_rejected(self):
         payload = SearchConfig().to_dict()
-        payload["budget_iters"] = 100  # a legacy kwarg, not a config field
+        payload["budget_iters"] = 100  # not a config field
         with pytest.raises(ValueError, match="budget_iters"):
             SearchConfig.from_dict(payload)
 
@@ -120,7 +120,7 @@ class TestReplaceAndOptions:
         assert cfg.options("mcmc") == {}
 
     def test_defaults_match_legacy_optimize(self):
-        """The default config is the default optimize() call."""
+        """The default config pins the documented search defaults."""
         cfg = SearchConfig()
         assert cfg.budget.iterations == 1000
         assert cfg.budget.no_improve_frac == 0.5

@@ -16,14 +16,16 @@ import pytest
 from repro.machine.clusters import single_node
 from repro.models.lenet import lenet
 from repro.models.mlp import mlp
+from repro.plan import BudgetConfig, ExecutionConfig, Planner, SearchConfig
 from repro.profiler.profiler import OpProfiler
-from repro.search.mcmc import MCMCConfig, mcmc_search
-from repro.search.optimizer import optimize
+from repro.search.exec import ChainSpec
 from repro.search.exec.base import LocalBudget as _LocalBudget, SharedBudget as _SharedBudget
-from repro.search.parallel import ChainSpec, run_chains
+from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.sim.simulator import Simulator
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
+
+from search_helpers import chains_equal, run_specs
 
 
 @pytest.fixture
@@ -31,19 +33,6 @@ def search_case():
     graph = lenet(batch=16)
     topo = single_node(4, "p100")
     return graph, topo
-
-
-def chains_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (x.best_cost_us, x.init_cost_us) != (y.best_cost_us, y.init_cost_us):
-            return False
-        if x.trace.costs != y.trace.costs or x.trace.accepted != y.trace.accepted:
-            return False
-        if x.best_strategy.signature() != y.best_strategy.signature():
-            return False
-    return True
 
 
 class TestBudgetPools:
@@ -82,19 +71,22 @@ class TestOptInOnly:
             ChainSpec("a", dp, MCMCConfig(iterations=60, seed=0, adaptive=False)),
             ChainSpec("b", dp, MCMCConfig(iterations=60, seed=9, adaptive=False)),
         ]
-        plain = run_chains(graph, topo, specs_plain, OpProfiler(), workers=1)
-        off = run_chains(graph, topo, specs_off, OpProfiler(), workers=1)
+        plain = run_specs(graph, topo, specs_plain)
+        off = run_specs(graph, topo, specs_off)
         assert chains_equal(plain, off)
         assert all(r.trace.donated_iters == 0 and r.trace.borrowed_iters == 0 for r in off)
 
     def test_optimize_adaptive_off_matches_default(self, search_case):
         graph, topo = search_case
-        a = optimize(graph, topo, budget_iters=50, seed=3)
-        b = optimize(graph, topo, budget_iters=50, seed=3, adaptive=False)
+        planner = Planner(graph, topo)
+        a = planner.search("mcmc", SearchConfig(budget=BudgetConfig(iterations=50), seed=3))
+        b = planner.search(
+            "mcmc", SearchConfig(budget=BudgetConfig(iterations=50, adaptive=False), seed=3)
+        )
         assert a.best_cost_us == b.best_cost_us
         assert a.best_strategy.signature() == b.best_strategy.signature()
-        for name in a.traces:
-            assert a.traces[name].costs == b.traces[name].costs
+        for name, trace in a.extras["traces"].items():
+            assert trace.costs == b.extras["traces"][name].costs
 
     def test_mcmc_ignores_budget_channel_when_not_adaptive(self, search_case):
         """A supplied pool is left untouched unless the config opts in."""
@@ -177,8 +169,7 @@ class TestReallocation:
             ChainSpec("a", dp, MCMCConfig(iterations=200, seed=0, no_improve_frac=0.05, adaptive=True)),
             ChainSpec("b", rnd, MCMCConfig(iterations=40, seed=9, no_improve_frac=None, adaptive=True)),
         ]
-        res = run_chains(graph, topo, specs, OpProfiler(), workers=1)
-        a, b = res
+        a, b = run_specs(graph, topo, specs)
         assert a.trace.stop_reason == "stall" and a.trace.donated_iters > 0
         assert b.trace.borrowed_iters > 0
         assert len(b.trace.costs) > 40
@@ -191,14 +182,12 @@ class TestReallocation:
         search must still complete and return a cost no worse than every
         chain's init."""
         graph, topo = search_case
-        res = optimize(
-            graph,
-            topo,
-            budget_iters=40,
-            seed=0,
-            workers=2,
+        cfg = SearchConfig(
+            budget=BudgetConfig(iterations=40, adaptive=True),
+            execution=ExecutionConfig(workers=2),
             inits=("data_parallel", "random", "random"),
-            adaptive=True,
+            seed=0,
         )
-        assert res.best_cost_us <= min(res.init_costs.values())
-        assert len(res.chains) == 3
+        res = Planner(graph, topo).search("mcmc", cfg)
+        assert res.best_cost_us <= min(res.extras["init_costs"].values())
+        assert len(res.extras["chains"]) == 3

@@ -28,6 +28,7 @@ from repro.search.exec import (
     get_executor,
     register_executor,
 )
+from repro.search.exec.distributed import accept_join
 from repro.search.exec.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -36,26 +37,11 @@ from repro.search.exec.protocol import (
     send_msg,
 )
 from repro.search.mcmc import MCMCConfig
-from repro.search.parallel import run_chains
 from repro.search.store import MemoryStore, StrategyStore
 from repro.search.worker import spawn_local_worker
 from repro.soap.presets import data_parallelism
 
-
-def chains_equal(a, b) -> bool:
-    """Bit-level equality of two ChainResult lists."""
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x.name != y.name or x.skipped != y.skipped:
-            return False
-        if x.best_cost_us != y.best_cost_us or x.init_cost_us != y.init_cost_us:
-            return False
-        if x.trace.costs != y.trace.costs or x.trace.accepted != y.trace.accepted:
-            return False
-        if x.best_strategy.signature() != y.best_strategy.signature():
-            return False
-    return True
+from search_helpers import chains_equal, run_specs
 
 
 def make_specs(graph, topo, n=2, iterations=25):
@@ -105,11 +91,12 @@ class TestRegistry:
             get_executor("carrier-pigeon")
 
     def test_run_chains_validates_executor_name(self, lenet_graph, topo2):
+        cfg = SearchConfig(
+            budget=BudgetConfig(iterations=5),
+            execution=ExecutionConfig(executor="carrier-pigeon"),
+        )
         with pytest.raises(ValueError, match="unknown executor"):
-            run_chains(
-                lenet_graph, topo2, make_specs(lenet_graph, topo2), OpProfiler(),
-                executor="carrier-pigeon",
-            )
+            Planner(lenet_graph, topo2).search("mcmc", cfg)
 
     def test_custom_executor_pluggable(self, lenet_graph, topo2):
         class EchoExecutor:
@@ -124,10 +111,13 @@ class TestRegistry:
 
         register_executor("echo-test", EchoExecutor, overwrite=True)
         try:
-            specs = make_specs(lenet_graph, topo2, iterations=5)
-            res = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="echo-test")
-            assert EchoExecutor.calls == [len(specs)]
-            assert len(res) == len(specs)
+            cfg = SearchConfig(
+                budget=BudgetConfig(iterations=5),
+                execution=ExecutionConfig(executor="echo-test"),
+            )
+            res = Planner(lenet_graph, topo2).search("mcmc", cfg)
+            assert EchoExecutor.calls == [len(cfg.inits)]
+            assert len(res.extras["chains"]) == len(cfg.inits)
         finally:
             from repro.search.exec.base import _EXECUTORS
 
@@ -138,11 +128,12 @@ class TestRegistry:
             register_executor("inprocess", object)
 
     def test_distributed_requires_cluster(self, lenet_graph, topo2):
+        cfg = SearchConfig(
+            budget=BudgetConfig(iterations=5),
+            execution=ExecutionConfig(executor="distributed"),
+        )
         with pytest.raises(ValueError, match="cluster"):
-            run_chains(
-                lenet_graph, topo2, make_specs(lenet_graph, topo2), OpProfiler(),
-                executor="distributed",
-            )
+            Planner(lenet_graph, topo2).search("mcmc", cfg)
 
 
 class TestClusterSpec:
@@ -198,33 +189,13 @@ class TestAlgorithmSelection:
         assert delta.best_cost_us == full.best_cost_us
         assert delta.best_strategy.signature() == full.best_strategy.signature()
 
-    def test_per_chain_algorithm_override(self, lenet_graph, topo2):
-        """MCMCConfig.algorithm pins one chain's simulator; results are
-        unchanged (result-neutral) while the context default differs."""
-        spec = ChainSpec(
-            "pinned",
-            data_parallelism(lenet_graph, topo2),
-            MCMCConfig(iterations=15, seed=5, algorithm="delta"),
-        )
-        default = ChainSpec(
-            "default", data_parallelism(lenet_graph, topo2), MCMCConfig(iterations=15, seed=5)
-        )
-        res = run_chains(
-            lenet_graph, topo2, [spec, default], OpProfiler(), algorithm="full"
-        )
-        assert res[0].best_cost_us == res[1].best_cost_us
-        assert res[0].trace.costs == res[1].trace.costs
-
     @pytest.mark.slow
     def test_distributed_delta_matches_inprocess(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=2, iterations=15)
-        ref = run_chains(
-            lenet_graph, topo2, specs, OpProfiler(), executor="inprocess", algorithm="delta"
-        )
+        ref = run_specs(lenet_graph, topo2, specs, algorithm="delta")
         with _Workers(2, once=True) as w:
-            dist = run_chains(
-                lenet_graph, topo2, specs, OpProfiler(),
-                executor="distributed", cluster=w.cluster, algorithm="delta",
+            dist = run_specs(
+                lenet_graph, topo2, specs, "distributed", cluster=w.cluster, algorithm="delta"
             )
         assert chains_equal(ref, dist)
 
@@ -304,30 +275,43 @@ class TestMemoryStore:
 class TestLocalExecutorParity:
     def test_explicit_inprocess_equals_pool(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=3)
-        seq = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
-        par = run_chains(
-            lenet_graph, topo2, specs, OpProfiler(), executor="pool", workers=3
-        )
+        seq = run_specs(lenet_graph, topo2, specs)
+        par = run_specs(lenet_graph, topo2, specs, "pool", workers=3)
         assert chains_equal(seq, par)
 
     def test_auto_matches_legacy_selection(self, lenet_graph, topo2):
-        specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        auto = run_chains(lenet_graph, topo2, specs, OpProfiler(), workers=1)
-        explicit = run_chains(
-            lenet_graph, topo2, specs, OpProfiler(), executor="inprocess"
+        """``executor="auto"`` runs in-process unless ``workers > 1`` and
+        there is more than one chain, in which case it fans out on the
+        pool; the results are the explicit in-process ones either way."""
+        planner = Planner(lenet_graph, topo2)
+        base = SearchConfig(budget=BudgetConfig(iterations=10), seed=2)
+        explicit = planner.search(
+            "mcmc", base.replace(execution=ExecutionConfig(executor="inprocess"))
         )
-        assert chains_equal(auto, explicit)
+        for workers, inits, fans_out in (
+            (1, base.inits, False),
+            (2, ("data_parallel",), False),
+            (2, base.inits, True),
+        ):
+            cfg = base.replace(execution=ExecutionConfig(workers=workers), inits=inits)
+            chains = planner.search("mcmc", cfg).extras["chains"]
+            ran_here = {r.worker_pid == os.getpid() for r in chains}
+            assert ran_here == {not fans_out}, (workers, inits)
+            assert chains_equal(chains, explicit.extras["chains"][: len(inits)])
 
     @pytest.mark.slow
     def test_auto_with_cluster_goes_distributed(self, lenet_graph, topo2):
         """Configuring a cluster (e.g. via REPRO_CLUSTER) without naming an
         executor must actually use the daemons, not silently run locally."""
-        specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        planner = Planner(lenet_graph, topo2)
+        cfg = SearchConfig(budget=BudgetConfig(iterations=10), seed=2)
+        ref = planner.search(
+            "mcmc", cfg.replace(execution=ExecutionConfig(executor="inprocess"))
+        ).extras["chains"]
         with _Workers(1, once=True) as w:
-            auto = run_chains(
-                lenet_graph, topo2, specs, OpProfiler(), cluster=w.cluster
-            )
+            auto = planner.search(
+                "mcmc", cfg.replace(execution=ExecutionConfig(cluster=w.cluster))
+            ).extras["chains"]
         assert chains_equal(ref, auto)
         # The chains genuinely ran in the daemon process, not locally.
         assert all(r.worker_pid != os.getpid() for r in auto)
@@ -341,15 +325,10 @@ class TestDistributedExecutor:
         per-chain results) bit-identical across inprocess, pool, and
         distributed for workers in {1, 4} on LeNet / 2 GPUs."""
         specs = make_specs(lenet_graph, topo2, n=4, iterations=25)
-        inproc = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
-        pool = run_chains(
-            lenet_graph, topo2, specs, OpProfiler(), executor="pool", workers=workers
-        )
+        inproc = run_specs(lenet_graph, topo2, specs)
+        pool = run_specs(lenet_graph, topo2, specs, "pool", workers=workers)
         with _Workers(workers, once=True) as w:
-            dist = run_chains(
-                lenet_graph, topo2, specs, OpProfiler(),
-                executor="distributed", cluster=w.cluster,
-            )
+            dist = run_specs(lenet_graph, topo2, specs, "distributed", cluster=w.cluster)
         assert chains_equal(inproc, pool)
         assert chains_equal(inproc, dist)
         best = min(r.best_cost_us for r in inproc)
@@ -379,7 +358,7 @@ class TestDistributedExecutor:
         """Killing a daemon mid-chain re-queues its chain on the survivor
         and the results stay bit-identical to the in-process run."""
         specs = make_specs(lenet_graph, topo2, n=2, iterations=25)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
 
         with _Workers(1, once=True) as fast, _Workers(1, chain_delay_s=60.0) as slow:
             # Cluster order fixes dispatch order: the slow daemon gets the
@@ -412,7 +391,7 @@ class TestDistributedExecutor:
     def test_unreachable_worker_tolerated(self, lenet_graph, topo2):
         """A dead address in the cluster degrades to the live workers."""
         specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         # A port with nothing listening: connection refused.
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -420,9 +399,8 @@ class TestDistributedExecutor:
         probe.close()
         with _Workers(1, once=True) as w:
             with pytest.warns(RuntimeWarning, match="unavailable"):
-                dist = run_chains(
-                    lenet_graph, topo2, specs, OpProfiler(),
-                    executor="distributed", cluster=(dead_addr, w.cluster[0]),
+                dist = run_specs(
+                    lenet_graph, topo2, specs, "distributed", cluster=(dead_addr, w.cluster[0])
                 )
         assert chains_equal(ref, dist)
 
@@ -430,7 +408,7 @@ class TestDistributedExecutor:
         """One daemon with --capacity 3 accepts three in-flight chains and
         the results stay bit-identical to the in-process run."""
         specs = make_specs(lenet_graph, topo2, n=3, iterations=20)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         with _Workers(1, once=True, capacity=3) as w:
             executor = DistributedExecutor()
             ctx = ExecutionContext(
@@ -444,7 +422,7 @@ class TestDistributedExecutor:
         """A ``host:port*N`` cluster entry caps the in-flight chains below
         what the daemon announces."""
         specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         with _Workers(1, once=True, capacity=4) as w:
             executor = DistributedExecutor()
             ctx = ExecutionContext(
@@ -461,7 +439,7 @@ class TestDistributedExecutor:
         """The capacity>1 fault path: a daemon killed with *two* chains in
         flight re-queues both onto the survivor, results bit-identical."""
         specs = make_specs(lenet_graph, topo2, n=3, iterations=25)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         with _Workers(1, once=True) as fast, _Workers(1, chain_delay_s=60.0, capacity=2) as slow:
             # Dispatch spreads one chain per worker per pass: fast gets
             # chain 0, the slow capacity-2 daemon ends up holding 1 and 2
@@ -484,9 +462,8 @@ class TestDistributedExecutor:
     def test_early_stop_broadcast_skips_remote_chains(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=3, iterations=30)
         with _Workers(1, once=True) as w:
-            res = run_chains(
-                lenet_graph, topo2, specs, OpProfiler(),
-                executor="distributed", cluster=w.cluster,
+            res = run_specs(
+                lenet_graph, topo2, specs, "distributed", cluster=w.cluster,
                 early_stop_cost=1e18,  # trivially met by the first init
             )
         assert res[0].trace.stop_reason == "early_stop"
@@ -579,7 +556,7 @@ class TestErroredChainRetry:
 
     def test_errored_chain_retried_on_another_worker(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=2, iterations=15)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         with _Workers(1, once=True, fail_chains=1) as flaky, _Workers(1, once=True) as good:
             executor = DistributedExecutor()
             ctx = ExecutionContext(
@@ -631,7 +608,7 @@ class TestClusterDedup:
 
     def test_duplicate_daemon_address_runs_once(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         with _Workers(1, once=True) as w:
             executor = DistributedExecutor()
             ctx = ExecutionContext(
@@ -819,6 +796,58 @@ class TestVersionMismatch:
         assert issubclass(VersionMismatchError, ProtocolError)
 
 
+class TestElasticJoinHandshake:
+    """``accept_join``, the registration handshake the distributed
+    coordinator and the planning server share, driven over a socketpair:
+    one accepted join and each way a join is refused."""
+
+    @staticmethod
+    def _joiner_sends(msg):
+        listener_end, joiner_end = socket.socketpair()
+        send_msg(joiner_end, msg)
+        return listener_end, joiner_end
+
+    def test_accepted_join_is_acked_and_returns_the_address(self):
+        conn, joiner = self._joiner_sends(
+            {"type": "join", "version": PROTOCOL_VERSION, "advertise": "gpu-a:7070*2"}
+        )
+        with joiner:
+            assert accept_join(conn) == "gpu-a:7070*2"
+            assert recv_msg(joiner) == {"type": "join_ack", "version": PROTOCOL_VERSION}
+            assert recv_msg(joiner) is None  # the listener side closed
+        assert conn.fileno() == -1
+
+    def test_wrong_message_type_is_refused(self):
+        conn, joiner = self._joiner_sends({"type": "hello", "version": PROTOCOL_VERSION})
+        with joiner:
+            with pytest.raises(ProtocolError, match="expected join"):
+                accept_join(conn)
+            assert recv_msg(joiner) is None  # no ack for a non-join
+        assert conn.fileno() == -1
+
+    def test_wrong_version_is_refused_naming_both_versions(self):
+        conn, joiner = self._joiner_sends(
+            {"type": "join", "version": 1, "advertise": "gpu-a:7070"}
+        )
+        with joiner:
+            with pytest.raises(VersionMismatchError):
+                accept_join(conn)
+            ack = recv_msg(joiner)
+        assert ack["type"] == "join_ack"
+        assert "v1" in ack["error"] and f"v{PROTOCOL_VERSION}" in ack["error"]
+        assert conn.fileno() == -1
+
+    def test_missing_advertise_address_is_refused(self):
+        conn, joiner = self._joiner_sends({"type": "join", "version": PROTOCOL_VERSION})
+        with joiner:
+            with pytest.raises(ProtocolError, match="advertise") as info:
+                accept_join(conn)
+            ack = recv_msg(joiner)
+        assert not isinstance(info.value, VersionMismatchError)
+        assert ack["type"] == "join_ack" and "--bind" in ack["error"]
+        assert conn.fileno() == -1
+
+
 @pytest.mark.slow
 class TestElasticJoin:
     """Mid-search join: a ``--join`` daemon enters a running search's
@@ -826,7 +855,7 @@ class TestElasticJoin:
 
     def test_joiner_steals_chains_results_bit_identical(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=4, iterations=20)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
         executor = DistributedExecutor()
         joiner: dict = {}
 
@@ -1026,7 +1055,7 @@ class TestRetryTargetDeath:
 
     def test_search_completes_when_retry_target_dies(self, lenet_graph, topo2):
         specs = make_specs(lenet_graph, topo2, n=2, iterations=15)
-        ref = run_chains(lenet_graph, topo2, specs, OpProfiler(), executor="inprocess")
+        ref = run_specs(lenet_graph, topo2, specs)
 
         # Worker B is scripted: capacity 2, swallows the env, accepts
         # chains without ever running them, and drops the connection the

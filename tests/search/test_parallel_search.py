@@ -1,9 +1,10 @@
-"""Property tests for parallel search orchestration and the evaluation cache.
+"""Property tests for multi-chain search orchestration and the evaluation cache.
 
-The two load-bearing guarantees (see ``repro/search/parallel.py``):
+The two load-bearing guarantees (see :mod:`repro.search.exec`):
 
-* worker-count invariance -- ``optimize(workers=k)`` returns the same
-  best cost/strategy as ``optimize(workers=1)`` for any ``k`` and seed;
+* worker-count invariance -- ``Planner.search("mcmc")`` with ``workers=k``
+  returns the same best cost/strategy as with ``workers=1`` for any ``k``
+  and seed;
 * cache neutrality -- cached and uncached searches take identical
   accept/reject decisions and return identical results.
 
@@ -19,14 +20,16 @@ import pytest
 from repro.machine.clusters import single_node
 from repro.machine.topology import DeviceTopology
 from repro.models.mlp import mlp
+from repro.plan import Planner, SearchConfig
 from repro.profiler.profiler import OpProfiler
 from repro.search.cache import SimulationCache
+from repro.search.exec import ChainSpec
 from repro.search.mcmc import MCMCConfig, mcmc_search
-from repro.search.optimizer import optimize
-from repro.search.parallel import ChainSpec, run_chains
 from repro.sim.simulator import Simulator
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
+
+from search_helpers import chains_equal, plan_mcmc, run_specs
 
 
 def random_graph(rng: np.random.Generator):
@@ -37,22 +40,6 @@ def random_graph(rng: np.random.Generator):
     return mlp(batch=batch, in_dim=int(rng.choice([16, 32])), hidden=hidden, num_classes=8)
 
 
-def chains_equal(a, b) -> bool:
-    """Bit-level equality of two ChainResult lists."""
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x.name != y.name or x.skipped != y.skipped:
-            return False
-        if x.best_cost_us != y.best_cost_us or x.init_cost_us != y.init_cost_us:
-            return False
-        if x.trace.costs != y.trace.costs or x.trace.accepted != y.trace.accepted:
-            return False
-        if x.best_strategy.signature() != y.best_strategy.signature():
-            return False
-    return True
-
-
 class TestWorkerCountInvariance:
     @pytest.mark.slow
     def test_property_random_graphs_workers_1_vs_2(self):
@@ -61,21 +48,19 @@ class TestWorkerCountInvariance:
             rng = np.random.default_rng(seed)
             graph = random_graph(rng)
             topo = single_node(int(rng.choice([2, 3])), "p100")
-            results = {
-                w: optimize(graph, topo, budget_iters=40, seed=seed, workers=w)
-                for w in (1, 2)
-            }
+            results = {w: plan_mcmc(graph, topo, 40, seed=seed, workers=w) for w in (1, 2)}
             assert results[1].best_cost_us == results[2].best_cost_us, f"seed {seed}"
             assert (
                 results[1].best_strategy.signature() == results[2].best_strategy.signature()
             ), f"seed {seed}"
-            for name in results[1].traces:
-                assert results[1].traces[name].costs == results[2].traces[name].costs
+            traces = {w: r.extras["traces"] for w, r in results.items()}
+            for name in traces[1]:
+                assert traces[1][name].costs == traces[2][name].costs
 
     @pytest.mark.slow
     def test_workers_4_matches_workers_1(self, lenet_graph, topo4):
-        r1 = optimize(lenet_graph, topo4, budget_iters=60, seed=7, workers=1)
-        r4 = optimize(lenet_graph, topo4, budget_iters=60, seed=7, workers=4)
+        r1 = plan_mcmc(lenet_graph, topo4, 60, seed=7, workers=1)
+        r4 = plan_mcmc(lenet_graph, topo4, 60, seed=7, workers=4)
         assert r1.best_cost_us == r4.best_cost_us
         assert r1.best_strategy.signature() == r4.best_strategy.signature()
 
@@ -85,8 +70,8 @@ class TestWorkerCountInvariance:
             ChainSpec("a", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=50, seed=0)),
             ChainSpec("b", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=50, seed=9)),
         ]
-        seq = run_chains(lenet_graph, topo4, specs, OpProfiler(), workers=1)
-        par = run_chains(lenet_graph, topo4, specs, OpProfiler(), workers=2)
+        seq = run_specs(lenet_graph, topo4, specs)
+        par = run_specs(lenet_graph, topo4, specs, "pool", workers=2)
         assert chains_equal(seq, par)
 
 
@@ -99,13 +84,11 @@ class TestCacheNeutrality:
             topo = single_node(2, "p100")
             outcomes = {}
             for cache_size in (0, 4096):
-                res = optimize(
-                    graph, topo, budget_iters=60, seed=seed, workers=1, cache_size=cache_size
-                )
-                outcomes[cache_size] = res
+                outcomes[cache_size] = plan_mcmc(graph, topo, 60, seed=seed, cache_size=cache_size)
             assert outcomes[0].best_cost_us == outcomes[4096].best_cost_us, f"seed {seed}"
-            for name in outcomes[0].traces:
-                t0, t1 = outcomes[0].traces[name], outcomes[4096].traces[name]
+            for name in outcomes[0].extras["traces"]:
+                t0 = outcomes[0].extras["traces"][name]
+                t1 = outcomes[4096].extras["traces"][name]
                 assert t0.costs == t1.costs, f"seed {seed} chain {name}"
                 assert t0.accepted == t1.accepted
             # Uncached runs report no cache activity at all.
@@ -129,11 +112,11 @@ class TestCacheNeutrality:
     def test_small_space_search_hits_cache(self, topo2):
         """On a tiny space the chain re-proposes strategies and must hit."""
         graph = mlp(batch=8, in_dim=16, hidden=(), num_classes=4)
-        res = optimize(graph, topo2, budget_iters=300, seed=0, cache_size=4096)
+        res = plan_mcmc(graph, topo2, 300, seed=0, cache_size=4096)
         assert res.cache_hits > 0
         assert 0.0 < res.cache_hit_rate <= 1.0
         # Hits translate into strictly fewer simulations than a cache-less run.
-        res_off = optimize(graph, topo2, budget_iters=300, seed=0, cache_size=0)
+        res_off = plan_mcmc(graph, topo2, 300, seed=0, cache_size=0)
         assert res.simulations < res_off.simulations
         assert res.best_cost_us == res_off.best_cost_us
 
@@ -145,10 +128,10 @@ class TestEarlyStopBroadcast:
             ChainSpec("b", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=30, seed=1)),
         ]
         # An unreachable-low target keeps every chain running ...
-        res = run_chains(lenet_graph, topo4, specs, OpProfiler(), workers=1, early_stop_cost=0.0)
+        res = run_specs(lenet_graph, topo4, specs, early_stop_cost=0.0)
         assert not any(r.skipped for r in res)
         # ... while a trivially-met target stops the fleet after chain one.
-        res = run_chains(lenet_graph, topo4, specs, OpProfiler(), workers=1, early_stop_cost=1e18)
+        res = run_specs(lenet_graph, topo4, specs, early_stop_cost=1e18)
         assert res[0].trace.stop_reason == "early_stop"
         assert res[1].skipped
 
@@ -156,7 +139,7 @@ class TestEarlyStopBroadcast:
         specs = [
             ChainSpec("a", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=25, seed=0)),
         ]
-        (r,) = run_chains(lenet_graph, topo4, specs, OpProfiler(), workers=1)
+        (r,) = run_specs(lenet_graph, topo4, specs)
         assert r.trace.stop_reason in ("iterations", "stall")
         assert not r.skipped
 
@@ -171,14 +154,16 @@ class TestFallbacks:
         ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            par = run_chains(lenet_graph, topo, specs, OpProfiler(), workers=2)
+            par = run_specs(lenet_graph, topo, specs, "pool", workers=2)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        seq = run_chains(lenet_graph, topo, specs, OpProfiler(), workers=1)
+        seq = run_specs(lenet_graph, topo, specs)
         assert chains_equal(seq, par)
 
     def test_empty_specs_rejected(self, lenet_graph, topo4):
-        with pytest.raises(ValueError):
-            run_chains(lenet_graph, topo4, [], OpProfiler())
+        """No inits means no chains: a ValueError, not the early-stop
+        SearchError an empty fleet would otherwise surface as."""
+        with pytest.raises(ValueError, match="inits is empty"):
+            Planner(lenet_graph, topo4).search("mcmc", SearchConfig(inits=()))
 
 
 class TestSpeculativeSimulator:
@@ -211,66 +196,66 @@ class TestSpeculativeSimulator:
 
 class TestOptimizeSurface:
     def test_result_reports_cache_and_workers(self, lenet_graph, topo4):
-        res = optimize(lenet_graph, topo4, budget_iters=40, seed=0, workers=1, cache_size=512)
-        assert res.workers == 1
+        res = plan_mcmc(lenet_graph, topo4, 40, seed=0, workers=1, cache_size=512)
+        assert res.extras["workers"] == 1
         assert res.cache_hits + res.cache_misses > 0
         assert "evaluation cache" in res.summary()
-        assert len(res.chains) == len(res.traces)
+        assert len(res.extras["chains"]) == len(res.extras["traces"])
 
     def test_repeated_random_inits_become_chains(self, lenet_graph, topo4):
-        res = optimize(
-            lenet_graph, topo4, budget_iters=20, seed=0, inits=("random", "random", "random")
-        )
-        assert set(res.init_costs) == {"random", "random_2", "random_3"}
+        res = plan_mcmc(lenet_graph, topo4, 20, seed=0, inits=("random", "random", "random"))
+        assert set(res.extras["init_costs"]) == {"random", "random_2", "random_3"}
 
     def test_per_chain_cache_stats_are_deltas(self, lenet_graph, topo4):
         """Chains sharing a worker cache report their own activity, not the
         cache's cumulative totals (which would double-count)."""
-        res = optimize(
+        res = plan_mcmc(
             lenet_graph,
             topo4,
-            budget_iters=40,
+            40,
             seed=0,
             inits=("data_parallel", "random", "random"),
             workers=1,
             cache_size=4096,
         )
-        for r in res.chains:
+        chains = res.extras["chains"]
+        for r in chains:
             assert r.cache.hits == r.trace.cache_hits, r.name
             assert r.cache.misses == r.trace.cache_misses, r.name
-        assert sum(r.cache.hits for r in res.chains) == res.cache_hits
+        assert sum(r.cache.hits for r in chains) == res.cache_hits
 
     def test_cache_stats_aggregate_across_workers(self, lenet_graph, topo4):
         """Regression: per-worker SimulationCache stats used to die with
         the pool (only hit/miss trace counters survived; evictions were
-        silently dropped).  OptimizeResult.cache_stats must aggregate the
+        silently dropped).  PlanResult.cache_stats must aggregate the
         full accounting from the ChainResult deltas, for any worker
         count."""
         for workers in (1, 2):
-            res = optimize(
+            res = plan_mcmc(
                 lenet_graph,
                 topo4,
-                budget_iters=60,
+                60,
                 seed=0,
                 workers=workers,
                 inits=("data_parallel", "random", "random"),
                 cache_size=8,  # tiny: forces evictions
             )
             agg = res.cache_stats
-            assert agg.hits == sum(r.cache.hits for r in res.chains) == res.cache_hits
-            assert agg.misses == sum(r.cache.misses for r in res.chains) == res.cache_misses
-            assert agg.evictions == sum(r.cache.evictions for r in res.chains)
+            chains, traces = res.extras["chains"], res.extras["traces"]
+            assert agg.hits == sum(r.cache.hits for r in chains) == res.cache_hits
+            assert agg.misses == sum(r.cache.misses for r in chains) == res.cache_misses
+            assert agg.evictions == sum(r.cache.evictions for r in chains)
             # Totals agree with the per-chain trace counters too.
-            assert agg.hits == sum(t.cache_hits for t in res.traces.values())
-            assert agg.misses == sum(t.cache_misses for t in res.traces.values())
+            assert agg.hits == sum(t.cache_hits for t in traces.values())
+            assert agg.misses == sum(t.cache_misses for t in traces.values())
             # The latent bug: evictions happened but were dropped on pool
             # teardown.  Now they survive.
             assert agg.evictions > 0, f"workers={workers}"
             assert agg.capacity == 8
 
     def test_workers_reports_observed_processes(self, lenet_graph, topo4):
-        seq = optimize(lenet_graph, topo4, budget_iters=20, seed=0, workers=1)
-        assert seq.workers == 1
+        seq = plan_mcmc(lenet_graph, topo4, 20, seed=0, workers=1)
+        assert seq.extras["workers"] == 1
         # Requesting more workers than chains clamps to the chain count.
-        wide = optimize(lenet_graph, topo4, budget_iters=20, seed=0, workers=8)
-        assert 1 <= wide.workers <= len(wide.chains)
+        wide = plan_mcmc(lenet_graph, topo4, 20, seed=0, workers=8)
+        assert 1 <= wide.extras["workers"] <= len(wide.extras["chains"])

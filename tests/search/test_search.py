@@ -1,8 +1,7 @@
 """Tests for the MCMC optimizer and the exhaustive reference search.
 
-The optimizer-level tests drive the unified planner API
-(``Planner.search``); a small legacy class keeps the thin ``optimize()``
-/ ``exhaustive_search()`` wrappers covered.
+The chain-level tests drive ``mcmc_search`` directly; the optimizer-level
+ones go through the planner API (``Planner.search``).
 """
 
 import numpy as np
@@ -12,9 +11,7 @@ from repro.machine.clusters import single_node
 from repro.models.mlp import mlp
 from repro.plan import BudgetConfig, Planner, SearchConfig
 from repro.profiler.profiler import OpProfiler
-from repro.search.exhaustive import exhaustive_search
 from repro.search.mcmc import MCMCConfig, mcmc_search
-from repro.search.optimizer import optimize
 from repro.sim.simulator import Simulator, simulate_strategy
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
@@ -139,37 +136,26 @@ class TestOptimizer:
         assert rd.best_cost_us == pytest.approx(rf.best_cost_us, rel=1e-9)
 
 
-class TestLegacyWrapper:
-    """The deprecated ``optimize()`` surface still works and matches."""
-
-    def test_optimize_matches_planner(self, lenet_graph, topo4):
-        legacy = optimize(lenet_graph, topo4, budget_iters=60, seed=0)
-        modern = plan_search(lenet_graph, topo4, iterations=60, seed=0)
-        assert legacy.best_cost_us == modern.best_cost_us
-        assert legacy.best_strategy.signature() == modern.best_strategy.signature()
-        assert legacy.init_costs == modern.extras["init_costs"]
-        assert "best per-iteration time" in legacy.summary()
-
-
 class TestExhaustive:
     def test_finds_global_optimum_on_tiny_space(self, topo2):
         graph = mlp(batch=8, in_dim=16, hidden=(), num_classes=4)
-        prof = OpProfiler()
-        ex = exhaustive_search(graph, topo2, profiler=prof)
-        assert ex.explored > 0
+        ex = Planner(graph, topo2).search("exhaustive")
+        assert ex.extras["explored"] > 0
         # MCMC over the same space must match the optimum.
-        res = optimize(graph, topo2, profiler=prof, budget_iters=400, seed=0)
+        res = plan_search(graph, topo2, iterations=400, seed=0)
         assert res.best_cost_us <= ex.best_cost_us * 1.0 + 1e-6
 
     def test_exhaustive_beats_or_matches_data_parallelism(self, topo2):
         graph = mlp(batch=8, in_dim=16, hidden=(), num_classes=4)
         prof = OpProfiler()
-        ex = exhaustive_search(graph, topo2, profiler=prof)
+        ex = Planner(graph, topo2, profiler=prof).search("exhaustive")
         dp = simulate_strategy(graph, topo2, data_parallelism(graph, topo2), prof).makespan_us
         assert ex.best_cost_us <= dp + 1e-9
 
     def test_truncation_bounds_work(self, topo2):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
-        full = exhaustive_search(graph, topo2, max_configs_per_op=3)
+        cfg = SearchConfig(backend_options={"exhaustive": {"max_configs_per_op": 3}})
+        full = Planner(graph, topo2).search("exhaustive", cfg)
         assert full.best_cost_us > 0
+        assert full.extras["truncated"]
         assert full.best_strategy is not None

@@ -27,7 +27,6 @@ from repro.ir.builder import GraphBuilder
 from repro.machine.clusters import single_node, uniform_cluster
 from repro.models.mlp import mlp
 from repro.search.cache import strategy_fingerprint
-from repro.search.optimizer import optimize
 from repro.search.store import (
     STORE_FORMAT_VERSION,
     StrategyStore,
@@ -36,6 +35,8 @@ from repro.search.store import (
     topology_digest,
 )
 from repro.soap.presets import data_parallelism
+
+from search_helpers import plan_mcmc
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -178,8 +179,8 @@ class TestCorruptionTolerance:
         ctx = search_context(graph, topo)
         with open(os.path.join(str(tmp_path), f"{ctx}.shard"), "wb") as fh:
             fh.write(b"\x00\xff garbage \n truncated 0x1.8")
-        res = optimize(graph, topo, budget_iters=40, seed=0, store=str(tmp_path))
-        ref = optimize(graph, topo, budget_iters=40, seed=0, store=None)
+        res = plan_mcmc(graph, topo, 40, seed=0, store=str(tmp_path))
+        ref = plan_mcmc(graph, topo, 40, seed=0, store=None)
         assert res.best_cost_us == ref.best_cost_us
         assert res.best_strategy.signature() == ref.best_strategy.signature()
 
@@ -294,17 +295,17 @@ class TestSearchEquivalence:
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
         kwargs = dict(
-            budget_iters=60,
             seed=2,
             workers=workers,
             inits=("data_parallel", "random", "random", "random"),
         )
-        none = optimize(graph, topo, store=None, **kwargs)
-        cold = optimize(graph, topo, store=str(tmp_path), **kwargs)
-        warm = optimize(graph, topo, store=str(tmp_path), **kwargs)
+        none = plan_mcmc(graph, topo, 60, store=None, **kwargs)
+        cold = plan_mcmc(graph, topo, 60, store=str(tmp_path), **kwargs)
+        warm = plan_mcmc(graph, topo, 60, store=str(tmp_path), **kwargs)
         assert self._signature(none) == self._signature(cold) == self._signature(warm)
-        for name in none.traces:
-            assert none.traces[name].costs == cold.traces[name].costs == warm.traces[name].costs
+        traces = [r.extras["traces"] for r in (none, cold, warm)]
+        for name in traces[0]:
+            assert traces[0][name].costs == traces[1][name].costs == traces[2][name].costs
         # The cold run populated the store; the warm run exploited it.
         assert cold.store_stats.appended > 0
         assert warm.store_stats.hits > 0
@@ -315,10 +316,9 @@ class TestSearchEquivalence:
         ever simulated (lazy sync never needs to catch up)."""
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
-        kwargs = dict(budget_iters=80, seed=0, workers=1)
-        optimize(graph, topo, store=str(tmp_path), **kwargs)
-        warm = optimize(graph, topo, store=str(tmp_path), **kwargs)
-        assert warm.simulations == len(warm.chains)
+        plan_mcmc(graph, topo, 80, seed=0, store=str(tmp_path))
+        warm = plan_mcmc(graph, topo, 80, seed=0, store=str(tmp_path))
+        assert warm.simulations == len(warm.extras["chains"])
         assert warm.store_stats.misses == 0
 
     def test_store_survives_worker_pool_teardown(self, tmp_path):
@@ -326,19 +326,19 @@ class TestSearchEquivalence:
         and warm a later single-process run."""
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
-        multi = optimize(
+        multi = plan_mcmc(
             graph,
             topo,
-            budget_iters=60,
+            60,
             seed=1,
             workers=4,
             inits=("data_parallel", "random", "random", "random"),
             store=str(tmp_path),
         )
         assert multi.store_stats.appended > 0
-        warm = optimize(graph, topo, budget_iters=60, seed=1, workers=1, store=str(tmp_path))
+        warm = plan_mcmc(graph, topo, 60, seed=1, store=str(tmp_path))
         assert warm.store_stats.hits > 0
-        assert warm.best_cost_us == optimize(graph, topo, budget_iters=60, seed=1).best_cost_us
+        assert warm.best_cost_us == plan_mcmc(graph, topo, 60, seed=1).best_cost_us
 
 
 class TestWarmColdAccounting:
@@ -376,9 +376,9 @@ class TestWarmColdAccounting:
     def test_warm_search_reports_warm_hits(self, tmp_path):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
-        cold = optimize(graph, topo, budget_iters=60, seed=0, store=str(tmp_path))
+        cold = plan_mcmc(graph, topo, 60, seed=0, store=str(tmp_path))
         assert cold.store_stats.warm_hits == 0  # nothing was on disk yet
-        warm = optimize(graph, topo, budget_iters=60, seed=0, store=str(tmp_path))
+        warm = plan_mcmc(graph, topo, 60, seed=0, store=str(tmp_path))
         assert warm.store_stats.warm_hits == warm.store_stats.hits > 0
 
 
@@ -433,13 +433,13 @@ class TestCompaction:
     def test_compacted_store_still_warms_searches(self, tmp_path):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
-        cold = optimize(graph, topo, budget_iters=60, seed=3, store=str(tmp_path))
+        cold = plan_mcmc(graph, topo, 60, seed=3, store=str(tmp_path))
         ctx = search_context(graph, topo)
         StrategyStore(tmp_path, ctx).compact()
-        warm = optimize(graph, topo, budget_iters=60, seed=3, store=str(tmp_path))
+        warm = plan_mcmc(graph, topo, 60, seed=3, store=str(tmp_path))
         assert warm.best_cost_us == cold.best_cost_us
         assert warm.store_stats.misses == 0
-        assert warm.simulations == len(warm.chains)
+        assert warm.simulations == len(warm.extras["chains"])
 
 
 class TestScheduledCompaction:
@@ -524,7 +524,7 @@ class TestScheduledCompaction:
     def test_search_through_planner_reports_auto_compaction(self, tmp_path):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
-        cold = optimize(graph, topo, budget_iters=40, seed=3, store=str(tmp_path))
+        cold = plan_mcmc(graph, topo, 40, seed=3, store=str(tmp_path))
         ctx = search_context(graph, topo)
         shard = _shard(tmp_path, ctx)
         # Forge a duplicate-heavy shard by replaying its records many times.
@@ -534,7 +534,7 @@ class TestScheduledCompaction:
             need = max(0, 200 - len(lines)) // max(1, len(lines)) + 1
             for _ in range(need):
                 fh.writelines(lines)
-        warm = optimize(graph, topo, budget_iters=40, seed=3, store=str(tmp_path))
+        warm = plan_mcmc(graph, topo, 40, seed=3, store=str(tmp_path))
         assert warm.best_cost_us == cold.best_cost_us
         assert warm.store_stats.auto_compactions >= 1
 

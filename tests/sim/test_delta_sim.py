@@ -194,42 +194,10 @@ class TestSimulatorFacade:
 
 
 class TestSnapshotPooling:
-    """Under ``delta``, snapshot pooling recycles one scratch Timeline
-    through the propose/commit/revert cycle; it must be indistinguishable
-    from per-proposal copies in everything but allocation count.  ``auto``
+    """Revert snapshots.  ``delta`` repairs the timeline in place, so each
+    proposal copies it (``Timeline.copy``) as the revert target; ``auto``
     and ``full`` never snapshot: the pre-proposal timeline object itself
     is the revert target."""
-
-    def _proposal_sequence(self, graph, topo, seed, steps=40):
-        rng = np.random.default_rng(seed)
-        space = ConfigSpace(graph, topo)
-        seq = []
-        for i in range(steps):
-            oid = int(rng.choice(graph.op_ids))
-            seq.append((oid, space.random_config(oid, rng), i % 3 == 0))
-        return seq
-
-    def test_pooled_equals_unpooled_costs(self, lenet_graph, topo4):
-        seq = self._proposal_sequence(lenet_graph, topo4, seed=13)
-        outcomes = {}
-        for pooled in (False, True):
-            sim = Simulator(
-                lenet_graph,
-                topo4,
-                data_parallelism(lenet_graph, topo4),
-                OpProfiler(),
-                algorithm="delta",
-                pool_snapshots=pooled,
-            )
-            costs = []
-            for oid, cfg, accept in seq:
-                costs.append(sim.propose(oid, cfg))
-                if accept:
-                    sim.commit()
-                else:
-                    costs.append(sim.revert())
-            outcomes[pooled] = (costs, sim.cost)
-        assert outcomes[True] == outcomes[False]
 
     def test_pooled_revert_restores_exact_timeline(self, lenet_graph, topo4):
         rng = np.random.default_rng(3)
@@ -238,34 +206,14 @@ class TestSnapshotPooling:
             lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
             algorithm="delta",
         )
-        assert sim.pool_snapshots
         base = sim.cost
         for _ in range(12):
             oid = int(rng.choice(lenet_graph.op_ids))
             sim.propose(oid, space.random_config(oid, rng))
             assert sim.revert() == base
         # After the churn the live timeline still matches a from-scratch
-        # simulation bit-for-bit (pooling never leaks stale state).
+        # simulation bit-for-bit (no snapshot leaks stale state).
         assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
-
-    def test_scratch_is_recycled_not_leaked(self, lenet_graph, topo4):
-        rng = np.random.default_rng(5)
-        space = ConfigSpace(lenet_graph, topo4)
-        sim = Simulator(
-            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
-            algorithm="delta",
-        )
-        oid = int(lenet_graph.op_ids[0])
-        sim.propose(oid, space.random_config(oid, rng))
-        sim.revert()
-        scratch_before = sim._scratch
-        assert scratch_before is not None
-        sim.propose(oid, space.random_config(oid, rng))
-        # The in-flight snapshot *is* the recycled scratch object.
-        assert sim._pending is scratch_before
-        assert sim._scratch is None
-        sim.commit()
-        assert sim._scratch is scratch_before
 
     def test_copy_into_handles_shrinking_device_set(self):
         from repro.sim.full_sim import Timeline
@@ -296,7 +244,6 @@ class TestSnapshotPooling:
             raise AssertionError("timeline snapshot taken")
 
         monkeypatch.setattr(Timeline, "copy", forbidden)
-        monkeypatch.setattr(Timeline, "copy_into", forbidden)
         rng = np.random.default_rng(8)
         space = ConfigSpace(lenet_graph, topo4)
         sim = Simulator(
@@ -312,5 +259,4 @@ class TestSnapshotPooling:
                 assert sim.timeline is before  # the revert target is the old object
             else:
                 sim.commit()
-        assert sim._scratch is None
         assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
