@@ -120,11 +120,6 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
     # disjoint proposal prefix.
     for workload in ("mutation", "resplice"):
         _play(sim, warm_seq, workload)
-    # One identity resplice per op: converges the per-op splice-recipe
-    # cache, so the timed resplice pass measures steady-state replay
-    # rather than first-touch recipe capture.
-    for oid in graph.op_ids:
-        sim.reconfigure(oid, sim.strategy[oid])
     out = {}
     for workload in ("mutation", "resplice"):
         before = sim.delta_stats
@@ -135,7 +130,7 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         # Identity resplices are idempotent, so the resplice pass can be
         # replayed; five passes widen the measurement window past
         # transient machine contention, and the pass with the lowest
-        # median is the arm's quiet-machine (and recipe-warm) cost.
+        # median is the arm's quiet-machine cost.
         reps = 5 if workload == "resplice" else 1
         passes = [_play(sim, seq, workload) for _ in range(reps)]
         costs, times = min(passes, key=lambda ct: statistics.median(ct[1]))
@@ -177,8 +172,6 @@ def _drive(graph, topo, algorithm, kernels_mode, warm_seq, seq):
         "noop_proposals": final.route_counts.get("noop", 0),
         "saturation_handoffs": final.saturation_handoffs,
         "fallbacks": final.fallbacks,
-        "recipe_hits": sim.task_graph.recipe_hits,
-        "recipe_misses": sim.task_graph.recipe_misses,
     }
     return out, meta
 

@@ -52,11 +52,46 @@ class OpProfiler:
         Relative amplitude of the deterministic measurement noise applied
         to each distinct signature (0 disables; 0.03 mimics the few-percent
         run-to-run variance of real kernels).
+
+    Besides the per-signature measurements, the profiler carries ``memo``:
+    the work of building a :class:`~repro.sim.taskgraph.TaskGraph` that
+    depends only on an op and its degree vector, never on where its tasks
+    are placed.  Every task graph built with this profiler reads and fills
+    it, on the initial build and on every splice.  It holds three kinds of
+    entry, told apart by their key's shape; every value is a tuple of
+    numbers:
+
+    * ``(op, degrees, spec_keys, backward)`` -> one ``(forward_us,
+      backward_us)`` pair per task, where ``spec_keys`` names each task's
+      device spec and ``backward_us`` is 0.0 unless ``backward``;
+    * ``(src_op, dst_op, slot, src_degrees, dst_degrees)`` -> the tensor
+      edge's ``(kj, ki, nbytes)`` overlaps: consumer task ``kj`` reads
+      ``nbytes`` from producer task ``ki``;
+    * ``(op, degrees)`` -> the replica sets that hold parameters of the
+      weight group whose first op is ``op``, as ``(shard_idx, task_idxs,
+      shard_elems)``.
+
+    Keys hold the :class:`~repro.ir.ops.Operation` objects themselves,
+    which hash by identity, not graph op ids: the exhaustive search's
+    lower bound builds renumbered subgraphs of the same ops under the
+    same profiler, and two graphs may reuse an id for different ops.
+    Holding the op also keeps it alive, so an identity is never reused
+    while its entries exist.
+
+    The memo lives as long as this profiler -- one per
+    :class:`~repro.plan.Planner` unless the caller shares one -- and has
+    no size cap: one problem has few distinct ops, degree vectors and
+    edges.  It is dropped when the profiler is pickled, so each process a
+    search runs in fills its own.
     """
 
     noise_amplitude: float = 0.0
     _cache: dict[tuple, float] = field(default_factory=dict, repr=False)
     stats: ProfilerStats = field(default_factory=ProfilerStats)
+    memo: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "memo": {}}
 
     def task_time(self, op: Operation, out_region: Region, device: Device, backward: bool = False) -> float:
         """Execution time (us) of the task producing ``out_region`` of ``op``."""

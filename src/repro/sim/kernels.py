@@ -23,7 +23,9 @@ condition; their ready-time updates land in scratch that nobody reads.
 Bit-identity is the contract (``tests/sim/test_sim_kernels.py`` compares
 both modes A/B), which is what lets every timeline algorithm share one
 persistent-store shard.  Setting ``REPRO_SIM_KERNELS=python`` forces the
-scalar reference implementations -- the escape hatch for debugging.
+scalar reference implementations -- the escape hatch for debugging.  It
+selects only these sweep loops: task-graph construction and splicing
+have one implementation under either setting.
 """
 
 from __future__ import annotations

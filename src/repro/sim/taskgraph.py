@@ -20,6 +20,15 @@ configuration splices out only that op's tasks, its adjacent
 communication tasks, and its parameter-sync tasks, which is the
 ``UpdateTaskGraph`` step of the paper's delta simulation algorithm
 (Algorithm 2).
+
+Task regions, producer/consumer overlaps and replica sets depend only on
+an op and its degree vector, not on device placement.  Like the paper's
+simulator, which measures each task shape once and reuses the number
+(Section 5.1), construction computes them once per profiler: the first
+build or splice that needs an (op, degree vector) or (edge, degree
+vectors) key stores the result in :attr:`OpProfiler.memo
+<repro.profiler.profiler.OpProfiler>`, and every later one binds its
+devices, connections, transfer times and ckeys to the stored numbers.
 """
 
 from __future__ import annotations
@@ -30,12 +39,11 @@ from dataclasses import dataclass, field
 from repro.ir.graph import Edge, OperatorGraph
 from repro.machine.topology import Connection, DeviceTopology
 from repro.profiler.profiler import OpProfiler
-from repro.sim import kernels
 from repro.sim.arrays import TaskArrays
 from repro.soap.partition import overlapping_tasks
 from repro.soap.strategy import Strategy
 
-__all__ = ["TaskKind", "Task", "TaskGraph", "SpliceRecord", "SpliceRecipe"]
+__all__ = ["TaskKind", "Task", "TaskGraph", "SpliceRecord"]
 
 
 class TaskKind(enum.IntEnum):
@@ -74,48 +82,6 @@ class Task:
     conn: Connection | None = None
     ins: list[int] = field(default_factory=list)
     outs: list[int] = field(default_factory=list)
-
-
-@dataclass
-class SpliceRecipe:
-    """A memoized group rebuild: everything :meth:`TaskGraph.replace_config`
-    would reconstruct for one (group, config, neighbor-configs) key.
-
-    The rebuild half of a splice is a pure function of the group key, the
-    new config, and the adjacent ops' configs (the graph, topology, and
-    profiler are fixed per :class:`TaskGraph`, and the profiler is
-    deterministic per task signature).  A recipe captures that function's
-    output once -- task field tuples and ckey ranks in creation order,
-    dependency links as spec-index pairs, and the bookkeeping lists as
-    index lists -- so a re-seen key replays it with fresh task ids and
-    *zero* profiler, partition, or region calls.  Recipes are captured
-    only on identity re-splices (re-applying an op's current config --
-    the ``resplice`` benchmark workload and every proposal that collides
-    with the incumbent under a named algorithm), from the live group
-    state before the splice, so even the first one replays.  A rebuild
-    after a real config change captures nothing: real searches almost
-    never replay those keys.
-
-    Links to surviving neighbor tasks are stored symbolically as
-    ``(op, fwd|bwd, k)`` so a recipe stays valid when the neighbor was
-    itself respliced in between: the neighbor's config is part of the
-    cache key, which pins its ``fwd``/``bwd`` list lengths.
-    """
-
-    specs: list[tuple]  # (kind, device, exe, ckey, op_id, index, backward, nbytes, conn)
-    ranks: list[int]  # per-spec ckey rank (see TaskGraph.ckey_rank)
-    internal: list[tuple[int, int]]  # links between two new tasks, spec indices
-    external: list[tuple[int, int, tuple[int, int, int]]]  # (dir, spec idx, (op, f/b, k))
-    fwd_idx: dict[int, list[int]]
-    bwd_idx: dict[int, list[int]]
-    edge_idx: dict[tuple[int, int, int], list[int]]
-    sync_idx: list[int]
-
-
-# Bounded recipe cache (FIFO eviction): per-op config spaces are small,
-# so real searches cycle through few keys per group; the cap only guards
-# degenerate grids.
-_RECIPE_CAP = 256
 
 
 @dataclass
@@ -178,12 +144,8 @@ class TaskGraph:
         self.training = training
 
         self.tasks: dict[int, Task] = {}
-        # Splice recipe cache: (group, new cfg, neighbor cfgs) -> the
-        # memoized rebuild (see SpliceRecipe).  Hits skip every profiler/
-        # partition call of the rebuild; counters feed the bench meta.
-        self._recipes: dict[tuple, SpliceRecipe] = {}
-        self.recipe_hits = 0
-        self.recipe_misses = 0
+        self._memo = profiler.memo
+        self._spec_keys = [d.spec.key for d in topology.devices]
         # Flat struct-of-arrays mirror the simulators' hot loops read
         # (exe/device/rank columns, slot-indexed adjacency rows); kept in
         # lockstep by _new_task/_link and the splice paths below.
@@ -248,8 +210,8 @@ class TaskGraph:
 
         The reference encoder.  The construction loops inline the same
         arithmetic with per-op, per-edge and per-group bases hoisted out
-        of their task loops, and splice records and recipes carry ranks
-        along, so the hot paths never walk a tuple.
+        of their task loops, and splice records carry ranks along, so the
+        hot paths never walk a tuple.
         """
         return sum(v << s for v, s in zip(ckey, self._rank_shifts[ckey[0]]))
 
@@ -257,15 +219,13 @@ class TaskGraph:
         """Make room in the task-index field for a ``num_tasks``-task config.
 
         Only a config that repeats devices can outgrow a field sized by
-        the device count, so this is rare: re-encode every live rank and
-        drop the recipe cache, whose recipes hold ranks of the old layout.
+        the device count, so this is rare: re-encode every live rank.
         """
         self._set_rank_layout(num_tasks)
         rank = self.arrays.rank
         for slot, ckey in enumerate(self.arrays.ckey):
             if ckey is not None:
                 rank[slot] = self.ckey_rank(ckey)
-        self._recipes.clear()
 
     # -- small helpers -----------------------------------------------------
     def _new_task(self, rank: int, **kw) -> Task:
@@ -289,21 +249,33 @@ class TaskGraph:
         """Create forward (and backward) compute tasks for one op."""
         op = self.graph.op(oid)
         cfg = self.strategy[oid]
+        devices = cfg.devices
+        make_bwd = self.training and not op.is_source
+        key = (op, cfg.degrees, tuple([self._spec_keys[d] for d in devices]), make_bwd)
+        times = self._memo.get(key)
+        if times is None:
+            prof, topo = self.profiler, self.topology
+            times = []
+            for k, d in enumerate(devices):
+                region = cfg.task_region(op, k)
+                dev = topo.device(d)
+                fwd_us = prof.task_time(op, region, dev)
+                bwd_us = prof.task_time(op, region, dev, backward=True) if make_bwd else 0.0
+                times.append((fwd_us, bwd_us))
+            times = self._memo[key] = tuple(times)
         fwd_ids: list[int] = []
         bwd_ids: list[int] = []
-        make_bwd = self.training and not op.is_source
         _, s_op, s_k, s_bwd = self._rank_shifts[0]
         base = oid << s_op
         bwd_bit = 1 << s_bwd
-        for k in range(cfg.num_tasks):
-            region = cfg.task_region(op, k)
-            dev = self.topology.device(cfg.devices[k])
+        for k, (fwd_us, bwd_us) in enumerate(times):
+            dev = devices[k]
             rank = base + (k << s_k)
             f = self._new_task(
                 rank,
                 kind=TaskKind.NORMAL,
-                device=dev.did,
-                exe_time=self.profiler.task_time(op, region, dev),
+                device=dev,
+                exe_time=fwd_us,
                 ckey=(0, oid, k, 0),
                 op_id=oid,
                 index=k,
@@ -313,8 +285,8 @@ class TaskGraph:
                 b = self._new_task(
                     rank + bwd_bit,
                     kind=TaskKind.NORMAL,
-                    device=dev.did,
-                    exe_time=self.profiler.task_time(op, region, dev, backward=True),
+                    device=dev,
+                    exe_time=bwd_us,
                     ckey=(0, oid, k, 1),
                     op_id=oid,
                     index=k,
@@ -336,7 +308,19 @@ class TaskGraph:
         dst_op = self.graph.op(edge.dst)
         src_cfg = self.strategy[edge.src]
         dst_cfg = self.strategy[edge.dst]
-        dtype = src_op.out_shape.dtype_bytes
+        key = (src_op, dst_op, edge.slot, src_cfg.degrees, dst_cfg.degrees)
+        overlaps = self._memo.get(key)
+        if overlaps is None:
+            dtype = src_op.out_shape.dtype_bytes
+            overlaps = []
+            for kj in range(dst_cfg.num_tasks):
+                need = dst_op.input_region(dst_cfg.task_region(dst_op, kj), edge.slot)
+                if need is not None:
+                    overlaps.extend(
+                        (kj, ki, float(vol * dtype))
+                        for ki, vol in overlapping_tasks(src_op, src_cfg, need)
+                    )
+            overlaps = self._memo[key] = tuple(overlaps)
         comm_ids: list[int] = []
         src_fwd, dst_fwd = self.fwd[edge.src], self.fwd[edge.dst]
         src_bwd, dst_bwd = self.bwd[edge.src], self.bwd[edge.dst]
@@ -344,49 +328,42 @@ class TaskGraph:
         base = (1 << s_kind) + (edge.src << s_src) + (edge.dst << s_dst) + (edge.slot << s_slot)
         bwd_bit = 1 << s_bwd
 
-        for kj in range(dst_cfg.num_tasks):
-            need = dst_op.input_region(dst_cfg.task_region(dst_op, kj), edge.slot)
-            if need is None:
-                continue
-            dev_j = dst_cfg.devices[kj]
-            kj_base = base + (kj << s_kj)
-            for ki, vol in overlapping_tasks(src_op, src_cfg, need):
-                dev_i = src_cfg.devices[ki]
-                nbytes = float(vol * dtype)
-                if dev_i == dev_j:
-                    self._link(src_fwd[ki], dst_fwd[kj])
-                    if src_bwd and dst_bwd:
-                        self._link(dst_bwd[kj], src_bwd[ki])
-                    continue
-                conn = self.topology.connection(dev_i, dev_j)
-                rank = kj_base + (ki << s_ki)
-                c = self._new_task(
-                    rank,
-                    kind=TaskKind.COMM,
-                    device=conn.cid,
-                    exe_time=self.profiler.comm_time(nbytes, conn),
-                    ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 0),
-                    nbytes=nbytes,
-                    conn=conn,
-                )
-                comm_ids.append(c.tid)
-                self._link(src_fwd[ki], c.tid)
-                self._link(c.tid, dst_fwd[kj])
+        for kj, ki, nbytes in overlaps:
+            dev_i, dev_j = src_cfg.devices[ki], dst_cfg.devices[kj]
+            if dev_i == dev_j:
+                self._link(src_fwd[ki], dst_fwd[kj])
                 if src_bwd and dst_bwd:
-                    # Gradient flows the reverse direction in backward.
-                    rconn = self.topology.connection(dev_j, dev_i)
-                    cb = self._new_task(
-                        rank + bwd_bit,
-                        kind=TaskKind.COMM,
-                        device=rconn.cid,
-                        exe_time=self.profiler.comm_time(nbytes, rconn),
-                        ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 1),
-                        nbytes=nbytes,
-                        conn=rconn,
-                    )
-                    comm_ids.append(cb.tid)
-                    self._link(dst_bwd[kj], cb.tid)
-                    self._link(cb.tid, src_bwd[ki])
+                    self._link(dst_bwd[kj], src_bwd[ki])
+                continue
+            conn = self.topology.connection(dev_i, dev_j)
+            rank = base + (kj << s_kj) + (ki << s_ki)
+            c = self._new_task(
+                rank,
+                kind=TaskKind.COMM,
+                device=conn.cid,
+                exe_time=self.profiler.comm_time(nbytes, conn),
+                ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 0),
+                nbytes=nbytes,
+                conn=conn,
+            )
+            comm_ids.append(c.tid)
+            self._link(src_fwd[ki], c.tid)
+            self._link(c.tid, dst_fwd[kj])
+            if src_bwd and dst_bwd:
+                # Gradient flows the reverse direction in backward.
+                rconn = self.topology.connection(dev_j, dev_i)
+                cb = self._new_task(
+                    rank + bwd_bit,
+                    kind=TaskKind.COMM,
+                    device=rconn.cid,
+                    exe_time=self.profiler.comm_time(nbytes, rconn),
+                    ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 1),
+                    nbytes=nbytes,
+                    conn=rconn,
+                )
+                comm_ids.append(cb.tid)
+                self._link(dst_bwd[kj], cb.tid)
+                self._link(cb.tid, src_bwd[ki])
         self.edge_tasks[(edge.src, edge.dst, edge.slot)] = comm_ids
         return comm_ids
 
@@ -408,24 +385,29 @@ class TaskGraph:
         if not op0.params or any(not self.bwd[m] for m in members):
             return
         cfg = self.strategy[members[0]]  # group members share one config
-        pdims = {n for n, kind in op0.parallel_dims().items() if kind.name == "PARAMETER"}
-        deg_names = [n for n, _ in cfg.degrees]
-
-        replica_sets: dict[tuple[int, ...], list[int]] = {}
-        for k in range(cfg.num_tasks):
-            coords = cfg.task_coords(k)
-            key = tuple(c for n, c in zip(deg_names, coords) if n in pdims)
-            replica_sets.setdefault(key, []).append(k)
+        key = (op0, cfg.degrees)
+        shards = self._memo.get(key)
+        if shards is None:
+            pdims = {n for n, kind in op0.parallel_dims().items() if kind.name == "PARAMETER"}
+            deg_names = [n for n, _ in cfg.degrees]
+            replica_sets: dict[tuple[int, ...], list[int]] = {}
+            for k in range(cfg.num_tasks):
+                coords = cfg.task_coords(k)
+                pkey = tuple(c for n, c in zip(deg_names, coords) if n in pdims)
+                replica_sets.setdefault(pkey, []).append(k)
+            shards = []
+            for shard_idx, task_idxs in enumerate(replica_sets.values()):
+                shard_elems = op0.param_shard_volume(cfg.task_region(op0, task_idxs[0]))
+                if shard_elems:
+                    shards.append((shard_idx, tuple(task_idxs), shard_elems))
+            shards = self._memo[key] = tuple(shards)
 
         created: list[int] = []
         dtype = op0.out_shape.dtype_bytes
         s_kind, s_op, s_shard, s_last = self._rank_shifts[2]  # kind 3 shares the layout
         ring_base = (2 << s_kind) + (members[0] << s_op)
         upd_base = ring_base + (1 << s_kind)
-        for shard_idx, task_idxs in enumerate(replica_sets.values()):
-            shard_elems = op0.param_shard_volume(cfg.task_region(op0, task_idxs[0]))
-            if shard_elems == 0:
-                continue
+        for shard_idx, task_idxs, shard_elems in shards:
             devs = sorted({cfg.devices[k] for k in task_idxs})
             grads = [self.bwd[m][k] for m in members for k in task_idxs]
             shard = shard_idx << s_shard
@@ -476,183 +458,6 @@ class TaskGraph:
                     self._link(c, upd.tid)
         self.sync[gkey] = created
 
-    # -- splice recipes ------------------------------------------------------------
-    def _group_tids(
-        self, members, touched_edges, gkey
-    ) -> tuple[list[int], dict[int, list[int]], dict[int, list[int]], dict, list[int]]:
-        """The group's task ids in canonical creation order, plus the
-        bookkeeping lists re-expressed as indices into that order."""
-        new_tids: list[int] = []
-        fwd_idx: dict[int, list[int]] = {}
-        bwd_idx: dict[int, list[int]] = {}
-        for m in members:
-            fl, bl = self.fwd[m], self.bwd[m]
-            fi: list[int] = []
-            bi: list[int] = []
-            for k, f in enumerate(fl):
-                fi.append(len(new_tids))
-                new_tids.append(f)
-                if bl:
-                    bi.append(len(new_tids))
-                    new_tids.append(bl[k])
-            fwd_idx[m] = fi
-            bwd_idx[m] = bi
-        edge_idx: dict[tuple[int, int, int], list[int]] = {}
-        for e in touched_edges:
-            key = (e.src, e.dst, e.slot)
-            lst = self.edge_tasks.get(key, [])
-            idxs = list(range(len(new_tids), len(new_tids) + len(lst)))
-            new_tids.extend(lst)
-            edge_idx[key] = idxs
-        sync_list = self.sync[gkey]
-        sync_idx = list(range(len(new_tids), len(new_tids) + len(sync_list)))
-        new_tids.extend(sync_list)
-        return new_tids, fwd_idx, bwd_idx, edge_idx, sync_idx
-
-    def _capture_recipe(self, members, member_set, touched_edges, gkey):
-        """Record the group's current build as a :class:`SpliceRecipe`.
-
-        Pure read of the live graph; returns ``None`` when a dependency
-        cannot be expressed symbolically (never observed -- a defensive
-        bail that just skips caching).
-        """
-        new_tids, fwd_idx, bwd_idx, edge_idx, sync_idx = self._group_tids(
-            members, touched_edges, gkey
-        )
-        new_map = {tid: i for i, tid in enumerate(new_tids)}
-        rev: dict[int, tuple[int, int, int]] = {}
-        for o in {e.src for e in touched_edges} | {e.dst for e in touched_edges}:
-            if o in member_set:
-                continue
-            for k, t in enumerate(self.fwd[o]):
-                rev[t] = (o, 0, k)
-            for k, t in enumerate(self.bwd[o]):
-                rev[t] = (o, 1, k)
-        specs: list[tuple] = []
-        internal: list[tuple[int, int]] = []
-        external: list[tuple[int, int, tuple[int, int, int]]] = []
-        tasks = self.tasks
-        rank, slot_of = self.arrays.rank, self.arrays.slot_of
-        ranks = [rank[slot_of[tid]] for tid in new_tids]
-        for i, tid in enumerate(new_tids):
-            t = tasks[tid]
-            specs.append(
-                (t.kind, t.device, t.exe_time, t.ckey,
-                 t.op_id, t.index, t.backward, t.nbytes, t.conn)
-            )
-            for p in t.ins:
-                j = new_map.get(p)
-                if j is not None:
-                    internal.append((j, i))
-                else:
-                    ref = rev.get(p)
-                    if ref is None:
-                        return None
-                    external.append((0, i, ref))
-            for s in t.outs:
-                if s in new_map:
-                    continue
-                ref = rev.get(s)
-                if ref is None:
-                    return None
-                external.append((1, i, ref))
-        return SpliceRecipe(
-            specs, ranks, internal, external, fwd_idx, bwd_idx, edge_idx, sync_idx
-        )
-
-    def _store_recipe(self, rkey, recipe) -> None:
-        cache = self._recipes
-        if rkey not in cache and len(cache) >= _RECIPE_CAP:
-            cache.pop(next(iter(cache)))
-        cache[rkey] = recipe
-
-    def _replay_recipe(self, recipe: SpliceRecipe, members, new_cfg, gkey) -> list[int]:
-        """Rebuild the group from a memoized recipe; returns the new tids.
-
-        Mirrors the direct rebuild exactly -- same task fields (the
-        profiler is deterministic per signature, so the captured
-        ``exe_time`` floats are bitwise what fresh calls would return),
-        same creation order (hence the same slot recycling in the arrays
-        mirror), same bookkeeping lists -- without any profiler,
-        partition, or region computation.
-        """
-        tasks = self.tasks
-        arrays = self.arrays
-        tid = self._next_tid
-        new_tids: list[int] = []
-        new_tasks: list[Task] = []
-        new_slots: list[int] = []
-        # Inlined arrays.add: the recipe carries each task's rank, so the
-        # column writes run without per-task call overhead.
-        free = arrays.free
-        exe_a, dev_a, rank_a = arrays.exe, arrays.dev, arrays.rank
-        tid_a, kind_a, nbytes_a = arrays.tid, arrays.kind, arrays.nbytes
-        ckey_a = arrays.ckey
-        slot_of = arrays.slot_of
-        for spec, rank in zip(recipe.specs, recipe.ranks):
-            # Spec tuples are stored in Task field order (tid excluded),
-            # so construction is one positional call.
-            t = Task(tid, *spec)
-            tasks[tid] = t
-            if free:
-                slot = free.pop()
-            else:
-                slot = len(tid_a)
-                exe_a.append(0.0)
-                dev_a.append(0)
-                rank_a.append(0)
-                tid_a.append(-1)
-                kind_a.append(0)
-                nbytes_a.append(0.0)
-                ckey_a.append(None)
-                arrays.ins.append([])
-                arrays.outs.append([])
-            exe_a[slot] = spec[2]
-            dev_a[slot] = spec[1]
-            rank_a[slot] = rank
-            tid_a[slot] = tid
-            kind_a[slot] = spec[0]
-            nbytes_a[slot] = spec[7]
-            ckey_a[slot] = spec[3]
-            slot_of[tid] = slot
-            new_slots.append(slot)
-            new_tids.append(tid)
-            new_tasks.append(t)
-            tid += 1
-        self._next_tid = tid
-        # Slot-level linking: the endpoints' Task objects and slots are at
-        # hand, so the generic _link's four dict probes per edge collapse
-        # to list appends (the replay hot loop).
-        a_ins, a_outs = arrays.ins, arrays.outs
-        for a, b in recipe.internal:
-            new_tasks[a].outs.append(new_tids[b])
-            new_tasks[b].ins.append(new_tids[a])
-            a_outs[new_slots[a]].append(new_slots[b])
-            a_ins[new_slots[b]].append(new_slots[a])
-        slot_of = arrays.slot_of
-        for direction, i, (o, fb, k) in recipe.external:
-            other = (self.bwd[o] if fb else self.fwd[o])[k]
-            ot = tasks[other]
-            oslot = slot_of[other]
-            if direction:
-                new_tasks[i].outs.append(other)
-                ot.ins.append(new_tids[i])
-                a_outs[new_slots[i]].append(oslot)
-                a_ins[oslot].append(new_slots[i])
-            else:
-                ot.outs.append(new_tids[i])
-                new_tasks[i].ins.append(other)
-                a_outs[oslot].append(new_slots[i])
-                a_ins[new_slots[i]].append(oslot)
-        for m in members:
-            self.strategy = self.strategy.with_config(m, new_cfg)
-            self.fwd[m] = [new_tids[i] for i in recipe.fwd_idx[m]]
-            self.bwd[m] = [new_tids[i] for i in recipe.bwd_idx[m]]
-        for key, idxs in recipe.edge_idx.items():
-            self.edge_tasks[key] = [new_tids[i] for i in idxs]
-        self.sync[gkey] = [new_tids[i] for i in recipe.sync_idx]
-        return new_tids
-
     # -- incremental reconfiguration -----------------------------------------------
     def replace_config(
         self, op_id: int, new_cfg, keep_record: bool = False
@@ -664,7 +469,10 @@ class TaskGraph:
         forward/backward tasks, the group's parameter-sync tasks, and the
         communication tasks on every adjacent tensor edge, then rebuilds
         them against the (unchanged) neighbor configurations.  This is
-        ``UpdateTaskGraph`` from Algorithm 2.
+        ``UpdateTaskGraph`` from Algorithm 2.  The rebuild runs the same
+        construction methods as a fresh build, so a degree vector the
+        profiler's memo has seen costs no region, overlap or profiler
+        work: only devices, connections and ranks are bound anew.
 
         With ``keep_record=True`` the splice additionally stores a
         :class:`SpliceRecord` so :meth:`undo_last_splice` can restore the
@@ -706,33 +514,6 @@ class TaskGraph:
         if new_cfg.num_tasks > 1 << self._task_bits:
             self._widen_task_field(new_cfg.num_tasks)
 
-        # Recipe lookup: the rebuild below is a pure function of this key
-        # (see SpliceRecipe).  Recipes are captured only here, on an
-        # identity re-splice whose key is cold, from the live group state
-        # *before* the splice -- the current build is exactly what the key
-        # produces -- so even the first identity proposal replays instead
-        # of rebuilding.  A real config change with an empty cache has
-        # nothing to look up, so it skips building the key.  Replay rides
-        # the same escape hatch as the simulator kernels:
-        # ``REPRO_SIM_KERNELS=python`` forces the reference rebuild
-        # (profiler, partition, and region calls included), which is both
-        # the debugging baseline for recipe bugs and the pre-optimization
-        # cost the benchmarks compare against.
-        old_cfg = self.strategy[members[0]]
-        identity = new_cfg == old_cfg
-        recipe = None
-        if kernels.kernels_enabled() and (identity or self._recipes):
-            neighbor_ops = sorted(
-                ({e.src for e in touched_edges} | {e.dst for e in touched_edges})
-                - member_set
-            )
-            rkey = (gkey, new_cfg, tuple((o, self.strategy[o]) for o in neighbor_ops))
-            recipe = self._recipes.get(rkey)
-            if recipe is None and identity:
-                recipe = self._capture_recipe(members, member_set, touched_edges, gkey)
-                if recipe is not None:
-                    self._store_recipe(rkey, recipe)
-
         removed_ids: set[int] = set(self.sync[gkey])
         for m in members:
             removed_ids.update(self.fwd[m])
@@ -751,7 +532,7 @@ class TaskGraph:
             record = SpliceRecord(
                 op_id=op_id,
                 members=members,
-                old_cfg=old_cfg,
+                old_cfg=self.strategy[members[0]],
                 removed_tasks=list(removed.values()),
                 removed_ranks=[rank[slot_of[tid]] for tid in removed],
                 added_lo=self._next_tid,
@@ -783,20 +564,15 @@ class TaskGraph:
         for tid in removed_ids:
             del tasks[tid]
 
-        if recipe is not None:
-            self.recipe_hits += 1
-            dirty.update(self._replay_recipe(recipe, members, new_cfg, gkey))
-        else:
-            self.recipe_misses += 1
-            for m in members:
-                self.strategy = self.strategy.with_config(m, new_cfg)
-                self._make_op_tasks(m)
-                dirty.update(self.fwd[m])
-                dirty.update(self.bwd[m])
-            for e in touched_edges:
-                dirty.update(self._connect_edge(e))
-            self._make_sync(gkey, members)
-            dirty.update(self.sync[gkey])
+        for m in members:
+            self.strategy = self.strategy.with_config(m, new_cfg)
+            self._make_op_tasks(m)
+            dirty.update(self.fwd[m])
+            dirty.update(self.bwd[m])
+        for e in touched_edges:
+            dirty.update(self._connect_edge(e))
+        self._make_sync(gkey, members)
+        dirty.update(self.sync[gkey])
         # Surviving neighbor tasks that gained predecessors: consumers'
         # forward tasks (fed by our new fwd/comm tasks) and producers'
         # backward tasks (fed by our new bwd/comm tasks).

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.ir.builder import GraphBuilder
+from repro.ir.dims import TensorShape
 from repro.plan import (
     BudgetConfig,
     ExecutionConfig,
@@ -111,6 +113,42 @@ class TestSharedStoreContext:
         mcmc = results["mcmc"].store_stats
         assert mcmc.warm_hits > 0
         assert mcmc.misses == 0
+
+
+def renumbering_problem():
+    """Seven ops whose exhaustive lower-bound subgraphs renumber them.
+
+    ``h2`` shares ``h1``'s weights, so the enumeration assigns it right
+    after ``h1``; until ``a`` is assigned the bound's subgraph holds ``x``,
+    ``h1`` and ``h2`` as ops 0-2, while op 2 of the full graph is ``a``, a
+    wider layer on the same input.
+    """
+    b = GraphBuilder("renumbered", batch=8)
+    x = b.input(TensorShape.of(4, sample=8, channel=16), name="x")
+    b.dense(x, 16, name="h1", param_group="w")
+    a = b.dense(x, 64, name="a")
+    h2 = b.dense(x, 16, name="h2", param_group="w")
+    b.softmax(b.add(h2, b.dense(a, 16, name="c")), name="softmax")
+    return b.graph
+
+
+class TestSharedProfiler:
+    def test_exhaustive_after_mcmc_matches_a_fresh_planner(self, topo2):
+        """compare() runs the exhaustive bound's renumbered subgraphs on
+        the profiler the chains warmed: the construction memo must not
+        hand one op's geometry to another op with the same id."""
+        graph = renumbering_problem()
+        cfg = SearchConfig(
+            budget=BudgetConfig(iterations=60),
+            backend_options={"exhaustive": {"max_configs_per_op": 3}},
+        )
+        shared = Planner(graph, topo2).compare(["mcmc", "exhaustive"], cfg)["exhaustive"]
+        fresh = Planner(graph, topo2).search("exhaustive", cfg)
+        assert shared.best_cost_us == fresh.best_cost_us
+        assert shared.best_strategy.signature() == fresh.best_strategy.signature()
+        for key in ("explored", "pruned"):
+            assert shared.extras[key] == fresh.extras[key], key
+        assert fresh.extras["pruned"] > 0
 
 
 @pytest.mark.slow

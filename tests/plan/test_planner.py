@@ -1,5 +1,7 @@
-"""Planner facade: error handling, store compaction, CLI, defaults."""
+"""Planner facade: error handling, store compaction, CLI, defaults,
+final metrics."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -8,12 +10,14 @@ import pytest
 from repro.plan import (
     BudgetConfig,
     EarlyStopConfig,
+    ExecutionConfig,
     Planner,
     SearchConfig,
     SearchError,
     StoreConfig,
 )
 from repro.profiler.profiler import OpProfiler
+from repro.sim.simulator import simulate_strategy
 
 
 class TestSearchErrors:
@@ -145,3 +149,21 @@ class TestDefaultsAndSummary:
         )
         assert res.extras["route_counts"] == {}
         assert "timeline repair" not in res.summary()
+
+
+class TestFinalMetrics:
+    @pytest.mark.parametrize("executor", ["inprocess", "pool"])
+    def test_metrics_equal_a_cold_profiler_simulation(self, lenet_graph, topo4, executor):
+        """The final metrics are built on the planner's profiler, warm
+        from the chains in-process; they must equal a cold build's."""
+        res = Planner(lenet_graph, topo4, OpProfiler()).search(
+            "mcmc",
+            SearchConfig(
+                budget=BudgetConfig(iterations=40),
+                execution=ExecutionConfig(executor=executor, workers=2),
+                seed=3,
+            ),
+        )
+        cold = simulate_strategy(lenet_graph, topo4, res.best_strategy, OpProfiler())
+        for field in dataclasses.fields(cold):
+            assert getattr(res.metrics, field.name) == getattr(cold, field.name), field.name

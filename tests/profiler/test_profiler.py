@@ -1,5 +1,7 @@
 """Unit tests for the roofline cost model and the caching profiler."""
 
+import pickle
+
 from repro.ir.dims import Region
 from repro.ir.op_conv import Conv2D
 from repro.ir.op_dense import MatMul
@@ -7,6 +9,8 @@ from repro.machine.device import spec_for
 from repro.machine.clusters import single_node
 from repro.profiler.cost_model import noise_factor, task_time_us, update_time_us
 from repro.profiler.profiler import OpProfiler
+from repro.sim.taskgraph import TaskGraph
+from repro.soap.presets import data_parallelism
 
 
 def matmul(batch=64, in_dim=1024, out_dim=4096):
@@ -96,6 +100,14 @@ class TestOpProfiler:
         b = prof.task_time(op, r, topo.device(0), backward=True)
         assert b > f
         assert prof.stats.measurements == 2
+
+    def test_memo_stays_behind_when_pickled(self, lenet_graph, topo4):
+        prof = OpProfiler()
+        TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), prof)
+        assert prof.memo
+        copy = pickle.loads(pickle.dumps(prof))
+        assert copy.memo == {}
+        assert copy._cache == prof._cache and copy.stats == prof.stats
 
     def test_comm_time_uses_connection(self):
         prof = OpProfiler()

@@ -17,6 +17,8 @@ from repro.soap.config import ParallelConfig
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
+from sim_helpers import timeline_by_ckey
+
 
 def churn(graph, topo, seed, steps):
     tg = TaskGraph(graph, topo, data_parallelism(graph, topo), OpProfiler())
@@ -104,13 +106,6 @@ def assert_ranks_encode_ckeys(tg):
     for ka, ra in live:
         for kb, rb in live:
             assert (ra < rb) == (ka < kb), (ka, kb)
-
-
-def timeline_by_ckey(tg):
-    """``full_simulate(tg)`` keyed by ckey: comparable across graphs."""
-    tl = full_simulate(tg)
-    times = {tg.tasks[t].ckey: (tl.ready[t], tl.start[t], tl.end[t]) for t in tl.end}
-    return tl.makespan, times
 
 
 class TestRanks:

@@ -5,11 +5,14 @@ For every timeline algorithm a hypothesis state machine interleaves
 ``reconfigure`` on small random MLP and weight-shared LSTM graphs.  After
 every step the live timeline must equal a from-scratch full simulation
 bit for bit, the cost must be its makespan, and the task graph's flat
-arrays must mirror its task dict.  A revert must restore the exact
-pre-proposal strategy and cost.  On graphs this small nearly every delta
-suffix covers half the graph and is handed to the full sweep, so one more
-machine runs ``delta`` with that handoff disabled to exercise the suffix
-loop itself.
+arrays must mirror its task dict.  The live task graph, built and spliced
+with the machine's warm profiler, must also equal a build of the same
+strategy with a cold profiler, task by task and in its timeline, which
+catches a construction-memo key that misses an input of its value.  A
+revert must restore the exact pre-proposal strategy and cost.  On graphs
+this small nearly every delta suffix covers half the graph and is handed
+to the full sweep, so one more machine runs ``delta`` with that handoff
+disabled to exercise the suffix loop itself.
 """
 
 import numpy as np
@@ -25,8 +28,11 @@ from repro.profiler.profiler import OpProfiler
 from repro.sim import delta_sim
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator
+from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
+
+from sim_helpers import tasks_by_ckey, timeline_by_ckey
 
 
 def small_graph(kind: str, width: int):
@@ -52,7 +58,7 @@ class SimulatorMachine(RuleBasedStateMachine):
     )
     def build(self, kind, width, devices):
         self.graph = small_graph(kind, width)
-        topo = single_node(devices, "p100")
+        self.topo = topo = single_node(devices, "p100")
         self.space = ConfigSpace(self.graph, topo)
         self.sim = Simulator(
             self.graph, topo, data_parallelism(self.graph, topo), OpProfiler(),
@@ -107,6 +113,13 @@ class SimulatorMachine(RuleBasedStateMachine):
         assert ref.equals(self.sim.timeline, tol=0.0)
         assert self.sim.cost == self.sim.timeline.makespan == ref.makespan
         tg.arrays.check_consistent(tg.tasks)
+
+    @invariant()
+    def graph_is_a_cold_build(self):
+        tg = self.sim.task_graph
+        cold = TaskGraph(self.graph, self.topo, self.sim.strategy, OpProfiler())
+        assert tasks_by_ckey(tg) == tasks_by_ckey(cold)
+        assert timeline_by_ckey(tg, self.sim.timeline) == timeline_by_ckey(cold)  # tol=0
 
 
 _SETTINGS = settings(max_examples=50, stateful_step_count=25, deadline=None)

@@ -1,14 +1,24 @@
 """Tests for task-graph construction (Section 5.1)."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from repro.ir.ops import Operation
+from repro.machine.device import Device, spec_for
+from repro.machine.topology import DeviceTopology
+from repro.models.lenet import lenet
+from repro.models.mlp import mlp
 from repro.profiler.profiler import OpProfiler
-from repro.sim.full_sim import full_simulate
-from repro.sim.simulator import Simulator
+from repro.sim import taskgraph
 from repro.sim.taskgraph import TaskGraph, TaskKind
 from repro.soap.config import ParallelConfig
 from repro.soap.presets import data_parallelism, single_device
+from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
+
+from sim_helpers import tasks_by_ckey, timeline_by_ckey
 
 
 def build(graph, topo, strategy, training=True):
@@ -166,29 +176,85 @@ class TestReplaceConfig:
             tg.undo_last_splice()  # valid exactly once
 
 
-class TestSpliceRecipes:
-    def test_recipes_are_captured_only_on_identity_resplices(
-        self, tiny_rnn_graph, topo4, monkeypatch
+class TestConstructionMemo:
+    """Task regions, overlaps and replica sets are computed once per
+    profiler; a graph built or spliced from the memo must equal a build
+    with a cold profiler."""
+
+    @staticmethod
+    def assert_cold_build(tg):
+        cold = TaskGraph(tg.graph, tg.topology, tg.strategy, OpProfiler(), training=tg.training)
+        assert tasks_by_ckey(tg) == tasks_by_ckey(cold)
+        assert timeline_by_ckey(tg) == timeline_by_ckey(cold)  # tol=0
+
+    def test_resplice_to_a_seen_degree_vector_reads_the_memo(
+        self, lenet_graph, topo4, monkeypatch
     ):
-        # Recipe replay rides the kernels switch; pin it on.
-        monkeypatch.setenv("REPRO_SIM_KERNELS", "numpy")
-        graph = tiny_rnn_graph
-        sim = Simulator(
-            graph, topo4, data_parallelism(graph, topo4), OpProfiler(), algorithm="delta"
-        )
-        tg = sim.task_graph
-        oid = graph.param_groups()["lstm1"][0]
-        cfg = ParallelConfig.single(1)
-        # A real config change rebuilds the group and captures nothing.
-        sim.reconfigure(oid, cfg)
-        assert tg.recipe_misses == 1
-        assert not tg._recipes
-        # An identity re-splice under a named algorithm (auto would skip
-        # it before the splice) captures the live build, then replays it.
-        cost = sim.reconfigure(oid, cfg)
-        assert tg.recipe_hits == 1
-        assert len(tg._recipes) == 1
-        # The next one replays the cached recipe.
-        assert sim.reconfigure(oid, cfg) == cost == full_simulate(tg).makespan
-        assert tg.recipe_hits == 2
-        assert len(tg._recipes) == 1 and tg.recipe_misses == 1
+        tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
+        oid = lenet_graph.id_of("conv2")
+        old = tg.strategy[oid]
+        moved = ParallelConfig(old.degrees, tuple(reversed(old.devices)))
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(taskgraph, "overlapping_tasks")
+        count(ParallelConfig, "task_region")
+        count(Operation, "task_signature")
+        tg.replace_config(oid, moved)
+        assert calls == Counter()
+        monkeypatch.undo()
+        # The moved op now talks to its neighbors over connections.
+        assert any(t.kind == TaskKind.COMM and t.ckey[2] == oid for t in tg.tasks.values())
+        self.assert_cold_build(tg)
+
+    def test_training_and_inference_graphs_share_a_profiler(self, lenet_graph, topo4):
+        prof = OpProfiler()
+        rng = np.random.default_rng(0)
+        space = ConfigSpace(lenet_graph, topo4)
+        for strategy in (data_parallelism(lenet_graph, topo4), space.random_strategy(rng)):
+            # Inference first: its entries carry no backward times.
+            for training in (False, True, False):
+                self.assert_cold_build(
+                    TaskGraph(lenet_graph, topo4, strategy, prof, training=training)
+                )
+
+    def test_graphs_with_coinciding_op_ids_share_a_profiler(self, topo4):
+        """Two graphs whose ids name ops of different shapes."""
+        prof = OpProfiler()
+        graphs = [
+            lenet(batch=16),
+            lenet(batch=32),
+            mlp(batch=16, in_dim=32, hidden=(64,), num_classes=8),
+            mlp(batch=16, in_dim=16, hidden=(32,), num_classes=4),
+        ]
+        for graph in graphs + graphs:
+            tg = TaskGraph(graph, topo4, data_parallelism(graph, topo4), prof)
+            self.assert_cold_build(tg)
+            oid = int(graph.op_ids[-2])
+            tg.replace_config(oid, ParallelConfig.single(3))
+            self.assert_cold_build(tg)
+
+    def test_device_specs_get_their_own_times(self, lenet_graph):
+        """One degree vector on P100s, then on K80s: different times."""
+        devices = [Device(d, "gpu", 0, d, spec_for("p100" if d < 2 else "k80")) for d in range(4)]
+        topo = DeviceTopology(devices, lambda a, b: (20.0, 1.0, "nvlink", None), name="mixed")
+        oid = lenet_graph.id_of("conv2")
+        on_p100 = ParallelConfig.data_parallel(lenet_graph.op(oid), (0, 1))
+        on_k80 = ParallelConfig(on_p100.degrees, (2, 3))
+        tg = build(lenet_graph, topo, single_device(lenet_graph).with_config(oid, on_p100))
+        p100_times = [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]]
+        tg.replace_config(oid, on_k80)
+        k80_times = [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]]
+        assert all(k > p for k, p in zip(k80_times, p100_times))
+        self.assert_cold_build(tg)
+        tg.replace_config(oid, on_p100)
+        assert [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]] == p100_times
+        self.assert_cold_build(tg)
