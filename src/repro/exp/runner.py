@@ -257,7 +257,7 @@ class ExperimentRunner:
             "store_appended": stats.appended,
         }
         # Timeline-repair mix, when the backend surfaced it (mcmc fleets
-        # running auto): identity no-ops vs full sweeps.
+        # running auto): identity no-ops, full sweeps, early rejections.
         routes = (result.extras or {}).get("route_counts")
         if routes:
             row["route_counts"] = dict(routes)

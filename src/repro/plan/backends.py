@@ -219,7 +219,7 @@ class McmcBackend:
                 "init_costs": init_costs,
                 "chains": results,
                 "workers": observed_workers,
-                # Fleet-wide timeline-repair mix under auto (noop/full).
+                # Fleet-wide timeline-repair mix under auto (DeltaStats routes).
                 "route_counts": route_counts,
             },
         )

@@ -102,11 +102,16 @@ class PlanResult:
 
 
 # What each timeline-repair route is called in summaries.
-_ROUTE_NAMES = {"full": "full sweep", "noop": "identity no-op"}
+_ROUTE_NAMES = {
+    "full": "full sweep",
+    "noop": "identity no-op",
+    "load_reject": "load rejection",
+    "sweep_stop": "stopped sweep",
+}
 
 
 def _repair_mix(route_counts: dict[str, int]) -> str:
-    """``{"full": 38, "noop": 2}`` -> ``"38 full sweeps, 2 identity no-ops"``."""
+    """``{"full": 38, "sweep_stop": 9}`` -> ``"38 full sweeps, 9 stopped sweeps"``."""
     parts = []
     for route, n in sorted(route_counts.items(), key=lambda kv: (-kv[1], kv[0])):
         name = _ROUTE_NAMES.get(route, route)

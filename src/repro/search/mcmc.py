@@ -11,8 +11,9 @@ Each proposal is evaluated *speculatively* through the live
 :class:`~repro.sim.Simulator` (:meth:`~repro.sim.Simulator.propose`): the
 task graph is spliced incrementally and the timeline repaired by the
 configured timeline algorithm -- ``auto`` by default, which skips
-identity proposals and re-simulates the rest with the full sweep (the
-named ``delta``/``full`` algorithms are pinned for the Table 4 / Fig. 12
+identity proposals and re-simulates the rest with the full sweep, giving
+up early on proposals the chain must reject (below; the named
+``delta``/``full`` algorithms are pinned for the Table 4 / Fig. 12
 comparisons).  Accepted proposals are committed; rejected proposals are
 reverted by a structural splice undo plus the pre-proposal timeline --
 the old timeline object under ``auto``/``full``, a snapshot copy under
@@ -42,6 +43,25 @@ stall criterion) the stop point depends on how fast iterations run, so a
 warm cache can legitimately carry the chain further before the budget
 fires; and the lazy sync leaves the simulator at the last *simulated*
 state of the chain, not necessarily its final state.
+
+Early rejection
+---------------
+A worse proposal is accepted iff ``u < exp(-beta * (new - current))``,
+so a uniform ``u`` drawn first gives the cost ``current - ln(u) / beta``
+at or above which the chain must reject (the "early rejection" MCMC of
+Solonen et al., 2012).  On a cache or store miss the chain peeks that
+uniform -- saving and restoring the generator's state, so the stream is
+consumed exactly as without the peek -- and passes the threshold, plus a
+relative margin of 1e-9 against rounding, to
+:meth:`~repro.sim.Simulator.propose`.  Under ``auto`` the simulator
+returns ``inf`` as soon as a lower bound on the proposal's makespan
+exceeds it.  The decision line still applies the exact test: an ``inf``
+cost draws the same uniform and rejects, so decisions, traces and
+results are those of an exact chain, and only simulator work is skipped.
+An early-rejected proposal has no exact cost, so it is never cached; a
+later proposal of the same strategy is simulated again.  A chain with a
+store passes no bound, because the store persists exact costs for later
+searches; ``beta <= 0`` and a peeked uniform of 0.0 give no bound either.
 
 Adaptive budget reallocation
 ----------------------------
@@ -126,7 +146,7 @@ class SearchTrace:
     times_s: list[float] = field(default_factory=list)  # wall-clock per iteration
     accepted: int = 0
     proposed: int = 0
-    simulations: int = 0  # actual simulator invocations (< 2*proposed with a cache)
+    simulations: int = 0  # Simulator.propose calls, early-rejected ones included
     cache_hits: int = 0
     cache_misses: int = 0
     store_hits: int = 0  # answered by the persistent cross-run store
@@ -137,7 +157,8 @@ class SearchTrace:
     stop_reason: str = "iterations"
     # Timeline-repair route telemetry, snapshotted from the simulator's
     # DeltaStats at chain end: how ``auto`` handled each simulated
-    # proposal ("noop" identity short circuits, "full" sweeps).
+    # proposal ("noop" identity short circuits, "full" completed sweeps,
+    # "load_reject"/"sweep_stop" early rejections).
     route_counts: dict = field(default_factory=dict)
 
     def record(self, cost: float, best: float, t: float) -> None:
@@ -231,6 +252,21 @@ def mcmc_search(
                 return cost
             trace.cache_misses += 1
         return None
+
+    def rejection_bound() -> float:
+        """The cost above which this proposal's Metropolis-Hastings test
+        must reject, or ``inf`` for none (module docstring, "Early
+        rejection").  The peek puts the generator's state back.
+        """
+        if store is not None or beta <= 0:
+            return math.inf
+        state = rng.bit_generator.state
+        u = rng.random()
+        rng.bit_generator.state = state
+        if u == 0.0:
+            return math.inf  # ln(0) raises
+        threshold = current_cost - math.log(u) / beta
+        return threshold + 1e-9 * abs(threshold)
 
     def remember(fp: int, cost: float) -> None:
         if cache is not None:
@@ -333,12 +369,15 @@ def mcmc_search(
                 # The simulator is only needed now: catch it up with any
                 # accepted-from-cache changes before proposing.
                 sync_timeline()
-                new_cost = simulator.propose(op_id, new_cfg)
+                new_cost = simulator.propose(op_id, new_cfg, rejection_bound())
                 trace.simulations += 1
                 simulated = True
-                if proposal is not None:
+                # An early rejection (inf) has no exact cost to remember.
+                if proposal is not None and new_cost < math.inf:
                     remember(proposal[0], new_cost)
 
+            # The exact test, also for an early rejection: an inf cost
+            # draws the same uniform and rejects.
             accept = new_cost <= current_cost or rng.random() < math.exp(
                 -beta * (new_cost - current_cost)
             )

@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 __all__ = ["TaskArrays"]
 
 
@@ -180,6 +182,22 @@ class TaskArrays:
         self.free.extend(slots)
 
     # -- introspection -----------------------------------------------------
+    def loads(self, minlength: int = 0) -> np.ndarray:
+        """Each device's total execution time over the live slots.
+
+        Indexed by device id, connections included, and at least
+        ``minlength`` long.  Free slots keep stale ``exe``/``dev``
+        values, so the live mask is what keeps them out.  The buffer
+        views die with this call: an ``array`` cannot grow while numpy
+        holds a view of it.
+        """
+        live = np.frombuffer(self.tid, np.int64) != -1
+        return np.bincount(
+            np.frombuffer(self.dev, np.int64)[live],
+            weights=np.frombuffer(self.exe, np.float64)[live],
+            minlength=minlength,
+        )
+
     @property
     def num_live(self) -> int:
         return len(self.slot_of)

@@ -74,7 +74,9 @@ class DeltaStats:
     (``fallbacks`` counts authoritative full re-simulations).  The
     ``auto`` algorithm only writes ``route_counts`` -- per-route proposal
     counts: ``"noop"`` for identity proposals it short-circuits before
-    the splice, ``"full"`` for full sweeps.
+    the splice, ``"full"`` for completed full sweeps, ``"load_reject"``
+    for proposals its pre-splice load bound rejects, and ``"sweep_stop"``
+    for sweeps stopped by their rejection bound.
     """
 
     invocations: int = 0

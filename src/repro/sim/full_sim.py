@@ -22,6 +22,7 @@ cross-executor reproducibility of multi-chain search
 from __future__ import annotations
 
 import heapq
+import math
 
 from repro.sim import kernels
 from repro.sim.taskgraph import TaskGraph
@@ -88,7 +89,7 @@ class Timeline:
         return self.makespan
 
 
-def full_simulate(tg: TaskGraph) -> Timeline:
+def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     """Simulate the task graph from scratch; returns the full timeline.
 
     The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
@@ -101,10 +102,13 @@ def full_simulate(tg: TaskGraph) -> Timeline:
     When the kernels are enabled (the default; see
     :mod:`repro.sim.kernels`) the sweep below is replaced by the leaner
     bit-identical loop there; ``REPRO_SIM_KERNELS=python`` forces this
-    scalar reference.
+    scalar reference.  Under the kernels a finite ``bound`` lets the
+    sweep stop and return ``math.inf`` once a lower bound on the makespan
+    exceeds it; the scalar reference ignores ``bound`` and always
+    returns the exact timeline.
     """
     if kernels.kernels_enabled():
-        return kernels.full_kernel(tg)
+        return kernels.full_kernel(tg, bound)
     tl = Timeline()
     arr = tg.arrays
     exe, dev, rank, tids = arr.exe, arr.dev, arr.rank, arr.tid

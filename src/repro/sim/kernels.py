@@ -20,23 +20,33 @@ the suffix enter with an in-degree of zero, so the first decrement drives
 them negative and they can never reach the ``indeg == 0`` scheduling
 condition; their ready-time updates land in scratch that nobody reads.
 
+The full sweep can stop early.  Given a finite ``bound`` (``auto``'s
+Metropolis-Hastings rejection threshold), :func:`full_kernel` returns
+``math.inf`` instead of a timeline once a lower bound on the makespan
+exceeds it: first the largest device load, before any pop, then, per
+device, its load plus the idle time the sweep has opened on it so far.
+A sweep that is not stopped is exactly the unbounded one.  The delta
+suffix and every other caller pass no bound.
+
 Bit-identity is the contract (``tests/sim/test_sim_kernels.py`` compares
 both modes A/B), which is what lets every timeline algorithm share one
 persistent-store shard.  Setting ``REPRO_SIM_KERNELS=python`` forces the
-scalar reference implementations -- the escape hatch for debugging.  It
-selects only these sweep loops: task-graph construction and splicing
-have one implementation under either setting.
+scalar reference implementations -- the escape hatch for debugging; the
+scalar full sweep ignores the bound and never stops.  It selects only
+these sweep loops: task-graph construction and splicing have one
+implementation under either setting.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 
 __all__ = ["kernels_enabled", "full_kernel", "suffix_drain"]
 
 # The valid REPRO_SIM_KERNELS values; empty/unset means "numpy", the
-# mode that runs this module's loops (which need no numpy themselves).
+# mode that runs this module's loops.
 _KERNEL_MODES = ("python", "numpy")
 
 
@@ -58,8 +68,13 @@ def kernels_enabled() -> bool:
     return mode != "python"
 
 
-def full_kernel(tg):
-    """Algorithm 1 on the lean loop; bit-identical to ``full_simulate``."""
+def full_kernel(tg, bound=math.inf):
+    """Algorithm 1 on the lean loop; bit-identical to ``full_simulate``.
+
+    With a finite ``bound`` the sweep returns ``math.inf`` instead of a
+    timeline as soon as a lower bound on the makespan exceeds it (see
+    :func:`_sweep`); a sweep it does not stop is the unbounded one.
+    """
     from .full_sim import Timeline
 
     arr = tg.arrays
@@ -67,9 +82,17 @@ def full_kernel(tg):
     total = arr.num_live
     if total == 0:
         return Timeline()
+    dev = arr.dev.tolist()
+    dev_end = [0.0] * (max(dev) + 1)
+    lb = None
+    if bound < math.inf:
+        # A device runs one task at a time: its load alone bounds the
+        # makespan, before any task is popped.
+        lb = arr.loads(len(dev_end)).tolist()
+        if max(lb) > bound:
+            return math.inf
     tids = arr.tid.tolist()
     rank = arr.rank.tolist()
-    dev = arr.dev.tolist()
     indeg = list(map(len, arr.ins))
     # Free slots have cleared rows, so the live test keeps them out.
     heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and tids[s] != -1]
@@ -77,8 +100,9 @@ def full_kernel(tg):
     ready = [0.0] * ns
     start = [0.0] * ns
     end = [_UNSET] * ns
-    _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
-           [0.0] * (max(dev) + 1))
+    if not _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
+                  dev_end, lb, bound):
+        return math.inf
     scheduled = ns - end.count(_UNSET)
     if scheduled != total:
         raise RuntimeError(
@@ -154,7 +178,8 @@ def suffix_drain(tg, suffix_slots, t_cut, ready, start, end, dev_end):
 _UNSET = -1.0
 
 
-def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end):
+def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end,
+           lb=None, bound=math.inf):
     """The heap drain shared by the full and delta kernels.
 
     Pops ``heap`` in ``(readyTime, rank)`` order exactly like the scalar
@@ -163,6 +188,14 @@ def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_en
     ``dev_end`` a dense per-device list of last end times; the last five
     are written in place.  A popped slot's ready time is its final
     ``slot_ready`` entry: it was pushed at that value.
+
+    ``lb``, when given, starts as each device's total load and gains
+    every idle gap the sweep opens on that device: a device cannot end
+    before it has run its whole load and sat through those gaps, so
+    ``lb[d]`` stays a lower bound on the makespan.  It only grows in the
+    idle branch, so only there is it checked against ``bound``.  Returns
+    ``False`` if the sweep stopped because some ``lb[d]`` exceeded
+    ``bound``, else ``True``.
     """
     pop = heapq.heappop
     push = heapq.heappush
@@ -171,6 +204,11 @@ def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_en
         d = dev[slot]
         s = dev_end[d]
         if r > s:
+            if lb is not None:
+                low = lb[d] + (r - s)
+                if low > bound:
+                    return False
+                lb[d] = low
             s = r
         e = s + exe[slot]
         dev_end[d] = e
@@ -183,3 +221,4 @@ def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_en
             indeg[nxt] = v
             if v == 0:
                 push(heap, (slot_ready[nxt], rank[nxt], nxt))
+    return True

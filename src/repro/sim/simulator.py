@@ -11,10 +11,16 @@ algorithms share the same incremental task-graph update:
     skips the splice *and* the repair outright -- the common case in
     small per-op config spaces, where random proposals regularly collide
     with the incumbent.  Every other proposal is spliced and re-simulated
-    from scratch by the full sweep.  Both decisions are counted in
-    ``DeltaStats.route_counts`` (``"noop"``/``"full"``), which rides
-    through ``SearchTrace`` into ``PlanResult.extras``, the
-    ``result.summary()`` repair line and the ``repro.exp`` trial rows;
+    from scratch by the full sweep.  Given a rejection bound by
+    :meth:`Simulator.propose`, ``auto`` also gives up on a proposal, with
+    cost ``inf``, as soon as a lower bound on its makespan exceeds the
+    bound: the spliced graph's per-device compute load, checked before
+    the splice, then the sweep's load-plus-idle bound
+    (:mod:`repro.sim.kernels`).  Every decision is counted in
+    ``DeltaStats.route_counts`` (``"noop"``, ``"full"``, ``"load_reject"``,
+    ``"sweep_stop"``), which rides through ``SearchTrace`` into
+    ``PlanResult.extras``, the ``result.summary()`` repair line and the
+    ``repro.exp`` trial rows;
 ``"delta"``
     the cut-time incremental repair (Algorithm 2, conservative variant),
     kept to reproduce the paper's Table 4 comparison;
@@ -24,7 +30,8 @@ algorithms share the same incremental task-graph update:
     Table 4 and Figure 12.
 
 All three produce bit-identical timelines for every reachable state
-(property-tested at ``tol=0``), so the choice is pure throughput.
+(property-tested at ``tol=0``), so the choice is pure throughput; an
+early rejection only ever replaces a cost the caller would reject.
 ``auto`` needs nothing incremental because random MCMC mutations shift
 the times of nearly every later task: on the end-to-end benchmark's
 searches no incremental repair beats the full sweep (README "Timeline
@@ -32,6 +39,8 @@ algorithms" has the measurements).
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.ir.graph import OperatorGraph
 from repro.machine.topology import DeviceTopology
@@ -47,6 +56,11 @@ __all__ = ["ALGORITHMS", "Simulator", "simulate_strategy"]
 
 #: The valid ``algorithm=`` names; ``auto`` is the default.
 ALGORITHMS = ("auto", "delta", "full")
+
+# Pending markers of proposals with no splice outstanding: an identity
+# no-op (commit or revert), and an early rejection (revert only).
+_NOOP = object()
+_REJECTED = object()
 
 
 class Simulator:
@@ -73,8 +87,9 @@ class Simulator:
         self.timeline: Timeline = full_simulate(self.task_graph)
         self.delta_stats = DeltaStats()
         self.reverts = 0  # snapshot restores that replaced an undo simulation
-        self._pending: Timeline | None = None
-        self._pending_noop = False  # pending proposal was an identity no-op
+        # The open proposal's revert target: the pre-proposal timeline, or
+        # _NOOP / _REJECTED when the proposal left no splice to undo.
+        self._pending: Timeline | object | None = None
 
     @property
     def cost(self) -> float:
@@ -84,6 +99,10 @@ class Simulator:
     @property
     def strategy(self) -> Strategy:
         return self.task_graph.strategy
+
+    def _count(self, route: str) -> None:
+        routes = self.delta_stats.route_counts
+        routes[route] = routes.get(route, 0) + 1
 
     def _noop(self, op_id: int, cfg: ParallelConfig) -> bool:
         """Whether ``auto`` short-circuits this proposal (counted if so).
@@ -97,19 +116,26 @@ class Simulator:
         """
         if self.algorithm != "auto" or cfg != self.task_graph.strategy[op_id]:
             return False
-        routes = self.delta_stats.route_counts
-        routes["noop"] = routes.get("noop", 0) + 1
+        self._count("noop")
         return True
 
-    def _repair(self, removed: dict, dirty: set[int]) -> None:
-        """Bring the timeline up to date after a task-graph splice."""
+    def _repair(self, removed: dict, dirty: set[int], bound: float = math.inf) -> bool:
+        """Bring the timeline up to date after a task-graph splice.
+
+        Returns ``False``, leaving the timeline alone, if the bounded
+        sweep stopped (only ``auto`` passes a finite ``bound``).
+        """
         if self.algorithm == "delta":
             delta_simulate(self.task_graph, self.timeline, removed, dirty, self.delta_stats)
-            return
+            return True
+        timeline = full_simulate(self.task_graph, bound)
+        if isinstance(timeline, float):
+            self._count("sweep_stop")
+            return False
         if self.algorithm == "auto":
-            routes = self.delta_stats.route_counts
-            routes["full"] = routes.get("full", 0) + 1
-        self.timeline = full_simulate(self.task_graph)
+            self._count("full")
+        self.timeline = timeline
+        return True
 
     def reconfigure(self, op_id: int, cfg: ParallelConfig) -> float:
         """Apply one configuration change; returns the new cost (us)."""
@@ -120,13 +146,23 @@ class Simulator:
         return self.timeline.makespan
 
     # -- speculative reconfiguration ---------------------------------------
-    def propose(self, op_id: int, cfg: ParallelConfig) -> float:
+    def propose(self, op_id: int, cfg: ParallelConfig, bound: float = math.inf) -> float:
         """Speculatively apply one configuration change; returns the cost.
 
         Must be resolved with :meth:`commit` or :meth:`revert` before the
         next proposal.  ``revert`` restores the exact pre-proposal state
         without re-simulating, which halves the simulator work of a
         rejected MCMC proposal compared to apply-then-undo.
+
+        ``bound`` is the cost above which the caller will reject the
+        proposal.  ``auto`` returns ``math.inf`` as soon as a lower bound
+        on the new cost exceeds it: first the spliced graph's per-device
+        compute load (:meth:`TaskGraph.spliced_loads`, checked before
+        the splice, so a rejection skips splice, sweep and undo), then the
+        sweep's own load-plus-idle bound.  After an ``inf`` the cost,
+        timeline and strategy are the pre-proposal ones, and only
+        :meth:`revert` is valid.  Any returned finite cost is exact; the
+        named algorithms ignore ``bound``.
         """
         if self._pending is not None:
             raise RuntimeError("previous proposal not resolved (commit or revert first)")
@@ -134,15 +170,25 @@ class Simulator:
             # Empty change cone: nothing to splice or repair.  The pending
             # marker keeps propose/commit/revert pairing intact;
             # resolution is a flag flip either way.
-            self._pending = self.timeline
-            self._pending_noop = True
+            self._pending = _NOOP
             return self.timeline.makespan
+        if self.algorithm != "auto":
+            bound = math.inf
+        elif bound < math.inf and max(self.task_graph.spliced_loads(op_id, cfg)) > bound:
+            self._count("load_reject")
+            self._pending = _REJECTED
+            return math.inf
         # delta repairs the timeline in place, so reverting needs a copy;
         # auto and full build a fresh timeline, so the old object itself
         # is the revert target.
         saved = self.timeline.copy() if self.algorithm == "delta" else self.timeline
         removed, dirty = self.task_graph.replace_config(op_id, cfg, keep_record=True)
-        self._repair(removed, dirty)
+        if not self._repair(removed, dirty, bound):
+            # The sweep stopped: restore the pre-proposal graph now, so
+            # the live state is the one revert() will keep.
+            self.task_graph.undo_last_splice()
+            self._pending = _REJECTED
+            return math.inf
         self._pending = saved
         return self.timeline.makespan
 
@@ -150,22 +196,20 @@ class Simulator:
         """Adopt the pending proposal."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to commit")
+        if self._pending is _REJECTED:
+            raise RuntimeError("an early-rejected proposal has no cost to commit; revert it")
         self._pending = None
-        self._pending_noop = False
 
     def revert(self) -> float:
         """Discard the pending proposal; returns the restored cost (us)."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to revert")
-        if self._pending_noop:
-            # Identity no-op: no splice happened, so there is nothing to
-            # undo and the live timeline is already the pre-proposal one.
-            self._pending = None
-            self._pending_noop = False
-            self.reverts += 1
-            return self.timeline.makespan
-        self.task_graph.undo_last_splice()
-        self.timeline = self._pending
+        if isinstance(self._pending, Timeline):
+            self.task_graph.undo_last_splice()
+            self.timeline = self._pending
+        # Otherwise no splice is outstanding (an identity no-op, or an
+        # early rejection that never spliced or already undid its splice),
+        # and the live timeline is the pre-proposal one.
         self._pending = None
         self.reverts += 1
         return self.timeline.makespan

@@ -245,12 +245,13 @@ class TaskGraph:
         return len(self.tasks)
 
     # -- construction --------------------------------------------------------
-    def _make_op_tasks(self, oid: int) -> None:
-        """Create forward (and backward) compute tasks for one op."""
-        op = self.graph.op(oid)
-        cfg = self.strategy[oid]
+    def _task_times(self, op, cfg, make_bwd: bool) -> tuple[tuple[float, float], ...]:
+        """Each task's ``(forward_us, backward_us)`` for ``op`` under ``cfg``.
+
+        Read through the profiler's memo (filled on a miss); ``backward_us``
+        is 0.0 unless ``make_bwd``.
+        """
         devices = cfg.devices
-        make_bwd = self.training and not op.is_source
         key = (op, cfg.degrees, tuple([self._spec_keys[d] for d in devices]), make_bwd)
         times = self._memo.get(key)
         if times is None:
@@ -263,6 +264,15 @@ class TaskGraph:
                 bwd_us = prof.task_time(op, region, dev, backward=True) if make_bwd else 0.0
                 times.append((fwd_us, bwd_us))
             times = self._memo[key] = tuple(times)
+        return times
+
+    def _make_op_tasks(self, oid: int) -> None:
+        """Create forward (and backward) compute tasks for one op."""
+        op = self.graph.op(oid)
+        cfg = self.strategy[oid]
+        devices = cfg.devices
+        make_bwd = self.training and not op.is_source
+        times = self._task_times(op, cfg, make_bwd)
         fwd_ids: list[int] = []
         bwd_ids: list[int] = []
         _, s_op, s_k, s_bwd = self._rank_shifts[0]
@@ -459,6 +469,39 @@ class TaskGraph:
         self.sync[gkey] = created
 
     # -- incremental reconfiguration -----------------------------------------------
+    def spliced_loads(self, op_id: int, new_cfg) -> list[float]:
+        """Lower bounds on each compute device's work after a splice.
+
+        Indexed by device id, for ``replace_config(op_id, new_cfg)``,
+        without splicing anything.  A device runs one task at a time, so
+        no schedule of the spliced graph ends before the largest entry:
+        the pre-splice half of ``auto``'s early rejection.  Each entry is
+        the device's current NORMAL and UPDATE work, minus the group's
+        current forward, backward and update tasks on it, plus the
+        group's new forward and backward times, read through the memo as
+        the splice would read them.  The new update tasks only add work,
+        so they are left out.
+        """
+        # COMM tasks sit on connection ids, past the compute devices.
+        num_devices = self.topology.num_devices
+        arr = self.arrays
+        loads = arr.loads(num_devices)[:num_devices].tolist()
+        exe, dev, slot_of = arr.exe, arr.dev, arr.slot_of
+        for m in self.graph.group_members(op_id):
+            for tid in self.fwd[m] + self.bwd[m]:
+                s = slot_of[tid]
+                loads[dev[s]] -= exe[s]
+            op = self.graph.op(m)
+            times = self._task_times(op, new_cfg, self.training and not op.is_source)
+            for d, (fwd_us, bwd_us) in zip(new_cfg.devices, times):
+                loads[d] += fwd_us + bwd_us
+        update, kind = int(TaskKind.UPDATE), arr.kind
+        for tid in self.sync[self.graph.group_key(op_id)]:
+            s = slot_of[tid]
+            if kind[s] == update:
+                loads[dev[s]] -= exe[s]
+        return loads
+
     def replace_config(
         self, op_id: int, new_cfg, keep_record: bool = False
     ) -> tuple[dict[int, "Task"], set[int]]:

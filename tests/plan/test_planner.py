@@ -130,17 +130,26 @@ class TestDefaultsAndSummary:
             "mcmc", SearchConfig(budget=BudgetConfig(iterations=30), seed=1)
         )
         routes = res.extras["route_counts"]
-        assert set(routes) <= {"full", "noop"} and routes.get("full", 0) > 0
+        names = {
+            "full": "full sweep",
+            "noop": "identity no-op",
+            "load_reject": "load rejection",
+            "sweep_stop": "stopped sweep",
+        }
+        assert set(routes) <= set(names) and routes.get("full", 0) > 0
         line = next(s for s in res.summary().splitlines() if s.startswith("timeline repair:"))
-        assert f"{routes['full']} full sweep" in line
-        if routes.get("noop"):
-            assert f"{routes['noop']} identity no-op" in line
+        for route, n in routes.items():
+            assert f"{n} {names[route]}" in line, route
 
     def test_summary_repair_line_wording(self):
         from repro.plan.result import _repair_mix
 
         assert _repair_mix({"noop": 2, "full": 38}) == "38 full sweeps, 2 identity no-ops"
         assert _repair_mix({"full": 1}) == "1 full sweep"
+        assert (
+            _repair_mix({"noop": 2, "load_reject": 4, "full": 20, "sweep_stop": 9})
+            == "20 full sweeps, 9 stopped sweeps, 4 load rejections, 2 identity no-ops"
+        )
 
     def test_summary_omits_the_line_without_route_counts(self, lenet_graph, topo4):
         res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(
