@@ -32,21 +32,21 @@ change cannot reach -- a conservative over-approximation that is simple
 to prove correct but forfeits the skip-unaffected-branches property the
 paper's delta implementation exploits for its 2.2-6.9x end-to-end search
 speedups.  On the dense random mutations an MCMC search proposes, the
-suffix routinely covers most of the graph, so under the kernels a suffix
-of at least :data:`_SATURATION_FRAC` of the tasks is handed to the full
-sweep outright (:attr:`DeltaStats.saturation_handoffs`; bit-identical by
-the same argument as the defensive fallback).  Skipping unaffected
-branches does not pay on those proposals either (README "Timeline
-algorithms"), so the default ``auto`` algorithm repairs with the full
-sweep and this module reproduces the paper's Table 4 comparison of full
-and delta search.  A defensive check falls back to full simulation if a
-suffix task ever becomes ready before the cut (never observed; counted in
+suffix routinely covers most of the graph, so a suffix of at least
+:data:`_SATURATION_FRAC` of the tasks is handed to the full sweep
+outright (:attr:`DeltaStats.saturation_handoffs`; bit-identical by the
+same argument as the defensive fallback).  Skipping unaffected branches
+does not pay on those proposals either (README "Timeline algorithms"),
+so the default ``auto`` algorithm repairs with the full sweep and this
+module reproduces the paper's Table 4 comparison of full and delta
+search.  A defensive check falls back to full simulation if a suffix
+task ever becomes ready before the cut (never observed; counted in
 :attr:`DeltaStats.fallbacks`).
 
 Like the full algorithm, the suffix sweep runs on the flat
 :class:`~repro.sim.arrays.TaskArrays` substrate -- static columns and
-adjacency rows indexed by slot, heap ordered by ckey rank --
-instead of probing the ``dict[int, Task]`` per field access.
+adjacency rows indexed by slot, heap ordered by ckey rank -- and through
+the same heap loop, :func:`repro.sim.full_sim._sweep`.
 """
 
 from __future__ import annotations
@@ -54,14 +54,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.sim import kernels
-from repro.sim.full_sim import Timeline, full_simulate
+from repro.sim.full_sim import _UNSET, Timeline, _sweep, full_simulate
 from repro.sim.taskgraph import TaskGraph
 
 __all__ = ["DeltaStats", "delta_simulate"]
 
 #: Suffix fraction at which the cut-time repair hands off to the full
-#: kernel sweep (see the saturation handoff in :func:`delta_simulate`).
+#: sweep (see the saturation handoff in :func:`delta_simulate`).
 _SATURATION_FRAC = 0.5
 
 
@@ -83,7 +82,7 @@ class DeltaStats:
     fallbacks: int = 0
     tasks_resimulated: int = 0
     tasks_total: int = 0
-    saturation_handoffs: int = 0  # saturated suffixes handed to the full kernel
+    saturation_handoffs: int = 0  # saturated suffixes handed to the full sweep
     route_counts: dict = field(default_factory=dict)
 
     @property
@@ -118,16 +117,18 @@ def delta_simulate(
 ) -> Timeline:
     """Repair ``tl`` in place after a task-graph splice; returns ``tl``.
 
-    ``removed`` maps removed task id -> the removed
-    :class:`~repro.sim.taskgraph.Task`; ``dirty`` is the seed set --
-    both come from :meth:`TaskGraph.replace_config`.
+    ``removed`` holds the removed task ids (only its keys are read) and
+    ``dirty`` is the seed set -- both come from
+    :meth:`TaskGraph.replace_config`.  Everything else is read from the
+    task graph's :class:`~repro.sim.arrays.TaskArrays`.
     """
+    arr = tg.arrays
+    total = arr.num_live
     if stats is not None:
         stats.invocations += 1
-        stats.tasks_total += len(tg.tasks)
-    arr = tg.arrays
-    exe, dev, rank, tids = arr.exe, arr.dev, arr.rank, arr.tid
-    all_ins, all_outs = arr.ins, arr.outs
+        stats.tasks_total += total
+    exe, dev, tids = arr.exe, arr.dev, arr.tid
+    all_ins = arr.ins
     slot_of = arr.slot_of
     ready, start, end = tl.ready, tl.start, tl.end
 
@@ -194,13 +195,11 @@ def delta_simulate(
     # seeding; the full sweep is strictly cheaper.  Hand off at the
     # t_cut -> 0 limit of this algorithm -- the result is bit-identical by
     # the same argument as the defensive fallback, so this is a pure
-    # routing decision.  Only taken on the kernel path: the scalar
-    # reference keeps the pure cut-time behavior the property suite and
-    # the paper's Table 4 accounting describe.
-    if kernels.kernels_enabled() and len(suffix) >= _SATURATION_FRAC * len(tg.tasks):
+    # routing decision.
+    if len(suffix) >= _SATURATION_FRAC * total:
         if stats is not None:
             stats.saturation_handoffs += 1
-            stats.tasks_resimulated += len(tg.tasks) - len(suffix)
+            stats.tasks_resimulated += total - len(suffix)
         return _adopt(tl, full_simulate(tg))
 
     # A device runs its tasks FIFO by ready time and end times never
@@ -216,70 +215,50 @@ def delta_simulate(
                 dev_end[d] = e
             if e > makespan:
                 makespan = e
-    suffix_slots = {slot_of[tid] for tid in suffix}
+    slots = [slot_of[tid] for tid in suffix]
 
     # ---- Algorithm 1 over the suffix ----------------------------------------
-    if kernels.kernels_enabled():
-        # Bit-identical lean loop (repro.sim.kernels); the scalar sweep
-        # below is the REPRO_SIM_KERNELS=python reference.
-        mk = kernels.suffix_drain(tg, suffix_slots, t_cut, ready, start, end, dev_end)
-        if mk is None:
-            # Pre-cut pop (prefix-safety violation), a dependency cycle,
-            # or bookkeeping drift: re-run authoritatively.
-            return _fallback(tg, tl, stats)
-        tl.makespan = mk if mk > makespan else makespan
-        return tl
-
+    # Seed each suffix slot with its in-suffix in-degree and the latest end
+    # of its fixed predecessors, then run the full sweep's loop from the
+    # prefix's per-device end times.  Slots outside the suffix enter with
+    # an in-degree of zero, so the first decrement drives them negative:
+    # they never reach the loop's scheduling condition, and their
+    # ready-time updates land in scratch nobody reads.
+    ns = arr.num_slots
+    rank = arr.rank.tolist()
+    memb = bytearray(ns)
+    for slot in slots:
+        memb[slot] = 1
+    indeg = [0] * ns
+    slot_ready = [0.0] * ns
     heap: list[tuple[float, int, int]] = []
-    indeg: dict[int, int] = {}
-    sready: dict[int, float] = {}
-    for slot in suffix_slots:
+    for slot in slots:
         n = 0
         est = 0.0
         for p in all_ins[slot]:
-            if p in suffix_slots:
+            if memb[p]:
                 n += 1
             else:
                 pe = end[tids[p]]  # fixed predecessor: final value
                 if pe > est:
                     est = pe
         indeg[slot] = n
-        sready[slot] = est
+        slot_ready[slot] = est
         if n == 0:
             heap.append((est, rank[slot], slot))
     heapq.heapify(heap)
-
-    scheduled = 0
-    while heap:
-        r, _, slot = heapq.heappop(heap)
-        if r < t_cut:
-            # Defensive: contradicts the prefix-safety invariant.
-            return _fallback(tg, tl, stats)
-        tid = tids[slot]
-        d = dev[slot]
-        s = dev_end[d]
-        if r > s:
-            s = r
-        e = s + exe[slot]
-        ready[tid] = r
-        start[tid] = s
-        end[tid] = e
-        dev_end[d] = e
-        if e > makespan:
-            makespan = e
-        scheduled += 1
-        for nxt in all_outs[slot]:
-            if nxt not in suffix_slots:
-                continue
-            if e > sready[nxt]:
-                sready[nxt] = e
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, (sready[nxt], rank[nxt], nxt))
-
-    if scheduled != len(suffix_slots):
-        # A dependency cycle or bookkeeping drift: re-run authoritatively.
+    slot_start = [0.0] * ns
+    slot_end = [_UNSET] * ns
+    _sweep(heap, exe.tolist(), dev.tolist(), rank, arr.outs, indeg, slot_ready, slot_start,
+           slot_end, dev_end)
+    readies = list(map(slot_ready.__getitem__, slots))
+    ends = list(map(slot_end.__getitem__, slots))
+    if slots and (min(readies) < t_cut or min(ends) == _UNSET):
+        # Pre-cut pop (prefix-safety violation), a dependency cycle, or
+        # bookkeeping drift: re-run authoritatively.
         return _fallback(tg, tl, stats)
-
-    tl.makespan = makespan
+    ready.update(zip(suffix, readies))
+    start.update(zip(suffix, map(slot_start.__getitem__, slots)))
+    end.update(zip(suffix, ends))
+    tl.makespan = max(makespan, max(ends, default=0.0))
     return tl

@@ -17,6 +17,19 @@ canonical tie-breaking the timeline is a pure function of
 the strategy-evaluation cache (:mod:`repro.search.cache`) and the
 cross-executor reproducibility of multi-chain search
 (:mod:`repro.search.exec`) both rely on.
+
+The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
+substrate, and :func:`_sweep` is the one heap loop of the simulator:
+:func:`full_simulate` runs it over the whole graph and
+:func:`~repro.sim.delta_sim.delta_simulate` over its suffix.  The heap
+orders by ckey *rank* (integer comparisons, the same pop order), the
+columns the loop reads are turned into lists once per sweep, each
+device's last end time lives in a dense list indexed by device id (device
+and connection ids share one small id space), and a popped task's start
+and end go into per-slot lists.  Its ready time is already in the
+per-slot ready list: a task is pushed only once its last predecessor has
+finished, at its final ready time.  ``tests/sim`` checks every sweep
+against a literal Algorithm 1 that orders its heap by ckey tuples.
 """
 
 from __future__ import annotations
@@ -24,10 +37,12 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.sim import kernels
 from repro.sim.taskgraph import TaskGraph
 
 __all__ = ["Timeline", "full_simulate"]
+
+# End time of a slot the sweep has not scheduled (every real one is >= 0).
+_UNSET = -1.0
 
 
 class Timeline:
@@ -84,78 +99,103 @@ class Timeline:
             for t in self.end
         )
 
-    def recompute_makespan(self) -> float:
-        self.makespan = max(self.end.values(), default=0.0)
-        return self.makespan
-
 
 def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     """Simulate the task graph from scratch; returns the full timeline.
 
-    The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
-    substrate: per-slot state lives in dense lists and the heap orders by
-    ckey *rank* (bit-identical pop order, integer comparisons).
+    With a finite ``bound`` (``auto``'s Metropolis-Hastings rejection
+    threshold) the sweep returns ``math.inf`` instead of a timeline as
+    soon as a lower bound on the makespan exceeds it: first the largest
+    device load, before any pop, then, per device, its load plus the idle
+    time the sweep has opened on it so far (see :func:`_sweep`).  A sweep
+    it does not stop is exactly the unbounded one.
 
     Raises ``RuntimeError`` if the task graph contains a dependency cycle
     (which would indicate a construction bug, not a user error).
-
-    When the kernels are enabled (the default; see
-    :mod:`repro.sim.kernels`) the sweep below is replaced by the leaner
-    bit-identical loop there; ``REPRO_SIM_KERNELS=python`` forces this
-    scalar reference.  Under the kernels a finite ``bound`` lets the
-    sweep stop and return ``math.inf`` once a lower bound on the makespan
-    exceeds it; the scalar reference ignores ``bound`` and always
-    returns the exact timeline.
     """
-    if kernels.kernels_enabled():
-        return kernels.full_kernel(tg, bound)
-    tl = Timeline()
     arr = tg.arrays
-    exe, dev, rank, tids = arr.exe, arr.dev, arr.rank, arr.tid
-    all_ins, all_outs = arr.ins, arr.outs
-    num_slots = len(tids)
+    ns = arr.num_slots
     total = arr.num_live
-
-    indeg = [0] * num_slots
-    slot_ready = [0.0] * num_slots
-    heap: list[tuple[float, int, int]] = []
-    for slot in range(num_slots):
-        if tids[slot] == -1:
-            continue
-        n = len(all_ins[slot])
-        indeg[slot] = n
-        if n == 0:
-            heap.append((0.0, rank[slot], slot))
+    if total == 0:
+        return Timeline()
+    dev = arr.dev.tolist()
+    dev_end = [0.0] * (max(dev) + 1)
+    lb = None
+    if bound < math.inf:
+        # A device runs one task at a time: its load alone bounds the
+        # makespan, before any task is popped.
+        lb = arr.loads(len(dev_end)).tolist()
+        if max(lb) > bound:
+            return math.inf
+    tids = arr.tid.tolist()
+    rank = arr.rank.tolist()
+    indeg = list(map(len, arr.ins))
+    # Free slots have cleared rows, so the live test keeps them out.
+    heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and tids[s] != -1]
     heapq.heapify(heap)
-
-    dev_last_end: dict[int, float] = {}
-    scheduled = 0
-    ready = tl.ready
-    start = tl.start
-    end = tl.end
-    while heap:
-        r, _, slot = heapq.heappop(heap)
-        tid = tids[slot]
-        d = dev[slot]
-        s = dev_last_end.get(d, 0.0)
-        if r > s:
-            s = r
-        e = s + exe[slot]
-        ready[tid] = r
-        start[tid] = s
-        end[tid] = e
-        dev_last_end[d] = e
-        scheduled += 1
-        for nxt in all_outs[slot]:
-            if e > slot_ready[nxt]:
-                slot_ready[nxt] = e
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, (slot_ready[nxt], rank[nxt], nxt))
-
+    ready = [0.0] * ns
+    start = [0.0] * ns
+    end = [_UNSET] * ns
+    if not _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
+                  dev_end, lb, bound):
+        return math.inf
+    scheduled = ns - end.count(_UNSET)
     if scheduled != total:
         raise RuntimeError(
             f"task graph has a cycle: scheduled {scheduled} of {total} tasks"
         )
-    tl.recompute_makespan()
+    tl = Timeline()
+    tl.ready = dict(zip(tids, ready))
+    tl.start = dict(zip(tids, start))
+    tl.end = dict(zip(tids, end))
+    if total != ns:
+        # Free slots all map to task id -1; drop that one stray key.
+        del tl.ready[-1], tl.start[-1], tl.end[-1]
+    tl.makespan = max(end)  # free slots hold _UNSET, below every end time
     return tl
+
+
+def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end,
+           lb=None, bound=math.inf):
+    """Algorithm 1's heap loop, shared by the full and delta sweeps.
+
+    Pops ``heap`` in ``(readyTime, rank)`` order.  ``exe``/``dev``/``rank``
+    are the arrays' columns as lists, ``indeg``/``slot_ready``/``start``/
+    ``end`` dense per-slot lists and ``dev_end`` a dense per-device list
+    of last end times; the last five are written in place.  A popped
+    slot's ready time is its final ``slot_ready`` entry: it was pushed at
+    that value.
+
+    ``lb``, when given, starts as each device's total load and gains
+    every idle gap the sweep opens on that device: a device cannot end
+    before it has run its whole load and sat through those gaps, so
+    ``lb[d]`` stays a lower bound on the makespan.  It only grows in the
+    idle branch, so only there is it checked against ``bound``.  Returns
+    ``False`` if the sweep stopped because some ``lb[d]`` exceeded
+    ``bound``, else ``True``.
+    """
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        r, _, slot = pop(heap)
+        d = dev[slot]
+        s = dev_end[d]
+        if r > s:
+            if lb is not None:
+                low = lb[d] + (r - s)
+                if low > bound:
+                    return False
+                lb[d] = low
+            s = r
+        e = s + exe[slot]
+        dev_end[d] = e
+        start[slot] = s
+        end[slot] = e
+        for nxt in all_outs[slot]:
+            if e > slot_ready[nxt]:
+                slot_ready[nxt] = e
+            v = indeg[nxt] - 1
+            indeg[nxt] = v
+            if v == 0:
+                push(heap, (slot_ready[nxt], rank[nxt], nxt))
+    return True

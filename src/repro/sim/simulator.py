@@ -16,9 +16,9 @@ algorithms share the same incremental task-graph update:
     cost ``inf``, as soon as a lower bound on its makespan exceeds the
     bound: the spliced graph's per-device compute load, checked before
     the splice, then the sweep's load-plus-idle bound
-    (:mod:`repro.sim.kernels`).  Every decision is counted in
-    ``DeltaStats.route_counts`` (``"noop"``, ``"full"``, ``"load_reject"``,
-    ``"sweep_stop"``), which rides through ``SearchTrace`` into
+    (:func:`~repro.sim.full_sim.full_simulate`).  Every decision is
+    counted in ``DeltaStats.route_counts`` (``"noop"``, ``"full"``,
+    ``"load_reject"``, ``"sweep_stop"``), which rides through ``SearchTrace`` into
     ``PlanResult.extras``, the ``result.summary()`` repair line and the
     ``repro.exp`` trial rows;
 ``"delta"``

@@ -24,7 +24,6 @@ from repro.profiler.profiler import OpProfiler
 from repro.search.cache import SimulationCache, strategy_fingerprint
 from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.search.store import MemoryStore
-from repro.sim import kernels
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import Simulator
 from repro.soap.presets import data_parallelism
@@ -101,8 +100,7 @@ def test_both_early_rejection_routes_fire():
         for route, n in early_routes(chain_pair(*case)[0][2]).items():
             fired[route] += n
     assert fired["load_reject"] > 0, fired
-    # REPRO_SIM_KERNELS=python runs the scalar sweep, which never stops.
-    assert (fired["sweep_stop"] > 0) == kernels.kernels_enabled(), fired
+    assert fired["sweep_stop"] > 0, fired
 
 
 def test_no_bound_at_beta_zero():
@@ -181,8 +179,6 @@ class TestRejectedProposal:
 
     @pytest.mark.parametrize("route", EARLY)
     def test_only_revert_resolves_it(self, route, lenet_graph, topo4):
-        if route == "sweep_stop" and not kernels.kernels_enabled():
-            pytest.skip("the scalar reference sweep never stops")
         sim = Simulator(
             lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler()
         )

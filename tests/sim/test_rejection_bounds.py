@@ -3,7 +3,7 @@
 ``Simulator.propose`` with a rejection bound gives up on a proposal once
 a lower bound on its makespan exceeds that bound: first
 ``TaskGraph.spliced_loads``, before the splice, then the sweep's
-load-plus-idle bound in :mod:`repro.sim.kernels`.  Over the simulator
+load-plus-idle bound in ``full_simulate``.  Over the simulator
 state machine's random graphs and splices, neither bound may exceed what
 it bounds, and a bounded sweep must either stop or return the unbounded
 timeline.
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.machine.clusters import single_node
 from repro.profiler.profiler import OpProfiler
-from repro.sim import kernels
+from repro.sim import full_sim
 from repro.sim.full_sim import Timeline, full_simulate
 from repro.sim.taskgraph import TaskGraph, TaskKind
 from repro.soap.presets import data_parallelism
@@ -97,10 +97,10 @@ def test_spliced_loads_bound_the_spliced_graph(splices, **graph):
 @given(fraction=st.floats(0.5, 1.5), **_GRAPHS)
 def test_a_bounded_sweep_stops_iff_the_makespan_exceeds_the_bound(fraction, **graph):
     tg, _, _ = build(**graph)
-    ref = kernels.full_kernel(tg)
+    ref = full_simulate(tg)
     makespan = ref.makespan
     bound = fraction * makespan
-    out = kernels.full_kernel(tg, bound)
+    out = full_simulate(tg, bound)
     if makespan > bound:
         assert out == math.inf
     else:
@@ -108,7 +108,7 @@ def test_a_bounded_sweep_stops_iff_the_makespan_exceeds_the_bound(fraction, **gr
         assert out.makespan == makespan
     # A device that ends the schedule has, at its last idle gap, a bound
     # equal to its end time, so the bound must be strict.
-    at = kernels.full_kernel(tg, makespan)
+    at = full_simulate(tg, makespan)
     assert isinstance(at, Timeline) and at.equals(ref, tol=0.0)
 
 
@@ -117,14 +117,5 @@ def test_a_bounded_sweep_stops_iff_the_makespan_exceeds_the_bound(fraction, **gr
 def test_a_bound_below_the_largest_load_stops_before_the_first_pop(**graph):
     tg, _, _ = build(**graph)
     bound = max(loads_by_device(tg).values()) - 1 / 16
-    with mock.patch.object(kernels, "_sweep", side_effect=AssertionError("popped a task")):
-        assert kernels.full_kernel(tg, bound) == math.inf
-
-
-def test_only_the_kernels_honor_the_bound(monkeypatch, mlp_graph, topo2):
-    tg = TaskGraph(mlp_graph, topo2, data_parallelism(mlp_graph, topo2), OpProfiler())
-    ref = full_simulate(tg)
-    monkeypatch.setenv("REPRO_SIM_KERNELS", "numpy")
-    assert full_simulate(tg, ref.makespan / 2) == math.inf
-    monkeypatch.setenv("REPRO_SIM_KERNELS", "python")
-    assert full_simulate(tg, ref.makespan / 2).equals(ref, tol=0.0)
+    with mock.patch.object(full_sim, "_sweep", side_effect=AssertionError("popped a task")):
+        assert full_simulate(tg, bound) == math.inf

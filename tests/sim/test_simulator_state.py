@@ -3,16 +3,16 @@
 For every timeline algorithm a hypothesis state machine interleaves
 ``propose`` (random and identity configs), ``commit``, ``revert`` and
 ``reconfigure`` on small random MLP and weight-shared LSTM graphs.  After
-every step the live timeline must equal a from-scratch full simulation
-bit for bit, the cost must be its makespan, and the task graph's flat
-arrays must mirror its task dict.  The live task graph, built and spliced
-with the machine's warm profiler, must also equal a build of the same
-strategy with a cold profiler, task by task and in its timeline, which
-catches a construction-memo key that misses an input of its value.  A
-revert must restore the exact pre-proposal strategy and cost.  On graphs
-this small nearly every delta suffix covers half the graph and is handed
-to the full sweep, so one more machine runs ``delta`` with that handoff
-disabled to exercise the suffix loop itself.
+every step the live timeline must equal a literal Algorithm 1
+(``sim_helpers.algorithm1``) bit for bit, the cost must be its makespan,
+and the task graph's flat arrays must mirror its task dict.  The live
+task graph, built and spliced with the machine's warm profiler, must also
+equal a build of the same strategy with a cold profiler, task by task and
+in its timeline, which catches a construction-memo key that misses an
+input of its value.  A revert must restore the exact pre-proposal
+strategy and cost.  On graphs this small nearly every delta suffix covers
+half the graph and is handed to the full sweep, so one more machine runs
+``delta`` with that handoff disabled to exercise the suffix loop itself.
 """
 
 import numpy as np
@@ -26,13 +26,12 @@ from repro.models.mlp import mlp
 from repro.models.rnn import stacked_lstm
 from repro.profiler.profiler import OpProfiler
 from repro.sim import delta_sim
-from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
-from sim_helpers import tasks_by_ckey, timeline_by_ckey
+from sim_helpers import algorithm1, tasks_by_ckey, timeline_by_ckey
 
 
 def small_graph(kind: str, width: int):
@@ -109,7 +108,7 @@ class SimulatorMachine(RuleBasedStateMachine):
     @invariant()
     def timeline_is_a_full_sweep(self):
         tg = self.sim.task_graph
-        ref = full_simulate(tg)
+        ref = algorithm1(tg)
         assert ref.equals(self.sim.timeline, tol=0.0)
         assert self.sim.cost == self.sim.timeline.makespan == ref.makespan
         tg.arrays.check_consistent(tg.tasks)
