@@ -18,6 +18,14 @@ freed by a splice go on a free list and are handed to the tasks the same
 splice (or a later one) creates, so the arrays stay exactly as large as
 the peak live-task count.
 
+An undo (:meth:`TaskArrays.rollback`) restores every slot: each removed
+task goes back into the slot it had, the slots the splice appended are
+dropped and the free list is the one before the splice.  A slot
+therefore names one task across a speculative propose/revert, which is
+what lets a :class:`~repro.sim.full_sim.Timeline` be a set of per-slot
+lists: the pre-proposal timeline a revert restores still indexes the
+right tasks.
+
 Adjacency
 ---------
 ``ins[slot]``/``outs[slot]`` hold the predecessor/successor *slots* of
@@ -151,7 +159,7 @@ class TaskArrays:
         self.ckey[slot] = None
         self.free.append(slot)
 
-    def discard_batch(self, tids) -> None:
+    def discard_batch(self, tids) -> list[int]:
         """Free a batch of slots at once (same contract as :meth:`discard`).
 
         Marking the whole batch dead *before* scrubbing means intra-batch
@@ -159,6 +167,7 @@ class TaskArrays:
         mostly to each other -- skip the ``list.remove`` scan entirely
         instead of each member scrubbing rows the batch is about to
         clear anyway.  Slot free order matches sequential discards.
+        Returns the freed slots, in ``tids`` order.
         """
         live = self.tid
         pop = self.slot_of.pop
@@ -180,6 +189,39 @@ class TaskArrays:
                     ins[q].remove(s)
             row.clear()
         self.free.extend(slots)
+        return slots
+
+    def mark(self) -> tuple[int, list[int]]:
+        """The slot table's size and a copy of its free list, for :meth:`rollback`."""
+        return len(self.tid), self.free[:]
+
+    def rollback(self, mark: tuple[int, list[int]], added_tids, rows) -> None:
+        """Return every slot to the task it held at ``mark`` (:meth:`mark`).
+
+        Undoes one splice -- a :meth:`discard_batch` followed by
+        :meth:`add` calls: frees the slots of ``added_tids``, puts each
+        saved row ``(slot, tid, exe_time, device, ckey, rank, kind,
+        nbytes)`` of a discarded task back into its own slot, drops the
+        slots appended since ``mark`` and restores the free list.  The
+        restored tasks come back with empty rows; their edges are the
+        caller's to re-link.
+        """
+        num_slots, free = mark
+        self.discard_batch(added_tids)
+        exe, dev, rank, tid_col = self.exe, self.dev, self.rank, self.tid
+        kinds, nbytes_col, ckeys, slot_of = self.kind, self.nbytes, self.ckey, self.slot_of
+        for slot, tid, exe_time, device, ckey, r, kind, nbytes in rows:
+            exe[slot] = exe_time
+            dev[slot] = device
+            rank[slot] = r
+            tid_col[slot] = tid
+            kinds[slot] = kind
+            nbytes_col[slot] = nbytes
+            ckeys[slot] = ckey
+            slot_of[tid] = slot
+        for col in (exe, dev, rank, tid_col, kinds, nbytes_col, ckeys, self.ins, self.outs):
+            del col[num_slots:]
+        self.free = free
 
     # -- introspection -----------------------------------------------------
     def loads(self, minlength: int = 0) -> np.ndarray:

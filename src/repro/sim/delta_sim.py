@@ -7,8 +7,9 @@ the previous :class:`~repro.sim.full_sim.Timeline` and re-simulates only
 the suffix:
 
 1. :meth:`TaskGraph.replace_config` has already spliced the task graph
-   and reported the removed task ids and the "dirty" seed set (new tasks
-   plus survivors whose predecessor sets changed);
+   and reported, as slots, the removed tasks, the new tasks and the
+   survivors whose predecessor sets changed (with the new tasks, the
+   seeds);
 2. the **cut time** ``t_cut`` is the earliest instant anything can
    change: the minimum over removed tasks' old ready times and a lower
    bound on every seed's new ready time (a memoized recursion through
@@ -35,23 +36,27 @@ speedups.  On the dense random mutations an MCMC search proposes, the
 suffix routinely covers most of the graph, so a suffix of at least
 :data:`_SATURATION_FRAC` of the tasks is handed to the full sweep
 outright (:attr:`DeltaStats.saturation_handoffs`; bit-identical by the
-same argument as the defensive fallback).  Skipping unaffected branches
-does not pay on those proposals either (README "Timeline algorithms"),
-so the default ``auto`` algorithm repairs with the full sweep and this
-module reproduces the paper's Table 4 comparison of full and delta
-search.  A defensive check falls back to full simulation if a suffix
-task ever becomes ready before the cut (never observed; counted in
-:attr:`DeltaStats.fallbacks`).
+same argument as the defensive fallback).  Most handoffs are decided
+before the cut-time recursion runs, from the survivors ready at or after
+the earliest removed task, which the suffix always contains.  Skipping
+unaffected branches does not pay on those proposals either (README
+"Timeline algorithms"), so the default ``auto`` algorithm repairs with
+the full sweep and this module reproduces the paper's Table 4
+comparison of full and delta search.  A defensive check falls back to
+full simulation if a suffix task ever becomes ready before the cut
+(never observed; counted in :attr:`DeltaStats.fallbacks`).
 
 Like the full algorithm, the suffix sweep runs on the flat
 :class:`~repro.sim.arrays.TaskArrays` substrate -- static columns and
 adjacency rows indexed by slot, heap ordered by ckey rank -- and through
-the same heap loop, :func:`repro.sim.full_sim._sweep`.
+the same heap loop, :func:`repro.sim.full_sim._sweep`, which writes the
+timeline's per-slot lists in place.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.sim.full_sim import _UNSET, Timeline, _sweep, full_simulate
@@ -108,35 +113,78 @@ def _fallback(tg: TaskGraph, tl: Timeline, stats: DeltaStats | None) -> Timeline
     return _adopt(tl, full_simulate(tg))
 
 
+def _handoff(tg: TaskGraph, tl: Timeline, stats: DeltaStats | None) -> Timeline:
+    """Hand a saturated suffix to the full sweep (see :func:`delta_simulate`)."""
+    if stats is not None:
+        stats.saturation_handoffs += 1
+        stats.tasks_resimulated += tg.arrays.num_live
+    return _adopt(tl, full_simulate(tg))
+
+
 def delta_simulate(
     tg: TaskGraph,
     tl: Timeline,
-    removed: dict,
-    dirty: set[int],
+    removed: list[int],
+    added: list[int],
+    changed: list[int],
     stats: DeltaStats | None = None,
 ) -> Timeline:
-    """Repair ``tl`` in place after a task-graph splice; returns ``tl``.
+    """Repair ``tl``, the pre-splice timeline, in place; returns ``tl``.
 
-    ``removed`` holds the removed task ids (only its keys are read) and
-    ``dirty`` is the seed set -- both come from
-    :meth:`TaskGraph.replace_config`.  Everything else is read from the
-    task graph's :class:`~repro.sim.arrays.TaskArrays`.
+    ``removed``, ``added`` and ``changed`` are the slots
+    :meth:`TaskGraph.replace_config` reports: the removed tasks', the new
+    tasks' (some reuse removed slots, the rest were appended to the slot
+    table) and the survivors' whose predecessor sets may have changed.
+    The repair reads the removed tasks' old ready times, then gives their
+    slots the free-slot filler and grows the lists to the slot table, so
+    every slot without a survivor -- free or new -- reads end ``_UNSET``
+    and no stale entry is taken for a survivor's time.  The suffix is
+    then re-simulated into the same lists, slot by slot.  Everything else
+    is read from the task graph's :class:`~repro.sim.arrays.TaskArrays`.
     """
     arr = tg.arrays
     total = arr.num_live
     if stats is not None:
         stats.invocations += 1
         stats.tasks_total += total
-    exe, dev, tids = arr.exe, arr.dev, arr.tid
-    all_ins = arr.ins
-    slot_of = arr.slot_of
+    exe, all_ins = arr.exe, arr.ins
     ready, start, end = tl.ready, tl.start, tl.end
+
+    # The cut time is at most the earliest old ready time of a removed
+    # task; read those before their slots take the filler.
+    t0 = min(map(ready.__getitem__, removed), default=math.inf)
+    for slot in removed:
+        ready[slot] = 0.0
+        start[slot] = 0.0
+        end[slot] = _UNSET
+    grow = arr.num_slots - len(end)
+    if grow:
+        ready += [0.0] * grow
+        start += [0.0] * grow
+        end += [_UNSET] * grow
+
+    # ---- saturation handoff ----------------------------------------------
+    # When the suffix covers most of the graph (dense mutations routinely
+    # re-simulate ~80% of tasks), the cut-time machinery buys nothing over
+    # Algorithm 1 while still paying for the prefix scan and boundary
+    # seeding; the full sweep is strictly cheaper.  Hand off at the
+    # t_cut -> 0 limit of this algorithm -- the result is bit-identical by
+    # the same argument as the defensive fallback, so this is a pure
+    # routing decision.  Since t_cut <= t0, the suffix holds every new
+    # task and every survivor ready at or after t0, so those alone
+    # usually decide it before the cut-time recursion runs.  Free and new
+    # slots read ready 0.0: past t0 > 0 only survivors count, and at
+    # t0 == 0 every survivor does.
+    if t0 < math.inf:
+        late = total - len(added) if t0 <= 0.0 else sum(map(t0.__le__, ready))
+        if late + len(added) >= _SATURATION_FRAC * total:
+            return _handoff(tg, tl, stats)
 
     # ---- cut time --------------------------------------------------------
     # A lower bound on each seed's new ready time: the max over its
     # predecessors of either their (still valid) old end time, or -- for
-    # predecessors that are themselves new -- a recursive lower bound plus
-    # their execution time.
+    # predecessors that are themselves new, whose end reads _UNSET -- a
+    # recursive lower bound plus their execution time.
     est_cache: dict[int, float] = {}
 
     def ready_lb(slot: int) -> float:
@@ -146,119 +194,84 @@ def delta_simulate(
         est_cache[slot] = 0.0  # break cycles defensively; DAG in practice
         best = 0.0
         for p in all_ins[slot]:
-            pe = end.get(tids[p])
-            if pe is None:
+            pe = end[p]
+            if pe == _UNSET:
                 pe = ready_lb(p) + exe[p]
             if pe > best:
                 best = pe
         est_cache[slot] = best
         return best
 
-    t_cut = float("inf")
-    for tid in removed:
-        r = ready.get(tid)
-        if r is not None and r < t_cut:
-            t_cut = r
-    for tid in dirty:
-        slot = slot_of.get(tid)
-        if slot is None:
-            continue
-        est = ready_lb(slot)
-        if est < t_cut:
-            t_cut = est
+    t_cut = t0
+    for seeds in (added, changed):
+        for slot in seeds:
+            est = ready_lb(slot)
+            if est < t_cut:
+                t_cut = est
 
-    # Drop removed tasks' timeline entries.
-    for tid in removed:
-        ready.pop(tid, None)
-        start.pop(tid, None)
-        end.pop(tid, None)
-
-    if t_cut == float("inf"):
-        # Nothing structural changed: no removed task had a timeline entry
-        # and no seed survived, so every end time -- and with them the
-        # running makespan the timeline already holds -- is untouched.
+    if t_cut == math.inf:
+        # Nothing structural changed: no task was removed and no seed
+        # survived, so every end time -- and with them the running
+        # makespan the timeline already holds -- is untouched.
         return tl
 
     # ---- partition into fixed prefix and suffix ---------------------------
     # A survivor ready before the cut keeps its times; the rest join the
-    # suffix together with the new tasks (no timeline entry yet; all in
-    # the dirty seed set).
-    suffix = [tid for tid, r in ready.items() if r >= t_cut]
-    suffix += [tid for tid in dirty if tid in slot_of and tid not in ready]
+    # suffix together with the new tasks.  A device runs its tasks FIFO by
+    # ready time and end times never decrease along that order, so the
+    # prefix's last end per device is its largest one.
+    dev = arr.dev
+    dev_end = [0.0] * (max(dev) + 1)
+    suffix = list(added)
+    for slot, r in enumerate(ready):
+        e = end[slot]
+        if e == _UNSET:
+            continue  # free, or a new task (already in the suffix)
+        if r >= t_cut:
+            suffix.append(slot)
+        else:
+            d = dev[slot]
+            if e > dev_end[d]:
+                dev_end[d] = e
+    if len(suffix) >= _SATURATION_FRAC * total:
+        return _handoff(tg, tl, stats)
     if stats is not None:
         stats.tasks_resimulated += len(suffix)
 
-    # ---- saturation handoff ----------------------------------------------
-    # When the suffix covers most of the graph (dense mutations routinely
-    # re-simulate ~80% of tasks), the cut-time machinery buys nothing over
-    # Algorithm 1 while still paying for the prefix scan and boundary
-    # seeding; the full sweep is strictly cheaper.  Hand off at the
-    # t_cut -> 0 limit of this algorithm -- the result is bit-identical by
-    # the same argument as the defensive fallback, so this is a pure
-    # routing decision.
-    if len(suffix) >= _SATURATION_FRAC * total:
-        if stats is not None:
-            stats.saturation_handoffs += 1
-            stats.tasks_resimulated += total - len(suffix)
-        return _adopt(tl, full_simulate(tg))
-
-    # A device runs its tasks FIFO by ready time and end times never
-    # decrease along that order, so the prefix's last end per device is
-    # its largest one.
-    dev_end = [0.0] * (max(dev) + 1)
-    makespan = 0.0
-    for tid, r in ready.items():
-        if r < t_cut:
-            e = end[tid]
-            d = dev[slot_of[tid]]
-            if e > dev_end[d]:
-                dev_end[d] = e
-            if e > makespan:
-                makespan = e
-    slots = [slot_of[tid] for tid in suffix]
-
     # ---- Algorithm 1 over the suffix ----------------------------------------
-    # Seed each suffix slot with its in-suffix in-degree and the latest end
-    # of its fixed predecessors, then run the full sweep's loop from the
-    # prefix's per-device end times.  Slots outside the suffix enter with
-    # an in-degree of zero, so the first decrement drives them negative:
-    # they never reach the loop's scheduling condition, and their
-    # ready-time updates land in scratch nobody reads.
-    ns = arr.num_slots
+    # Unset the suffix survivors' ends, so that a predecessor with an end
+    # is a fixed one.  Seed each suffix slot with its in-suffix in-degree
+    # and the latest end of its fixed predecessors, then run the full
+    # sweep's loop from the prefix's per-device end times, writing the
+    # timeline's lists in place.  No suffix task feeds a prefix task: a
+    # survivor's successors were ready no earlier than it, and a survivor
+    # that gained a new predecessor lost a removed one, so it was ready at
+    # or after t0.
+    for slot in suffix:
+        end[slot] = _UNSET
     rank = arr.rank.tolist()
-    memb = bytearray(ns)
-    for slot in slots:
-        memb[slot] = 1
-    indeg = [0] * ns
-    slot_ready = [0.0] * ns
+    indeg = [0] * len(end)
     heap: list[tuple[float, int, int]] = []
-    for slot in slots:
+    for slot in suffix:
         n = 0
         est = 0.0
         for p in all_ins[slot]:
-            if memb[p]:
+            pe = end[p]
+            if pe == _UNSET:
                 n += 1
-            else:
-                pe = end[tids[p]]  # fixed predecessor: final value
-                if pe > est:
-                    est = pe
+            elif pe > est:
+                est = pe  # fixed predecessor: final value
         indeg[slot] = n
-        slot_ready[slot] = est
+        ready[slot] = est
         if n == 0:
             heap.append((est, rank[slot], slot))
     heapq.heapify(heap)
-    slot_start = [0.0] * ns
-    slot_end = [_UNSET] * ns
-    _sweep(heap, exe.tolist(), dev.tolist(), rank, arr.outs, indeg, slot_ready, slot_start,
-           slot_end, dev_end)
-    readies = list(map(slot_ready.__getitem__, slots))
-    ends = list(map(slot_end.__getitem__, slots))
-    if slots and (min(readies) < t_cut or min(ends) == _UNSET):
+    _sweep(heap, exe.tolist(), dev.tolist(), rank, arr.outs, indeg, ready, start, end,
+           dev_end)
+    if any(ready[slot] < t_cut or end[slot] == _UNSET for slot in suffix):
         # Pre-cut pop (prefix-safety violation), a dependency cycle, or
         # bookkeeping drift: re-run authoritatively.
         return _fallback(tg, tl, stats)
-    ready.update(zip(suffix, readies))
-    start.update(zip(suffix, map(slot_start.__getitem__, slots)))
-    end.update(zip(suffix, ends))
-    tl.makespan = max(makespan, max(ends, default=0.0))
+    # Each device's entry is now its last end time, prefix or suffix.
+    tl.makespan = max(dev_end)
     return tl

@@ -28,8 +28,10 @@ device's last end time lives in a dense list indexed by device id (device
 and connection ids share one small id space), and a popped task's start
 and end go into per-slot lists.  Its ready time is already in the
 per-slot ready list: a task is pushed only once its last predecessor has
-finished, at its final ready time.  ``tests/sim`` checks every sweep
-against a literal Algorithm 1 that orders its heap by ckey tuples.
+finished, at its final ready time.  Those three per-slot lists *are* the
+:class:`Timeline`; nothing is re-keyed by task id.  ``tests/sim`` checks
+every sweep against a literal Algorithm 1 that orders its heap by ckey
+tuples.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ _UNSET = -1.0
 
 
 class Timeline:
-    """Simulated schedule: per-task ready, start and end times.
+    """Simulated schedule: per-slot ready, start and end times.
+
+    ``ready``, ``start`` and ``end`` are lists indexed like the task
+    graph's :class:`~repro.sim.arrays.TaskArrays` (read a task's times at
+    ``arrays.slot_of[tid]``).  A free slot holds one fixed filler: ready
+    0.0, start 0.0, end ``_UNSET``.  Two timelines of one task graph
+    therefore compare list to list, and since an undone splice puts every
+    task back into its own slot, a pre-proposal timeline stays valid for
+    the graph a revert restores.
 
     Each device executes its tasks in ``(readyTime, ckey)`` order
     (FIFO by ready time with canonical tie-breaking), so a device's
@@ -57,19 +67,15 @@ class Timeline:
 
     __slots__ = ("ready", "start", "end", "makespan")
 
-    def __init__(self) -> None:
-        self.ready: dict[int, float] = {}
-        self.start: dict[int, float] = {}
-        self.end: dict[int, float] = {}
-        self.makespan: float = 0.0
+    def __init__(self, ready: list[float], start: list[float], end: list[float],
+                 makespan: float) -> None:
+        self.ready = ready
+        self.start = start
+        self.end = end
+        self.makespan = makespan
 
     def copy(self) -> "Timeline":
-        tl = Timeline()
-        tl.ready = dict(self.ready)
-        tl.start = dict(self.start)
-        tl.end = dict(self.end)
-        tl.makespan = self.makespan
-        return tl
+        return Timeline(self.ready[:], self.start[:], self.end[:], self.makespan)
 
     def copy_into(self, target: "Timeline") -> "Timeline":
         """Copy this timeline's state into ``target``, reusing its storage.
@@ -79,29 +85,27 @@ class Timeline:
         tracer wraps it (see the note at the end of
         :mod:`repro.sim.simulator`).
         """
-        target.ready.clear()
-        target.ready.update(self.ready)
-        target.start.clear()
-        target.start.update(self.start)
-        target.end.clear()
-        target.end.update(self.end)
+        target.ready[:] = self.ready
+        target.start[:] = self.start
+        target.end[:] = self.end
         target.makespan = self.makespan
         return target
 
     def equals(self, other: "Timeline", tol: float = 1e-9) -> bool:
-        """Structural equality up to floating-point tolerance (for tests)."""
-        if set(self.end) != set(other.end):
-            return False
+        """Slot-by-slot equality up to floating-point tolerance (for tests)."""
         return all(
-            abs(self.ready[t] - other.ready[t]) <= tol
-            and abs(self.start[t] - other.start[t]) <= tol
-            and abs(self.end[t] - other.end[t]) <= tol
-            for t in self.end
+            len(mine) == len(theirs) and all(abs(a - b) <= tol for a, b in zip(mine, theirs))
+            for mine, theirs in (
+                (self.ready, other.ready), (self.start, other.start), (self.end, other.end)
+            )
         )
 
 
 def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     """Simulate the task graph from scratch; returns the full timeline.
+
+    The timeline's lists are the ones the sweep filled, one entry per slot
+    of ``tg.arrays``; free slots keep the filler.
 
     With a finite ``bound`` (``auto``'s Metropolis-Hastings rejection
     threshold) the sweep returns ``math.inf`` instead of a timeline as
@@ -116,8 +120,11 @@ def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     arr = tg.arrays
     ns = arr.num_slots
     total = arr.num_live
+    ready = [0.0] * ns
+    start = [0.0] * ns
+    end = [_UNSET] * ns
     if total == 0:
-        return Timeline()
+        return Timeline(ready, start, end, 0.0)
     dev = arr.dev.tolist()
     dev_end = [0.0] * (max(dev) + 1)
     lb = None
@@ -127,32 +134,23 @@ def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
         lb = arr.loads(len(dev_end)).tolist()
         if max(lb) > bound:
             return math.inf
-    tids = arr.tid.tolist()
     rank = arr.rank.tolist()
     indeg = list(map(len, arr.ins))
+    ckey = arr.ckey
     # Free slots have cleared rows, so the live test keeps them out.
-    heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and tids[s] != -1]
+    heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and ckey[s] is not None]
     heapq.heapify(heap)
-    ready = [0.0] * ns
-    start = [0.0] * ns
-    end = [_UNSET] * ns
     if not _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
                   dev_end, lb, bound):
         return math.inf
-    scheduled = ns - end.count(_UNSET)
-    if scheduled != total:
+    if any(indeg):
+        # A slot whose in-degree never reached zero was never scheduled.
         raise RuntimeError(
-            f"task graph has a cycle: scheduled {scheduled} of {total} tasks"
+            f"task graph has a cycle: scheduled {ns - end.count(_UNSET)} of {total} tasks"
         )
-    tl = Timeline()
-    tl.ready = dict(zip(tids, ready))
-    tl.start = dict(zip(tids, start))
-    tl.end = dict(zip(tids, end))
-    if total != ns:
-        # Free slots all map to task id -1; drop that one stray key.
-        del tl.ready[-1], tl.start[-1], tl.end[-1]
-    tl.makespan = max(end)  # free slots hold _UNSET, below every end time
-    return tl
+    # A device's last end time is its largest, so the makespan is the
+    # largest of them.
+    return Timeline(ready, start, end, max(dev_end))
 
 
 def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end,

@@ -86,7 +86,7 @@ class Simulator:
         self.task_graph = TaskGraph(graph, topology, strategy, self.profiler, training=training)
         self.timeline: Timeline = full_simulate(self.task_graph)
         self.delta_stats = DeltaStats()
-        self.reverts = 0  # snapshot restores that replaced an undo simulation
+        self.reverts = 0  # revert() calls, whatever the proposal left to undo
         # The open proposal's revert target: the pre-proposal timeline, or
         # _NOOP / _REJECTED when the proposal left no splice to undo.
         self._pending: Timeline | object | None = None
@@ -119,14 +119,15 @@ class Simulator:
         self._count("noop")
         return True
 
-    def _repair(self, removed: dict, dirty: set[int], bound: float = math.inf) -> bool:
+    def _repair(self, splice: tuple, bound: float = math.inf) -> bool:
         """Bring the timeline up to date after a task-graph splice.
 
+        ``splice`` is what :meth:`TaskGraph.replace_config` returned.
         Returns ``False``, leaving the timeline alone, if the bounded
         sweep stopped (only ``auto`` passes a finite ``bound``).
         """
         if self.algorithm == "delta":
-            delta_simulate(self.task_graph, self.timeline, removed, dirty, self.delta_stats)
+            delta_simulate(self.task_graph, self.timeline, *splice, self.delta_stats)
             return True
         timeline = full_simulate(self.task_graph, bound)
         if isinstance(timeline, float):
@@ -141,8 +142,7 @@ class Simulator:
         """Apply one configuration change; returns the new cost (us)."""
         if self._noop(op_id, cfg):
             return self.timeline.makespan
-        removed, dirty = self.task_graph.replace_config(op_id, cfg)
-        self._repair(removed, dirty)
+        self._repair(self.task_graph.replace_config(op_id, cfg))
         return self.timeline.makespan
 
     # -- speculative reconfiguration ---------------------------------------
@@ -180,10 +180,11 @@ class Simulator:
             return math.inf
         # delta repairs the timeline in place, so reverting needs a copy;
         # auto and full build a fresh timeline, so the old object itself
-        # is the revert target.
+        # is the revert target.  Either way it stays valid for the graph
+        # the undo restores, which puts every task back in its own slot.
         saved = self.timeline.copy() if self.algorithm == "delta" else self.timeline
-        removed, dirty = self.task_graph.replace_config(op_id, cfg, keep_record=True)
-        if not self._repair(removed, dirty, bound):
+        splice = self.task_graph.replace_config(op_id, cfg, keep_record=True)
+        if not self._repair(splice, bound):
             # The sweep stopped: restore the pre-proposal graph now, so
             # the live state is the one revert() will keep.
             self.task_graph.undo_last_splice()

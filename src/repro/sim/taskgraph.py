@@ -89,9 +89,10 @@ class SpliceRecord:
     """Everything needed to undo one :meth:`TaskGraph.replace_config`.
 
     The removed :class:`Task` objects are kept alive with their adjacency
-    lists intact, so an undo re-inserts them and re-attaches only the
-    links to *surviving* neighbors -- no profiler calls, no task
-    rebuilding, and (together with a timeline snapshot, see
+    lists intact, so an undo re-inserts them, each into the slot it had,
+    and re-attaches only the links to *surviving* neighbors -- no
+    profiler calls, no task rebuilding, and (together with the
+    pre-proposal timeline, see
     :meth:`~repro.sim.simulator.Simulator.propose`) no re-simulation.
     """
 
@@ -100,6 +101,8 @@ class SpliceRecord:
     old_cfg: object  # the members' shared ParallelConfig before the splice
     removed_tasks: list[Task]
     removed_ranks: list[int]  # the removed tasks' ckey ranks, same order
+    removed_slots: list[int]  # the removed tasks' slots, same order
+    mark: tuple[int, list[int]]  # TaskArrays.mark() before the splice
     added_lo: int  # added task ids are the contiguous range [added_lo, added_hi)
     added_hi: int
     fwd_lists: dict[int, list[int]]
@@ -504,7 +507,7 @@ class TaskGraph:
 
     def replace_config(
         self, op_id: int, new_cfg, keep_record: bool = False
-    ) -> tuple[dict[int, "Task"], set[int]]:
+    ) -> tuple[list[int], list[int], list[int]]:
         """Splice the configuration of ``op_id``'s weight-sharing group.
 
         Applies ``new_cfg`` to every op sharing ``op_id``'s parameters
@@ -524,12 +527,13 @@ class TaskGraph:
 
         Returns
         -------
-        (removed, dirty):
-            ``removed`` -- mapping of removed task id -> the removed
-            :class:`Task` object (delta simulation drops their timeline
-            entries);
-            ``dirty`` -- ids of new tasks plus surviving tasks whose
-            predecessor sets changed (the seeds for delta simulation).
+        (removed, added, changed):
+            slot lists, the input of delta simulation:
+            ``removed`` -- the removed tasks' slots, one per removed task
+            (the new tasks may reuse some of them);
+            ``added`` -- the new tasks' slots;
+            ``changed`` -- slots of surviving tasks whose predecessor sets
+            may have changed (with ``added``, the seeds of the cut time).
         """
         members = self.graph.group_members(op_id)
         member_set = set(members)
@@ -564,20 +568,24 @@ class TaskGraph:
         for e in touched_edges:
             removed_ids.update(self.edge_tasks.get((e.src, e.dst, e.slot), ()))
 
-        removed: dict[int, Task] = {tid: self.tasks[tid] for tid in removed_ids}
+        tasks = self.tasks
+        removed = [tasks[tid] for tid in removed_ids]
+        arr = self.arrays
         record: SpliceRecord | None = None
         if keep_record:
             # Saved *before* any mutation: the Task objects keep their
             # adjacency lists (only surviving neighbors' lists are edited
             # below), and the bookkeeping lists are replaced wholesale by
             # the rebuild, so holding references is enough.
-            rank, slot_of = self.arrays.rank, self.arrays.slot_of
+            rank, slot_of = arr.rank, arr.slot_of
             record = SpliceRecord(
                 op_id=op_id,
                 members=members,
                 old_cfg=self.strategy[members[0]],
-                removed_tasks=list(removed.values()),
-                removed_ranks=[rank[slot_of[tid]] for tid in removed],
+                removed_tasks=removed,
+                removed_ranks=[rank[slot_of[tid]] for tid in removed_ids],
+                removed_slots=[],
+                mark=arr.mark(),
                 added_lo=self._next_tid,
                 added_hi=self._next_tid,
                 fwd_lists={m: self.fwd[m] for m in members},
@@ -590,63 +598,67 @@ class TaskGraph:
                 },
             )
 
-        dirty: set[int] = set()
+        changed: set[int] = set()  # surviving task ids
         # Frees the slots and scrubs them from surviving neighbors' rows
         # (intra-batch edges skip the scan entirely); the slots are
         # recycled by the rebuild below.
-        self.arrays.discard_batch(removed_ids)
-        tasks = self.tasks
-        for tid, t in removed.items():
+        removed_slots = arr.discard_batch(removed_ids)
+        for t in removed:
+            tid = t.tid
             for p in t.ins:
                 if p not in removed_ids:
                     tasks[p].outs.remove(tid)
             for s in t.outs:
                 if s not in removed_ids:
                     tasks[s].ins.remove(tid)
-                    dirty.add(s)  # lost a predecessor: ready time may drop
+                    changed.add(s)  # lost a predecessor: ready time may drop
         for tid in removed_ids:
             del tasks[tid]
 
+        added_lo = self._next_tid
         for m in members:
             self.strategy = self.strategy.with_config(m, new_cfg)
             self._make_op_tasks(m)
-            dirty.update(self.fwd[m])
-            dirty.update(self.bwd[m])
         for e in touched_edges:
-            dirty.update(self._connect_edge(e))
+            self._connect_edge(e)
         self._make_sync(gkey, members)
-        dirty.update(self.sync[gkey])
         # Surviving neighbor tasks that gained predecessors: consumers'
         # forward tasks (fed by our new fwd/comm tasks) and producers'
         # backward tasks (fed by our new bwd/comm tasks).
         for e in touched_edges:
             if e.src in member_set and e.dst not in member_set:
-                dirty.update(self.fwd[e.dst])
+                changed.update(self.fwd[e.dst])
             elif e.dst in member_set and e.src not in member_set:
-                dirty.update(self.bwd[e.src])
-        dirty -= removed.keys()
+                changed.update(self.bwd[e.src])
         if record is not None:
+            record.removed_slots = removed_slots
             record.added_hi = self._next_tid
         self._last_splice = record
-        return removed, dirty
+        slot_of = arr.slot_of
+        added = [slot_of[tid] for tid in range(added_lo, self._next_tid)]
+        return removed_slots, added, [slot_of[tid] for tid in changed]
 
     def undo_last_splice(self) -> None:
         """Restore the graph to its state before the last recorded splice.
 
         Inverse of a ``replace_config(..., keep_record=True)``: pops the
         tasks that splice added, re-inserts the saved :class:`Task`
-        objects, re-attaches their links to surviving neighbors, and
-        restores the bookkeeping lists and the strategy.  Valid exactly
-        once, immediately after the recorded splice (before any further
-        ``replace_config``).
+        objects, each into the slot it had before the splice
+        (:meth:`TaskArrays.rollback`, which also drops the slots the
+        splice appended and restores the free list), re-attaches their
+        links to surviving neighbors, and restores the bookkeeping lists
+        and the strategy.  Every live task is then in its pre-splice slot,
+        so a timeline of the pre-splice graph indexes it again.  Valid
+        exactly once, immediately after the recorded splice (before any
+        further ``replace_config``).
         """
         rec = self._last_splice
         if rec is None:
             raise RuntimeError("no recorded splice to undo")
         self._last_splice = None
 
-        added: list[Task] = [self.tasks.pop(tid) for tid in range(rec.added_lo, rec.added_hi)]
-        self.arrays.discard_batch(range(rec.added_lo, rec.added_hi))
+        added_tids = range(rec.added_lo, rec.added_hi)
+        added: list[Task] = [self.tasks.pop(tid) for tid in added_tids]
         for t in added:
             for p in t.ins:
                 surv = self.tasks.get(p)
@@ -658,9 +670,16 @@ class TaskGraph:
                     surv.ins.remove(t.tid)
 
         removed_set = {t.tid for t in rec.removed_tasks}
-        for t, rank in zip(rec.removed_tasks, rec.removed_ranks):
+        for t in rec.removed_tasks:
             self.tasks[t.tid] = t
-            self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
+        self.arrays.rollback(
+            rec.mark,
+            added_tids,
+            [
+                (slot, t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
+                for t, slot, rank in zip(rec.removed_tasks, rec.removed_slots, rec.removed_ranks)
+            ],
+        )
         for t in rec.removed_tasks:
             # Each edge is re-recorded in the arrays exactly once: through
             # the consumer's ins for every predecessor, plus the producer's

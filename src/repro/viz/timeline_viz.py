@@ -14,12 +14,14 @@ def render_timeline(tg: TaskGraph, tl: Timeline, width: int = 78, max_devices: i
         return "(empty timeline)"
     scale = width / tl.makespan
     rows: dict[int, list[str]] = {}
+    slot_of = tg.arrays.slot_of
     for tid, t in tg.tasks.items():
         if t.kind == TaskKind.COMM:
             continue
         row = rows.setdefault(t.device, ["."] * width)
-        a = min(width - 1, int(tl.start[tid] * scale))
-        b = min(width, max(a + 1, int(tl.end[tid] * scale)))
+        slot = slot_of[tid]
+        a = min(width - 1, int(tl.start[slot] * scale))
+        b = min(width, max(a + 1, int(tl.end[slot] * scale)))
         for i in range(a, b):
             row[i] = "#"
     lines = [f"timeline: {tl.makespan / 1e3:.2f} ms total, '#'=busy"]

@@ -1,14 +1,14 @@
 """Task-graph comparisons shared by the simulator tests.
 
-Task ids depend on the order a graph was built and spliced in; ckeys name
-the same task in any graph of the same strategy, so these helpers key
-everything by ckey.  :func:`algorithm1` is the oracle every simulated
-timeline is checked against.
+Task ids and slots depend on the order a graph was built and spliced in;
+ckeys name the same task in any graph of the same strategy, so these
+helpers key everything by ckey.  :func:`algorithm1` is the oracle every
+simulated timeline is checked against.
 """
 
 import heapq
 
-from repro.sim.full_sim import Timeline, full_simulate
+from repro.sim.full_sim import _UNSET, Timeline, full_simulate
 
 
 def algorithm1(tg):
@@ -36,11 +36,11 @@ def algorithm1(tg):
             if not pending[n]:
                 heapq.heappush(queue, (ready[n], arr.ckey[n], n))
     assert len(end) == len(slots), "the task graph has a cycle"
-    tl = Timeline()
+    # A timeline's lists are indexed by slot; free slots hold the filler.
+    ns = arr.num_slots
+    tl = Timeline([0.0] * ns, [0.0] * ns, [_UNSET] * ns, max(end.values(), default=0.0))
     for s in slots:
-        tid = arr.tid[s]
-        tl.ready[tid], tl.start[tid], tl.end[tid] = ready[s], start[s], end[s]
-    tl.makespan = max(end.values(), default=0.0)
+        tl.ready[s], tl.start[s], tl.end[s] = ready[s], start[s], end[s]
     return tl
 
 
@@ -49,8 +49,18 @@ def timeline_by_ckey(tg, tl=None):
     across graphs."""
     if tl is None:
         tl = full_simulate(tg)
-    times = {tg.tasks[t].ckey: (tl.ready[t], tl.start[t], tl.end[t]) for t in tl.end}
+    arr = tg.arrays
+    times = {
+        tg.tasks[t].ckey: (tl.ready[s], tl.start[s], tl.end[s]) for t, s in arr.slot_of.items()
+    }
     return tl.makespan, times
+
+
+def slot_state(tg):
+    """The slot table's layout: each live task's slot, the table's size and
+    the free slots.  An undone splice must leave all three as they were."""
+    arr = tg.arrays
+    return dict(arr.slot_of), arr.num_slots, set(arr.free)
 
 
 def tasks_by_ckey(tg):

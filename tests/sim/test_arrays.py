@@ -17,7 +17,7 @@ from repro.soap.config import ParallelConfig
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
-from sim_helpers import timeline_by_ckey
+from sim_helpers import slot_state, timeline_by_ckey
 
 
 def churn(graph, topo, seed, steps):
@@ -31,8 +31,12 @@ def churn(graph, topo, seed, steps):
         if rng.random() < 0.5:
             tg.replace_config(oid, cfg)
         else:
+            before = slot_state(tg)
             tg.replace_config(oid, cfg, keep_record=True)
             tg.undo_last_splice()
+            # Every task is back in its own slot, the appended slots are
+            # gone and the free slots are the ones before the splice.
+            assert slot_state(tg) == before
         tg.arrays.check_consistent(tg.tasks)
     return tg
 

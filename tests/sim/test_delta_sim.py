@@ -148,7 +148,7 @@ class TestDeltaEqualsFull:
         no seed survived) keeps the running makespan and every time."""
         sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         before = sim.cost
-        out = delta_simulate(sim.task_graph, sim.timeline, removed={}, dirty=set())
+        out = delta_simulate(sim.task_graph, sim.timeline, removed=[], added=[], changed=[])
         assert out.makespan == before
         assert full_simulate(sim.task_graph).equals(sim.timeline, tol=0.0)
 
@@ -205,20 +205,13 @@ class TestSnapshotPooling:
     def test_copy_into_handles_shrinking_device_set(self):
         from repro.sim.full_sim import Timeline
 
-        a, b = Timeline(), Timeline()
-        a.ready = {1: 0.0, 2: 0.0}
-        a.start = {1: 0.0, 2: 0.0}
-        a.end = {1: 2.0, 2: 1.0}
-        a.makespan = 2.0
+        a = Timeline([0.0, 0.0], [0.0, 0.0], [2.0, 1.0], 2.0)
+        b = Timeline([], [], [], 0.0)
         a.copy_into(b)
         assert b.equals(a, tol=0.0) and b.makespan == 2.0
-        # Now copy a timeline with *fewer* tasks into the same target:
+        # Now copy a timeline with *fewer* slots into the same target:
         # stale entries must disappear, not linger.
-        c = Timeline()
-        c.ready = {3: 1.0}
-        c.start = {3: 1.0}
-        c.end = {3: 4.0}
-        c.makespan = 4.0
+        c = Timeline([1.0], [1.0], [4.0], 4.0)
         c.copy_into(b)
         assert b.ready == c.ready and b.start == c.start
         assert b.end == c.end and b.makespan == 4.0

@@ -10,10 +10,13 @@ from repro.soap.presets import data_parallelism, model_parallelism, single_devic
 
 
 def device_orders(tg, tl):
-    """Each device's tasks in FIFO order, i.e. sorted by (readyTime, ckey)."""
+    """Each device's tasks in FIFO order, i.e. sorted by (readyTime, ckey),
+    as ``(ready, ckey, slot)`` triples."""
     orders = {}
+    slot_of = tg.arrays.slot_of
     for tid, t in tg.tasks.items():
-        orders.setdefault(t.device, []).append((tl.ready[tid], t.ckey, tid))
+        slot = slot_of[tid]
+        orders.setdefault(t.device, []).append((tl.ready[slot], t.ckey, slot))
     return {d: sorted(v) for d, v in orders.items()}
 
 
@@ -35,9 +38,10 @@ class TestFullSimulate:
     def test_dependencies_respected(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         tl = full_simulate(tg)
+        slot_of = tg.arrays.slot_of
         for t in tg.tasks.values():
             for p in t.ins:
-                assert tl.end[p] <= tl.ready[t.tid] + 1e-9
+                assert tl.end[slot_of[p]] <= tl.ready[slot_of[t.tid]] + 1e-9
 
     def test_device_fifo_no_overlap(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
@@ -51,8 +55,9 @@ class TestFullSimulate:
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         tl = full_simulate(tg)
         for tid, t in tg.tasks.items():
-            assert tl.start[tid] >= tl.ready[tid] - 1e-9
-            assert abs(tl.end[tid] - tl.start[tid] - t.exe_time) < 1e-9
+            slot = tg.arrays.slot_of[tid]
+            assert tl.start[slot] >= tl.ready[slot] - 1e-9
+            assert abs(tl.end[slot] - tl.start[slot] - t.exe_time) < 1e-9
 
     def test_cycle_detection(self, mlp_graph, topo4):
         tg = TaskGraph(mlp_graph, topo4, single_device(mlp_graph), OpProfiler(), training=False)
@@ -89,18 +94,19 @@ class TestFullSimulate:
         tl = full_simulate(tg)
         for lst in device_orders(tg, tl).values():
             prev_end = 0.0
-            for r, _, tid in lst:
-                assert tl.start[tid] == max(r, prev_end)
-                assert tl.end[tid] == tl.start[tid] + tg.tasks[tid].exe_time
-                prev_end = tl.end[tid]
+            for r, _, slot in lst:
+                assert tl.start[slot] == max(r, prev_end)
+                assert tl.end[slot] == tl.start[slot] + tg.arrays.exe[slot]
+                prev_end = tl.end[slot]
 
 
 class TestTimeline:
     def test_copy_is_independent(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, single_device(lenet_graph), OpProfiler())
         tl = full_simulate(tg)
+        assert len(tl.end) == tg.arrays.num_slots  # one entry per slot
         cp = tl.copy()
-        some = next(iter(cp.end))
+        some = tg.arrays.slot_of[next(iter(tg.tasks))]
         cp.end[some] += 1.0
         assert not tl.equals(cp)
 
@@ -108,7 +114,7 @@ class TestTimeline:
         tg = TaskGraph(lenet_graph, topo4, single_device(lenet_graph), OpProfiler())
         tl = full_simulate(tg)
         cp = tl.copy()
-        some = next(iter(cp.end))
+        some = tg.arrays.slot_of[next(iter(tg.tasks))]
         cp.end[some] += 1e-12
         assert tl.equals(cp)
 

@@ -10,9 +10,12 @@ task graph, built and spliced with the machine's warm profiler, must also
 equal a build of the same strategy with a cold profiler, task by task and
 in its timeline, which catches a construction-memo key that misses an
 input of its value.  A revert must restore the exact pre-proposal
-strategy and cost.  On graphs this small nearly every delta suffix covers
-half the graph and is handed to the full sweep, so one more machine runs
-``delta`` with that handoff disabled to exercise the suffix loop itself.
+strategy and cost, and the slot table as it was: every task in its own
+slot, the same table size and the same free slots, since the timeline a
+revert restores is indexed by slot.  On graphs this small nearly every
+delta suffix covers half the graph and is handed to the full sweep, so
+one more machine runs ``delta`` with that handoff disabled to exercise
+the suffix loop itself.
 """
 
 import numpy as np
@@ -31,7 +34,7 @@ from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
-from sim_helpers import algorithm1, tasks_by_ckey, timeline_by_ckey
+from sim_helpers import algorithm1, slot_state, tasks_by_ckey, timeline_by_ckey
 
 
 def small_graph(kind: str, width: int):
@@ -63,7 +66,7 @@ class SimulatorMachine(RuleBasedStateMachine):
             self.graph, topo, data_parallelism(self.graph, topo), OpProfiler(),
             algorithm=self.algorithm,
         )
-        self.before = None  # (strategy signature, cost) of a pending proposal
+        self.before = None  # (strategy signature, cost, slot state) of a pending proposal
         if not self.handoff:
             delta_sim._SATURATION_FRAC = float("inf")
 
@@ -81,7 +84,8 @@ class SimulatorMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 2**20), identity=st.booleans())
     def propose(self, pick, identity):
         oid, cfg = self._draw(pick, identity)
-        self.before = (self.sim.strategy.signature(), self.sim.cost)
+        sim = self.sim
+        self.before = (sim.strategy.signature(), sim.cost, slot_state(sim.task_graph))
         assert self.sim.propose(oid, cfg) == self.sim.cost
         assert self.sim.strategy[oid] == cfg
 
@@ -94,9 +98,10 @@ class SimulatorMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.before is not None)
     @rule()
     def revert(self):
-        signature, cost = self.before
+        signature, cost, slots = self.before
         assert self.sim.revert() == cost
         assert self.sim.strategy.signature() == signature
+        assert slot_state(self.sim.task_graph) == slots
         self.before = None
 
     @precondition(lambda self: self.before is None)

@@ -123,8 +123,8 @@ class TestReplaceConfig:
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
         before = tg.num_tasks
         conv = lenet_graph.id_of("conv2")
-        removed, dirty = tg.replace_config(conv, ParallelConfig.single(2))
-        assert removed and dirty
+        removed, added, changed = tg.replace_config(conv, ParallelConfig.single(2))
+        assert removed and added and changed
         # Graph consistency: every in/out reference resolves.
         for t in tg.tasks.values():
             for p in t.ins:
@@ -148,8 +148,15 @@ class TestReplaceConfig:
 
     def test_dirty_excludes_removed(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
-        removed, dirty = tg.replace_config(lenet_graph.id_of("fc1"), ParallelConfig.single(0))
-        assert not (set(removed) & dirty)
+        lo = tg._next_tid
+        removed, added, changed = tg.replace_config(
+            lenet_graph.id_of("fc1"), ParallelConfig.single(0)
+        )
+        # Slots: a new task may reuse a removed task's slot, a survivor never.
+        assert not (set(removed) & set(changed))
+        slot_of = tg.arrays.slot_of
+        assert added == [slot_of[tid] for tid in range(lo, tg._next_tid)]
+        assert not (set(added) & set(changed))
 
     def test_canonical_keys_unique(self, lenet_graph, tiny_rnn_graph, topo4):
         """ckeys identify tasks structurally: unique within any graph,
