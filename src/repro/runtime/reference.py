@@ -74,15 +74,17 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
     """Execute the task graph under the high-fidelity machine model."""
     cfg = config or ReferenceConfig()
     topo = tg.topology
+    arr = tg.arrays
     tasks = tg.tasks
+    conns = {c.cid: c for c in topo.connections()}
 
     # Effective execution time and queueing resource per task.
     exe: dict[int, float] = {}
     queue_of: dict[int, object] = {}
-    for tid, t in tasks.items():
-        if t.kind == TaskKind.COMM and t.conn is not None:
-            conn = t.conn
-            time = conn.latency_us + t.nbytes / (
+    for tid in tasks:
+        if arr.kind[tid] == TaskKind.COMM:
+            conn = conns[arr.dev[tid]]
+            time = conn.latency_us + arr.nbytes[tid] / (
                 conn.bandwidth_gbps * 1e3 * cfg.bandwidth_efficiency
             )
             src_node = topo.device(conn.src).node
@@ -92,19 +94,19 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
                 # hashed over its concurrent stream slots.
                 queue_of[tid] = ("nic", src_node, dst_node, tid % max(1, cfg.nic_slots))
             else:
-                queue_of[tid] = t.device
+                queue_of[tid] = conn.cid
         else:
-            time = t.exe_time + cfg.overhead_us
-            queue_of[tid] = t.device
+            time = arr.exe[tid] + cfg.overhead_us
+            queue_of[tid] = arr.dev[tid]
         exe[tid] = time * _noise(cfg.seed, tid, cfg.jitter)
 
     # Algorithm-1-style sweep over the modified machine model.
     indeg: dict[int, int] = {}
     ready: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
-    for tid, t in tasks.items():
-        indeg[tid] = len(t.ins)
-        if not t.ins:
+    for tid in tasks:
+        indeg[tid] = len(arr.ins[tid])
+        if not arr.ins[tid]:
             ready[tid] = 0.0
             heap.append((0.0, tid))
     heapq.heapify(heap)
@@ -121,7 +123,7 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
         if e > makespan:
             makespan = e
         scheduled += 1
-        for nxt in tasks[tid].outs:
+        for nxt in arr.outs[tid]:
             nr = ready.get(nxt, 0.0)
             if e > nr:
                 ready[nxt] = e

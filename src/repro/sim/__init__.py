@@ -11,7 +11,7 @@ from repro.sim.delta_sim import DeltaStats, delta_simulate
 from repro.sim.full_sim import Timeline, full_simulate
 from repro.sim.metrics import IterationMetrics, compute_metrics, throughput_samples_per_sec
 from repro.sim.simulator import ALGORITHMS, Simulator, simulate_strategy
-from repro.sim.taskgraph import Task, TaskGraph, TaskKind
+from repro.sim.taskgraph import TaskGraph, TaskKind
 
 __all__ = [
     "SIMULATOR_VERSION",
@@ -25,7 +25,6 @@ __all__ = [
     "throughput_samples_per_sec",
     "Simulator",
     "simulate_strategy",
-    "Task",
     "TaskArrays",
     "TaskGraph",
     "TaskKind",

@@ -1,22 +1,28 @@
-"""Flat struct-of-arrays view of the task graph (the simulators' substrate).
+"""Flat struct-of-arrays task graph (the simulators' substrate).
 
-The task graph's source of truth is a ``dict[int, Task]`` of small
-objects -- convenient for construction and splicing, but every simulator
-sweep then pays a dict probe plus an attribute load per field access,
-repeated for every task of every proposal.  :class:`TaskArrays` is the
-cache-friendly mirror the hot loops read instead: one contiguous
-``array`` per static property (``exe``/``dev``/``rank``), adjacency as
-CSR-style per-slot row segments, and a dense *slot* index so per-task
-state inside a sweep can live in plain lists.
+:class:`TaskArrays` *is* the task graph's store: one contiguous ``array``
+per static property (``exe``/``dev``/``rank``/``kind``/``nbytes``), the
+canonical keys in a list, and adjacency as CSR-style per-task row
+segments.  A task's id is its *slot*, the index of its entries in every
+column, so per-task state inside a sweep lives in plain lists indexed by
+id, and :class:`~repro.sim.taskgraph.TaskGraph` keeps no object per task.
+
+``dev`` holds a compute-device id for NORMAL and UPDATE tasks and a
+connection id for COMM tasks.  Both live in one id space, so the
+simulators treat them uniformly (Section 5.1: "we treat each hardware
+connection between devices as a communication device"), and a COMM
+task's :class:`~repro.machine.topology.Connection` is the topology's
+connection with that id.
 
 Slots and free-list recycling
 -----------------------------
-Task *ids* grow monotonically across incremental reconfigurations (every
-splice allocates fresh ids), so id-indexed arrays would grow without
-bound over a search.  Each live task therefore occupies a *slot*; slots
-freed by a splice go on a free list and are handed to the tasks the same
-splice (or a later one) creates, so the arrays stay exactly as large as
-the peak live-task count.
+A splice frees the slots of the tasks it removes; they go on a free list
+and are handed to the tasks the same splice (or a later one) creates, so
+the arrays stay exactly as large as the peak live-task count.  A free
+slot holds ``ckey`` ``None``, kind ``-1`` and empty rows, and no row
+points at it; its ``exe``/``dev``/``rank``/``nbytes`` entries are stale,
+so readers test the kind (or the ckey) before using them.  A cold build
+hands out slots in creation order.
 
 An undo (:meth:`TaskArrays.rollback`) restores every slot: each removed
 task goes back into the slot it had, the slots the splice appended are
@@ -28,25 +34,27 @@ right tasks.
 
 Adjacency
 ---------
-``ins[slot]``/``outs[slot]`` hold the predecessor/successor *slots* of
-the task in ``slot`` -- the row-segment layout of a CSR matrix, kept as
-one mutable row per slot rather than a single flat buffer because
-splices must edit individual rows in place (a packed index/offset pair
-cannot absorb incremental inserts without a compaction sweep, which
-would re-introduce the per-proposal O(n) cost this module removes).
+``ins[t]``/``outs[t]`` hold the predecessor/successor ids of task ``t``
+-- the row-segment layout of a CSR matrix, kept as one mutable row per
+slot rather than a single flat buffer because splices must edit
+individual rows in place (a packed index/offset pair cannot absorb
+incremental inserts without a compaction sweep, which would
+re-introduce the per-proposal O(n) cost this module removes).  An edge
+sits once in each of its two rows; an op reading one tensor through two
+input slots gives an edge that sits twice in each.
 
 Canonical-key ranks
 -------------------
-The simulators break ready-time ties by :attr:`~repro.sim.taskgraph.Task.ckey`,
-a structural tuple.  Tuple comparisons in a priority queue are the
-single hottest comparison site, so every live slot also carries an
-integer *rank* with the defining property ``rank(a) < rank(b)`` iff
-``a < b`` -- heaps ordered by ``(time, rank)`` therefore pop in exactly
-the ``(time, ckey)`` order of the reference algorithms, keeping
-timelines bit-identical.  Ranks are a pure function of the key, computed
-by :class:`~repro.sim.taskgraph.TaskGraph` where it creates the task
-(see ``TaskGraph.ckey_rank``) and passed to :meth:`TaskArrays.add`;
-this module only stores them.
+The simulators break ready-time ties by ``ckey``, a structural tuple
+naming which op/edge/sync-group slot the task fills.  Tuple comparisons
+in a priority queue are the single hottest comparison site, so every
+live slot also carries an integer *rank* with the defining property
+``rank(a) < rank(b)`` iff ``a < b`` -- heaps ordered by ``(time, rank)``
+therefore pop in exactly the ``(time, ckey)`` order of the reference
+algorithms, keeping timelines bit-identical.  Ranks are a pure function
+of the key, computed by :class:`~repro.sim.taskgraph.TaskGraph` where it
+creates the task (see ``TaskGraph.ckey_rank``) and passed to
+:meth:`TaskArrays.add`; this module only stores them.
 """
 
 from __future__ import annotations
@@ -59,44 +67,29 @@ __all__ = ["TaskArrays"]
 
 
 class TaskArrays:
-    """Struct-of-arrays mirror of a :class:`~repro.sim.taskgraph.TaskGraph`.
+    """The task graph's columns and rows, indexed by task id (slot).
 
-    Maintained *incrementally* by the task graph's construction and
-    splice paths (:meth:`add`, :meth:`link`, :meth:`discard`); the
+    Written by the task graph's construction and splice paths
+    (:meth:`add`, the rows, :meth:`discard_batch`, :meth:`rollback`); the
     simulators only ever read it.
     """
 
-    __slots__ = (
-        "exe",
-        "dev",
-        "rank",
-        "tid",
-        "kind",
-        "nbytes",
-        "ckey",
-        "ins",
-        "outs",
-        "slot_of",
-        "free",
-    )
+    __slots__ = ("exe", "dev", "rank", "kind", "nbytes", "ckey", "ins", "outs", "free")
 
     def __init__(self) -> None:
         self.exe = array("d")  # per-slot execution time (us)
         self.dev = array("q")  # per-slot device / connection id
         self.rank = array("q")  # per-slot ckey rank (order-preserving)
-        self.tid = array("q")  # per-slot task id, -1 when the slot is free
-        self.kind = array("b")  # per-slot TaskKind value
+        self.kind = array("b")  # per-slot TaskKind value, -1 when the slot is free
         self.nbytes = array("d")  # per-slot transfer volume (COMM tasks)
-        self.ckey: list[tuple | None] = []  # per-slot canonical key
-        self.ins: list[list[int]] = []  # per-slot predecessor slots (CSR row)
-        self.outs: list[list[int]] = []  # per-slot successor slots (CSR row)
-        self.slot_of: dict[int, int] = {}  # live task id -> slot
+        self.ckey: list[tuple | None] = []  # per-slot canonical key, None when free
+        self.ins: list[list[int]] = []  # per-slot predecessor ids (CSR row)
+        self.outs: list[list[int]] = []  # per-slot successor ids (CSR row)
         self.free: list[int] = []  # recycled slots (LIFO)
 
     # -- slot lifecycle ----------------------------------------------------
     def add(
         self,
-        tid: int,
         exe_time: float,
         device: int,
         ckey: tuple,
@@ -104,122 +97,98 @@ class TaskArrays:
         kind: int = 0,
         nbytes: float = 0.0,
     ) -> int:
-        """Assign a slot to a new live task; returns the slot."""
+        """Give a new task a slot; returns the slot, which is its id."""
         if self.free:
-            slot = self.free.pop()
-            self.exe[slot] = exe_time
-            self.dev[slot] = device
-            self.rank[slot] = rank
-            self.tid[slot] = tid
-            self.kind[slot] = kind
-            self.nbytes[slot] = nbytes
-            self.ckey[slot] = ckey
-            # Rows were cleared by discard(); reuse the list objects.
+            tid = self.free.pop()
+            self.exe[tid] = exe_time
+            self.dev[tid] = device
+            self.rank[tid] = rank
+            self.kind[tid] = kind
+            self.nbytes[tid] = nbytes
+            self.ckey[tid] = ckey
+            # A free slot's rows are empty lists already.
         else:
-            slot = len(self.tid)
+            tid = len(self.kind)
             self.exe.append(exe_time)
             self.dev.append(device)
             self.rank.append(rank)
-            self.tid.append(tid)
             self.kind.append(kind)
             self.nbytes.append(nbytes)
             self.ckey.append(ckey)
             self.ins.append([])
             self.outs.append([])
-        self.slot_of[tid] = slot
-        return slot
+        return tid
 
-    def link(self, src_tid: int, dst_tid: int) -> None:
-        """Record the dependency edge ``src -> dst`` (both must be live)."""
-        a = self.slot_of[src_tid]
-        b = self.slot_of[dst_tid]
-        self.outs[a].append(b)
-        self.ins[b].append(a)
+    def discard_batch(self, tids) -> set[int]:
+        """Free the slots of ``tids``, scrubbing them from live neighbors' rows.
 
-    def discard(self, tid: int) -> None:
-        """Free a task's slot, scrubbing it from living neighbors' rows.
-
-        Safe to call in any order over a batch of removals: rows of
-        already-freed neighbors are skipped (their slots read ``tid=-1``).
-        Slots freed by a batch are only reused by :meth:`add` calls made
-        *after* the batch, which is how both splice paths sequence their
-        mutations.
-        """
-        slot = self.slot_of.pop(tid)
-        live = self.tid
-        for p in self.ins[slot]:
-            if live[p] != -1:
-                self.outs[p].remove(slot)
-        for s in self.outs[slot]:
-            if live[s] != -1:
-                self.ins[s].remove(slot)
-        self.ins[slot].clear()
-        self.outs[slot].clear()
-        live[slot] = -1
-        self.ckey[slot] = None
-        self.free.append(slot)
-
-    def discard_batch(self, tids) -> list[int]:
-        """Free a batch of slots at once (same contract as :meth:`discard`).
-
-        Marking the whole batch dead *before* scrubbing means intra-batch
+        Marking the whole batch free *before* scrubbing means intra-batch
         edges -- the majority in a group splice, whose members are wired
-        mostly to each other -- skip the ``list.remove`` scan entirely
-        instead of each member scrubbing rows the batch is about to
-        clear anyway.  Slot free order matches sequential discards.
-        Returns the freed slots, in ``tids`` order.
+        mostly to each other -- skip the ``list.remove`` scan entirely.
+        Each freed slot gets new empty rows; its old rows are left
+        untouched, so a caller holding them still has the freed task's
+        edges.  Slots freed by a batch are only reused by :meth:`add`
+        calls made *after* the batch.  Returns the live tasks that lost a
+        predecessor.
         """
-        live = self.tid
-        pop = self.slot_of.pop
-        ckeys = self.ckey
-        slots = [pop(t) for t in tids]
-        for s in slots:
-            live[s] = -1
-            ckeys[s] = None
-        ins, outs = self.ins, self.outs
-        for s in slots:
-            row = ins[s]
-            for p in row:
-                if live[p] != -1:
-                    outs[p].remove(s)
-            row.clear()
-            row = outs[s]
-            for q in row:
-                if live[q] != -1:
-                    ins[q].remove(s)
-            row.clear()
-        self.free.extend(slots)
-        return slots
+        kinds, ckeys, ins, outs = self.kind, self.ckey, self.ins, self.outs
+        for t in tids:
+            kinds[t] = -1
+            ckeys[t] = None
+        lost_pred: set[int] = set()
+        for t in tids:
+            for p in ins[t]:
+                if kinds[p] != -1:
+                    outs[p].remove(t)
+            ins[t] = []
+            for q in outs[t]:
+                if kinds[q] != -1:
+                    ins[q].remove(t)
+                    lost_pred.add(q)
+            outs[t] = []
+        self.free.extend(tids)
+        return lost_pred
 
     def mark(self) -> tuple[int, list[int]]:
         """The slot table's size and a copy of its free list, for :meth:`rollback`."""
-        return len(self.tid), self.free[:]
+        return len(self.kind), self.free[:]
 
-    def rollback(self, mark: tuple[int, list[int]], added_tids, rows) -> None:
+    def rollback(self, mark: tuple[int, list[int]], added, rows) -> None:
         """Return every slot to the task it held at ``mark`` (:meth:`mark`).
 
         Undoes one splice -- a :meth:`discard_batch` followed by
-        :meth:`add` calls: frees the slots of ``added_tids``, puts each
-        saved row ``(slot, tid, exe_time, device, ckey, rank, kind,
-        nbytes)`` of a discarded task back into its own slot, drops the
-        slots appended since ``mark`` and restores the free list.  The
-        restored tasks come back with empty rows; their edges are the
-        caller's to re-link.
+        :meth:`add` calls: frees the ``added`` tasks, then puts each saved
+        row ``(tid, exe_time, device, ckey, rank, kind, nbytes, ins,
+        outs)`` of a discarded task back into its own slot, with the rows
+        :meth:`discard_batch` left it.  Those rows already hold every
+        edge between two discarded tasks, so only the edges to surviving
+        neighbors are re-entered on the neighbors' side, each once.
+        Finally drops the slots appended since ``mark`` and restores the
+        free list.
         """
         num_slots, free = mark
-        self.discard_batch(added_tids)
-        exe, dev, rank, tid_col = self.exe, self.dev, self.rank, self.tid
-        kinds, nbytes_col, ckeys, slot_of = self.kind, self.nbytes, self.ckey, self.slot_of
-        for slot, tid, exe_time, device, ckey, r, kind, nbytes in rows:
-            exe[slot] = exe_time
-            dev[slot] = device
-            rank[slot] = r
-            tid_col[slot] = tid
-            kinds[slot] = kind
-            nbytes_col[slot] = nbytes
-            ckeys[slot] = ckey
-            slot_of[tid] = slot
-        for col in (exe, dev, rank, tid_col, kinds, nbytes_col, ckeys, self.ins, self.outs):
+        self.discard_batch(added)
+        kinds, ins, outs = self.kind, self.ins, self.outs
+        # Before any row is restored, exactly the survivors are live.
+        for row in rows:
+            tid = row[0]
+            for p in row[7]:
+                if kinds[p] != -1:
+                    outs[p].append(tid)
+            for s in row[8]:
+                if kinds[s] != -1:
+                    ins[s].append(tid)
+        exe, dev, rank, nbytes_col, ckeys = self.exe, self.dev, self.rank, self.nbytes, self.ckey
+        for tid, exe_time, device, ckey, r, kind, nbytes, row_in, row_out in rows:
+            exe[tid] = exe_time
+            dev[tid] = device
+            rank[tid] = r
+            kinds[tid] = kind
+            nbytes_col[tid] = nbytes
+            ckeys[tid] = ckey
+            ins[tid] = row_in
+            outs[tid] = row_out
+        for col in (exe, dev, rank, kinds, nbytes_col, ckeys, ins, outs):
             del col[num_slots:]
         self.free = free
 
@@ -229,11 +198,11 @@ class TaskArrays:
 
         Indexed by device id, connections included, and at least
         ``minlength`` long.  Free slots keep stale ``exe``/``dev``
-        values, so the live mask is what keeps them out.  The buffer
-        views die with this call: an ``array`` cannot grow while numpy
-        holds a view of it.
+        values, so the live mask (kind ``-1`` is free) is what keeps them
+        out.  The buffer views die with this call: an ``array`` cannot
+        grow while numpy holds a view of it.
         """
-        live = np.frombuffer(self.tid, np.int64) != -1
+        live = np.frombuffer(self.kind, np.int8) != -1
         return np.bincount(
             np.frombuffer(self.dev, np.int64)[live],
             weights=np.frombuffer(self.exe, np.float64)[live],
@@ -242,37 +211,8 @@ class TaskArrays:
 
     @property
     def num_live(self) -> int:
-        return len(self.slot_of)
+        return len(self.kind) - len(self.free)
 
     @property
     def num_slots(self) -> int:
-        return len(self.tid)
-
-    def check_consistent(self, tasks: dict) -> None:
-        """Assert this mirror exactly matches a ``{tid: Task}`` dict.
-
-        Test-suite helper: raises ``AssertionError`` on any divergence
-        (membership, static columns, adjacency as sets, rank ordering).
-        """
-        assert set(self.slot_of) == set(tasks), (
-            f"live-id mismatch: arrays={sorted(self.slot_of)} tasks={sorted(tasks)}"
-        )
-        for tid, t in tasks.items():
-            slot = self.slot_of[tid]
-            assert self.tid[slot] == tid
-            assert self.exe[slot] == t.exe_time, f"exe mismatch for task {tid}"
-            assert self.dev[slot] == t.device, f"device mismatch for task {tid}"
-            assert self.kind[slot] == int(t.kind), f"kind mismatch for task {tid}"
-            assert self.nbytes[slot] == t.nbytes, f"nbytes mismatch for task {tid}"
-            assert self.ckey[slot] == t.ckey, f"ckey mismatch for task {tid}"
-            got_ins = sorted(self.tid[p] for p in self.ins[slot])
-            got_outs = sorted(self.tid[s] for s in self.outs[slot])
-            assert got_ins == sorted(t.ins), f"ins mismatch for task {tid}"
-            assert got_outs == sorted(t.outs), f"outs mismatch for task {tid}"
-        # The live rank column is strictly increasing in ckey order.
-        live = sorted((self.ckey[s], self.rank[s]) for s in self.slot_of.values())
-        for (ka, ra), (kb, rb) in zip(live, live[1:]):
-            assert ka < kb and ra < rb, f"rank order breaks ckey order at {ka} < {kb}"
-        for slot in self.free:
-            assert self.tid[slot] == -1
-            assert not self.ins[slot] and not self.outs[slot]
+        return len(self.kind)

@@ -7,12 +7,13 @@ assigns ``startTime = max(readyTime, device.last.endTime)`` -- devices
 process tasks FIFO by ready time (assumption A3) and begin work as soon
 as inputs are available (assumption A4).
 
-Ties are broken by :attr:`~repro.sim.taskgraph.Task.ckey`, a key derived
-from the task's structural identity rather than its creation order.  Task
-*ids* depend on the history of incremental reconfigurations (splices
-allocate fresh ids), so id-based tie-breaking would make the simulated
-makespan depend on the *path* the search took to reach a strategy.  With
-canonical tie-breaking the timeline is a pure function of
+Ties are broken by the task's ``ckey`` (see :mod:`repro.sim.arrays`), a
+key derived from the task's structural identity rather than its creation
+order.  Task *ids* are slots and depend on the history of incremental
+reconfigurations (a splice hands freed slots to the tasks it creates), so
+id-based tie-breaking would make the simulated makespan depend on the
+*path* the search took to reach a strategy.  With canonical tie-breaking
+the timeline is a pure function of
 ``(operator graph, topology, strategy, training)`` -- the property that
 the strategy-evaluation cache (:mod:`repro.search.cache`) and the
 cross-executor reproducibility of multi-chain search
@@ -51,8 +52,8 @@ class Timeline:
     """Simulated schedule: per-slot ready, start and end times.
 
     ``ready``, ``start`` and ``end`` are lists indexed like the task
-    graph's :class:`~repro.sim.arrays.TaskArrays` (read a task's times at
-    ``arrays.slot_of[tid]``).  A free slot holds one fixed filler: ready
+    graph's :class:`~repro.sim.arrays.TaskArrays`, by task id (a task's
+    id is its slot).  A free slot holds one fixed filler: ready
     0.0, start 0.0, end ``_UNSET``.  Two timelines of one task graph
     therefore compare list to list, and since an undone splice puts every
     task back into its own slot, a pre-proposal timeline stays valid for

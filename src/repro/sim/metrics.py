@@ -56,36 +56,33 @@ def compute_metrics(tg: TaskGraph, tl: Timeline) -> IterationMetrics:
     """Collect iteration metrics from a task graph and its timeline.
 
     Aggregates over the flat :class:`~repro.sim.arrays.TaskArrays`
-    columns; the ``Task`` objects are only consulted for COMM tasks'
-    connection labels (the one property the arrays do not mirror).
+    columns in task-id order; a COMM task's connection label is looked
+    up by its connection id (its ``dev`` entry).
     """
     comm_bytes = 0.0
     compute_us = 0.0
     by_label: dict[str, float] = {}
     busy: dict[int, float] = {}
     arr = tg.arrays
-    exe, dev, kinds, nbytes, tids = arr.exe, arr.dev, arr.kind, arr.nbytes, arr.tid
+    exe, dev, nbytes = arr.exe, arr.dev, arr.nbytes
+    label_of = {c.cid: c.label for c in tg.topology.connections()}
     comm = int(TaskKind.COMM)
-    for slot in range(len(tids)):
-        tid = tids[slot]
-        if tid == -1:
-            continue
-        if kinds[slot] == comm:
-            nb = nbytes[slot]
+    for t, kind in enumerate(arr.kind):
+        if kind == comm:
+            nb = nbytes[t]
             comm_bytes += nb
-            conn = tg.tasks[tid].conn
-            label = conn.label if conn is not None else "?"
+            label = label_of[dev[t]]
             by_label[label] = by_label.get(label, 0.0) + nb
-        else:
-            e = exe[slot]
+        elif kind != -1:
+            e = exe[t]
             compute_us += e
-            d = dev[slot]
+            d = dev[t]
             busy[d] = busy.get(d, 0.0) + e
     return IterationMetrics(
         makespan_us=tl.makespan,
         total_comm_bytes=comm_bytes,
         total_compute_us=compute_us,
-        num_tasks=len(tg.tasks),
+        num_tasks=arr.num_live,
         comm_bytes_by_label=by_label,
         device_busy_us=busy,
     )

@@ -33,17 +33,19 @@ devices, connections, transfer times and ckeys to the stored numbers.
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from repro.ir.graph import Edge, OperatorGraph
-from repro.machine.topology import Connection, DeviceTopology
+from repro.machine.topology import DeviceTopology
 from repro.profiler.profiler import OpProfiler
 from repro.sim.arrays import TaskArrays
 from repro.soap.partition import overlapping_tasks
 from repro.soap.strategy import Strategy
 
-__all__ = ["TaskKind", "Task", "TaskGraph", "SpliceRecord"]
+__all__ = ["TaskKind", "TaskGraph", "SpliceRecord"]
 
 
 class TaskKind(enum.IntEnum):
@@ -52,59 +54,29 @@ class TaskKind(enum.IntEnum):
     UPDATE = 2  # SGD parameter update
 
 
-@dataclass(slots=True)
-class Task:
-    """One node of the task graph (Table 2's static properties).
-
-    ``device`` is a compute-device id for NORMAL/UPDATE tasks and a
-    connection id for COMM tasks; both live in one id space so the
-    simulator treats them uniformly (Section 5.1: "we treat each hardware
-    connection between devices as a communication device").
-
-    ``ckey`` is a *canonical sort key*: a tuple derived from the task's
-    structural identity (which op/edge/sync-group slot it fills), not from
-    creation order.  The simulators break ready-time ties by ``ckey``, so
-    the timeline of a strategy is identical no matter through which
-    sequence of incremental reconfigurations the task graph was reached --
-    the invariant that makes strategy-level simulation caching sound (see
-    :mod:`repro.search.cache`).
-    """
-
-    tid: int
-    kind: TaskKind
-    device: int
-    exe_time: float
-    ckey: tuple[int, ...] = ()
-    op_id: int = -1
-    index: int = -1
-    backward: bool = False
-    nbytes: float = 0.0
-    conn: Connection | None = None
-    ins: list[int] = field(default_factory=list)
-    outs: list[int] = field(default_factory=list)
+_COMM, _UPDATE = int(TaskKind.COMM), int(TaskKind.UPDATE)
 
 
 @dataclass
 class SpliceRecord:
     """Everything needed to undo one :meth:`TaskGraph.replace_config`.
 
-    The removed :class:`Task` objects are kept alive with their adjacency
-    lists intact, so an undo re-inserts them, each into the slot it had,
-    and re-attaches only the links to *surviving* neighbors -- no
-    profiler calls, no task rebuilding, and (together with the
-    pre-proposal timeline, see
+    ``rows`` holds each removed task's row ``(tid, exe_time, device, ckey,
+    rank, kind, nbytes, ins, outs)``, where ``ins``/``outs`` are the
+    adjacency rows the splice detached from the arrays, edges intact.  An
+    undo frees the ``added`` tasks and puts every row back into its own
+    slot (:meth:`~repro.sim.arrays.TaskArrays.rollback`), re-entering only
+    the edges to *surviving* neighbors -- no profiler calls, no task
+    rebuilding, and (together with the pre-proposal timeline, see
     :meth:`~repro.sim.simulator.Simulator.propose`) no re-simulation.
     """
 
     op_id: int
     members: tuple[int, ...]
     old_cfg: object  # the members' shared ParallelConfig before the splice
-    removed_tasks: list[Task]
-    removed_ranks: list[int]  # the removed tasks' ckey ranks, same order
-    removed_slots: list[int]  # the removed tasks' slots, same order
+    rows: list[tuple]
     mark: tuple[int, list[int]]  # TaskArrays.mark() before the splice
-    added_lo: int  # added task ids are the contiguous range [added_lo, added_hi)
-    added_hi: int
+    added: list[int]  # the new tasks' ids
     fwd_lists: dict[int, list[int]]
     bwd_lists: dict[int, list[int]]
     sync_key: str
@@ -146,19 +118,16 @@ class TaskGraph:
         self.profiler = profiler
         self.training = training
 
-        self.tasks: dict[int, Task] = {}
         self._memo = profiler.memo
         self._spec_keys = [d.spec.key for d in topology.devices]
-        # Flat struct-of-arrays mirror the simulators' hot loops read
-        # (exe/device/rank columns, slot-indexed adjacency rows); kept in
-        # lockstep by _new_task/_link and the splice paths below.
+        # The tasks themselves: columns and adjacency rows indexed by task
+        # id, which is the task's slot (see repro.sim.arrays).
         self.arrays = TaskArrays()
-        self._next_tid = 0
         self._last_splice: SpliceRecord | None = None
-        # Bookkeeping for incremental splicing.  Parameter-sync tasks are
-        # keyed by weight-sharing *group*: ops sharing parameters (e.g.
-        # unrolled steps of one recurrent layer) synchronize gradients once
-        # per iteration, not once per op.
+        # Bookkeeping for incremental splicing, as task ids.  Parameter-sync
+        # tasks are keyed by weight-sharing *group*: ops sharing parameters
+        # (e.g. unrolled steps of one recurrent layer) synchronize gradients
+        # once per iteration, not once per op.
         self.fwd: dict[int, list[int]] = {}
         self.bwd: dict[int, list[int]] = {}
         self.sync: dict[str, list[int]] = {}
@@ -231,21 +200,19 @@ class TaskGraph:
                 rank[slot] = self.ckey_rank(ckey)
 
     # -- small helpers -----------------------------------------------------
-    def _new_task(self, rank: int, **kw) -> Task:
-        t = Task(tid=self._next_tid, **kw)
-        self._next_tid += 1
-        self.tasks[t.tid] = t
-        self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
-        return t
-
     def _link(self, a: int, b: int) -> None:
-        self.tasks[a].outs.append(b)
-        self.tasks[b].ins.append(a)
-        self.arrays.link(a, b)
+        """Record the dependency edge ``a -> b`` between two live tasks."""
+        self.arrays.outs[a].append(b)
+        self.arrays.ins[b].append(a)
+
+    @property
+    def tasks(self) -> list[int]:
+        """The live task ids, ascending (a cold build's are ``0 .. n-1``)."""
+        return [t for t, kind in enumerate(self.arrays.kind) if kind != -1]
 
     @property
     def num_tasks(self) -> int:
-        return len(self.tasks)
+        return self.arrays.num_live
 
     # -- construction --------------------------------------------------------
     def _task_times(self, op, cfg, make_bwd: bool) -> tuple[tuple[float, float], ...]:
@@ -281,41 +248,25 @@ class TaskGraph:
         _, s_op, s_k, s_bwd = self._rank_shifts[0]
         base = oid << s_op
         bwd_bit = 1 << s_bwd
+        add = self.arrays.add  # (exe_time, device, ckey, rank[, kind, nbytes]) -> id
         for k, (fwd_us, bwd_us) in enumerate(times):
             dev = devices[k]
             rank = base + (k << s_k)
-            f = self._new_task(
-                rank,
-                kind=TaskKind.NORMAL,
-                device=dev,
-                exe_time=fwd_us,
-                ckey=(0, oid, k, 0),
-                op_id=oid,
-                index=k,
-            )
-            fwd_ids.append(f.tid)
+            f = add(fwd_us, dev, (0, oid, k, 0), rank)
+            fwd_ids.append(f)
             if make_bwd:
-                b = self._new_task(
-                    rank + bwd_bit,
-                    kind=TaskKind.NORMAL,
-                    device=dev,
-                    exe_time=bwd_us,
-                    ckey=(0, oid, k, 1),
-                    op_id=oid,
-                    index=k,
-                    backward=True,
-                )
-                bwd_ids.append(b.tid)
+                b = add(bwd_us, dev, (0, oid, k, 1), rank + bwd_bit)
+                bwd_ids.append(b)
                 # Backward needs the forward activations of the same task.
-                self._link(f.tid, b.tid)
+                self._link(f, b)
         self.fwd[oid] = fwd_ids
         self.bwd[oid] = bwd_ids
 
-    def _connect_edge(self, edge: Edge) -> list[int]:
+    def _connect_edge(self, edge: Edge) -> None:
         """Wire producer/consumer task pairs of one tensor edge (step 2).
 
-        Returns the communication tasks created (tracked per edge so a
-        reconfiguration can splice them out).
+        The communication tasks it creates are tracked per edge in
+        ``edge_tasks``, so a reconfiguration can splice them out.
         """
         src_op = self.graph.op(edge.src)
         dst_op = self.graph.op(edge.dst)
@@ -340,6 +291,7 @@ class TaskGraph:
         s_kind, s_src, s_dst, s_slot, s_kj, s_ki, s_bwd = self._rank_shifts[1]
         base = (1 << s_kind) + (edge.src << s_src) + (edge.dst << s_dst) + (edge.slot << s_slot)
         bwd_bit = 1 << s_bwd
+        add = self.arrays.add
 
         for kj, ki, nbytes in overlaps:
             dev_i, dev_j = src_cfg.devices[ki], dst_cfg.devices[kj]
@@ -350,35 +302,32 @@ class TaskGraph:
                 continue
             conn = self.topology.connection(dev_i, dev_j)
             rank = base + (kj << s_kj) + (ki << s_ki)
-            c = self._new_task(
+            c = add(
+                self.profiler.comm_time(nbytes, conn),
+                conn.cid,
+                (1, edge.src, edge.dst, edge.slot, kj, ki, 0),
                 rank,
-                kind=TaskKind.COMM,
-                device=conn.cid,
-                exe_time=self.profiler.comm_time(nbytes, conn),
-                ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 0),
-                nbytes=nbytes,
-                conn=conn,
+                _COMM,
+                nbytes,
             )
-            comm_ids.append(c.tid)
-            self._link(src_fwd[ki], c.tid)
-            self._link(c.tid, dst_fwd[kj])
+            comm_ids.append(c)
+            self._link(src_fwd[ki], c)
+            self._link(c, dst_fwd[kj])
             if src_bwd and dst_bwd:
                 # Gradient flows the reverse direction in backward.
                 rconn = self.topology.connection(dev_j, dev_i)
-                cb = self._new_task(
+                cb = add(
+                    self.profiler.comm_time(nbytes, rconn),
+                    rconn.cid,
+                    (1, edge.src, edge.dst, edge.slot, kj, ki, 1),
                     rank + bwd_bit,
-                    kind=TaskKind.COMM,
-                    device=rconn.cid,
-                    exe_time=self.profiler.comm_time(nbytes, rconn),
-                    ckey=(1, edge.src, edge.dst, edge.slot, kj, ki, 1),
-                    nbytes=nbytes,
-                    conn=rconn,
+                    _COMM,
+                    nbytes,
                 )
-                comm_ids.append(cb.tid)
-                self._link(dst_bwd[kj], cb.tid)
-                self._link(cb.tid, src_bwd[ki])
+                comm_ids.append(cb)
+                self._link(dst_bwd[kj], cb)
+                self._link(cb, src_bwd[ki])
         self.edge_tasks[(edge.src, edge.dst, edge.slot)] = comm_ids
-        return comm_ids
 
     def _make_sync(self, gkey: str, members: tuple[int, ...]) -> None:
         """Parameter synchronization + update tasks for one weight group.
@@ -420,22 +369,22 @@ class TaskGraph:
         s_kind, s_op, s_shard, s_last = self._rank_shifts[2]  # kind 3 shares the layout
         ring_base = (2 << s_kind) + (members[0] << s_op)
         upd_base = ring_base + (1 << s_kind)
+        add = self.arrays.add
         for shard_idx, task_idxs, shard_elems in shards:
             devs = sorted({cfg.devices[k] for k in task_idxs})
             grads = [self.bwd[m][k] for m in members for k in task_idxs]
             shard = shard_idx << s_shard
             if len(devs) == 1:
-                upd = self._new_task(
+                upd = add(
+                    self.profiler.update_time(shard_elems, self.topology.device(devs[0])),
+                    devs[0],
+                    (3, members[0], shard_idx, devs[0]),
                     upd_base + shard + (devs[0] << s_last),
-                    kind=TaskKind.UPDATE,
-                    device=devs[0],
-                    exe_time=self.profiler.update_time(shard_elems, self.topology.device(devs[0])),
-                    ckey=(3, members[0], shard_idx, devs[0]),
-                    op_id=members[0],
+                    _UPDATE,
                 )
-                created.append(upd.tid)
+                created.append(upd)
                 for g in grads:
-                    self._link(g, upd.tid)
+                    self._link(g, upd)
                 continue
             k_g = len(devs)
             hop_bytes = 2.0 * (k_g - 1) / k_g * shard_elems * dtype
@@ -443,32 +392,29 @@ class TaskGraph:
             for i, d in enumerate(devs):
                 nxt = devs[(i + 1) % k_g]
                 conn = self.topology.connection(d, nxt)
-                c = self._new_task(
+                c = add(
+                    self.profiler.comm_time(hop_bytes, conn),
+                    conn.cid,
+                    (2, members[0], shard_idx, i),
                     ring_base + shard + (i << s_last),
-                    kind=TaskKind.COMM,
-                    device=conn.cid,
-                    exe_time=self.profiler.comm_time(hop_bytes, conn),
-                    ckey=(2, members[0], shard_idx, i),
-                    nbytes=hop_bytes,
-                    conn=conn,
-                    op_id=members[0],
+                    _COMM,
+                    hop_bytes,
                 )
-                ring_comm.append(c.tid)
-                created.append(c.tid)
+                ring_comm.append(c)
+                created.append(c)
                 for g in grads:
-                    self._link(g, c.tid)
+                    self._link(g, c)
             for d in devs:
-                upd = self._new_task(
+                upd = add(
+                    self.profiler.update_time(shard_elems, self.topology.device(d)),
+                    d,
+                    (3, members[0], shard_idx, d),
                     upd_base + shard + (d << s_last),
-                    kind=TaskKind.UPDATE,
-                    device=d,
-                    exe_time=self.profiler.update_time(shard_elems, self.topology.device(d)),
-                    ckey=(3, members[0], shard_idx, d),
-                    op_id=members[0],
+                    _UPDATE,
                 )
-                created.append(upd.tid)
+                created.append(upd)
                 for c in ring_comm:
-                    self._link(c, upd.tid)
+                    self._link(c, upd)
         self.sync[gkey] = created
 
     # -- incremental reconfiguration -----------------------------------------------
@@ -489,20 +435,18 @@ class TaskGraph:
         num_devices = self.topology.num_devices
         arr = self.arrays
         loads = arr.loads(num_devices)[:num_devices].tolist()
-        exe, dev, slot_of = arr.exe, arr.dev, arr.slot_of
+        exe, dev = arr.exe, arr.dev
         for m in self.graph.group_members(op_id):
-            for tid in self.fwd[m] + self.bwd[m]:
-                s = slot_of[tid]
-                loads[dev[s]] -= exe[s]
+            for t in self.fwd[m] + self.bwd[m]:
+                loads[dev[t]] -= exe[t]
             op = self.graph.op(m)
             times = self._task_times(op, new_cfg, self.training and not op.is_source)
             for d, (fwd_us, bwd_us) in zip(new_cfg.devices, times):
                 loads[d] += fwd_us + bwd_us
-        update, kind = int(TaskKind.UPDATE), arr.kind
-        for tid in self.sync[self.graph.group_key(op_id)]:
-            s = slot_of[tid]
-            if kind[s] == update:
-                loads[dev[s]] -= exe[s]
+        kind = arr.kind
+        for t in self.sync[self.graph.group_key(op_id)]:
+            if kind[t] == _UPDATE:
+                loads[dev[t]] -= exe[t]
         return loads
 
     def replace_config(
@@ -518,7 +462,9 @@ class TaskGraph:
         ``UpdateTaskGraph`` from Algorithm 2.  The rebuild runs the same
         construction methods as a fresh build, so a degree vector the
         profiler's memo has seen costs no region, overlap or profiler
-        work: only devices, connections and ranks are bound anew.
+        work: only devices, connections and ranks are bound anew.  The
+        new tasks reuse free ids, the removed tasks' first, before the
+        slot table grows.
 
         With ``keep_record=True`` the splice additionally stores a
         :class:`SpliceRecord` so :meth:`undo_last_splice` can restore the
@@ -528,11 +474,11 @@ class TaskGraph:
         Returns
         -------
         (removed, added, changed):
-            slot lists, the input of delta simulation:
-            ``removed`` -- the removed tasks' slots, one per removed task
-            (the new tasks may reuse some of them);
-            ``added`` -- the new tasks' slots;
-            ``changed`` -- slots of surviving tasks whose predecessor sets
+            task-id lists, the input of delta simulation:
+            ``removed`` -- the removed tasks' ids (the new tasks may reuse
+            some of them);
+            ``added`` -- the new tasks' ids;
+            ``changed`` -- ids of surviving tasks whose predecessor sets
             may have changed (with ``added``, the seeds of the cut time).
         """
         members = self.graph.group_members(op_id)
@@ -561,67 +507,48 @@ class TaskGraph:
         if new_cfg.num_tasks > 1 << self._task_bits:
             self._widen_task_field(new_cfg.num_tasks)
 
-        removed_ids: set[int] = set(self.sync[gkey])
-        for m in members:
-            removed_ids.update(self.fwd[m])
-            removed_ids.update(self.bwd[m])
-        for e in touched_edges:
-            removed_ids.update(self.edge_tasks.get((e.src, e.dst, e.slot), ()))
-
-        tasks = self.tasks
-        removed = [tasks[tid] for tid in removed_ids]
+        edge_keys = [(e.src, e.dst, e.slot) for e in touched_edges]
+        removed = self._group_tasks(gkey, members, edge_keys)
         arr = self.arrays
         record: SpliceRecord | None = None
         if keep_record:
-            # Saved *before* any mutation: the Task objects keep their
-            # adjacency lists (only surviving neighbors' lists are edited
-            # below), and the bookkeeping lists are replaced wholesale by
-            # the rebuild, so holding references is enough.
-            rank, slot_of = arr.rank, arr.slot_of
+            # Saved *before* any mutation: the removed tasks' rows keep
+            # their edges (discard_batch gives freed slots new rows and
+            # edits only surviving neighbors' rows), and the bookkeeping
+            # lists are replaced wholesale by the rebuild, so holding
+            # references is enough.
+            exe, dev, ckey, rank = arr.exe, arr.dev, arr.ckey, arr.rank
+            kind, nbytes, ins, outs = arr.kind, arr.nbytes, arr.ins, arr.outs
             record = SpliceRecord(
                 op_id=op_id,
                 members=members,
                 old_cfg=self.strategy[members[0]],
-                removed_tasks=removed,
-                removed_ranks=[rank[slot_of[tid]] for tid in removed_ids],
-                removed_slots=[],
+                rows=[
+                    (t, exe[t], dev[t], ckey[t], rank[t], kind[t], nbytes[t], ins[t], outs[t])
+                    for t in removed
+                ],
                 mark=arr.mark(),
-                added_lo=self._next_tid,
-                added_hi=self._next_tid,
+                added=[],
                 fwd_lists={m: self.fwd[m] for m in members},
                 bwd_lists={m: self.bwd[m] for m in members},
                 sync_key=gkey,
                 sync_list=self.sync[gkey],
-                edge_lists={
-                    (e.src, e.dst, e.slot): self.edge_tasks.get((e.src, e.dst, e.slot), [])
-                    for e in touched_edges
-                },
+                edge_lists={key: self.edge_tasks[key] for key in edge_keys},
             )
 
-        changed: set[int] = set()  # surviving task ids
         # Frees the slots and scrubs them from surviving neighbors' rows
         # (intra-batch edges skip the scan entirely); the slots are
-        # recycled by the rebuild below.
-        removed_slots = arr.discard_batch(removed_ids)
-        for t in removed:
-            tid = t.tid
-            for p in t.ins:
-                if p not in removed_ids:
-                    tasks[p].outs.remove(tid)
-            for s in t.outs:
-                if s not in removed_ids:
-                    tasks[s].ins.remove(tid)
-                    changed.add(s)  # lost a predecessor: ready time may drop
-        for tid in removed_ids:
-            del tasks[tid]
+        # recycled by the rebuild below.  Survivors that lost a
+        # predecessor may now be ready earlier.
+        changed = arr.discard_batch(removed)
 
-        added_lo = self._next_tid
         for m in members:
             self.strategy = self.strategy.with_config(m, new_cfg)
             self._make_op_tasks(m)
         for e in touched_edges:
             self._connect_edge(e)
         self._make_sync(gkey, members)
+        added = self._group_tasks(gkey, members, edge_keys)
         # Surviving neighbor tasks that gained predecessors: consumers'
         # forward tasks (fed by our new fwd/comm tasks) and producers'
         # backward tasks (fed by our new bwd/comm tasks).
@@ -631,69 +558,41 @@ class TaskGraph:
             elif e.dst in member_set and e.src not in member_set:
                 changed.update(self.bwd[e.src])
         if record is not None:
-            record.removed_slots = removed_slots
-            record.added_hi = self._next_tid
+            record.added = added
         self._last_splice = record
-        slot_of = arr.slot_of
-        added = [slot_of[tid] for tid in range(added_lo, self._next_tid)]
-        return removed_slots, added, [slot_of[tid] for tid in changed]
+        return removed, added, list(changed)
+
+    def _group_tasks(self, gkey: str, members, edge_keys) -> list[int]:
+        """The ids of group ``gkey``'s sync tasks, its ``members``' compute
+        tasks and the communication tasks of ``edge_keys``: everything a
+        splice of the group replaces.  Every task sits in exactly one
+        bookkeeping list, so each id appears once."""
+        ids = self.sync[gkey][:]
+        for m in members:
+            ids += self.fwd[m]
+            ids += self.bwd[m]
+        for key in edge_keys:
+            ids += self.edge_tasks[key]
+        return ids
 
     def undo_last_splice(self) -> None:
         """Restore the graph to its state before the last recorded splice.
 
-        Inverse of a ``replace_config(..., keep_record=True)``: pops the
-        tasks that splice added, re-inserts the saved :class:`Task`
-        objects, each into the slot it had before the splice
-        (:meth:`TaskArrays.rollback`, which also drops the slots the
-        splice appended and restores the free list), re-attaches their
-        links to surviving neighbors, and restores the bookkeeping lists
-        and the strategy.  Every live task is then in its pre-splice slot,
-        so a timeline of the pre-splice graph indexes it again.  Valid
-        exactly once, immediately after the recorded splice (before any
-        further ``replace_config``).
+        Inverse of a ``replace_config(..., keep_record=True)``: frees the
+        tasks that splice added and puts every saved row of a removed
+        task back into its own slot (:meth:`TaskArrays.rollback`, which
+        re-enters each edge to a surviving neighbor once, drops the slots
+        the splice appended and restores the free list), then restores
+        the bookkeeping lists and the strategy.  Every task then has its
+        pre-splice id, fields and edges, so a timeline of the pre-splice
+        graph indexes it again.  Valid exactly once, immediately after
+        the recorded splice (before any further ``replace_config``).
         """
         rec = self._last_splice
         if rec is None:
             raise RuntimeError("no recorded splice to undo")
         self._last_splice = None
-
-        added_tids = range(rec.added_lo, rec.added_hi)
-        added: list[Task] = [self.tasks.pop(tid) for tid in added_tids]
-        for t in added:
-            for p in t.ins:
-                surv = self.tasks.get(p)
-                if surv is not None:
-                    surv.outs.remove(t.tid)
-            for s in t.outs:
-                surv = self.tasks.get(s)
-                if surv is not None:
-                    surv.ins.remove(t.tid)
-
-        removed_set = {t.tid for t in rec.removed_tasks}
-        for t in rec.removed_tasks:
-            self.tasks[t.tid] = t
-        self.arrays.rollback(
-            rec.mark,
-            added_tids,
-            [
-                (slot, t.tid, t.exe_time, t.device, t.ckey, rank, int(t.kind), t.nbytes)
-                for t, slot, rank in zip(rec.removed_tasks, rec.removed_slots, rec.removed_ranks)
-            ],
-        )
-        for t in rec.removed_tasks:
-            # Each edge is re-recorded in the arrays exactly once: through
-            # the consumer's ins for every predecessor, plus the producer's
-            # outs only when the successor survived the splice (edges into
-            # removed successors reappear via that successor's own ins).
-            for p in t.ins:
-                self.arrays.link(p, t.tid)
-                if p not in removed_set:
-                    self.tasks[p].outs.append(t.tid)
-            for s in t.outs:
-                if s not in removed_set:
-                    self.tasks[s].ins.append(t.tid)
-                    self.arrays.link(t.tid, s)
-
+        self.arrays.rollback(rec.mark, rec.added, rec.rows)
         self.fwd.update(rec.fwd_lists)
         self.bwd.update(rec.bwd_lists)
         self.sync[rec.sync_key] = rec.sync_list
@@ -702,34 +601,74 @@ class TaskGraph:
             self.strategy = self.strategy.with_config(m, rec.old_cfg)
 
     # -- aggregate views ----------------------------------------------------------
-    def comm_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if t.kind == TaskKind.COMM]
-
     def total_comm_bytes(self) -> float:
-        arr = self.arrays
-        comm = int(TaskKind.COMM)
-        return sum(
-            arr.nbytes[slot]
-            for slot in range(arr.num_slots)
-            if arr.tid[slot] != -1 and arr.kind[slot] == comm
-        )
+        return sum(nb for k, nb in zip(self.arrays.kind, self.arrays.nbytes) if k == _COMM)
 
     def total_compute_us(self) -> float:
-        arr = self.arrays
-        comm = int(TaskKind.COMM)
         return sum(
-            arr.exe[slot]
-            for slot in range(arr.num_slots)
-            if arr.tid[slot] != -1 and arr.kind[slot] != comm
+            e for k, e in zip(self.arrays.kind, self.arrays.exe) if k != _COMM and k != -1
         )
 
     def describe(self) -> str:
-        kinds = {k: 0 for k in TaskKind}
-        for t in self.tasks.values():
-            kinds[t.kind] += 1
+        kinds = Counter(self.arrays.kind)
         return (
             f"TaskGraph: {self.num_tasks} tasks "
             f"(normal={kinds[TaskKind.NORMAL]}, comm={kinds[TaskKind.COMM]}, "
             f"update={kinds[TaskKind.UPDATE]}), "
             f"comm={self.total_comm_bytes() / 1e6:.1f} MB"
         )
+
+    def check_consistent(self) -> None:
+        """Assert the arrays hold a well-formed task graph of ``self.strategy``.
+
+        Test-suite hook; raises ``AssertionError`` on any divergence:
+
+        * every edge sits in both its rows (as many times in each);
+        * a slot is free iff it is on the free list (once), and a free
+          slot is cleared -- no rows, no ckey, kind ``-1`` -- with no row
+          pointing at it;
+        * ``fwd``/``bwd``/``sync``/``edge_tasks`` name each live id once;
+        * every live rank is ``ckey_rank`` of its ckey;
+        * task for task by ckey (kind, device, exe time, bytes,
+          predecessor and successor ckeys), the graph equals a build of
+          ``self.strategy`` whose profiler has an empty construction memo.
+        """
+        arr = self.arrays
+        live = self.tasks
+        free = [t for t, kind in enumerate(arr.kind) if kind == -1]
+        assert sorted(arr.free) == free, f"free list {sorted(arr.free)} != free slots {free}"
+        for t in free:
+            assert arr.ckey[t] is None and not arr.ins[t] and not arr.outs[t], t
+        ins = Counter((p, t) for t in live for p in arr.ins[t])
+        outs = Counter((t, s) for t in live for s in arr.outs[t])
+        assert ins == outs, f"edges in only one row: {(ins - outs) + (outs - ins)}"
+        assert all(arr.kind[t] != -1 for edge in ins for t in edge), "a row names a free slot"
+        listed = [
+            t
+            for lists in (self.fwd, self.bwd, self.sync, self.edge_tasks)
+            for ids in lists.values()
+            for t in ids
+        ]
+        assert sorted(listed) == live, "bookkeeping lists do not name each live id once"
+        for t in live:
+            assert arr.rank[t] == self.ckey_rank(arr.ckey[t]), f"rank of {arr.ckey[t]}"
+        # deepcopy drops the memo (OpProfiler.__getstate__) and keeps the times.
+        cold = TaskGraph(
+            self.graph, self.topology, self.strategy, copy.deepcopy(self.profiler), self.training
+        )
+        assert len(live) == cold.num_tasks, f"{len(live)} live tasks, cold build {cold.num_tasks}"
+        assert _by_ckey(self) == _by_ckey(cold), "graph differs from a cold build"
+
+
+def _by_ckey(tg: TaskGraph) -> dict:
+    """Each live task's kind, device, exe time, bytes, and sorted predecessor
+    and successor ckeys, keyed by its ckey: comparable across graphs."""
+    arr = tg.arrays
+    ckey = arr.ckey
+    return {
+        ckey[t]: (
+            arr.kind[t], arr.dev[t], arr.exe[t], arr.nbytes[t],
+            sorted(ckey[p] for p in arr.ins[t]), sorted(ckey[s] for s in arr.outs[t]),
+        )
+        for t in tg.tasks
+    }

@@ -14,14 +14,13 @@ def render_timeline(tg: TaskGraph, tl: Timeline, width: int = 78, max_devices: i
         return "(empty timeline)"
     scale = width / tl.makespan
     rows: dict[int, list[str]] = {}
-    slot_of = tg.arrays.slot_of
-    for tid, t in tg.tasks.items():
-        if t.kind == TaskKind.COMM:
+    arr = tg.arrays
+    for tid in tg.tasks:
+        if arr.kind[tid] == TaskKind.COMM:
             continue
-        row = rows.setdefault(t.device, ["."] * width)
-        slot = slot_of[tid]
-        a = min(width - 1, int(tl.start[slot] * scale))
-        b = min(width, max(a + 1, int(tl.end[slot] * scale)))
+        row = rows.setdefault(arr.dev[tid], ["."] * width)
+        a = min(width - 1, int(tl.start[tid] * scale))
+        b = min(width, max(a + 1, int(tl.end[tid] * scale)))
         for i in range(a, b):
             row[i] = "#"
     lines = [f"timeline: {tl.makespan / 1e3:.2f} ms total, '#'=busy"]
@@ -35,9 +34,11 @@ def render_timeline(tg: TaskGraph, tl: Timeline, width: int = 78, max_devices: i
 def device_utilization_bars(tg: TaskGraph, tl: Timeline, width: int = 40) -> str:
     """Per-device busy fraction as a bar chart."""
     busy: dict[int, float] = {}
-    for tid, t in tg.tasks.items():
-        if t.kind != TaskKind.COMM:
-            busy[t.device] = busy.get(t.device, 0.0) + t.exe_time
+    arr = tg.arrays
+    for tid in tg.tasks:
+        if arr.kind[tid] != TaskKind.COMM:
+            d = arr.dev[tid]
+            busy[d] = busy.get(d, 0.0) + arr.exe[tid]
     if tl.makespan <= 0:
         return "(empty timeline)"
     lines = []

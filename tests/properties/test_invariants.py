@@ -1,6 +1,7 @@
 """Cross-cutting hypothesis property tests on core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from repro.sim.taskgraph import TaskGraph, TaskKind
 from repro.soap.partition import check_coverage, overlapping_tasks
 from repro.soap.space import ConfigSpace, divisors
 from repro.soap.strategy import Strategy
+from repro.viz.timeline_viz import render_timeline
 
 
 @st.composite
@@ -88,25 +90,46 @@ class TestSimulationInvariants:
         strategy = space.random_strategy(rng)
         tg = TaskGraph(graph, topo, strategy, OpProfiler())
         tl = full_simulate(tg)
-        total = sum(t.exe_time for t in tg.tasks.values())
-        longest_task = max(t.exe_time for t in tg.tasks.values())
+        total = sum(tg.arrays.exe[t] for t in tg.tasks)
+        longest_task = max(tg.arrays.exe[t] for t in tg.tasks)
         assert longest_task <= tl.makespan <= total + 1e-6
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=15, deadline=None)
     def test_metrics_consistency(self, seed):
+        """The readers of a spliced graph -- free slots, recycled ids --
+        report what they report for a cold build of the same strategy."""
         graph = mlp(batch=16, in_dim=32, hidden=(64,), num_classes=8)
         topo = single_node(3, "p100")
         rng = np.random.default_rng(seed)
-        strategy = ConfigSpace(graph, topo).random_strategy(rng)
-        tg = TaskGraph(graph, topo, strategy, OpProfiler())
+        space = ConfigSpace(graph, topo)
+        tg = TaskGraph(graph, topo, space.random_strategy(rng), OpProfiler())
+        for _ in range(4):
+            oid = int(rng.choice(graph.op_ids))
+            tg.replace_config(oid, space.random_config(oid, rng), keep_record=True)
+            if rng.random() < 0.5:
+                tg.undo_last_splice()
         tl = full_simulate(tg)
         m = compute_metrics(tg, tl)
+        arr = tg.arrays
         assert m.total_comm_bytes == sum(
-            t.nbytes for t in tg.tasks.values() if t.kind == TaskKind.COMM
+            arr.nbytes[t] for t in tg.tasks if arr.kind[t] == TaskKind.COMM
         )
         assert sum(m.comm_bytes_by_label.values()) == m.total_comm_bytes
         assert m.utilization(topo.num_devices) <= 1.0 + 1e-9
+
+        cold = TaskGraph(graph, topo, tg.strategy, OpProfiler())
+        cold_tl = full_simulate(cold)
+        mc = compute_metrics(cold, cold_tl)
+        assert m.num_tasks == mc.num_tasks == tg.num_tasks == cold.num_tasks
+        assert m.makespan_us == mc.makespan_us
+        # Sums run in task-id order, which a splice permutes.
+        close = dict(rel=1e-9, abs=0.0)
+        assert m.total_comm_bytes == pytest.approx(mc.total_comm_bytes, **close)
+        assert m.total_compute_us == pytest.approx(mc.total_compute_us, **close)
+        assert m.comm_bytes_by_label == pytest.approx(mc.comm_bytes_by_label, **close)
+        assert m.device_busy_us == pytest.approx(mc.device_busy_us, **close)
+        assert render_timeline(tg, tl) == render_timeline(cold, cold_tl)
 
 
 class TestStrategySerialization:

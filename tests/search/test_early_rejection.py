@@ -91,7 +91,7 @@ def test_auto_chains_take_the_full_chains_decisions(model, seed, init):
     sim = auto[3]
     tg = sim.task_graph
     assert full_simulate(tg).equals(sim.timeline, tol=0.0)
-    tg.arrays.check_consistent(tg.tasks)
+    tg.check_consistent()
 
 
 def test_both_early_rejection_routes_fire():
@@ -194,6 +194,6 @@ class TestRejectedProposal:
         assert sim.strategy.signature() == before[1]
         tg = sim.task_graph
         assert full_simulate(tg).equals(sim.timeline, tol=0.0)
-        tg.arrays.check_consistent(tg.tasks)
+        tg.check_consistent()
         # Resolved: the same proposal, unbounded, now completes exactly.
         assert sim.propose(oid, cfg) == cost

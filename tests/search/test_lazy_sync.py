@@ -18,7 +18,8 @@ The three must take identical decisions -- the same per-iteration costs,
 acceptances, best cost and best strategy -- and no cached run may simulate
 more than the uncached one.  After every run the simulator's timeline must
 equal a from-scratch full sweep of its task graph, bit for bit, and the
-graph's flat arrays must mirror its task dict.
+graph must pass ``TaskGraph.check_consistent`` (well formed, and equal to
+a cold build of its strategy).
 """
 
 import numpy as np
@@ -59,7 +60,7 @@ def run_chain(graph, topo, init, algorithm, config, **lookups):
     tg = sim.task_graph
     assert full_simulate(tg).equals(sim.timeline, tol=0.0)
     assert sim.cost == sim.timeline.makespan
-    tg.arrays.check_consistent(tg.tasks)
+    tg.check_consistent()
     return best, cost, trace
 
 

@@ -1,9 +1,10 @@
 """Task-graph comparisons shared by the simulator tests.
 
-Task ids and slots depend on the order a graph was built and spliced in;
-ckeys name the same task in any graph of the same strategy, so these
-helpers key everything by ckey.  :func:`algorithm1` is the oracle every
-simulated timeline is checked against.
+A task's id is its slot in the task graph's arrays, and depends on the
+order the graph was built and spliced in; ckeys name the same task in any
+graph of the same strategy, so these helpers key everything by ckey.
+:func:`algorithm1` is the oracle every simulated timeline is checked
+against.
 """
 
 import heapq
@@ -20,7 +21,7 @@ def algorithm1(tg):
     ckey order shows up as a different timeline.
     """
     arr = tg.arrays
-    slots = list(arr.slot_of.values())
+    slots = tg.tasks
     pending = {s: len(arr.ins[s]) for s in slots}  # unscheduled predecessors
     ready = dict.fromkeys(slots, 0.0)
     queue = [(0.0, arr.ckey[s], s) for s in slots if not pending[s]]
@@ -49,28 +50,23 @@ def timeline_by_ckey(tg, tl=None):
     across graphs."""
     if tl is None:
         tl = full_simulate(tg)
-    arr = tg.arrays
-    times = {
-        tg.tasks[t].ckey: (tl.ready[s], tl.start[s], tl.end[s]) for t, s in arr.slot_of.items()
-    }
+    ckey = tg.arrays.ckey
+    times = {ckey[t]: (tl.ready[t], tl.start[t], tl.end[t]) for t in tg.tasks}
     return tl.makespan, times
 
 
 def slot_state(tg):
-    """The slot table's layout: each live task's slot, the table's size and
-    the free slots.  An undone splice must leave all three as they were."""
+    """The slot table's layout and contents: each live id's row (ckey, exe
+    time, device, rank, kind, bytes, sorted ``ins``, sorted ``outs``), the
+    table's size and the free slots.  An undone splice must leave all of
+    it as it was."""
     arr = tg.arrays
-    return dict(arr.slot_of), arr.num_slots, set(arr.free)
-
-
-def tasks_by_ckey(tg):
-    """Each task's kind, device, exe time, bytes, and predecessor and
-    successor ckeys, keyed by its ckey."""
-    ckey = {tid: t.ckey for tid, t in tg.tasks.items()}
-    return {
-        t.ckey: (
-            t.kind, t.device, t.exe_time, t.nbytes,
-            sorted(ckey[p] for p in t.ins), sorted(ckey[s] for s in t.outs),
+    rows = {
+        t: (
+            arr.ckey[t], arr.exe[t], arr.dev[t], arr.rank[t], arr.kind[t], arr.nbytes[t],
+            sorted(arr.ins[t]), sorted(arr.outs[t]),
         )
-        for t in tg.tasks.values()
+        for t in tg.tasks
     }
+    return rows, arr.num_slots, set(arr.free)
+

@@ -1,4 +1,4 @@
-"""The flat struct-of-arrays substrate mirrors the task dict exactly."""
+"""The flat struct-of-arrays substrate stays a well-formed task graph."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from sim_helpers import slot_state, timeline_by_ckey
 
 def churn(graph, topo, seed, steps):
     tg = TaskGraph(graph, topo, data_parallelism(graph, topo), OpProfiler())
-    tg.arrays.check_consistent(tg.tasks)
+    tg.check_consistent()
     space = ConfigSpace(graph, topo)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
@@ -34,18 +34,21 @@ def churn(graph, topo, seed, steps):
             before = slot_state(tg)
             tg.replace_config(oid, cfg, keep_record=True)
             tg.undo_last_splice()
-            # Every task is back in its own slot, the appended slots are
-            # gone and the free slots are the ones before the splice.
+            # Every task is back in its own slot with its fields and
+            # edges, the appended slots are gone and the free slots are
+            # the ones before the splice.
             assert slot_state(tg) == before
-        tg.arrays.check_consistent(tg.tasks)
+        tg.check_consistent()
     return tg
 
 
 class TestMirror:
     def test_consistent_after_construction(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
-        tg.arrays.check_consistent(tg.tasks)
-        assert tg.arrays.num_live == len(tg.tasks)
+        tg.check_consistent()
+        # A cold build hands out slots in creation order.
+        assert tg.tasks == list(range(tg.arrays.num_slots))
+        assert tg.arrays.num_live == len(tg.tasks) == tg.num_tasks
 
     def test_consistent_under_splice_undo_churn(self, lenet_graph, topo4):
         churn(lenet_graph, topo4, seed=0, steps=40)
@@ -53,30 +56,42 @@ class TestMirror:
     def test_consistent_with_weight_sharing(self, tiny_rnn_graph, topo4):
         churn(tiny_rnn_graph, topo4, seed=1, steps=25)
 
-    def test_slots_are_recycled_not_leaked(self, lenet_graph, topo4):
+    def test_slots_are_recycled_not_leaked(self, lenet_graph, topo4, monkeypatch):
         """Across many splices the slot table stays bounded by the peak
         live-task count, not by the total tasks ever created."""
+        created = 0
+        add = TaskArrays.add
+
+        def counted(self, *args):
+            nonlocal created
+            created += 1
+            return add(self, *args)
+
+        monkeypatch.setattr(TaskArrays, "add", counted)
         tg = churn(lenet_graph, topo4, seed=2, steps=60)
-        # Ids keep growing; slots don't.
-        assert tg._next_tid > tg.arrays.num_slots
+        # Tasks keep being created; slots are reused.
+        assert created > 3 * tg.arrays.num_slots
         assert tg.arrays.num_slots <= 2 * len(tg.tasks) + 64
 
     def test_discard_scrubs_neighbors_in_any_order(self):
         arr = TaskArrays()
-        for tid in range(3):
-            arr.add(tid, 1.0, 0, (tid,), tid)
-        arr.link(0, 1)
-        arr.link(1, 2)
-        arr.link(0, 2)
-        arr.discard(1)  # middle first: neighbors' rows must be scrubbed
-        s0, s2 = arr.slot_of[0], arr.slot_of[2]
-        assert arr.outs[s0] == [s2]
-        assert arr.ins[s2] == [s0]
-        arr.discard(0)
-        assert arr.ins[s2] == []
+        for k in range(3):
+            assert arr.add(1.0, 0, (k,), k) == k  # ids are slots, handed out in order
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            arr.outs[a].append(b)
+            arr.ins[b].append(a)
+        # Middle first: neighbors' rows must be scrubbed, and the successor
+        # that lost a predecessor is reported.
+        assert arr.discard_batch([1]) == {2}
+        assert arr.outs[0] == [2]
+        assert arr.ins[2] == [0]
+        assert (arr.kind[1], arr.ckey[1], arr.ins[1], arr.outs[1]) == (-1, None, [], [])
+        assert arr.discard_batch([0]) == {2}
+        assert arr.ins[2] == []
+        assert arr.num_live == 1
         # Freed slots are reused by the next add instead of growing the table.
         before = arr.num_slots
-        arr.add(7, 2.0, 1, (7,), 7)
+        assert arr.add(2.0, 1, (7,), 7) in (0, 1)
         assert arr.num_slots == before == 3
 
 
@@ -104,7 +119,7 @@ def assert_ranks_encode_ckeys(tg):
     """Every live rank is the graph's encoding of its ckey, and for every
     pair of live tasks ``rank_a < rank_b`` exactly when ``ckey_a < ckey_b``."""
     arr = tg.arrays
-    live = [(arr.ckey[s], arr.rank[s]) for s in arr.slot_of.values()]
+    live = [(arr.ckey[t], arr.rank[t]) for t in tg.tasks]
     for ckey, rank in live:
         assert rank == tg.ckey_rank(ckey), ckey
     for ka, ra in live:
@@ -127,7 +142,7 @@ class TestRanks:
             tg.replace_config(oid, space.random_config(oid, rng), keep_record=True)
             if rng.random() < 0.4:
                 tg.undo_last_splice()
-            tg.arrays.check_consistent(tg.tasks)
+            tg.check_consistent()
         assert_ranks_encode_ckeys(tg)
 
     def test_over_wide_config_widens_the_task_field(self, lenet_graph, topo4):
@@ -140,13 +155,13 @@ class TestRanks:
         wide = ParallelConfig.data_parallel(lenet_graph.op(oid), (0, 1, 2, 3) * 2)
         assert wide.num_tasks == 8 > topo4.num_devices
         tg.replace_config(oid, wide, keep_record=True)
-        tg.arrays.check_consistent(tg.tasks)
+        tg.check_consistent()
         assert_ranks_encode_ckeys(tg)
         fresh = TaskGraph(lenet_graph, topo4, tg.strategy, OpProfiler())
         # Task ids differ between the two graphs; ckeys name the same task.
         assert timeline_by_ckey(tg) == timeline_by_ckey(fresh)  # tol=0
         tg.undo_last_splice()
-        tg.arrays.check_consistent(tg.tasks)
+        tg.check_consistent()
         assert full_simulate(tg).makespan == before
 
     def test_rank_layout_refuses_more_than_63_bits(self, lenet_graph, topo4):

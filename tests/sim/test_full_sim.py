@@ -5,7 +5,7 @@ import pytest
 from repro.profiler.profiler import OpProfiler
 from repro.sim.full_sim import Timeline, full_simulate
 from repro.sim.metrics import compute_metrics, throughput_samples_per_sec
-from repro.sim.taskgraph import Task, TaskGraph, TaskKind
+from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism, model_parallelism, single_device
 
 
@@ -13,19 +13,17 @@ def device_orders(tg, tl):
     """Each device's tasks in FIFO order, i.e. sorted by (readyTime, ckey),
     as ``(ready, ckey, slot)`` triples."""
     orders = {}
-    slot_of = tg.arrays.slot_of
-    for tid, t in tg.tasks.items():
-        slot = slot_of[tid]
-        orders.setdefault(t.device, []).append((tl.ready[slot], t.ckey, slot))
+    arr = tg.arrays
+    for t in tg.tasks:
+        orders.setdefault(arr.dev[t], []).append((tl.ready[t], arr.ckey[t], t))
     return {d: sorted(v) for d, v in orders.items()}
 
 
 class TestFullSimulate:
     def test_empty_graph(self, mlp_graph, topo4):
         tg = TaskGraph(mlp_graph, topo4, single_device(mlp_graph), OpProfiler(), training=False)
-        for tid in list(tg.tasks):
-            tg.arrays.discard(tid)
-            del tg.tasks[tid]
+        tg.arrays.discard_batch(tg.tasks)
+        assert tg.num_tasks == 0
         tl = full_simulate(tg)
         assert tl.makespan == 0.0
 
@@ -33,15 +31,14 @@ class TestFullSimulate:
         tg = TaskGraph(mlp_graph, topo4, single_device(mlp_graph), OpProfiler(), training=False)
         tl = full_simulate(tg)
         # Makespan equals the sum of all task times on a single device.
-        assert abs(tl.makespan - sum(t.exe_time for t in tg.tasks.values())) < 1e-6
+        assert abs(tl.makespan - sum(tg.arrays.exe[t] for t in tg.tasks)) < 1e-6
 
     def test_dependencies_respected(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         tl = full_simulate(tg)
-        slot_of = tg.arrays.slot_of
-        for t in tg.tasks.values():
-            for p in t.ins:
-                assert tl.end[slot_of[p]] <= tl.ready[slot_of[t.tid]] + 1e-9
+        for t in tg.tasks:
+            for p in tg.arrays.ins[t]:
+                assert tl.end[p] <= tl.ready[t] + 1e-9
 
     def test_device_fifo_no_overlap(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
@@ -54,18 +51,14 @@ class TestFullSimulate:
     def test_start_respects_ready_and_exe(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
         tl = full_simulate(tg)
-        for tid, t in tg.tasks.items():
-            slot = tg.arrays.slot_of[tid]
-            assert tl.start[slot] >= tl.ready[slot] - 1e-9
-            assert abs(tl.end[slot] - tl.start[slot] - t.exe_time) < 1e-9
+        for t in tg.tasks:
+            assert tl.start[t] >= tl.ready[t] - 1e-9
+            assert abs(tl.end[t] - tl.start[t] - tg.arrays.exe[t]) < 1e-9
 
     def test_cycle_detection(self, mlp_graph, topo4):
         tg = TaskGraph(mlp_graph, topo4, single_device(mlp_graph), OpProfiler(), training=False)
-        tids = list(tg.tasks)
-        a, b = tids[0], tids[1]
-        tg.tasks[a].ins.append(b)
-        tg.tasks[b].outs.append(a)
-        tg.arrays.link(b, a)
+        a, b = tg.tasks[:2]
+        tg._link(b, a)
         with pytest.raises(RuntimeError, match="cycle"):
             full_simulate(tg)
 
@@ -106,7 +99,7 @@ class TestTimeline:
         tl = full_simulate(tg)
         assert len(tl.end) == tg.arrays.num_slots  # one entry per slot
         cp = tl.copy()
-        some = tg.arrays.slot_of[next(iter(tg.tasks))]
+        some = tg.tasks[0]
         cp.end[some] += 1.0
         assert not tl.equals(cp)
 
@@ -114,7 +107,7 @@ class TestTimeline:
         tg = TaskGraph(lenet_graph, topo4, single_device(lenet_graph), OpProfiler())
         tl = full_simulate(tg)
         cp = tl.copy()
-        some = tg.arrays.slot_of[next(iter(tg.tasks))]
+        some = tg.tasks[0]
         cp.end[some] += 1e-12
         assert tl.equals(cp)
 

@@ -50,11 +50,12 @@ class DyadicProfiler(OpProfiler):
 
 
 def loads_by_device(tg, compute_only=False):
-    """Each device's (and connection's) total work, from the task dict."""
+    """Each device's (and connection's) total work, task by task."""
+    arr = tg.arrays
     loads: dict[int, float] = {}
-    for t in tg.tasks.values():
-        if not (compute_only and t.kind == TaskKind.COMM):
-            loads[t.device] = loads.get(t.device, 0.0) + t.exe_time
+    for t in tg.tasks:
+        if not (compute_only and arr.kind[t] == TaskKind.COMM):
+            loads[arr.dev[t]] = loads.get(arr.dev[t], 0.0) + arr.exe[t]
     return loads
 
 

@@ -5,17 +5,17 @@ For every timeline algorithm a hypothesis state machine interleaves
 ``reconfigure`` on small random MLP and weight-shared LSTM graphs.  After
 every step the live timeline must equal a literal Algorithm 1
 (``sim_helpers.algorithm1``) bit for bit, the cost must be its makespan,
-and the task graph's flat arrays must mirror its task dict.  The live
-task graph, built and spliced with the machine's warm profiler, must also
-equal a build of the same strategy with a cold profiler, task by task and
-in its timeline, which catches a construction-memo key that misses an
-input of its value.  A revert must restore the exact pre-proposal
+and the task graph must pass ``TaskGraph.check_consistent``: well-formed
+rows, free slots and bookkeeping, and task by task equal to a build of
+the same strategy with a cold profiler, which catches a construction-memo
+key that misses an input of its value.  The live timeline must equal that
+cold build's too, by ckey.  A revert must restore the exact pre-proposal
 strategy and cost, and the slot table as it was: every task in its own
-slot, the same table size and the same free slots, since the timeline a
-revert restores is indexed by slot.  On graphs this small nearly every
-delta suffix covers half the graph and is handed to the full sweep, so
-one more machine runs ``delta`` with that handoff disabled to exercise
-the suffix loop itself.
+slot with its fields and edges, the same table size and the same free
+slots, since the timeline a revert restores is indexed by slot.  On
+graphs this small nearly every delta suffix covers half the graph and is
+handed to the full sweep, so one more machine runs ``delta`` with that
+handoff disabled to exercise the suffix loop itself.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
-from sim_helpers import algorithm1, slot_state, tasks_by_ckey, timeline_by_ckey
+from sim_helpers import algorithm1, slot_state, timeline_by_ckey
 
 
 def small_graph(kind: str, width: int):
@@ -116,13 +116,12 @@ class SimulatorMachine(RuleBasedStateMachine):
         ref = algorithm1(tg)
         assert ref.equals(self.sim.timeline, tol=0.0)
         assert self.sim.cost == self.sim.timeline.makespan == ref.makespan
-        tg.arrays.check_consistent(tg.tasks)
 
     @invariant()
     def graph_is_a_cold_build(self):
         tg = self.sim.task_graph
+        tg.check_consistent()
         cold = TaskGraph(self.graph, self.topo, self.sim.strategy, OpProfiler())
-        assert tasks_by_ckey(tg) == tasks_by_ckey(cold)
         assert timeline_by_ckey(tg, self.sim.timeline) == timeline_by_ckey(cold)  # tol=0
 
 

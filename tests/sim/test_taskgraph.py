@@ -18,7 +18,7 @@ from repro.soap.presets import data_parallelism, single_device
 from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
 
-from sim_helpers import tasks_by_ckey, timeline_by_ckey
+from sim_helpers import slot_state, timeline_by_ckey
 
 
 def build(graph, topo, strategy, training=True):
@@ -28,14 +28,14 @@ def build(graph, topo, strategy, training=True):
 class TestConstruction:
     def test_single_device_inference_has_no_comm(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, single_device(lenet_graph), training=False)
-        assert all(t.kind == TaskKind.NORMAL for t in tg.tasks.values())
+        assert all(tg.arrays.kind[t] == TaskKind.NORMAL for t in tg.tasks)
         assert tg.total_comm_bytes() == 0
         # One forward task per op.
         assert tg.num_tasks == lenet_graph.num_ops
 
     def test_training_adds_backward_and_updates(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, single_device(lenet_graph))
-        kinds = [t.kind for t in tg.tasks.values()]
+        kinds = [tg.arrays.kind[t] for t in tg.tasks]
         assert kinds.count(TaskKind.UPDATE) == sum(
             1 for oid in lenet_graph.op_ids if lenet_graph.op(oid).params
         )
@@ -52,14 +52,14 @@ class TestConstruction:
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
         conv = lenet_graph.id_of("conv1")
         gkey = lenet_graph.group_key(conv)
-        sync = [tg.tasks[t] for t in tg.sync[gkey]]
-        comm = [t for t in sync if t.kind == TaskKind.COMM]
-        upd = [t for t in sync if t.kind == TaskKind.UPDATE]
+        arr = tg.arrays
+        comm = [t for t in tg.sync[gkey] if arr.kind[t] == TaskKind.COMM]
+        upd = [t for t in tg.sync[gkey] if arr.kind[t] == TaskKind.UPDATE]
         assert len(comm) == 4  # one hop per ring edge
         assert len(upd) == 4  # one update per replica
         op = lenet_graph.op(conv)
         expected_hop = 2.0 * 3 / 4 * op.param_volume * 4
-        assert abs(comm[0].nbytes - expected_hop) < 1e-6
+        assert abs(arr.nbytes[comm[0]] - expected_hop) < 1e-6
 
     def test_param_split_eliminates_sync_comm(self, lenet_graph, topo4):
         """Channel-parallel FC holds disjoint shards: update tasks only."""
@@ -68,8 +68,8 @@ class TestConstruction:
             fc, ParallelConfig.param_parallel(lenet_graph.op(fc), "channel", (0, 1, 2, 3))
         )
         tg = build(lenet_graph, topo4, strat)
-        sync = [tg.tasks[t] for t in tg.sync[lenet_graph.group_key(fc)]]
-        assert all(t.kind == TaskKind.UPDATE for t in sync)
+        sync = tg.sync[lenet_graph.group_key(fc)]
+        assert all(tg.arrays.kind[t] == TaskKind.UPDATE for t in sync)
 
     def test_misaligned_partitions_create_comm(self, lenet_graph, topo4):
         dp = data_parallelism(lenet_graph, topo4)
@@ -82,8 +82,8 @@ class TestConstruction:
         edge_comm = tg.edge_tasks[(0, conv, 0)]
         assert edge_comm  # device mismatch -> communication tasks
         for tid in edge_comm:
-            assert tg.tasks[tid].kind == TaskKind.COMM
-            assert tg.tasks[tid].nbytes > 0
+            assert tg.arrays.kind[tid] == TaskKind.COMM
+            assert tg.arrays.nbytes[tid] > 0
 
     def test_aligned_partitions_need_no_comm(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
@@ -93,14 +93,13 @@ class TestConstruction:
     def test_shared_weights_sync_once(self, tiny_rnn_graph, topo4):
         tg = build(tiny_rnn_graph, topo4, data_parallelism(tiny_rnn_graph, topo4))
         groups = tiny_rnn_graph.param_groups()
-        sync = [tg.tasks[t] for t in tg.sync["lstm1"]]
-        comm = [t for t in sync if t.kind == TaskKind.COMM]
+        comm = [t for t in tg.sync["lstm1"] if tg.arrays.kind[t] == TaskKind.COMM]
         # One ring (4 hops) for the whole layer, not one per step.
         assert len(comm) == 4
         # Every member step's backward feeds the ring.
         grads = set()
         for c in comm:
-            grads.update(c.ins)
+            grads.update(tg.arrays.ins[c])
         expected = {tid for m in groups["lstm1"] for tid in tg.bwd[m]}
         assert expected <= grads
 
@@ -108,8 +107,8 @@ class TestConstruction:
         tg = build(lenet_graph, topo4, single_device(lenet_graph))
         conv, pool = lenet_graph.id_of("conv1"), lenet_graph.id_of("pool1")
         # forward: conv -> pool; backward: pool_bwd -> conv_bwd.
-        conv_bwd = tg.tasks[tg.bwd[conv][0]]
-        assert tg.bwd[pool][0] in conv_bwd.ins
+        conv_bwd = tg.bwd[conv][0]
+        assert tg.bwd[pool][0] in tg.arrays.ins[conv_bwd]
 
     def test_metrics_helpers(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
@@ -126,13 +125,16 @@ class TestReplaceConfig:
         removed, added, changed = tg.replace_config(conv, ParallelConfig.single(2))
         assert removed and added and changed
         # Graph consistency: every in/out reference resolves.
-        for t in tg.tasks.values():
-            for p in t.ins:
-                assert p in tg.tasks
-                assert t.tid in tg.tasks[p].outs
-            for s in t.outs:
-                assert s in tg.tasks
-                assert t.tid in tg.tasks[s].ins
+        arr = tg.arrays
+        live = set(tg.tasks)
+        for t in live:
+            for p in arr.ins[t]:
+                assert p in live
+                assert t in arr.outs[p]
+            for s in arr.outs[t]:
+                assert s in live
+                assert t in arr.ins[s]
+        tg.check_consistent()
         # Re-splicing back restores the same structure size.
         tg.replace_config(conv, ParallelConfig.data_parallel(lenet_graph.op(conv), (0, 1, 2, 3)))
         assert tg.num_tasks == before
@@ -148,14 +150,16 @@ class TestReplaceConfig:
 
     def test_dirty_excludes_removed(self, lenet_graph, topo4):
         tg = build(lenet_graph, topo4, data_parallelism(lenet_graph, topo4))
-        lo = tg._next_tid
+        before = set(tg.tasks)
         removed, added, changed = tg.replace_config(
             lenet_graph.id_of("fc1"), ParallelConfig.single(0)
         )
-        # Slots: a new task may reuse a removed task's slot, a survivor never.
+        # Ids are slots: a new task may reuse a removed task's id, a
+        # survivor never.
         assert not (set(removed) & set(changed))
-        slot_of = tg.arrays.slot_of
-        assert added == [slot_of[tid] for tid in range(lo, tg._next_tid)]
+        assert len(set(removed)) == len(removed) and set(removed) <= before
+        assert len(set(added)) == len(added)
+        assert set(tg.tasks) == (before - set(removed)) | set(added)
         assert not (set(added) & set(changed))
 
     def test_canonical_keys_unique(self, lenet_graph, tiny_rnn_graph, topo4):
@@ -163,22 +167,22 @@ class TestReplaceConfig:
         stable across splices (the tie-breaking canonicalization)."""
         for graph in (lenet_graph, tiny_rnn_graph):
             tg = build(graph, topo4, data_parallelism(graph, topo4))
-            keys = [t.ckey for t in tg.tasks.values()]
+            keys = [tg.arrays.ckey[t] for t in tg.tasks]
             assert len(keys) == len(set(keys))
             oid = int(graph.op_ids[1])
             tg.replace_config(oid, ParallelConfig.single(0))
-            keys = [t.ckey for t in tg.tasks.values()]
+            keys = [tg.arrays.ckey[t] for t in tg.tasks]
             assert len(keys) == len(set(keys))
 
     def test_undo_last_splice_restores_structure(self, tiny_rnn_graph, topo4):
         tg = build(tiny_rnn_graph, topo4, data_parallelism(tiny_rnn_graph, topo4))
         members = tiny_rnn_graph.param_groups()["lstm1"]
         sig_before = tg.strategy.signature()
-        tasks_before = {tid: (t.device, t.exe_time, sorted(t.ins), sorted(t.outs)) for tid, t in tg.tasks.items()}
+        tasks_before = slot_state(tg)
         tg.replace_config(members[0], ParallelConfig.single(1), keep_record=True)
         tg.undo_last_splice()
         assert tg.strategy.signature() == sig_before
-        assert {tid: (t.device, t.exe_time, sorted(t.ins), sorted(t.outs)) for tid, t in tg.tasks.items()} == tasks_before
+        assert slot_state(tg) == tasks_before
         with pytest.raises(RuntimeError):
             tg.undo_last_splice()  # valid exactly once
 
@@ -190,8 +194,8 @@ class TestConstructionMemo:
 
     @staticmethod
     def assert_cold_build(tg):
+        tg.check_consistent()  # task by task, against a cold build
         cold = TaskGraph(tg.graph, tg.topology, tg.strategy, OpProfiler(), training=tg.training)
-        assert tasks_by_ckey(tg) == tasks_by_ckey(cold)
         assert timeline_by_ckey(tg) == timeline_by_ckey(cold)  # tol=0
 
     def test_resplice_to_a_seen_degree_vector_reads_the_memo(
@@ -219,7 +223,8 @@ class TestConstructionMemo:
         assert calls == Counter()
         monkeypatch.undo()
         # The moved op now talks to its neighbors over connections.
-        assert any(t.kind == TaskKind.COMM and t.ckey[2] == oid for t in tg.tasks.values())
+        arr = tg.arrays
+        assert any(arr.kind[t] == TaskKind.COMM and arr.ckey[t][2] == oid for t in tg.tasks)
         self.assert_cold_build(tg)
 
     def test_training_and_inference_graphs_share_a_profiler(self, lenet_graph, topo4):
@@ -257,11 +262,12 @@ class TestConstructionMemo:
         on_p100 = ParallelConfig.data_parallel(lenet_graph.op(oid), (0, 1))
         on_k80 = ParallelConfig(on_p100.degrees, (2, 3))
         tg = build(lenet_graph, topo, single_device(lenet_graph).with_config(oid, on_p100))
-        p100_times = [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]]
+        exe = tg.arrays.exe
+        p100_times = [exe[t] for t in tg.fwd[oid] + tg.bwd[oid]]
         tg.replace_config(oid, on_k80)
-        k80_times = [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]]
+        k80_times = [exe[t] for t in tg.fwd[oid] + tg.bwd[oid]]
         assert all(k > p for k, p in zip(k80_times, p100_times))
         self.assert_cold_build(tg)
         tg.replace_config(oid, on_p100)
-        assert [tg.tasks[t].exe_time for t in tg.fwd[oid] + tg.bwd[oid]] == p100_times
+        assert [exe[t] for t in tg.fwd[oid] + tg.bwd[oid]] == p100_times
         self.assert_cold_build(tg)
