@@ -7,7 +7,7 @@ graph exactly the second-order effects the simulator's assumptions A1-A4
 idealize away:
 
 * **A1 (deterministic kernels)** -- per-task multiplicative jitter drawn
-  deterministically per (seed, task), modelling run-to-run kernel
+  deterministically per (seed, task ckey), modelling run-to-run kernel
   variance;
 * **A2 (full link utilization)** -- transfers achieve only a fraction of
   nominal bandwidth, and inter-node transfers of a node pair contend for
@@ -18,7 +18,11 @@ idealize away:
 The result is a "measured" time that is consistently slower than the
 simulator's prediction by a strategy-dependent 0-30%, while preserving
 the relative ordering of strategies -- the two properties Figure 11
-establishes for the real system.
+establishes for the real system.  Like the simulator's, it is a function
+of the strategy alone: jitter is keyed by each task's ckey, queue ties
+are broken by ckey rank and a transfer's NIC slot is hashed from its
+rank, so a task graph reached by splices measures what a cold build of
+the same strategy measures, whatever ids its tasks were given.
 """
 
 from __future__ import annotations
@@ -58,15 +62,15 @@ class ReferenceResult:
         return self.makespan_us / 1e3
 
 
-def _noise(seed: int, tid: int, amplitude: float) -> float:
+def _noise(seed: int, ckey: tuple, amplitude: float) -> float:
     """Deterministic per-(run, task) jitter factor, biased >= 1.
 
     Real kernels are slower than their cached best-case profile far more
     often than faster, so the factor is ``1 + amplitude * u`` with
     ``u ~ U[0, 1)`` plus a small symmetric component.
     """
-    h = zlib.crc32(f"{seed}:{tid}".encode()) / 0xFFFFFFFF
-    h2 = zlib.crc32(f"{seed}:{tid}:b".encode()) / 0xFFFFFFFF
+    h = zlib.crc32(f"{seed}:{ckey}".encode()) / 0xFFFFFFFF
+    h2 = zlib.crc32(f"{seed}:{ckey}:b".encode()) / 0xFFFFFFFF
     return 1.0 + amplitude * h + 0.25 * amplitude * (2.0 * h2 - 1.0)
 
 
@@ -75,6 +79,7 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
     cfg = config or ReferenceConfig()
     topo = tg.topology
     arr = tg.arrays
+    rank = arr.rank
     tasks = tg.tasks
     conns = {c.cid: c for c in topo.connections()}
 
@@ -92,30 +97,32 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
             if cfg.nic_contention and src_node != dst_node:
                 # All traffic between a node pair shares the NIC path,
                 # hashed over its concurrent stream slots.
-                queue_of[tid] = ("nic", src_node, dst_node, tid % max(1, cfg.nic_slots))
+                stream = zlib.crc32(rank[tid].to_bytes(8, "little")) % max(1, cfg.nic_slots)
+                queue_of[tid] = ("nic", src_node, dst_node, stream)
             else:
                 queue_of[tid] = conn.cid
         else:
             time = arr.exe[tid] + cfg.overhead_us
             queue_of[tid] = arr.dev[tid]
-        exe[tid] = time * _noise(cfg.seed, tid, cfg.jitter)
+        exe[tid] = time * _noise(cfg.seed, arr.ckey[tid], cfg.jitter)
 
-    # Algorithm-1-style sweep over the modified machine model.
+    # Algorithm-1-style sweep over the modified machine model, ties broken
+    # by ckey rank.
     indeg: dict[int, int] = {}
     ready: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[float, int, int]] = []
     for tid in tasks:
         indeg[tid] = len(arr.ins[tid])
         if not arr.ins[tid]:
             ready[tid] = 0.0
-            heap.append((0.0, tid))
+            heap.append((0.0, rank[tid], tid))
     heapq.heapify(heap)
 
     last_end: dict[object, float] = {}
     makespan = 0.0
     scheduled = 0
     while heap:
-        r, tid = heapq.heappop(heap)
+        r, _, tid = heapq.heappop(heap)
         q = queue_of[tid]
         s = max(r, last_end.get(q, 0.0))
         e = s + exe[tid]
@@ -131,7 +138,7 @@ def reference_execute(tg: TaskGraph, config: ReferenceConfig | None = None) -> R
                 ready.setdefault(nxt, nr)
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                heapq.heappush(heap, (ready[nxt], nxt))
+                heapq.heappush(heap, (ready[nxt], rank[nxt], nxt))
 
     if scheduled != len(tasks):
         raise RuntimeError("reference executor found a dependency cycle")

@@ -140,7 +140,11 @@ def delta_simulate(
     every slot without a survivor -- free or new -- reads end ``_UNSET``
     and no stale entry is taken for a survivor's time.  The suffix is
     then re-simulated into the same lists, slot by slot.  Everything else
-    is read from the task graph's :class:`~repro.sim.arrays.TaskArrays`.
+    is read from the task graph's :class:`~repro.sim.arrays.TaskArrays`
+    in place: the list columns, the adjacency rows, and the kept load
+    list, whose length sizes the per-device end list.  The suffix counts
+    its own in-degrees (predecessors in the suffix only), so the kept
+    in-degrees and sources are the full sweep's alone.
     """
     arr = tg.arrays
     total = arr.num_live
@@ -221,7 +225,7 @@ def delta_simulate(
     # ready time and end times never decrease along that order, so the
     # prefix's last end per device is its largest one.
     dev = arr.dev
-    dev_end = [0.0] * (max(dev) + 1)
+    dev_end = [0.0] * len(arr.load)
     suffix = list(added)
     for slot, r in enumerate(ready):
         e = end[slot]
@@ -249,7 +253,7 @@ def delta_simulate(
     # or after t0.
     for slot in suffix:
         end[slot] = _UNSET
-    rank = arr.rank.tolist()
+    rank = arr.rank
     indeg = [0] * len(end)
     heap: list[tuple[float, int, int]] = []
     for slot in suffix:
@@ -266,8 +270,7 @@ def delta_simulate(
         if n == 0:
             heap.append((est, rank[slot], slot))
     heapq.heapify(heap)
-    _sweep(heap, exe.tolist(), dev.tolist(), rank, arr.outs, indeg, ready, start, end,
-           dev_end)
+    _sweep(heap, exe, dev, rank, arr.outs, indeg, ready, start, end, dev_end)
     if any(ready[slot] < t_cut or end[slot] == _UNSET for slot in suffix):
         # Pre-cut pop (prefix-safety violation), a dependency cycle, or
         # bookkeeping drift: re-run authoritatively.

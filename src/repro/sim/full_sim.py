@@ -24,15 +24,16 @@ substrate, and :func:`_sweep` is the one heap loop of the simulator:
 :func:`full_simulate` runs it over the whole graph and
 :func:`~repro.sim.delta_sim.delta_simulate` over its suffix.  The heap
 orders by ckey *rank* (integer comparisons, the same pop order), the
-columns the loop reads are turned into lists once per sweep, each
-device's last end time lives in a dense list indexed by device id (device
-and connection ids share one small id space), and a popped task's start
-and end go into per-slot lists.  Its ready time is already in the
-per-slot ready list: a task is pushed only once its last predecessor has
-finished, at its final ready time.  Those three per-slot lists *are* the
-:class:`Timeline`; nothing is re-keyed by task id.  ``tests/sim`` checks
-every sweep against a literal Algorithm 1 that orders its heap by ckey
-tuples.
+loop reads the arrays' list columns in place (no per-sweep copies), the
+in-degrees, sources and device loads it starts from are the ones the
+arrays keep across splices, each device's last end time lives in a dense
+list indexed by device id (device and connection ids share one small id
+space), and a popped task's start and end go into per-slot lists.  Its
+ready time is already in the per-slot ready list: a task is pushed only
+once its last predecessor has finished, at its final ready time.  Those
+three per-slot lists *are* the :class:`Timeline`; nothing is re-keyed by
+task id.  ``tests/sim`` checks every sweep against a literal Algorithm 1
+that orders its heap by ckey tuples.
 """
 
 from __future__ import annotations
@@ -106,7 +107,12 @@ def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     """Simulate the task graph from scratch; returns the full timeline.
 
     The timeline's lists are the ones the sweep filled, one entry per slot
-    of ``tg.arrays``; free slots keep the filler.
+    of ``tg.arrays``; free slots keep the filler.  Everything else the
+    sweep starts from is kept current by the task graph's
+    :class:`~repro.sim.arrays.TaskArrays` across splices: it copies the
+    in-degree and load lists, seeds its heap from the source set and
+    reads the columns in place, so besides the three timeline lists only
+    the in-degree copy and the cycle check run over every slot.
 
     With a finite ``bound`` (``auto``'s Metropolis-Hastings rejection
     threshold) the sweep returns ``math.inf`` instead of a timeline as
@@ -126,22 +132,20 @@ def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     end = [_UNSET] * ns
     if total == 0:
         return Timeline(ready, start, end, 0.0)
-    dev = arr.dev.tolist()
-    dev_end = [0.0] * (max(dev) + 1)
+    # The kept load list has an entry for every id a live task sits on.
+    dev_end = [0.0] * len(arr.load)
     lb = None
     if bound < math.inf:
         # A device runs one task at a time: its load alone bounds the
         # makespan, before any task is popped.
-        lb = arr.loads(len(dev_end)).tolist()
+        lb = arr.load[:]
         if max(lb) > bound:
             return math.inf
-    rank = arr.rank.tolist()
-    indeg = list(map(len, arr.ins))
-    ckey = arr.ckey
-    # Free slots have cleared rows, so the live test keeps them out.
-    heap = [(0.0, rank[s], s) for s in range(ns) if not indeg[s] and ckey[s] is not None]
+    rank = arr.rank
+    indeg = arr.indeg[:]
+    heap = [(0.0, rank[s], s) for s in arr.sources]
     heapq.heapify(heap)
-    if not _sweep(heap, arr.exe.tolist(), dev, rank, arr.outs, indeg, ready, start, end,
+    if not _sweep(heap, arr.exe, arr.dev, rank, arr.outs, indeg, ready, start, end,
                   dev_end, lb, bound):
         return math.inf
     if any(indeg):
@@ -159,9 +163,10 @@ def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_en
     """Algorithm 1's heap loop, shared by the full and delta sweeps.
 
     Pops ``heap`` in ``(readyTime, rank)`` order.  ``exe``/``dev``/``rank``
-    are the arrays' columns as lists, ``indeg``/``slot_ready``/``start``/
-    ``end`` dense per-slot lists and ``dev_end`` a dense per-device list
-    of last end times; the last five are written in place.  A popped
+    are the arrays' columns, read in place, ``indeg``/``slot_ready``/
+    ``start``/``end`` dense per-slot lists and ``dev_end`` a dense
+    per-device list of last end times; the last five are written in
+    place, so ``indeg`` must be the caller's own copy.  A popped
     slot's ready time is its final ``slot_ready`` entry: it was pushed at
     that value.
 

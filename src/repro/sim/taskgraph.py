@@ -143,6 +143,7 @@ class TaskGraph:
             self._connect_edge(edge)
         for gkey, members in graph.param_groups().items():
             self._make_sync(gkey, members)
+        self.arrays.derive(topology.num_devices)
 
     # -- ckey ranks ----------------------------------------------------------
     def _set_rank_layout(self, task_range: int) -> None:
@@ -163,9 +164,10 @@ class TaskGraph:
         dev_b = _bits(self.topology.num_devices)
         width = 2 * op_b + slot_b + 2 * task_b + 1  # kind 1 has the most fields
         if width + 2 > 63:
+            # Keep ranks word-sized: the heap compares them on every push and pop.
             raise ValueError(
-                f"ckey ranks need {width + 2} bits, more than the 63 an int64 "
-                f"rank column holds ({graph.num_ops} ops, task range {task_range})"
+                f"ckey ranks need {width + 2} bits, more than the 63 a rank may "
+                f"take ({graph.num_ops} ops, task range {task_range})"
             )
         sync = _shifts(width, (op_b, task_b, dev_b))  # (2|3, op, shard, hop|device)
         self._rank_shifts = (
@@ -425,16 +427,18 @@ class TaskGraph:
         without splicing anything.  A device runs one task at a time, so
         no schedule of the spliced graph ends before the largest entry:
         the pre-splice half of ``auto``'s early rejection.  Each entry is
-        the device's current NORMAL and UPDATE work, minus the group's
-        current forward, backward and update tasks on it, plus the
-        group's new forward and backward times, read through the memo as
-        the splice would read them.  The new update tasks only add work,
-        so they are left out.
+        the device's current NORMAL and UPDATE work, the arrays' kept
+        ``load`` (:class:`~repro.sim.arrays.TaskArrays`), minus the
+        group's current forward, backward and update tasks on it, plus
+        the group's new forward and backward times, read through the memo
+        as the splice would read them.  The new update tasks only add
+        work, so they are left out.  The sweep of the spliced graph reads
+        the same kept ``load``, so a proposal costs no per-slot load
+        count.
         """
         # COMM tasks sit on connection ids, past the compute devices.
-        num_devices = self.topology.num_devices
         arr = self.arrays
-        loads = arr.loads(num_devices)[:num_devices].tolist()
+        loads = arr.load[: self.topology.num_devices]
         exe, dev = arr.exe, arr.dev
         for m in self.graph.group_members(op_id):
             for t in self.fwd[m] + self.bwd[m]:
@@ -464,7 +468,9 @@ class TaskGraph:
         profiler's memo has seen costs no region, overlap or profiler
         work: only devices, connections and ranks are bound anew.  The
         new tasks reuse free ids, the removed tasks' first, before the
-        slot table grows.
+        slot table grows.  The arrays' kept sweep inputs (in-degrees,
+        sources, loads) are refreshed for the removed, new and
+        neighboring tasks only.
 
         With ``keep_record=True`` the splice additionally stores a
         :class:`SpliceRecord` so :meth:`undo_last_splice` can restore the
@@ -551,12 +557,14 @@ class TaskGraph:
         added = self._group_tasks(gkey, members, edge_keys)
         # Surviving neighbor tasks that gained predecessors: consumers'
         # forward tasks (fed by our new fwd/comm tasks) and producers'
-        # backward tasks (fed by our new bwd/comm tasks).
+        # backward tasks (fed by our new bwd/comm tasks).  They and the
+        # new tasks are the ones whose in-degrees the rebuild changed.
         for e in touched_edges:
             if e.src in member_set and e.dst not in member_set:
                 changed.update(self.fwd[e.dst])
             elif e.dst in member_set and e.src not in member_set:
                 changed.update(self.bwd[e.src])
+        arr.settle(added, changed)
         if record is not None:
             record.added = added
         self._last_splice = record
@@ -629,6 +637,12 @@ class TaskGraph:
           pointing at it;
         * ``fwd``/``bwd``/``sync``/``edge_tasks`` name each live id once;
         * every live rank is ``ckey_rank`` of its ckey;
+        * the kept sweep inputs match the rows and columns: each slot's
+          ``indeg`` is its ``ins`` row's length, ``sources`` is the live
+          slots with an empty ``ins`` row, and each id's ``load`` is a
+          fresh sum over its live tasks, to within 1e-9 of the largest
+          load (``load`` drifts by rounding, see
+          :class:`~repro.sim.arrays.TaskArrays`);
         * task for task by ckey (kind, device, exe time, bytes,
           predecessor and successor ckeys), the graph equals a build of
           ``self.strategy`` whose profiler has an empty construction memo.
@@ -652,6 +666,17 @@ class TaskGraph:
         assert sorted(listed) == live, "bookkeeping lists do not name each live id once"
         for t in live:
             assert arr.rank[t] == self.ckey_rank(arr.ckey[t]), f"rank of {arr.ckey[t]}"
+        assert arr.indeg == [len(row) for row in arr.ins], "in-degrees differ from the rows"
+        sources = {t for t in live if not arr.ins[t]}
+        assert arr.sources == sources, f"sources {sorted(arr.sources)} != {sorted(sources)}"
+        assert len(arr.load) >= self.topology.num_devices, "a device has no load entry"
+        fresh = [0.0] * len(arr.load)
+        for t in live:
+            assert arr.dev[t] < len(fresh), f"no load entry for id {arr.dev[t]}"
+            fresh[arr.dev[t]] += arr.exe[t]
+        tol = 1e-9 * max(fresh, default=0.0)
+        drift = [(d, a, b) for d, (a, b) in enumerate(zip(arr.load, fresh)) if abs(a - b) > tol]
+        assert not drift, f"kept loads (id, kept, fresh) differ from a fresh sum: {drift}"
         # deepcopy drops the memo (OpProfiler.__getstate__) and keeps the times.
         cold = TaskGraph(
             self.graph, self.topology, self.strategy, copy.deepcopy(self.profiler), self.training

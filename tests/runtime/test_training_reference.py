@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import CI_SCALE, bench_model
 from repro.machine.clusters import p100_cluster, single_node
 from repro.models.lenet import lenet
 from repro.models.mlp import mlp
@@ -112,6 +113,23 @@ class TestReferenceExecutor:
         c = reference_execute(tg, ReferenceConfig(seed=4)).makespan_us
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("nic", [False, True])
+    def test_a_spliced_graph_measures_what_a_cold_build_measures(self, multinode, nic):
+        """Task ids depend on the splices a graph went through; the
+        measurement must depend on the strategy alone, like the simulation."""
+        graph, _ = bench_model("alexnet", CI_SCALE)
+        prof = OpProfiler()
+        tg = TaskGraph(graph, multinode, data_parallelism(graph, multinode), prof)
+        space = ConfigSpace(graph, multinode)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            oid = int(rng.choice(graph.op_ids))
+            tg.replace_config(oid, space.random_config(oid, rng))
+        cold = TaskGraph(graph, multinode, tg.strategy, prof)
+        assert tg.tasks != cold.tasks  # the splices left free or reordered slots
+        cfg = ReferenceConfig(nic_contention=nic)
+        assert reference_execute(tg, cfg).makespan_us == reference_execute(cold, cfg).makespan_us
 
     def test_zero_overhead_config_close_to_sim(self, lenet_graph, topo4):
         tg = TaskGraph(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())

@@ -58,8 +58,9 @@ def timeline_by_ckey(tg, tl=None):
 def slot_state(tg):
     """The slot table's layout and contents: each live id's row (ckey, exe
     time, device, rank, kind, bytes, sorted ``ins``, sorted ``outs``), the
-    table's size and the free slots.  An undone splice must leave all of
-    it as it was."""
+    table's size, the free slots and the kept sweep inputs (in-degrees,
+    sources, loads).  An undone splice must leave all of it as it was,
+    the loads to the last bit."""
     arr = tg.arrays
     rows = {
         t: (
@@ -68,5 +69,6 @@ def slot_state(tg):
         )
         for t in tg.tasks
     }
-    return rows, arr.num_slots, set(arr.free)
+    kept = (arr.indeg[:], set(arr.sources), arr.load[:])
+    return rows, arr.num_slots, set(arr.free), kept
 

@@ -35,8 +35,9 @@ def churn(graph, topo, seed, steps):
             tg.replace_config(oid, cfg, keep_record=True)
             tg.undo_last_splice()
             # Every task is back in its own slot with its fields and
-            # edges, the appended slots are gone and the free slots are
-            # the ones before the splice.
+            # edges, the appended slots are gone, the free slots are the
+            # ones before the splice, and the in-degrees, sources and
+            # loads are the pre-splice ones exactly.
             assert slot_state(tg) == before
         tg.check_consistent()
     return tg
@@ -80,15 +81,20 @@ class TestMirror:
         for a, b in ((0, 1), (1, 2), (0, 2)):
             arr.outs[a].append(b)
             arr.ins[b].append(a)
+        arr.derive()
+        assert (arr.indeg, arr.sources, arr.load) == ([0, 1, 2], {0}, [3.0])
         # Middle first: neighbors' rows must be scrubbed, and the successor
-        # that lost a predecessor is reported.
+        # that lost a predecessor is reported and re-counted.
         assert arr.discard_batch([1]) == {2}
         assert arr.outs[0] == [2]
         assert arr.ins[2] == [0]
         assert (arr.kind[1], arr.ckey[1], arr.ins[1], arr.outs[1]) == (-1, None, [], [])
+        assert (arr.indeg, arr.sources, arr.load) == ([0, 0, 1], {0}, [2.0])
         assert arr.discard_batch([0]) == {2}
         assert arr.ins[2] == []
         assert arr.num_live == 1
+        # The survivor lost its last predecessor: it is a source now.
+        assert (arr.indeg, arr.sources, arr.load) == ([0, 0, 0], {2}, [1.0])
         # Freed slots are reused by the next add instead of growing the table.
         before = arr.num_slots
         assert arr.add(2.0, 1, (7,), 7) in (0, 1)

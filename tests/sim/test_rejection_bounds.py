@@ -11,7 +11,9 @@ timeline.
 Every time the profiler here returns is a multiple of 1/16 us, so every
 sum the sweep and the bounds form is exact in binary floating point.  The
 bounds are therefore compared at tol=0, and a bound equal to the makespan
-must not stop the sweep.
+must not stop the sweep.  For the same reason the device loads the task
+graph keeps across splices, which both bounds start from, must equal a
+fresh sum to the last bit.
 """
 
 import math
@@ -92,6 +94,20 @@ def test_spliced_loads_bound_the_spliced_graph(splices, **graph):
         for d, low in enumerate(loads):
             assert low <= exact.get(d, 0.0), d
         assert max(loads) <= full_simulate(tg).makespan
+
+
+@_SETTINGS
+@given(splices=st.integers(1, 12), **_GRAPHS)
+def test_kept_loads_equal_a_fresh_sum_after_committed_splices(splices, **graph):
+    tg, space, rng = build(**graph)
+    arr = tg.arrays
+    for _ in range(splices):
+        oid = int(rng.choice(tg.graph.op_ids))
+        tg.replace_config(oid, space.random_config(oid, rng))
+        fresh = [0.0] * len(arr.load)
+        for d, load in loads_by_device(tg).items():
+            fresh[d] = load
+        assert arr.load == fresh
 
 
 @_SETTINGS
