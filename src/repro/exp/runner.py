@@ -212,7 +212,6 @@ class ExperimentRunner:
                 cache_size=execution.cache_size,
                 executor="distributed",
                 cluster=self._distributed_cluster(),
-                join_bind=execution.join_bind,
             )
         else:
             execution = ExecutionConfig(
@@ -220,7 +219,6 @@ class ExperimentRunner:
                 cache_size=execution.cache_size,
                 executor=trial.executor,
                 cluster=(),
-                join_bind=None,
             )
         store = (
             StoreConfig(root=self._warm_store_root(), shared=cfg.store.shared)

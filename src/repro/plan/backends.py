@@ -133,7 +133,6 @@ class McmcBackend:
                     no_improve_frac=budget.no_improve_frac,
                     seed=config.seed + 1000 * chain_idx,
                     checkpoint_every=budget.checkpoint_every,
-                    adaptive=budget.adaptive,
                 ),
             )
             for chain_idx, (name, init) in enumerate(candidates.items())
@@ -162,7 +161,6 @@ class McmcBackend:
             store_shared=config.store.shared,
             workers=workers,
             cluster=tuple(execution.cluster),
-            join_bind=execution.join_bind,
         )
         results = get_executor(executor).run(ctx, specs)
         wall = time.perf_counter() - t0

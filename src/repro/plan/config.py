@@ -54,9 +54,6 @@ class BudgetConfig:
     time_s: float | None = None
     # Stall criterion fraction (Section 6.2 criterion (2)); None disables.
     no_improve_frac: float | None = 0.5
-    # Adaptive budget reallocation between chains (opt-in; see
-    # repro.search.mcmc).
-    adaptive: bool = False
     # SearchTrace checkpoint cadence (0 = final checkpoint only).
     checkpoint_every: int = 0
 
@@ -76,20 +73,17 @@ class ExecutionConfig:
     ``"inprocess"``, ``"pool"``, or ``"distributed"`` -- the last
     dispatching chains to the
     ``python -m repro.search.worker`` daemons listed in ``cluster`` as
-    ``"host:port"`` strings.  Results are bit-identical across executors
-    for a fixed seed set; the choice is pure capacity.
-
-    ``join_bind`` (``"host:port"``, port 0 for kernel-assigned) makes
-    the distributed coordinator open a registration listener so
-    ``python -m repro.search.worker --join`` daemons can enter the
-    fleet mid-search; ``None`` keeps the fleet fixed at dispatch time.
+    ``"host:port"`` strings (``"host:port*N"`` caps the chains in flight
+    there at ``N``).  The fleet is the cluster: it is fixed for the whole
+    search, and no worker joins once dispatch has started.  Results are
+    bit-identical across executors for a fixed seed set; the choice is
+    pure capacity.
     """
 
     workers: int = 1
     cache_size: int = DEFAULT_CACHE_SIZE
     executor: str = "auto"
     cluster: tuple[str, ...] = ()
-    join_bind: str | None = None
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionConfig":

@@ -20,14 +20,8 @@ per invocation:
   search at a standing fleet of ``python -m repro.search.worker``
   daemons; ``--workers N`` selects local pool fan-out instead.
   Execution resources belong to the server -- cluster entries in client
-  configs are ignored.
-* **Elastic fleet.**  ``--join-bind host:port`` opens a registration
-  listener (the worker protocol's ``join``/``join_ack`` frames, see
-  :mod:`repro.search.exec.protocol`): a
-  ``python -m repro.search.worker --join`` daemon announcing itself
-  there is added to the standing fleet and every *subsequent* search
-  dispatches to it -- the fleet grows between requests without a server
-  restart (``ServeStats.workers_joined``).
+  configs are ignored.  The fleet is fixed for the server's lifetime:
+  changing it takes a restart.
 
 Production behaviour:
 
@@ -76,13 +70,7 @@ from dataclasses import dataclass
 
 from repro.plan.config import ExecutionConfig, SearchConfig, StoreConfig
 from repro.plan.planner import Planner
-from repro.search.exec.distributed import (
-    JOIN_TIMEOUT_S,
-    ClusterSpec,
-    accept_join,
-    dedupe_cluster,
-    parse_address,
-)
+from repro.search.exec.distributed import dedupe_cluster
 from repro.search.exec.protocol import (
     SERVE_PROTOCOL_VERSION,
     ProtocolError,
@@ -111,7 +99,6 @@ class ServeStats:
     unknown_digest: int = 0  # digest-only requests naming a problem we don't hold
     problems_interned: int = 0  # distinct problems built and kept resident
     problem_hits: int = 0  # requests resolved against an already-interned problem
-    workers_joined: int = 0  # daemons added to the fleet via the join listener
 
 
 def _request_key(digest: str, backend: str, config: SearchConfig) -> str:
@@ -182,7 +169,6 @@ class PlanServer:
         queue_limit: int = 32,
         exec_workers: int | None = None,
         cluster: tuple[str, ...] = (),
-        join_bind: str | None = None,
         request_delay_s: float = 0.0,
         announce_stream=None,
     ):
@@ -195,12 +181,8 @@ class PlanServer:
         self.queue_limit = max(1, int(queue_limit))
         self.exec_workers = exec_workers
         self.cluster = dedupe_cluster(cluster) if cluster else ()
-        self.join_bind = join_bind
-        # "host:port" of the request listener / registration listener
-        # once serve_forever binds them (the latter stays None when
-        # join_bind is unset).
+        # "host:port" of the request listener once serve_forever binds it.
         self.address: str | None = None
-        self.join_address: str | None = None
         self.request_delay_s = request_delay_s  # test aid: widens the dedup window
         self._announce_stream = announce_stream
 
@@ -214,7 +196,6 @@ class PlanServer:
         self._next_sid = 0
         self._draining = threading.Event()
         self._srv: socket.socket | None = None
-        self._join_srv: socket.socket | None = None
         self._problems: dict[str, Planner] = {}  # store-context digest -> planner
         self._problems_lock = threading.Lock()
 
@@ -225,6 +206,12 @@ class PlanServer:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((self._host, self._port))
         srv.listen(16)
+        # Wake periodically: a close() from shutdown() on another thread
+        # does not interrupt a blocked accept() (only the signal path
+        # does), so a drain must never rely on it.  Set before the
+        # listener is published: once shutdown() can see it, it may
+        # already be closed.
+        srv.settimeout(0.5)
         self._srv = srv
         bound_host, bound_port = srv.getsockname()[:2]
         self.address = f"{bound_host}:{bound_port}"
@@ -234,21 +221,6 @@ class PlanServer:
             for sig in (signal.SIGTERM, signal.SIGINT):
                 signal.signal(sig, lambda *_: self.shutdown())
 
-        join_thread: threading.Thread | None = None
-        if self.join_bind is not None:
-            jhost, jport = parse_address(self.join_bind, allow_ephemeral=True)
-            jsrv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            jsrv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            jsrv.bind((jhost, jport))
-            jsrv.listen(8)
-            self._join_srv = jsrv
-            self.join_address = f"{jhost}:{jsrv.getsockname()[1]}"
-            _log(f"worker registration listener on {self.join_address}")
-            join_thread = threading.Thread(
-                target=self._join_loop, args=(jsrv,), name="plan-join", daemon=True
-            )
-            join_thread.start()
-
         workers = [
             threading.Thread(target=self._work_loop, name=f"plan-search-{i}", daemon=True)
             for i in range(self.serve_workers)
@@ -256,10 +228,6 @@ class PlanServer:
         for t in workers:
             t.start()
 
-        # Wake periodically: a close() from shutdown() on another thread
-        # does not interrupt a blocked accept() (only the signal path
-        # does), so a drain must never rely on it.
-        srv.settimeout(0.5)
         try:
             while not self._draining.is_set():
                 try:
@@ -283,19 +251,10 @@ class PlanServer:
                 _log(f"client connected from {peer} (session {session.sid})")
         finally:
             self._draining.set()
-            if self._join_srv is not None:
-                try:
-                    self._join_srv.close()
-                except OSError:
-                    pass
             with self._work:
                 self._work.notify_all()
             for t in workers:
                 t.join()
-            if join_thread is not None:
-                # accept_join() gives up on a stalled joiner after
-                # JOIN_TIMEOUT_S, so the registration thread ends by then.
-                join_thread.join(timeout=JOIN_TIMEOUT_S + 1.0)
             flushed = flush_shared_stores()
             with self._work:
                 sessions = list(self._sessions)
@@ -324,50 +283,8 @@ class PlanServer:
                 self._srv.close()
             except OSError:
                 pass
-        if self._join_srv is not None:
-            try:
-                self._join_srv.close()
-            except OSError:
-                pass
         with self._work:
             self._work.notify_all()
-
-    # -- worker registration -----------------------------------------------
-    def _join_loop(self, listener: socket.socket) -> None:
-        """Accept ``join`` registrations until the listener is closed.
-
-        A registered daemon is appended to :attr:`cluster`, so the next
-        search a request admits dispatches to it (``_normalize_config``
-        reads the fleet per request) -- the listener never touches a
-        search already running.
-        """
-        # Same periodic wake as the request listener: a cross-thread
-        # close() never interrupts a blocked accept().
-        listener.settimeout(0.5)
-        while not self._draining.is_set():
-            try:
-                conn, addr = listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # listener closed (drain)
-            peer = f"{addr[0]}:{addr[1]}"
-            try:
-                advertise = accept_join(conn)
-            except (OSError, ProtocolError, ValueError) as exc:
-                _log(f"worker join from {peer} rejected: {exc!r}")
-                continue
-            adv = ClusterSpec.parse(advertise).address
-            with self._work:
-                known = {ClusterSpec.parse(e).address for e in self.cluster}
-                if adv in known:
-                    _log(f"worker {advertise} re-joined (already in the fleet)")
-                    continue
-                # Tuple replacement is atomic under the GIL, so readers
-                # (_normalize_config) never see a half-built fleet.
-                self.cluster = self.cluster + (advertise,)
-                self.stats.workers_joined += 1
-            _log(f"worker {advertise} joined the fleet ({len(self.cluster)} worker(s) now)")
 
     # -- per-session reader ------------------------------------------------
     def _read_session(self, session: _Session) -> None:
@@ -638,7 +555,6 @@ class PlanServer:
             d["sessions"] = len(self._sessions)
             d["cluster"] = list(self.cluster)
         d["problems_resident"] = len(self._problems)
-        d["join_address"] = self.join_address
         d["draining"] = self._draining.is_set()
         return d
 
@@ -655,7 +571,6 @@ def spawn_local_server(
     queue_limit: int = 32,
     workers: int | None = None,
     cluster: tuple[str, ...] = (),
-    join_bind: str | None = None,
     request_delay_s: float = 0.0,
     env: dict | None = None,
 ) -> tuple["subprocess.Popen", str]:
@@ -683,8 +598,6 @@ def spawn_local_server(
         args += ["--workers", str(workers)]
     if cluster:
         args += ["--cluster", ",".join(cluster)]
-    if join_bind is not None:
-        args += ["--join-bind", join_bind]
     if request_delay_s > 0.0:
         args += ["--request-delay-s", str(request_delay_s)]
     proc = subprocess.Popen(args, stdout=subprocess.PIPE, text=True, env=full_env)
@@ -792,13 +705,6 @@ def main(argv: list[str] | None = None) -> int:
         help="standing worker-daemon fleet every search dispatches to",
     )
     parser.add_argument(
-        "--join-bind",
-        default=None,
-        metavar="HOST:PORT",
-        help="open a worker registration listener here (port 0 = "
-        "kernel-assigned): joining daemons grow the fleet between requests",
-    )
-    parser.add_argument(
         "--request-delay-s",
         type=float,
         default=0.0,
@@ -820,7 +726,6 @@ def main(argv: list[str] | None = None) -> int:
         queue_limit=args.queue_limit,
         exec_workers=args.workers,
         cluster=cluster,
-        join_bind=args.join_bind,
         request_delay_s=args.request_delay_s,
     )
     return 0

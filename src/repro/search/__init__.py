@@ -7,7 +7,7 @@ from repro.search.cache import (
     strategy_fingerprint,
 )
 from repro.search.exhaustive import ExhaustiveResult
-from repro.search.mcmc import BudgetChannel, MCMCConfig, SearchTrace, mcmc_search
+from repro.search.mcmc import MCMCConfig, SearchTrace, mcmc_search
 from repro.search.exec import (
     DEFAULT_CACHE_SIZE,
     ChainExecutor,
@@ -46,7 +46,6 @@ __all__ = [
     "graph_digest",
     "search_context",
     "topology_digest",
-    "BudgetChannel",
     "ExhaustiveResult",
     "MCMCConfig",
     "SearchTrace",

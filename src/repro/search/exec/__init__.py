@@ -14,11 +14,10 @@ built-in executors implement the
     Local process-pool fan-out (``ExecutionConfig.workers``).
 ``distributed``
     Socket dispatch to ``python -m repro.search.worker`` daemons
-    (``ExecutionConfig.cluster``), with worker-death re-queueing, a
-    remote store-flush path for clusters without a shared filesystem,
-    mid-search worker joins (``ExecutionConfig.join_bind`` + the
-    daemons' ``--join``), evaluation gossip between workers, and wire
-    transport for the adaptive iteration-budget pool.
+    (``ExecutionConfig.cluster``), a fleet fixed for the whole search,
+    with worker-death re-queueing, a one-time retry of a chain a worker
+    errored, and a remote store-flush path for clusters without a shared
+    filesystem.
 
 All three produce bit-identical results for a fixed seed set (costs are
 pure functions of the strategy; every chain carries its own RNG), so the
@@ -35,11 +34,11 @@ Determinism
 * With ``early_stop_cost=None`` (the default) every chain runs to its
   own budget, and results are bit-identical across ``inprocess``,
   ``pool`` (any worker count) and ``distributed`` (any cluster size,
-  even under mid-search worker deaths and joins).  A target cost
-  broadcasts the global best between chains and stops them once it is
-  met: the returned best still meets the target, but which chain found
-  it first may vary with timing.  Adaptive budgets are timing-dependent
-  in the same way, on every executor.
+  even under mid-search worker deaths).  A target cost broadcasts the
+  global best between chains and stops them once it is met: the
+  returned best still meets the target, but which chain found it first
+  may vary with timing.  Chains share no evaluations and pool no
+  budgets: each runs on its own budget, as in the paper.
 
 Persistence
 -----------

@@ -1,19 +1,13 @@
-"""Loopback distributed-search smoke checks for CI and deployed images.
+"""Loopback distributed-search smoke check for CI and deployed images.
 
 ``python -m repro.search.exec --smoke`` spawns two local worker daemons,
 runs a tiny MCMC search over LeNet on a 2-GPU node through the
 ``distributed`` executor, and asserts the best strategy/cost is
 bit-identical to the ``inprocess`` executor with the same seeds.
 
-``python -m repro.search.exec --smoke-elastic`` exercises the elastic
-path instead: one deliberately slow worker starts the search, a second
-daemon joins mid-search via the coordinator's registration listener
-(``--join``), and the check asserts the joiner actually stole queued
-chains while the results stayed bit-identical to ``inprocess``.
-
-Both exit 0 and print ``SMOKE OK`` on success -- the console checks the
-CI loopback and elasticity jobs run, and a quick way to verify a freshly
-deployed worker image end-to-end.
+It exits 0 and prints ``SMOKE OK`` on success -- the console check CI's
+loopback job runs, and a quick way to verify a freshly deployed worker
+image end-to-end.
 """
 
 from __future__ import annotations
@@ -70,102 +64,6 @@ def smoke(verbose: bool = True) -> int:
     return 0
 
 
-def smoke_elastic(verbose: bool = True) -> int:
-    import threading
-    import time
-
-    from repro.machine.clusters import single_node
-    from repro.models.lenet import lenet
-    from repro.profiler.profiler import OpProfiler
-    from repro.search.exec.base import ChainSpec, ExecutionContext
-    from repro.search.exec.distributed import DistributedExecutor
-    from repro.search.exec.local import InProcessExecutor
-    from repro.search.mcmc import MCMCConfig
-    from repro.search.worker import spawn_local_worker
-    from repro.soap.presets import data_parallelism
-
-    graph = lenet(batch=32)
-    topo = single_node(2, "p100")
-    dp = data_parallelism(graph, topo)
-    specs = [
-        ChainSpec(f"c{i}", dp, MCMCConfig(iterations=20, seed=5 + 1000 * i))
-        for i in range(4)
-    ]
-    ref = InProcessExecutor().run(
-        ExecutionContext(graph=graph, topology=topo, profiler=OpProfiler()), specs
-    )
-
-    executor = DistributedExecutor()
-    joiner: dict = {}
-
-    def join_once_listening() -> None:
-        # The registration listener's address only exists once run()
-        # binds it; poll, then send the second daemon straight into the
-        # running search.
-        while executor.join_address is None:
-            time.sleep(0.05)
-        joiner["proc"], joiner["addr"] = spawn_local_worker(
-            once=True, join=executor.join_address
-        )
-
-    workers = []
-    try:
-        # One deliberately slow fixed-fleet worker guarantees chains are
-        # still queued when the joiner arrives.
-        workers = [spawn_local_worker(once=True, chain_delay_s=1.0)]
-        cluster = tuple(addr for _, addr in workers)
-        if verbose:
-            print(f"spawned slow loopback worker: {cluster[0]}")
-        t = threading.Thread(target=join_once_listening, daemon=True)
-        t.start()
-        try:
-            dist = executor.run(
-                ExecutionContext(
-                    graph=graph,
-                    topology=topo,
-                    profiler=OpProfiler(),
-                    cluster=cluster,
-                    join_bind="127.0.0.1:0",
-                ),
-                specs,
-            )
-        finally:
-            t.join(timeout=60)
-            if "proc" in joiner:
-                workers.append((joiner["proc"], joiner["addr"]))
-    finally:
-        for proc, _ in workers:
-            proc.terminate()
-        for proc, _ in workers:
-            proc.wait(timeout=10)
-
-    stats = executor.stats
-    if stats.workers_joined < 1:
-        print("SMOKE FAILED: no worker joined mid-search", file=sys.stderr)
-        return 1
-    if stats.stolen_chains < 1:
-        print("SMOKE FAILED: joiner stole no queued chains", file=sys.stderr)
-        return 1
-    for a, b in zip(ref, dist):
-        if (
-            a.best_cost_us != b.best_cost_us
-            or a.best_strategy.signature() != b.best_strategy.signature()
-        ):
-            print(
-                f"SMOKE FAILED: chain {a.name!r} diverged from inprocess "
-                f"({b.best_cost_us} vs {a.best_cost_us})",
-                file=sys.stderr,
-            )
-            return 1
-    if verbose:
-        print(
-            f"SMOKE OK: {stats.workers_joined} joiner(s) stole "
-            f"{stats.stolen_chains} chain(s), {len(specs)} chains bit-identical "
-            f"to inprocess"
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.search.exec",
@@ -176,17 +74,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="spawn 2 loopback workers and assert distributed == inprocess",
     )
-    parser.add_argument(
-        "--smoke-elastic",
-        action="store_true",
-        help="mid-search join smoke: a --join daemon must steal chains "
-        "with results unchanged",
-    )
     args = parser.parse_args(argv)
     if args.smoke:
         return smoke()
-    if args.smoke_elastic:
-        return smoke_elastic()
     parser.print_help()
     return 2
 

@@ -14,9 +14,8 @@ Every executor funnels into :func:`run_one_chain`, which runs one MCMC
 chain against a fresh simulator.  Because simulated costs are pure
 functions of the strategy (canonical tie-breaking, see
 :mod:`repro.sim.full_sim`) and every chain carries its own seed, the
-per-chain results are bit-identical across executors whenever the two
-opt-in timing-dependent features -- the early-stop broadcast and
-adaptive budgets -- are off.
+per-chain results are bit-identical across executors whenever the one
+opt-in timing-dependent feature, the early-stop broadcast, is off.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.ir.graph import OperatorGraph
 from repro.machine.topology import DeviceTopology
 from repro.profiler.profiler import OpProfiler
 from repro.search.cache import CacheStats, SimulationCache
-from repro.search.mcmc import BudgetChannel, MCMCConfig, SearchTrace, mcmc_search
+from repro.search.mcmc import MCMCConfig, SearchTrace, mcmc_search
 from repro.search.store import StoreStats
 from repro.sim.simulator import Simulator
 from repro.soap.space import ConfigSpace
@@ -44,8 +43,6 @@ __all__ = [
     "BestChannel",
     "LocalBest",
     "SharedBest",
-    "LocalBudget",
-    "SharedBudget",
     "ChainExecutor",
     "register_executor",
     "get_executor",
@@ -125,12 +122,6 @@ class ExecutionContext:
     # Executor-specific placement knobs.
     workers: int = 1
     cluster: tuple[str, ...] = ()
-    # Elastic fleets: ``"host:port"`` the distributed coordinator binds
-    # its registration listener on (port 0 = kernel-assigned), so
-    # ``python -m repro.search.worker --join`` daemons can announce
-    # themselves mid-search and steal queued chains.  ``None`` keeps the
-    # fleet fixed at dispatch time.
-    join_bind: str | None = None
 
 
 @runtime_checkable
@@ -185,47 +176,6 @@ class SharedBest:
             return self._value.value
 
 
-class SharedBudget:
-    """Cross-process iteration-budget pool (adaptive chain scheduling)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value  # mp.Value("l")
-
-    def deposit(self, n: int) -> None:
-        if n <= 0:
-            return
-        with self._value.get_lock():
-            self._value.value += int(n)
-
-    def withdraw(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        with self._value.get_lock():
-            grant = min(int(n), self._value.value)
-            self._value.value -= grant
-            return grant
-
-
-class LocalBudget:
-    """In-process budget pool (sequential path; deterministic order)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def deposit(self, n: int) -> None:
-        if n > 0:
-            self.value += int(n)
-
-    def withdraw(self, n: int) -> int:
-        grant = min(max(0, int(n)), self.value)
-        self.value -= grant
-        return grant
-
-
 def _stats_delta(after: CacheStats, before: CacheStats) -> CacheStats:
     return CacheStats(
         hits=after.hits - before.hits,
@@ -244,7 +194,6 @@ def _store_delta(after: StoreStats, before: StoreStats) -> StoreStats:
         warm_hits=after.warm_hits - before.warm_hits,
         appended=after.appended - before.appended,
         dropped=after.dropped,
-        gossiped=after.gossiped,
         auto_compactions=after.auto_compactions,
         compaction_bytes_saved=after.compaction_bytes_saved,
     )
@@ -256,7 +205,6 @@ def run_one_chain(
     cache: SimulationCache | None,
     store,
     best: BestChannel | None,
-    budget: BudgetChannel | None,
 ) -> ChainResult:
     """Run one chain against a fresh simulator (any process, any host).
 
@@ -316,7 +264,6 @@ def run_one_chain(
         should_stop=should_stop,
         on_improve=on_improve,
         store=store,
-        budget=budget,
     )
     if store is not None:
         # Chain completion is the durability point: evaluations from this

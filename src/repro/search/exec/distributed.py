@@ -6,9 +6,11 @@ problem environment once per worker, then streams chains out and results
 back over the length-prefixed protocol of
 :mod:`repro.search.exec.protocol`:
 
-* **Dispatch.**  Each worker runs one chain at a time; the coordinator
-  keeps every worker busy while undispatched chains remain and collects
-  :class:`~repro.search.exec.base.ChainResult`\\ s in spec order.
+* **Dispatch.**  Each worker runs up to its capacity of chains at once
+  (the daemon's ``--capacity``, capped by a ``host:port*N`` entry); the
+  coordinator keeps every worker full while undispatched chains remain
+  and collects :class:`~repro.search.exec.base.ChainResult`\\ s in spec
+  order.
 * **Early-stop broadcast.**  Workers publish improved best costs
   upstream; the coordinator re-broadcasts them to the rest of the fleet,
   so a met target stops remote chains exactly like the shared-memory
@@ -29,33 +31,15 @@ back over the length-prefixed protocol of
   recorded evaluations back with each result.  The coordinator records
   and flushes them into its own store -- the remote-flush path that
   makes cross-run persistence work without NFS.
-* **Mid-search join.**  With ``ExecutionContext.join_bind`` set, the
-  coordinator opens a *registration listener* (address published in its
-  ``hello`` frames and on :attr:`DistributedExecutor.join_address`).  A
-  fresh ``python -m repro.search.worker --join host:port`` daemon
-  announces itself there; the coordinator connects back to the
-  advertised address, ships the environment plus a *current* store
-  snapshot, and the joiner immediately steals queued chains
-  (``DispatchStats.workers_joined`` / ``stolen_chains``).
-* **Evaluation gossip.**  Evaluations one worker ships home are not
-  just flushed locally: the coordinator forwards them to the rest of
-  the fleet as incremental ``store_delta`` frames, which workers merge
-  into their :class:`~repro.search.store.MemoryStore` overlays as warm
-  entries -- sibling chains get warm hits mid-session instead of
-  re-simulating strategies the fleet has already costed.
-* **Adaptive budget transport.**  Chains with
-  ``MCMCConfig.adaptive=True`` share an iteration-budget pool hosted on
-  the coordinator: workers send ``budget_deposit`` frames when a chain
-  stalls and ``budget_withdraw`` requests (answered by
-  ``budget_grant``) while improving, mirroring the shared-memory pool
-  of the local executors across the wire.
 
-Determinism: with ``early_stop_cost=None`` and adaptive budgets off the
-results are bit-identical to the in-process and pool executors for the
-same specs, regardless of cluster size, dispatch order, mid-search
-worker deaths, or mid-search worker joins (chains are pure functions of
-their specs; gossip only changes which host simulates first).  Adaptive
-budgets remain the opt-in timing-dependent feature they are locally.
+The fleet is fixed when :meth:`DistributedExecutor.run` starts: the
+cluster entries that complete the handshake are the workers the search
+has, and a dead one is not replaced.
+
+Determinism: with ``early_stop_cost=None`` the results are bit-identical
+to the in-process and pool executors for the same specs, regardless of
+cluster size, dispatch order or mid-search worker deaths (chains are
+pure functions of their specs).
 """
 
 from __future__ import annotations
@@ -66,12 +50,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.search.exec.base import (
-    ChainResult,
-    ChainSpec,
-    ExecutionContext,
-    LocalBudget,
-)
+from repro.search.exec.base import ChainResult, ChainSpec, ExecutionContext
 from repro.search.exec.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -85,7 +64,6 @@ __all__ = [
     "ClusterSpec",
     "DispatchStats",
     "DistributedExecutor",
-    "accept_join",
     "dedupe_cluster",
     "parse_address",
     "parse_cluster",
@@ -93,20 +71,14 @@ __all__ = [
 
 _CONNECT_TIMEOUT_S = 10.0
 _HANDSHAKE_TIMEOUT_S = 30.0
-# A join registration is three small frames on a fresh connection; a
-# joiner that stalls longer than this (see accept_join) must not hold up
-# the search loop or the planning server's registration thread.
-JOIN_TIMEOUT_S = 10.0
 
 
-def parse_address(addr: str, *, allow_ephemeral: bool = False) -> tuple[str, int]:
+def parse_address(addr: str) -> tuple[str, int]:
     """``"host:port"`` -> ``(host, port)``; loud on malformed entries.
 
     The port must be an integer in 1-65535 (``host:abc`` used to leak a
     raw ``int()`` ValueError, and nonsense ports like 0 or 70000 were
     silently accepted and only failed much later at connect time).
-    ``allow_ephemeral`` additionally admits port 0 for *bind* addresses
-    where the kernel picks the port (e.g. a registration listener).
     """
     host, sep, port = addr.rpartition(":")
     if not sep or not host:
@@ -118,7 +90,7 @@ def parse_address(addr: str, *, allow_ephemeral: bool = False) -> tuple[str, int
             f"cluster address {addr!r} is not of the form host:port "
             f"(port {port!r} is not an integer)"
         ) from None
-    if not ((0 if allow_ephemeral else 1) <= port_n <= 65535):
+    if not 1 <= port_n <= 65535:
         raise ValueError(
             f"cluster address {addr!r} is not of the form host:port "
             f"(port {port_n} is outside 1-65535)"
@@ -163,50 +135,6 @@ class ClusterSpec:
         if self.cap is not None:
             cap = min(cap, self.cap)
         return cap
-
-
-def accept_join(conn: socket.socket) -> str:
-    """Answer one ``join`` registration on ``conn`` and close it.
-
-    The handshake of every registration listener (the distributed
-    coordinator's and the planning server's): read the ``join`` frame,
-    check its protocol version, require an ``advertise`` address and
-    validate it, then send ``join_ack``.  A refused join gets a
-    ``join_ack`` whose ``error`` says why (naming both versions on a
-    mismatch) and raises :class:`VersionMismatchError` or
-    :class:`ProtocolError`; a malformed address raises ``ValueError``
-    and a dead connection ``OSError``.  Returns the advertised
-    ``host:port[*N]`` entry.
-    """
-    try:
-        conn.settimeout(JOIN_TIMEOUT_S)
-        msg = recv_msg(conn)
-        if msg is None or msg.get("type") != "join":
-            raise ProtocolError(f"expected join, got {msg!r}")
-        ack = {"type": "join_ack", "version": PROTOCOL_VERSION}
-        if msg.get("version") != PROTOCOL_VERSION:
-            ack["error"] = (
-                f"worker speaks protocol v{msg.get('version')}, "
-                f"registration listener speaks v{PROTOCOL_VERSION}"
-            )
-            send_msg(conn, ack)
-            raise VersionMismatchError(ack["error"])
-        advertise = str(msg.get("advertise") or "")
-        if not advertise:
-            ack["error"] = (
-                "join carries no advertise address (start the worker "
-                "with --bind and --join)"
-            )
-            send_msg(conn, ack)
-            raise ProtocolError(ack["error"])
-        ClusterSpec.parse(advertise)  # validate before acking
-        send_msg(conn, ack)
-        return advertise
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 def dedupe_cluster(entries) -> tuple[str, ...]:
@@ -262,40 +190,19 @@ class DispatchStats:
     best_broadcasts: int = 0
     total_capacity: int = 0  # sum of effective per-worker chain capacities
     dead_addresses: list[str] = field(default_factory=list)
-    # Elasticity (protocol v2): workers that announced themselves on the
-    # registration listener mid-search, and the chains they were handed
-    # out of the queue.
-    workers_joined: int = 0
-    stolen_chains: int = 0
-    # Evaluation gossip: store_delta frames forwarded to the fleet and
-    # the evaluations they carried.
-    gossip_messages: int = 0
-    gossip_entries: int = 0
-    # Adaptive budget transport: iterations deposited into / granted out
-    # of the coordinator-side pool.
-    budget_deposited: int = 0
-    budget_granted: int = 0
 
 
 class _Worker:
     """Coordinator-side handle of one connected daemon."""
 
-    __slots__ = ("addr", "sock", "tasks", "pid", "capacity", "joined")
+    __slots__ = ("addr", "sock", "tasks", "pid", "capacity")
 
-    def __init__(
-        self,
-        addr: str,
-        sock: socket.socket,
-        pid: int,
-        capacity: int = 1,
-        joined: bool = False,
-    ):
+    def __init__(self, addr: str, sock: socket.socket, pid: int, capacity: int = 1):
         self.addr = addr
         self.sock = sock
         self.tasks: set[int] = set()  # indexes of the in-flight chains
         self.pid = pid
         self.capacity = max(1, capacity)
-        self.joined = joined  # announced mid-search (chains it gets are "stolen")
 
 
 class DistributedExecutor:
@@ -305,24 +212,14 @@ class DistributedExecutor:
 
     def __init__(self) -> None:
         self.stats = DispatchStats()
-        # "host:port" of the registration listener once run() binds it
-        # (None when ctx.join_bind is unset or before run() starts).
-        self.join_address: str | None = None
 
     # -- connection management ---------------------------------------------
-    def _connect(
-        self, entry: str, ctx: ExecutionContext, store_entries, *, joined: bool = False
-    ) -> _Worker:
+    def _connect(self, entry: str, ctx: ExecutionContext, store_entries) -> _Worker:
         spec = ClusterSpec.parse(entry)
         host, port = parse_address(spec.address)
         sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT_S)
         sock.settimeout(_HANDSHAKE_TIMEOUT_S)
-        # The registration address rides in the hello so every worker
-        # (and its logs) knows where siblings can join this search.
-        send_msg(
-            sock,
-            {"type": "hello", "version": PROTOCOL_VERSION, "join": self.join_address},
-        )
+        send_msg(sock, {"type": "hello", "version": PROTOCOL_VERSION})
         ack = recv_msg(sock)
         if ack is None or ack.get("type") != "hello_ack":
             raise ProtocolError(f"worker {entry} did not acknowledge the handshake: {ack!r}")
@@ -340,7 +237,7 @@ class DistributedExecutor:
         # detected by EOF/reset, not by read timeouts.
         sock.settimeout(None)
         capacity = spec.effective_capacity(int(ack.get("capacity", 1)))
-        return _Worker(spec.address, sock, int(ack.get("pid", 0)), capacity, joined=joined)
+        return _Worker(spec.address, sock, int(ack.get("pid", 0)), capacity)
 
     def _drop(self, worker: _Worker, sel: selectors.BaseSelector, queue: deque) -> None:
         """Forget a dead worker, re-queueing its in-flight chains."""
@@ -361,52 +258,6 @@ class DistributedExecutor:
             self.stats.requeued_chains += 1
         worker.tasks.clear()
 
-    def _accept_join(
-        self,
-        listener: socket.socket,
-        ctx: ExecutionContext,
-        store: StrategyStore | None,
-        workers: list[_Worker],
-        sel: selectors.BaseSelector,
-    ) -> None:
-        """One registration on the join listener: handshake, connect back.
-
-        A bad joiner (garbage, version mismatch, unreachable advertise
-        address) is warned about and dropped -- it must never kill a
-        running search the way a stale *configured* worker does.
-        """
-        try:
-            conn, addr = listener.accept()
-        except OSError:
-            return
-        peer = f"{addr[0]}:{addr[1]}"
-        try:
-            advertise = accept_join(conn)
-            if any(w.addr == ClusterSpec.parse(advertise).address for w in workers):
-                raise ProtocolError(
-                    f"advertised address {advertise} is already in the fleet"
-                )
-            # Connect back exactly like to a fixed-fleet worker, with the
-            # *current* store snapshot (start-of-session entries plus
-            # everything the fleet flushed since).
-            w = self._connect(
-                advertise,
-                ctx,
-                store.entries() if store is not None else [],
-                joined=True,
-            )
-        except (OSError, ProtocolError, ValueError) as exc:
-            warnings.warn(
-                f"worker join from {peer} failed ({exc!r}); continuing without it",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            return
-        workers.append(w)
-        sel.register(w.sock, selectors.EVENT_READ, w)
-        self.stats.workers_joined += 1
-        self.stats.total_capacity += w.capacity
-
     # -- main loop ---------------------------------------------------------
     def run(self, ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
         if not ctx.cluster:
@@ -414,11 +265,6 @@ class DistributedExecutor:
                 "the distributed executor needs a cluster: set "
                 "ExecutionConfig(cluster=[\"host:port\", ...]) or REPRO_CLUSTER"
             )
-        # Coordinator-side iteration-budget pool: remote stalled chains
-        # deposit into it, remote improving chains withdraw from it --
-        # the wire mirror of the local executors' shared-memory pool.
-        budget = LocalBudget()
-
         store: StrategyStore | None = None
         store_entries: list[tuple[int, float]] = []
         if ctx.store_root is not None and ctx.store_context is not None:
@@ -429,17 +275,6 @@ class DistributedExecutor:
             )
             store_entries = store.entries()
 
-        # Bind the registration listener *before* the fixed fleet
-        # connects, so every hello already carries the join address.
-        listener: socket.socket | None = None
-        if ctx.join_bind is not None:
-            jhost, jport = parse_address(ctx.join_bind, allow_ephemeral=True)
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((jhost, jport))
-            listener.listen(8)
-            self.join_address = f"{jhost}:{listener.getsockname()[1]}"
-
         workers: list[_Worker] = []
         for addr in dedupe_cluster(ctx.cluster):
             try:
@@ -447,8 +282,6 @@ class DistributedExecutor:
             except VersionMismatchError:
                 # A stale daemon is a deployment error: fail the whole
                 # search loudly instead of quietly degrading the fleet.
-                if listener is not None:
-                    listener.close()
                 raise
             except (OSError, ProtocolError) as exc:
                 self.stats.workers_failed += 1
@@ -459,8 +292,6 @@ class DistributedExecutor:
                     stacklevel=2,
                 )
         if not workers:
-            if listener is not None:
-                listener.close()
             raise RuntimeError(
                 f"no distributed workers reachable in cluster {list(ctx.cluster)}"
             )
@@ -470,10 +301,6 @@ class DistributedExecutor:
         sel = selectors.DefaultSelector()
         for w in workers:
             sel.register(w.sock, selectors.EVENT_READ, w)
-        if listener is not None:
-            # data=None marks the listener; every other key carries its
-            # _Worker handle.
-            sel.register(listener, selectors.EVENT_READ, None)
 
         queue: deque[int] = deque(range(len(specs)))
         results: list[ChainResult | None] = [None] * len(specs)
@@ -525,8 +352,6 @@ class DistributedExecutor:
                         progress = True
                         continue
                     w.tasks.add(task)
-                    if w.joined:
-                        self.stats.stolen_chains += 1
                     progress = True
 
         try:
@@ -538,10 +363,6 @@ class DistributedExecutor:
                         f"chain(s) outstanding (addresses: {self.stats.dead_addresses})"
                     )
                 for key, _ in sel.select(timeout=1.0):
-                    if key.data is None:  # the registration listener
-                        assert listener is not None
-                        self._accept_join(listener, ctx, store, workers, sel)
-                        continue
                     w: _Worker = key.data
                     try:
                         msg = recv_msg(w.sock)
@@ -562,43 +383,6 @@ class DistributedExecutor:
                             for fp, cost in evals:
                                 store.record(int(fp), float(cost))
                             self.stats.evals_flushed += store.flush()
-                            # Gossip: the rest of the fleet merges these
-                            # into their in-memory overlays as warm
-                            # entries, so sibling chains stop
-                            # re-simulating strategies this worker
-                            # already costed.
-                            delta = {
-                                "type": "store_delta",
-                                "entries": [
-                                    [int(fp), float(cost)] for fp, cost in evals
-                                ],
-                            }
-                            for other in workers:
-                                if other is w:
-                                    continue
-                                try:
-                                    send_msg(other.sock, delta)
-                                except OSError:
-                                    continue  # reaped on its next read event
-                                self.stats.gossip_messages += 1
-                                self.stats.gossip_entries += len(evals)
-                    elif kind == "budget_deposit":
-                        n = max(0, int(msg.get("n", 0)))
-                        budget.deposit(n)
-                        self.stats.budget_deposited += n
-                    elif kind == "budget_withdraw":
-                        grant = budget.withdraw(max(0, int(msg.get("n", 0))))
-                        self.stats.budget_granted += grant
-                        try:
-                            send_msg(
-                                w.sock,
-                                {"type": "budget_grant", "id": msg.get("id"), "n": grant},
-                            )
-                        except OSError:
-                            # The worker died between asking and the
-                            # answer; give the grant back to the pool.
-                            budget.deposit(grant)
-                            self.stats.budget_granted -= grant
                     elif kind == "best":
                         cost = float(msg["cost"])
                         if cost < best_cost:
@@ -648,12 +432,6 @@ class DistributedExecutor:
                     else:
                         raise ProtocolError(f"unexpected message {kind!r} from worker {w.addr}")
         finally:
-            if listener is not None:
-                try:
-                    sel.unregister(listener)
-                except (KeyError, ValueError):
-                    pass
-                listener.close()
             for w in workers:
                 try:
                     send_msg(w.sock, {"type": "bye"})

@@ -23,9 +23,7 @@ from repro.search.exec.base import (
     ChainSpec,
     ExecutionContext,
     LocalBest,
-    LocalBudget,
     SharedBest,
-    SharedBudget,
     run_one_chain,
 )
 from repro.search.store import StrategyStore, shared_store
@@ -51,22 +49,19 @@ class InProcessExecutor:
 
     def run(self, ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
         best = LocalBest()
-        budget = LocalBudget() if any(s.config.adaptive for s in specs) else None
         cache = SimulationCache(ctx.cache_size) if ctx.cache_size > 0 else None
         store = _open_store(ctx)
-        return [run_one_chain(ctx, s, cache, store, best, budget) for s in specs]
+        return [run_one_chain(ctx, s, cache, store, best) for s in specs]
 
 
 # -- pool-worker-side state ----------------------------------------------------
 # Populated by the pool initializer in each worker process.  The cache and
 # store snapshot are shared by every chain that lands in this worker
 # (sound: costs are pure functions of the strategy); the shared Value
-# broadcasts the global best cost and the budget Value carries the
-# adaptive pool.  The ExecutionContext is pickled once in the parent and
-# lazily unpickled once per worker -- per-task payloads carry only the
-# small ChainSpec.
+# broadcasts the global best cost.  The ExecutionContext is pickled once
+# in the parent and lazily unpickled once per worker -- per-task payloads
+# carry only the small ChainSpec.
 _shared_best: SharedBest | None = None
-_shared_budget: SharedBudget | None = None
 _worker_cache: SimulationCache | None = None
 _worker_store: StrategyStore | None = None
 _ctx_bytes: bytes | None = None
@@ -74,11 +69,9 @@ _ctx: ExecutionContext | None = None
 _store_pending = False
 
 
-def _init_worker(best_value, budget_value, cache_size: int, ctx_bytes: bytes) -> None:
-    global _shared_best, _shared_budget, _worker_cache, _worker_store, _ctx_bytes, _ctx
-    global _store_pending
+def _init_worker(best_value, cache_size: int, ctx_bytes: bytes) -> None:
+    global _shared_best, _worker_cache, _worker_store, _ctx_bytes, _ctx, _store_pending
     _shared_best = SharedBest(best_value) if best_value is not None else None
-    _shared_budget = SharedBudget(budget_value) if budget_value is not None else None
     # capacity 0 = caching off: skip fingerprint bookkeeping entirely.
     _worker_cache = SimulationCache(cache_size) if cache_size > 0 else None
     # Store opening (a mkdir + shard read) is deferred out of the
@@ -99,7 +92,7 @@ def _chain_task(spec: ChainSpec) -> ChainResult:
     if _store_pending:
         _worker_store = _open_store(_ctx)
         _store_pending = False  # opened (or degraded); don't retry per chain
-    return run_one_chain(_ctx, spec, _worker_cache, _worker_store, _shared_best, _shared_budget)
+    return run_one_chain(_ctx, spec, _worker_cache, _worker_store, _shared_best)
 
 
 class ProcessPoolExecutor:
@@ -125,13 +118,11 @@ class ProcessPoolExecutor:
 
         mp_ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         best_value = mp_ctx.Value("d", float("inf"))
-        adaptive = any(s.config.adaptive for s in specs)
-        budget_value = mp_ctx.Value("l", 0) if adaptive else None
         with _FuturesPool(
             max_workers=workers,
             mp_context=mp_ctx,
             initializer=_init_worker,
-            initargs=(best_value, budget_value, ctx.cache_size, ctx_bytes),
+            initargs=(best_value, ctx.cache_size, ctx_bytes),
         ) as pool:
             futures = [pool.submit(_chain_task, s) for s in specs]
             return [f.result() for f in futures]

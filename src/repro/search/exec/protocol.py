@@ -14,33 +14,13 @@ so a cluster of stale daemons fails loudly at handshake instead of
 corrupting a search.  Version-mismatch errors
 (:class:`VersionMismatchError`) always name both sides' versions.
 
-Elasticity dialect (protocol v2)
---------------------------------
-Version 2 added the elastic-fleet frames:
-
-``join`` / ``join_ack``
-    JSON registration handshake on a coordinator's *registration
-    listener* (the ``join_bind`` address a search or planning server
-    publishes).  A daemon started with ``--join host:port`` announces
-    ``{version, advertise, capacity, pid}``; the listener acks with its
-    version (plus an ``error`` string naming both versions on
-    mismatch).  A live search then connects back to the advertised
-    address as to any fixed-fleet worker and the joiner starts stealing
-    queued chains; a planning server instead records the address for
-    its next search.
-``store_delta``
-    JSON, coordinator -> workers: ``{entries: [[fingerprint, cost],
-    ...]}`` -- evaluations one worker just shipped home, forwarded to
-    the rest of the fleet mid-session.  Workers merge them into their
-    in-memory store overlays as warm entries, so sibling chains get
-    warm hits instead of re-simulating.
-``budget_deposit`` / ``budget_withdraw`` / ``budget_grant``
-    JSON adaptive-budget transport: workers deposit a stalled chain's
-    unused iterations into a coordinator-side pool
-    (``budget_deposit {n}``), request extra iterations for an improving
-    chain (``budget_withdraw {id, n}``), and receive the pool's answer
-    (``budget_grant {id, n}`` -- ``n`` may be 0).  Mirrors the
-    shared-memory budget pool of the local executors.
+The worker dialect's frames: ``hello`` / ``hello_ack`` (JSON handshake;
+the ack carries the daemon's version, pid and chain capacity), ``env``
+(pickle: the :class:`~repro.search.exec.base.ExecutionContext` plus a
+snapshot of the coordinator's store entries), ``chain`` and ``result``
+(pickle: a spec out, a result and the worker's new evaluations back),
+``best`` (JSON: an improved cost, upstream and re-broadcast for early
+stop), ``error`` (JSON: a chain that failed on the worker) and ``bye``.
 
 Planning-service dialect
 ------------------------
@@ -90,11 +70,8 @@ __all__ = [
     "recv_msg",
 ]
 
-# v1: hello/env/chain/result/best/error/bye, capacity announce.
-# v2: elastic fleets -- join/join_ack registration, store_delta
-#     evaluation gossip, budget_deposit/budget_withdraw/budget_grant
-#     adaptive-budget transport.
-PROTOCOL_VERSION = 2
+# v3: v1's frames; v2's join, evaluation-sharing and budget frames are gone.
+PROTOCOL_VERSION = 3
 SERVE_PROTOCOL_VERSION = 1
 
 _TAG_JSON = b"J"

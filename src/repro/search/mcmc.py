@@ -63,16 +63,14 @@ later proposal of the same strategy is simulated again.  A chain with a
 store passes no bound, because the store persists exact costs for later
 searches; ``beta <= 0`` and a peeked uniform of 0.0 give no bound either.
 
-Adaptive budget reallocation
-----------------------------
-With ``MCMCConfig.adaptive=True`` and a budget channel supplied, a chain
-that stops on the stall criterion *deposits* its unused iterations into
-the shared pool, and a chain that exhausts its own budget while still
-improving *withdraws* extra iterations from that pool (in chunks of a
-quarter of its own budget).  The default (``adaptive=False``) never
-touches the channel and is bit-identical to the fixed-budget behaviour;
-with adaptive scheduling on, which chain receives the donated budget
-depends on cross-process timing, so results may vary between runs.
+Stopping
+--------
+Each chain runs on its own budget, as in Section 6.2: it stops after
+``iterations`` proposals, after ``time_budget_s`` seconds, or when it
+has not improved for ``no_improve_frac`` of its budget (the "half of
+the search time" criterion).  Chains share no evaluations and pool no
+budgets, so an iteration-bounded chain's result is a pure function of
+its config and initial strategy.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -90,7 +88,7 @@ from repro.soap.config import ParallelConfig
 from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
 
-__all__ = ["MCMCConfig", "SearchTrace", "BudgetChannel", "mcmc_search"]
+__all__ = ["MCMCConfig", "SearchTrace", "mcmc_search"]
 
 
 @dataclass(frozen=True)
@@ -118,23 +116,6 @@ class MCMCConfig:
     # a final checkpoint is always recorded).  Checkpoints survive the
     # trip back from parallel-search worker processes and drive Figure 12.
     checkpoint_every: int = 0
-    # Opt into adaptive budget reallocation: donate unused iterations to
-    # the shared pool on stall, borrow extra iterations from it while
-    # improving.  Off by default -- the fixed-budget chain is bit-identical
-    # to a run without any budget channel.
-    adaptive: bool = False
-
-
-class BudgetChannel(Protocol):
-    """Shared iteration-budget pool for adaptive chain scheduling."""
-
-    def deposit(self, n: int) -> None:
-        """Return ``n`` unused iterations to the pool."""
-        ...
-
-    def withdraw(self, n: int) -> int:
-        """Take up to ``n`` iterations from the pool; returns the grant."""
-        ...
 
 
 @dataclass
@@ -151,8 +132,6 @@ class SearchTrace:
     cache_misses: int = 0
     store_hits: int = 0  # answered by the persistent cross-run store
     store_misses: int = 0
-    donated_iters: int = 0  # budget returned to the pool on stall (adaptive)
-    borrowed_iters: int = 0  # extra budget withdrawn from the pool (adaptive)
     checkpoints: list[tuple[int, float, float]] = field(default_factory=list)
     stop_reason: str = "iterations"
     # Timeline-repair route telemetry, snapshotted from the simulator's
@@ -187,7 +166,6 @@ def mcmc_search(
     should_stop: Callable[[], bool] | None = None,
     on_improve: Callable[[float], None] | None = None,
     store=None,
-    budget: BudgetChannel | None = None,
 ) -> tuple[Strategy, float, SearchTrace]:
     """Run one Markov chain from the simulator's current strategy.
 
@@ -213,9 +191,6 @@ def mcmc_search(
         (or anything with ``get``/``record``) consulted *before* the
         in-memory cache; new evaluations are recorded into it (the
         caller flushes).  Result-neutral, like the cache.
-    budget:
-        Shared iteration-budget pool; only touched when
-        ``config.adaptive`` is set.
     """
     rng = np.random.default_rng(config.seed)
     graph = simulator.graph
@@ -292,27 +267,13 @@ def mcmc_search(
     t0 = time.perf_counter()
     last_improve_t = 0.0
     last_improve_iter = 0
-    improved_any = False
     it = 0
-    total_budget = config.iterations
-    # Stall window in iterations (used both for the stall stop and as the
-    # "still improving" test when borrowing adaptive budget).
-    if config.no_improve_frac is not None:
-        iter_window = max(1, int(config.no_improve_frac * config.iterations))
-    else:
-        iter_window = max(1, config.iterations)
+    # Stall window in iterations (read only when the stall check is on).
+    iter_window = max(1, int((config.no_improve_frac or 0.0) * config.iterations))
 
     while True:
-        if it >= total_budget:
-            if config.adaptive and budget is not None and improved_any and (
-                it - last_improve_iter
-            ) < iter_window:
-                granted = budget.withdraw(max(1, config.iterations // 4))
-                if granted > 0:
-                    total_budget += granted
-                    trace.borrowed_iters += granted
-                    continue
-            trace.stop_reason = "iterations" if not trace.borrowed_iters else "iterations+borrowed"
+        if it >= config.iterations:
+            trace.stop_reason = "iterations"
             break
         elapsed = time.perf_counter() - t0
         if config.time_budget_s is not None and elapsed >= config.time_budget_s:
@@ -327,11 +288,6 @@ def mcmc_search(
                 stalled = True
             if stalled:
                 trace.stop_reason = "stall"
-                if config.adaptive and budget is not None:
-                    remaining = total_budget - it
-                    if remaining > 0:
-                        budget.deposit(remaining)
-                        trace.donated_iters += remaining
                 break
         if should_stop is not None and should_stop():
             trace.stop_reason = "early_stop"
@@ -406,7 +362,6 @@ def mcmc_search(
                     )
                     last_improve_t = time.perf_counter() - t0
                     last_improve_iter = it
-                    improved_any = True
                     if on_improve is not None:
                         on_improve(best_cost)
             elif simulated:

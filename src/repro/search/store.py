@@ -219,11 +219,6 @@ class StoreStats:
     warm_hits: int = 0
     appended: int = 0  # new entries flushed to disk
     dropped: int = 0  # corrupt/torn lines skipped during load
-    # Entries merged mid-session from fleet gossip (the coordinator's
-    # ``store_delta`` frames; see repro.search.exec.distributed).  Only
-    # the remote MemoryStore overlays ever see these; like ``loaded``
-    # they are a per-open fact, and hits on them count as warm.
-    gossiped: int = 0
     # Scheduled compaction at open (see AUTO_COMPACT_*): sweeps run and
     # bytes they reclaimed, so long-lived caches report their upkeep.
     auto_compactions: int = 0
@@ -260,7 +255,6 @@ class StoreStats:
             dropped=max(self.dropped, other.dropped),
             # Like loaded/dropped these are per-open facts, not per-chain
             # deltas: chains sharing one store handle must not double-count.
-            gossiped=max(self.gossiped, other.gossiped),
             auto_compactions=max(self.auto_compactions, other.auto_compactions),
             compaction_bytes_saved=max(
                 self.compaction_bytes_saved, other.compaction_bytes_saved
@@ -678,31 +672,6 @@ class MemoryStore:
         out = list(self._outbox.items())
         self._outbox.clear()
         return out
-
-    def merge_snapshot(self, entries) -> int:
-        """Fold fleet-gossiped evaluations in as warm entries; returns the
-        number actually new.
-
-        The coordinator forwards one worker's shipped evaluations to the
-        rest of the fleet as ``store_delta`` frames mid-session; merged
-        entries behave exactly like the start-of-session snapshot (warm
-        hits, never re-shipped).  Called from the daemon's connection
-        reader while chain threads consult the store concurrently --
-        safe because each operation is a single dict/set mutation (no
-        invariant spans two of them) and costs are pure functions of the
-        fingerprint, so a racing reader sees either a miss or the same
-        value a later hit would return.
-        """
-        added = 0
-        for fp, cost in entries:
-            fp = int(fp)
-            if fp in self._snapshot:
-                continue
-            self._snapshot[fp] = float(cost)
-            self._warm.add(fp)
-            added += 1
-        self.stats.gossiped += added
-        return added
 
     def entries(self) -> list[tuple[int, float]]:
         return list(self._snapshot.items())

@@ -4,8 +4,9 @@ One daemon serves one coordinator connection at a time (the
 :class:`~repro.search.exec.distributed.DistributedExecutor`): it receives
 the pickled problem environment once, then runs chains as they arrive --
 each through the same :func:`~repro.search.exec.base.run_one_chain` the
-local executors use -- and streams results back.  A background of the
-session:
+local executors use -- and streams results back.  The daemon never
+announces itself: a coordinator lists it in its cluster and connects to
+it.  A background of the session:
 
 * **Best-cost channel.**  The daemon publishes improved best costs
   upstream and folds the coordinator's broadcasts into a local value the
@@ -23,28 +24,6 @@ session:
   capacity in the protocol handshake so the coordinator's dispatch
   accounting keeps ``N`` chains in flight here.  Chains are pure
   functions of their spec, so concurrency never changes results.
-* **Mid-search join.**  ``--join host:port`` announces this daemon on a
-  coordinator's registration listener (the ``join_bind`` address a
-  search or planning server publishes): the daemon binds and listens as
-  usual, then dials the listener once with a ``join`` frame carrying
-  the address siblings should use to reach it (``--advertise``,
-  defaulting to the bound address).  A live search connects back and
-  the daemon starts stealing queued chains mid-search; a planning
-  server records the address for its next search.  A failed or refused
-  join (e.g. a protocol-version mismatch, logged with both versions) is
-  loud but not fatal -- the daemon keeps serving as a fixed-fleet
-  worker.
-* **Evaluation gossip.**  Mid-session the coordinator forwards
-  evaluations that *other* workers shipped home as ``store_delta``
-  frames; the daemon merges them into every runner's store overlay as
-  warm entries, so its chains get warm hits on strategies a sibling
-  already costed instead of re-simulating them.
-* **Adaptive budget transport.**  Chains with ``adaptive=True`` use a
-  budget channel that speaks ``budget_deposit`` /
-  ``budget_withdraw``/``budget_grant`` to the coordinator-side
-  iteration pool: a stalled chain's unused iterations are donated
-  upstream, an improving chain's request is answered with whatever the
-  pool can grant (possibly 0).
 * **Lifecycle.**  ``bye`` (or coordinator EOF) ends the session and the
   daemon goes back to accepting; ``--once`` exits after the first
   session.  A chain orphaned by a dead coordinator runs to completion
@@ -53,10 +32,6 @@ session:
 Run::
 
     python -m repro.search.worker --bind 0.0.0.0:7070 --capacity 2
-
-or join a running search's fleet::
-
-    python -m repro.search.worker --bind 0.0.0.0:7071 --join coord:9000
 
 On startup the daemon prints ``REPRO-WORKER <host> <port>`` to stdout
 (with ``--bind host:0`` the kernel picks the port), which is what
@@ -88,86 +63,6 @@ from repro.search.exec.protocol import (
 from repro.search.store import MemoryStore
 
 __all__ = ["serve", "spawn_local_worker", "main"]
-
-# One join registration is three small frames; a coordinator that takes
-# longer than this per attempt is treated as unreachable for that try.
-_JOIN_DIAL_TIMEOUT_S = 10.0
-# How long an improving chain waits for the coordinator's budget_grant
-# before giving up on the extra iterations (a live coordinator answers
-# within one select tick; session teardown wakes the waiter early).
-_GRANT_TIMEOUT_S = 30.0
-
-
-class _RemoteBudget:
-    """Worker-side adaptive-budget channel over the coordinator pool.
-
-    ``deposit`` is fire-and-forget.  ``withdraw`` is request/response:
-    the runner thread sends ``budget_withdraw`` with a fresh id and
-    blocks on an event until the connection reader hands it the matching
-    ``budget_grant`` (or the session closes / the wait times out, both
-    of which resolve to a grant of 0 -- the chain then simply ends on
-    its fixed budget, which is always sound).
-    """
-
-    def __init__(self, send):
-        self._send = send  # safe_send: thread-safe framed send
-        self._lock = threading.Lock()
-        self._next_id = 0
-        self._pending: dict[int, list] = {}  # id -> [Event, grant]
-        self._closed = False
-
-    def deposit(self, n: int) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            if self._closed:
-                return
-        try:
-            self._send({"type": "budget_deposit", "n": int(n)})
-        except OSError:
-            pass  # coordinator gone; the reader loop will notice
-
-    def withdraw(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        with self._lock:
-            if self._closed:
-                return 0
-            rid = self._next_id
-            self._next_id += 1
-            entry = [threading.Event(), 0]
-            self._pending[rid] = entry
-        try:
-            self._send({"type": "budget_withdraw", "id": rid, "n": int(n)})
-        except OSError:
-            with self._lock:
-                self._pending.pop(rid, None)
-            return 0
-        entry[0].wait(timeout=_GRANT_TIMEOUT_S)
-        with self._lock:
-            self._pending.pop(rid, None)
-        return int(entry[1]) if entry[0].is_set() else 0
-
-    def grant(self, rid, n) -> None:
-        """Called by the connection reader on a ``budget_grant`` frame."""
-        with self._lock:
-            entry = self._pending.get(rid)
-        if entry is not None:
-            entry[1] = max(0, int(n))
-            entry[0].set()
-
-    def close(self) -> None:
-        """Resolve every outstanding withdraw to 0 (session teardown).
-
-        Must run *before* joining the runner threads, or a chain blocked
-        in ``withdraw`` would hold teardown for the full grant timeout.
-        """
-        with self._lock:
-            self._closed = True
-            entries = list(self._pending.values())
-        for entry in entries:
-            entry[0].set()
-
 
 class _RemoteBest:
     """Worker-side best channel: local threaded value + upstream publishes.
@@ -238,8 +133,6 @@ def _serve_connection(
             f"(this worker speaks v{PROTOCOL_VERSION})"
         )
         return
-    if hello.get("join"):
-        _log(f"coordinator's registration listener is at {hello['join']}")
 
     send_lock = threading.Lock()
 
@@ -258,12 +151,8 @@ def _serve_connection(
     # coordinator ignores "best" frames, so streaming one per improvement
     # would be pure wasted wire traffic.
     best = _RemoteBest(None)
-    budget = _RemoteBudget(safe_send)
     jobs: "queue.Queue[tuple[int, object] | None]" = queue.Queue()
-    # stores[i] is runner i's overlay; the connection reader also walks
-    # the list to merge gossiped store_delta entries into every overlay
-    # (merge_snapshot is written to be safe against the concurrently
-    # reading runner).
+    # stores[i] is runner i's overlay.
     state: dict = {"ctx": None, "stores": []}
 
     def run_jobs(index: int) -> None:
@@ -294,7 +183,7 @@ def _serve_connection(
                         faults["left"] -= 1
                 if inject:
                     raise RuntimeError("injected chain fault (--fail-chains)")
-                result = run_one_chain(ctx, spec, cache, store, best, budget)
+                result = run_one_chain(ctx, spec, cache, store, best)
                 evals = store.drain_outbox() if store is not None else []
                 reply = {"type": "result", "task": task, "result": result, "evals": evals}
             except Exception as exc:
@@ -355,23 +244,11 @@ def _serve_connection(
                 jobs.put((int(msg["task"]), msg["spec"]))
             elif kind == "best":
                 best.merge(float(msg["cost"]))
-            elif kind == "store_delta":
-                # Gossip: evaluations a sibling worker shipped home,
-                # forwarded by the coordinator.  Merged as warm entries
-                # into every runner's overlay so running and future
-                # chains here get warm hits instead of re-simulating.
-                for s in state["stores"]:
-                    s.merge_snapshot(msg.get("entries") or [])
-            elif kind == "budget_grant":
-                budget.grant(msg.get("id"), msg.get("n", 0))
             elif kind == "bye":
                 break
             else:
                 raise ProtocolError(f"unexpected message {kind!r} from coordinator")
     finally:
-        # Unblock any chain waiting on a budget_grant *before* joining
-        # the runner threads, or teardown stalls for the grant timeout.
-        budget.close()
         for _ in runners:
             jobs.put(None)
         if not runners:
@@ -384,60 +261,6 @@ def _serve_connection(
             pass
 
 
-def _announce_join(
-    join: str,
-    advertise: str,
-    *,
-    capacity: int,
-    attempts: int = 10,
-    retry_delay_s: float = 0.3,
-) -> bool:
-    """Dial a coordinator's registration listener once; ``True`` on ack.
-
-    Retries transient connection failures (the listener may be a beat
-    behind the daemon's startup); a refused registration -- e.g. a
-    protocol-version mismatch, whose error names both versions -- is
-    logged and not retried.  Either way the daemon keeps serving: a
-    failed join degrades it to a fixed-fleet worker, nothing worse.
-    """
-    from repro.search.exec.distributed import parse_address
-
-    host, port = parse_address(join)
-    last: Exception | None = None
-    for attempt in range(max(1, attempts)):
-        if attempt:
-            time.sleep(retry_delay_s)
-        try:
-            with socket.create_connection(
-                (host, port), timeout=_JOIN_DIAL_TIMEOUT_S
-            ) as sock:
-                sock.settimeout(_JOIN_DIAL_TIMEOUT_S)
-                send_msg(
-                    sock,
-                    {
-                        "type": "join",
-                        "version": PROTOCOL_VERSION,
-                        "advertise": advertise,
-                        "capacity": capacity,
-                        "pid": os.getpid(),
-                    },
-                )
-                ack = recv_msg(sock)
-        except (OSError, ProtocolError) as exc:
-            last = exc
-            continue
-        if ack is None or ack.get("type") != "join_ack":
-            _log(f"join to {join} got no join_ack (got {ack!r}); serving anyway")
-            return False
-        if ack.get("error"):
-            _log(f"join to {join} refused: {ack['error']}; serving anyway")
-            return False
-        _log(f"joined the fleet via {join}, advertising {advertise}")
-        return True
-    _log(f"could not reach registration listener {join} ({last!r}); serving anyway")
-    return False
-
-
 def serve(
     bind: str = "127.0.0.1:0",
     *,
@@ -445,8 +268,6 @@ def serve(
     chain_delay_s: float = 0.0,
     capacity: int = 1,
     fail_chains: int = 0,
-    join: str | None = None,
-    advertise: str | None = None,
     announce_stream=None,
 ) -> None:
     """Listen on ``bind`` and serve coordinator sessions until killed.
@@ -454,13 +275,6 @@ def serve(
     Announces ``REPRO-WORKER <host> <port>`` on ``announce_stream``
     (default stdout) once the socket is bound -- with port ``0`` this is
     how callers learn the kernel-assigned port.
-
-    With ``join`` set the daemon additionally registers itself on that
-    coordinator registration listener, advertising ``advertise`` (the
-    bound address by default -- pass an explicit one when the daemon
-    sits behind NAT or binds a wildcard host).  The coordinator connects
-    back like to any fixed-fleet worker; the connection parks in this
-    socket's listen backlog until the accept loop below picks it up.
     """
     host, _, port = bind.rpartition(":")
     if not host:
@@ -472,12 +286,6 @@ def serve(
     bound_host, bound_port = srv.getsockname()[:2]
     stream = announce_stream if announce_stream is not None else sys.stdout
     print(f"REPRO-WORKER {bound_host} {bound_port}", file=stream, flush=True)
-    if join is not None:
-        _announce_join(
-            join,
-            advertise if advertise else f"{bound_host}:{bound_port}",
-            capacity=max(1, int(capacity)),
-        )
     try:
         while True:
             conn, addr = srv.accept()
@@ -507,7 +315,6 @@ def spawn_local_worker(
     fail_chains: int = 0,
     env: dict | None = None,
     bind: str = "127.0.0.1:0",
-    join: str | None = None,
     announce_timeout_s: float = 20.0,
 ) -> tuple["subprocess.Popen", str]:
     """Start a loopback worker daemon subprocess; returns ``(proc, "host:port")``.
@@ -515,10 +322,8 @@ def spawn_local_worker(
     The helper the tests and the CI smoke job use: it points
     ``PYTHONPATH`` at this installation of :mod:`repro`, binds ``bind``
     (port 0 by default), and parses the announce line for the
-    kernel-assigned address.  ``join`` passes ``--join`` through, so a
-    second daemon can be spawned straight into a running search's
-    fleet.  The caller owns the process (``proc.terminate()`` when
-    done).
+    kernel-assigned address.  The caller owns the process
+    (``proc.terminate()`` when done).
 
     The wait for the announce line is bounded by ``announce_timeout_s``:
     a daemon that dies before announcing (``--bind`` port already in
@@ -543,8 +348,6 @@ def spawn_local_worker(
         args += ["--capacity", str(capacity)]
     if fail_chains > 0:
         args += ["--fail-chains", str(fail_chains)]
-    if join is not None:
-        args += ["--join", join]
     proc = subprocess.Popen(
         args,
         stdout=subprocess.PIPE,
@@ -611,20 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         help="chains run concurrently per coordinator session (default %(default)s)",
     )
     parser.add_argument(
-        "--join",
-        default=None,
-        metavar="HOST:PORT",
-        help="announce this daemon on a coordinator's registration listener "
-        "and join its fleet mid-search",
-    )
-    parser.add_argument(
-        "--advertise",
-        default=None,
-        metavar="HOST:PORT",
-        help="address the coordinator should connect back to after --join "
-        "(default: the bound address)",
-    )
-    parser.add_argument(
         "--chain-delay-s",
         type=float,
         default=0.0,
@@ -644,8 +433,6 @@ def main(argv: list[str] | None = None) -> int:
             chain_delay_s=args.chain_delay_s,
             capacity=args.capacity,
             fail_chains=args.fail_chains,
-            join=args.join,
-            advertise=args.advertise,
         )
     except KeyboardInterrupt:
         _log("interrupted; shutting down")

@@ -17,7 +17,7 @@ def full_config() -> SearchConfig:
     """A config with every field off its default."""
     return SearchConfig(
         budget=BudgetConfig(
-            iterations=321, time_s=1.5, no_improve_frac=0.25, adaptive=True, checkpoint_every=7
+            iterations=321, time_s=1.5, no_improve_frac=0.25, checkpoint_every=7
         ),
         execution=ExecutionConfig(
             workers=3,
@@ -84,10 +84,16 @@ class TestUnknownKeys:
         with pytest.raises(ValueError, match="budget_iters"):
             SearchConfig.from_dict(payload)
 
-    def test_nested_unknown_key_rejected(self):
+    # ``budget.adaptive`` and ``execution.join_bind`` were settable until
+    # the fleet became fixed; a config that still carries them fails.
+    @pytest.mark.parametrize(
+        "section,key",
+        [("budget", "iters"), ("budget", "adaptive"), ("execution", "join_bind")],
+    )
+    def test_nested_unknown_key_rejected(self, section, key):
         payload = SearchConfig().to_dict()
-        payload["budget"]["iters"] = 100
-        with pytest.raises(ValueError, match="iters"):
+        payload[section][key] = 100
+        with pytest.raises(ValueError, match=key):
             SearchConfig.from_dict(payload)
 
     @pytest.mark.parametrize("section", ["execution", "store", "early_stop"])

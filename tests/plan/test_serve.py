@@ -12,9 +12,12 @@ The load-bearing guarantees:
 * **admission control** -- a full queue rejects with a reason instead of
   hanging or dropping;
 * **graceful drain** -- SIGTERM finishes in-flight searches, flushes the
-  store, and exits 0.
+  store, and exits 0;
+* **standing fleet** -- a server started with a cluster dispatches every
+  search to it.
 """
 
+import io
 import signal
 import threading
 import time
@@ -31,8 +34,9 @@ from repro.plan import (
     SearchConfig,
 )
 from repro.plan.client import plan_remote
-from repro.plan.serve import spawn_local_server
+from repro.plan.serve import PlanServer, spawn_local_server
 from repro.search.store import StrategyStore
+from repro.search.worker import spawn_local_worker
 
 CFG = SearchConfig(budget=BudgetConfig(iterations=25), inits=("data_parallel",), seed=0)
 
@@ -46,6 +50,27 @@ def _server(**kwargs):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+@contextmanager
+def _inproc_server(**kwargs):
+    """A :class:`PlanServer` serving from a thread of this process."""
+    server = PlanServer("127.0.0.1:0", announce_stream=io.StringIO(), **kwargs)
+    t = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"install_signal_handlers": False},
+        daemon=True,
+    )
+    t.start()
+    deadline = time.monotonic() + 10
+    while server.address is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert server.address is not None, "server never bound"
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        t.join(timeout=30)
 
 
 class TestRemotePlanning:
@@ -186,113 +211,37 @@ class TestGracefulDrain:
         reopened = StrategyStore(store_root, shards[0].stem)
         assert len(reopened) > 0
 
+    def test_shutdown_while_announcing_still_drains(self, capsys):
+        """Regression: ``serve_forever`` published its listener before
+        setting the accept timeout, outside the drain's ``try``, so a
+        ``shutdown()`` in between closed the listener under that call:
+        the serve thread died with EBADF and skipped the drain."""
 
-class TestWorkerJoin:
-    """``--join-bind``: the warm fleet accepts worker registrations
-    between requests -- a joined daemon is in the cluster the *next*
-    search dispatches to."""
+        class ShutdownOnAnnounce(io.StringIO):
+            def write(self, text):
+                server.shutdown()
+                return super().write(text)
 
-    @contextmanager
-    def _inproc_server(self, **kwargs):
-        import io
+        server = PlanServer("127.0.0.1:0", announce_stream=ShutdownOnAnnounce())
+        server.serve_forever(install_signal_handlers=False)
+        assert "drained (0 store evaluation(s) flushed)" in capsys.readouterr().err
 
-        from repro.plan.serve import PlanServer
 
-        server = PlanServer("127.0.0.1:0", announce_stream=io.StringIO(), **kwargs)
-        t = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"install_signal_handlers": False},
-            daemon=True,
-        )
-        t.start()
-        deadline = time.monotonic() + 10
-        while server.address is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert server.address is not None, "server never bound"
+class TestStandingFleet:
+    """``--cluster``: every search the server admits dispatches to its
+    standing worker fleet, which is fixed for the server's lifetime."""
+
+    def test_searches_dispatch_to_the_standing_fleet(self, lenet_graph, topo2):
+        proc, addr = spawn_local_worker(once=True)
         try:
-            yield server
-        finally:
-            server.shutdown()
-            t.join(timeout=30)
-
-    def test_fleet_grows_between_requests(self, lenet_graph, topo2):
-        from repro.search.worker import spawn_local_worker
-
-        with self._inproc_server(join_bind="127.0.0.1:0") as server:
-            assert server.join_address is not None
-            assert server.cluster == ()
-            proc, addr = spawn_local_worker(once=True, join=server.join_address)
-            try:
-                deadline = time.monotonic() + 15
-                while not server.cluster and time.monotonic() < deadline:
-                    time.sleep(0.05)
-                assert server.cluster == (addr,)
-                assert server.stats.workers_joined == 1
+            with _inproc_server(cluster=(addr,)) as server:
                 assert server.stats_dict()["cluster"] == [addr]
-                # The grown fleet serves the next request.
                 local = Planner(lenet_graph, topo2).search("mcmc", CFG)
                 with PlanClient(server.address) as client:
                     remote = client.plan(lenet_graph, topo2, config=CFG)
-                assert remote.best_cost_us == local.best_cost_us
-                assert (
-                    remote.best_strategy.signature() == local.best_strategy.signature()
-                )
-            finally:
-                proc.terminate()
-                proc.wait(timeout=10)
-
-    def test_stale_joiner_refused_with_both_versions(self):
-        import socket as socket_mod
-
-        from repro.search.exec.protocol import (
-            PROTOCOL_VERSION,
-            recv_msg,
-            send_msg,
-        )
-
-        with self._inproc_server(join_bind="127.0.0.1:0") as server:
-            host, port = server.join_address.rsplit(":", 1)
-            with socket_mod.create_connection((host, int(port)), timeout=10) as sock:
-                sock.settimeout(10)
-                send_msg(
-                    sock,
-                    {"type": "join", "version": 1, "advertise": "stale:7070"},
-                )
-                ack = recv_msg(sock)
-            assert ack["type"] == "join_ack"
-            assert "v1" in ack["error"]
-            assert f"v{PROTOCOL_VERSION}" in ack["error"]
-            assert server.cluster == ()
-            assert server.stats.workers_joined == 0
-
-    def test_rejoin_is_idempotent(self):
-        import socket as socket_mod
-
-        from repro.search.exec.protocol import (
-            PROTOCOL_VERSION,
-            recv_msg,
-            send_msg,
-        )
-
-        with self._inproc_server(join_bind="127.0.0.1:0") as server:
-            host, port = server.join_address.rsplit(":", 1)
-            for _ in range(2):
-                with socket_mod.create_connection(
-                    (host, int(port)), timeout=10
-                ) as sock:
-                    sock.settimeout(10)
-                    send_msg(
-                        sock,
-                        {
-                            "type": "join",
-                            "version": PROTOCOL_VERSION,
-                            "advertise": "worker-a:7070",
-                        },
-                    )
-                    ack = recv_msg(sock)
-                assert "error" not in ack
-            deadline = time.monotonic() + 10
-            while not server.cluster and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert server.cluster == ("worker-a:7070",)
-            assert server.stats.workers_joined == 1
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+        assert remote.best_cost_us == local.best_cost_us
+        assert remote.best_strategy.signature() == local.best_strategy.signature()
+        assert {r.worker_pid for r in remote.extras["chains"]} == {proc.pid}

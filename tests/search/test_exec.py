@@ -12,7 +12,6 @@ import dataclasses
 import os
 import socket
 import threading
-import time
 
 import pytest
 
@@ -28,7 +27,6 @@ from repro.search.exec import (
     get_executor,
     register_executor,
 )
-from repro.search.exec.distributed import accept_join
 from repro.search.exec.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -657,84 +655,6 @@ class TestAddressValidation:
         with pytest.raises(ValueError, match="'gpu-a:abc'"):
             ClusterSpec.parse("gpu-a:abc")
 
-    def test_ephemeral_port_allowed_for_bind_addresses_only(self):
-        from repro.search.exec.distributed import parse_address
-
-        assert parse_address("0.0.0.0:0", allow_ephemeral=True) == ("0.0.0.0", 0)
-        with pytest.raises(ValueError, match="not of the form host:port"):
-            parse_address("0.0.0.0:0")
-
-
-class TestMemoryStoreGossip:
-    def test_merge_snapshot_adds_warm_entries_once(self):
-        store = MemoryStore([(1, 2.5)])
-        added = store.merge_snapshot([(2, 3.0), (1, 99.0), (3, 4.0)])
-        assert added == 2  # fp 1 already held; the first value wins
-        assert store.stats.gossiped == 2
-        assert store.get(1) == 2.5
-        assert store.get(2) == 3.0
-        assert store.stats.warm_hits == 2
-        # Merged entries count as snapshot: never shipped back upstream.
-        store.flush()
-        assert store.drain_outbox() == []
-
-    def test_merge_snapshot_is_idempotent(self):
-        store = MemoryStore([])
-        assert store.merge_snapshot([(5, 1.0)]) == 1
-        assert store.merge_snapshot([(5, 1.0)]) == 0
-        assert store.stats.gossiped == 1
-
-
-class TestRemoteBudget:
-    """Worker-side adaptive-budget channel (frames only, no sockets)."""
-
-    def test_deposit_sends_a_frame(self):
-        from repro.search.worker import _RemoteBudget
-
-        sent = []
-        rb = _RemoteBudget(lambda msg, **kw: sent.append(msg))
-        rb.deposit(5)
-        assert sent == [{"type": "budget_deposit", "n": 5}]
-        rb.deposit(0)  # nothing to donate, nothing on the wire
-        assert len(sent) == 1
-
-    def test_withdraw_blocks_until_grant(self):
-        from repro.search.worker import _RemoteBudget
-
-        sent = []
-        rb = _RemoteBudget(lambda msg, **kw: sent.append(msg))
-
-        def answer():
-            while not sent:
-                time.sleep(0.005)
-            rb.grant(sent[0]["id"], 7)
-
-        t = threading.Thread(target=answer)
-        t.start()
-        assert rb.withdraw(10) == 7
-        t.join()
-        assert sent[0]["type"] == "budget_withdraw" and sent[0]["n"] == 10
-
-    def test_close_resolves_pending_withdraws_to_zero(self):
-        from repro.search.worker import _RemoteBudget
-
-        sent = []
-        rb = _RemoteBudget(lambda msg, **kw: sent.append(msg))
-
-        def close_soon():
-            while not sent:
-                time.sleep(0.005)
-            rb.close()
-
-        t = threading.Thread(target=close_soon)
-        t.start()
-        assert rb.withdraw(10) == 0  # resolved by close, not the timeout
-        t.join()
-        # Closed channel goes quiet instead of writing to a dead socket.
-        rb.deposit(3)
-        assert rb.withdraw(3) == 0
-        assert len(sent) == 1
-
 
 class TestSpawnLocalWorker:
     """Regression: ``spawn_local_worker`` used to block forever on
@@ -758,10 +678,12 @@ class TestSpawnLocalWorker:
 
 
 class TestVersionMismatch:
-    """Acceptance: a v1 daemon in the cluster fails the search loudly at
-    handshake, with both sides naming their versions."""
+    """Acceptance: a stale daemon in the cluster fails the search loudly
+    at handshake, with both sides naming their versions.  v2 is stale
+    too: its join, evaluation-sharing and budget frames left the wire in
+    v3."""
 
-    def _fake_v1_daemon(self):
+    def _stale_daemon(self, version):
         srv = socket.socket()
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind(("127.0.0.1", 0))
@@ -773,7 +695,7 @@ class TestVersionMismatch:
                 recv_msg(conn)  # hello
                 send_msg(
                     conn,
-                    {"type": "hello_ack", "version": 1, "pid": 0, "capacity": 1},
+                    {"type": "hello_ack", "version": version, "pid": 0, "capacity": 1},
                 )
                 try:
                     recv_msg(conn)  # wait for the coordinator to hang up
@@ -784,8 +706,9 @@ class TestVersionMismatch:
         t.start()
         return srv, t
 
-    def test_stale_daemon_fails_the_search_loudly(self, lenet_graph, topo2):
-        srv, t = self._fake_v1_daemon()
+    @pytest.mark.parametrize("stale", [1, 2])
+    def test_stale_daemon_fails_the_search_loudly(self, lenet_graph, topo2, stale):
+        srv, t = self._stale_daemon(stale)
         addr = f"127.0.0.1:{srv.getsockname()[1]}"
         specs = make_specs(lenet_graph, topo2, n=1, iterations=5)
         ctx = ExecutionContext(
@@ -794,7 +717,7 @@ class TestVersionMismatch:
         try:
             with pytest.raises(
                 VersionMismatchError,
-                match=rf"speaks protocol v1, coordinator speaks v{PROTOCOL_VERSION}",
+                match=rf"speaks protocol v{stale}, coordinator speaks v3",
             ):
                 DistributedExecutor().run(ctx, specs)
         finally:
@@ -804,256 +727,6 @@ class TestVersionMismatch:
     def test_mismatch_is_a_protocol_error(self):
         # Callers catching ProtocolError keep working.
         assert issubclass(VersionMismatchError, ProtocolError)
-
-
-class TestElasticJoinHandshake:
-    """``accept_join``, the registration handshake the distributed
-    coordinator and the planning server share, driven over a socketpair:
-    one accepted join and each way a join is refused."""
-
-    @staticmethod
-    def _joiner_sends(msg):
-        listener_end, joiner_end = socket.socketpair()
-        send_msg(joiner_end, msg)
-        return listener_end, joiner_end
-
-    def test_accepted_join_is_acked_and_returns_the_address(self):
-        conn, joiner = self._joiner_sends(
-            {"type": "join", "version": PROTOCOL_VERSION, "advertise": "gpu-a:7070*2"}
-        )
-        with joiner:
-            assert accept_join(conn) == "gpu-a:7070*2"
-            assert recv_msg(joiner) == {"type": "join_ack", "version": PROTOCOL_VERSION}
-            assert recv_msg(joiner) is None  # the listener side closed
-        assert conn.fileno() == -1
-
-    def test_wrong_message_type_is_refused(self):
-        conn, joiner = self._joiner_sends({"type": "hello", "version": PROTOCOL_VERSION})
-        with joiner:
-            with pytest.raises(ProtocolError, match="expected join"):
-                accept_join(conn)
-            assert recv_msg(joiner) is None  # no ack for a non-join
-        assert conn.fileno() == -1
-
-    def test_wrong_version_is_refused_naming_both_versions(self):
-        conn, joiner = self._joiner_sends(
-            {"type": "join", "version": 1, "advertise": "gpu-a:7070"}
-        )
-        with joiner:
-            with pytest.raises(VersionMismatchError):
-                accept_join(conn)
-            ack = recv_msg(joiner)
-        assert ack["type"] == "join_ack"
-        assert "v1" in ack["error"] and f"v{PROTOCOL_VERSION}" in ack["error"]
-        assert conn.fileno() == -1
-
-    def test_missing_advertise_address_is_refused(self):
-        conn, joiner = self._joiner_sends({"type": "join", "version": PROTOCOL_VERSION})
-        with joiner:
-            with pytest.raises(ProtocolError, match="advertise") as info:
-                accept_join(conn)
-            ack = recv_msg(joiner)
-        assert not isinstance(info.value, VersionMismatchError)
-        assert ack["type"] == "join_ack" and "--bind" in ack["error"]
-        assert conn.fileno() == -1
-
-
-@pytest.mark.slow
-class TestElasticJoin:
-    """Mid-search join: a ``--join`` daemon enters a running search's
-    fleet, steals queued chains, and never changes results."""
-
-    def test_joiner_steals_chains_results_bit_identical(self, lenet_graph, topo2):
-        specs = make_specs(lenet_graph, topo2, n=4, iterations=20)
-        ref = run_specs(lenet_graph, topo2, specs)
-        executor = DistributedExecutor()
-        joiner: dict = {}
-
-        def join_once_listening():
-            while executor.join_address is None:
-                time.sleep(0.05)
-            joiner["proc"], joiner["addr"] = spawn_local_worker(
-                once=True, join=executor.join_address
-            )
-
-        with _Workers(1, once=True, chain_delay_s=1.0) as w:
-            ctx = ExecutionContext(
-                graph=lenet_graph,
-                topology=topo2,
-                profiler=OpProfiler(),
-                cluster=w.cluster,
-                join_bind="127.0.0.1:0",
-            )
-            t = threading.Thread(target=join_once_listening, daemon=True)
-            t.start()
-            try:
-                dist = executor.run(ctx, specs)
-            finally:
-                t.join(timeout=60)
-                p = joiner.get("proc")
-                if p is not None:
-                    p.terminate()
-                    p.wait(timeout=10)
-        assert executor.stats.workers_joined == 1
-        assert executor.stats.stolen_chains >= 1
-        # The joiner really completed work: two distinct worker pids.
-        assert len({r.worker_pid for r in dist}) == 2
-        assert chains_equal(ref, dist)
-
-    def test_no_listener_without_join_bind(self, lenet_graph, topo2):
-        specs = make_specs(lenet_graph, topo2, n=1, iterations=5)
-        executor = DistributedExecutor()
-        with _Workers(1, once=True) as w:
-            ctx = ExecutionContext(
-                graph=lenet_graph, topology=topo2, profiler=OpProfiler(), cluster=w.cluster
-            )
-            executor.run(ctx, specs)
-        assert executor.join_address is None
-        assert executor.stats.workers_joined == 0
-
-
-@pytest.mark.slow
-class TestEvaluationGossip:
-    """Acceptance: with two capacity-1 workers sharing a store context,
-    the slower worker records warm hits on fingerprints the faster one
-    evaluated first -- within the same session."""
-
-    def test_sibling_gets_warm_hits_mid_session(self, lenet_graph, topo2, tmp_path):
-        from repro.search.store import search_context
-
-        profiler = OpProfiler()
-        dp = data_parallelism(lenet_graph, topo2)
-        # Identical seeds: the two chains walk the same trajectory, so
-        # every fingerprint the fast worker ships is one the delayed
-        # worker is about to need.
-        specs = [
-            ChainSpec(f"c{i}", dp, MCMCConfig(iterations=40, seed=7)) for i in range(2)
-        ]
-        digest = search_context(
-            lenet_graph,
-            topo2,
-            training=True,
-            algorithm="delta",
-            noise_amplitude=profiler.noise_amplitude,
-        )
-        executor = DistributedExecutor()
-        with _Workers(1, once=True) as fast, _Workers(
-            1, once=True, chain_delay_s=1.5
-        ) as slow:
-            ctx = ExecutionContext(
-                graph=lenet_graph,
-                topology=topo2,
-                profiler=profiler,
-                cluster=(fast.cluster[0], slow.cluster[0]),
-                store_root=str(tmp_path),
-                store_context=digest,
-            )
-            results = executor.run(ctx, specs)
-        assert executor.stats.gossip_messages >= 1
-        assert executor.stats.gossip_entries >= 1
-        gossiped = [r for r in results if r.store.gossiped > 0]
-        assert gossiped, f"no result saw gossip: {[r.store for r in results]}"
-        assert any(r.store.warm_hits > 0 for r in gossiped)
-
-    def test_no_gossip_without_a_store(self, lenet_graph, topo2):
-        specs = make_specs(lenet_graph, topo2, n=2, iterations=10)
-        executor = DistributedExecutor()
-        with _Workers(2, once=True) as w:
-            ctx = ExecutionContext(
-                graph=lenet_graph, topology=topo2, profiler=OpProfiler(), cluster=w.cluster
-            )
-            executor.run(ctx, specs)
-        assert executor.stats.gossip_messages == 0
-
-
-@pytest.mark.slow
-class TestBudgetTransport:
-    """Adaptive budgets across the wire: a stalled remote chain's unused
-    iterations land in the coordinator pool (the old behavior was a
-    RuntimeWarning and no transport at all)."""
-
-    def test_stalled_chain_deposits_upstream(self, lenet_graph, topo2):
-        dp = data_parallelism(lenet_graph, topo2)
-        specs = [
-            ChainSpec(
-                "donor",
-                dp,
-                MCMCConfig(iterations=400, seed=0, no_improve_frac=0.02, adaptive=True),
-            ),
-            ChainSpec(
-                "borrower",
-                dp,
-                MCMCConfig(iterations=30, seed=9, no_improve_frac=None, adaptive=True),
-            ),
-        ]
-        executor = DistributedExecutor()
-        with _Workers(2, once=True) as w:
-            ctx = ExecutionContext(
-                graph=lenet_graph, topology=topo2, profiler=OpProfiler(), cluster=w.cluster
-            )
-            results = executor.run(ctx, specs)
-        assert all(not r.skipped for r in results)
-        assert executor.stats.budget_deposited > 0
-
-    def test_withdraw_is_granted_from_the_pool(self, lenet_graph, topo2):
-        """Drive the coordinator's pool with a scripted worker: deposit
-        50, withdraw 20, expect a budget_grant of 20 (deterministic --
-        no MCMC timing involved)."""
-        from repro.search.exec.base import run_one_chain
-
-        specs = make_specs(lenet_graph, topo2, n=1, iterations=5)
-        grant: dict = {}
-        srv = socket.socket()
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-
-        def scripted_worker():
-            conn, _ = srv.accept()
-            with conn:
-                recv_msg(conn)  # hello
-                send_msg(
-                    conn,
-                    {
-                        "type": "hello_ack",
-                        "version": PROTOCOL_VERSION,
-                        "pid": os.getpid(),
-                        "capacity": 1,
-                    },
-                )
-                env = recv_msg(conn)
-                chain = recv_msg(conn)
-                send_msg(conn, {"type": "budget_deposit", "n": 50})
-                send_msg(conn, {"type": "budget_withdraw", "id": 1, "n": 20})
-                reply = recv_msg(conn)
-                grant.update(reply)
-                result = run_one_chain(
-                    env["ctx"], chain["spec"], None, None, None, None
-                )
-                send_msg(
-                    conn,
-                    {"type": "result", "task": chain["task"], "result": result},
-                    pickled=True,
-                )
-                recv_msg(conn)  # bye
-
-        t = threading.Thread(target=scripted_worker, daemon=True)
-        t.start()
-        executor = DistributedExecutor()
-        ctx = ExecutionContext(
-            graph=lenet_graph,
-            topology=topo2,
-            profiler=OpProfiler(),
-            cluster=(f"127.0.0.1:{srv.getsockname()[1]}",),
-        )
-        try:
-            executor.run(ctx, specs)
-        finally:
-            srv.close()
-            t.join(timeout=30)
-        assert grant == {"type": "budget_grant", "id": 1, "n": 20}
-        assert executor.stats.budget_deposited == 50
-        assert executor.stats.budget_granted == 20
 
 
 @pytest.mark.slow
