@@ -107,6 +107,7 @@ _ROUTE_NAMES = {
     "noop": "identity no-op",
     "load_reject": "load rejection",
     "sweep_stop": "stopped sweep",
+    "sync": "lag sync",
 }
 
 

@@ -205,6 +205,19 @@ class _Worker:
         self.capacity = max(1, capacity)
 
 
+def _hang_up(workers: list[_Worker]) -> None:
+    """End every worker's session: send ``bye`` and close its socket."""
+    for w in workers:
+        try:
+            send_msg(w.sock, {"type": "bye"})
+        except OSError:
+            pass
+        try:
+            w.sock.close()
+        except OSError:
+            pass
+
+
 class DistributedExecutor:
     """Fan chains out to remote worker daemons over sockets."""
 
@@ -218,21 +231,27 @@ class DistributedExecutor:
         spec = ClusterSpec.parse(entry)
         host, port = parse_address(spec.address)
         sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT_S)
-        sock.settimeout(_HANDSHAKE_TIMEOUT_S)
-        send_msg(sock, {"type": "hello", "version": PROTOCOL_VERSION})
-        ack = recv_msg(sock)
-        if ack is None or ack.get("type") != "hello_ack":
-            raise ProtocolError(f"worker {entry} did not acknowledge the handshake: {ack!r}")
-        if ack.get("version") != PROTOCOL_VERSION:
-            raise VersionMismatchError(
-                f"worker {entry} speaks protocol v{ack.get('version')}, "
-                f"coordinator speaks v{PROTOCOL_VERSION}"
+        try:
+            sock.settimeout(_HANDSHAKE_TIMEOUT_S)
+            send_msg(sock, {"type": "hello", "version": PROTOCOL_VERSION})
+            ack = recv_msg(sock)
+            if ack is None or ack.get("type") != "hello_ack":
+                raise ProtocolError(
+                    f"worker {entry} did not acknowledge the handshake: {ack!r}"
+                )
+            if ack.get("version") != PROTOCOL_VERSION:
+                raise VersionMismatchError(
+                    f"worker {entry} speaks protocol v{ack.get('version')}, "
+                    f"coordinator speaks v{PROTOCOL_VERSION}"
+                )
+            send_msg(
+                sock,
+                {"type": "env", "ctx": ctx, "store_entries": store_entries},
+                pickled=True,
             )
-        send_msg(
-            sock,
-            {"type": "env", "ctx": ctx, "store_entries": store_entries},
-            pickled=True,
-        )
+        except BaseException:
+            sock.close()
+            raise
         # Chains can legitimately run for minutes: worker liveness is
         # detected by EOF/reset, not by read timeouts.
         sock.settimeout(None)
@@ -282,6 +301,10 @@ class DistributedExecutor:
             except VersionMismatchError:
                 # A stale daemon is a deployment error: fail the whole
                 # search loudly instead of quietly degrading the fleet.
+                # The workers already connected are released first, or
+                # they would wait for a bye while the traceback holds
+                # their sockets open.
+                _hang_up(workers)
                 raise
             except (OSError, ProtocolError) as exc:
                 self.stats.workers_failed += 1
@@ -432,15 +455,7 @@ class DistributedExecutor:
                     else:
                         raise ProtocolError(f"unexpected message {kind!r} from worker {w.addr}")
         finally:
-            for w in workers:
-                try:
-                    send_msg(w.sock, {"type": "bye"})
-                except OSError:
-                    pass
-                try:
-                    w.sock.close()
-                except OSError:
-                    pass
+            _hang_up(workers)
             sel.close()
 
         assert all(r is not None for r in results)

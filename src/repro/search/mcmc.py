@@ -31,11 +31,14 @@ strategy fingerprint is looked up (store first, then the in-memory LRU)
 function of the strategy (canonical tie-breaking, see
 :mod:`repro.sim.full_sim`), a hit answers the proposal without any
 simulator work -- even an *accepted* hit: the live timeline is left
-lagging behind the chain's current strategy and only fast-forwarded
-(each pending group reconfiguration applied and committed) when the next
-cache *miss* actually needs the simulator.  On a fully warm store a
-chain therefore runs its entire trajectory without simulating anything
-beyond its initial strategy.  Cached and uncached chains take identical
+lagging behind the chain's current strategy and only caught up when the
+next cache *miss* actually needs the simulator.  The lag keeps each
+weight-sharing group's latest change, and the catch-up
+(:meth:`~repro.sim.Simulator.sync`) splices each lagged group once and
+then sweeps once, because only the timeline it ends on is ever read; it
+counts as one simulation.  On a fully warm store a chain therefore runs
+its entire trajectory without simulating anything beyond its initial
+strategy.  Cached and uncached chains take identical
 accept / reject decisions and -- for iteration-bounded chains -- return
 identical results: caching only removes redundant simulator work.  Two
 caveats: with *time-based* stopping (``time_budget_s`` or its wall-clock
@@ -127,7 +130,9 @@ class SearchTrace:
     times_s: list[float] = field(default_factory=list)  # wall-clock per iteration
     accepted: int = 0
     proposed: int = 0
-    simulations: int = 0  # Simulator.propose calls, early-rejected ones included
+    # Simulator.propose calls (early-rejected ones included) plus lag
+    # catch-ups that swept: one each, however many groups a catch-up spliced.
+    simulations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     store_hits: int = 0  # answered by the persistent cross-run store
@@ -135,9 +140,10 @@ class SearchTrace:
     checkpoints: list[tuple[int, float, float]] = field(default_factory=list)
     stop_reason: str = "iterations"
     # Timeline-repair route telemetry, snapshotted from the simulator's
-    # DeltaStats at chain end: how ``auto`` handled each simulated
-    # proposal ("noop" identity short circuits, "full" completed sweeps,
-    # "load_reject"/"sweep_stop" early rejections).
+    # DeltaStats at chain end: how ``auto`` handled each simulation
+    # ("noop" identity short circuits, "full" completed sweeps,
+    # "load_reject"/"sweep_stop" early rejections, "sync" lag catch-ups),
+    # so under ``auto`` the counts sum to ``simulations``.
     route_counts: dict = field(default_factory=dict)
 
     def record(self, cost: float, best: float, t: float) -> None:
@@ -250,10 +256,8 @@ def mcmc_search(
             store.record(fp, cost)
 
     def sync_timeline() -> None:
-        """Fast-forward the simulator through pending accepted changes."""
-        for lag_op, lag_cfg in lag.values():
-            simulator.propose(lag_op, lag_cfg)
-            simulator.commit()
+        """Catch the simulator up with the lag: one sweep, if anything changed."""
+        if simulator.sync(lag.values()):
             trace.simulations += 1
         lag.clear()
 
@@ -344,7 +348,7 @@ def mcmc_search(
                     # Decision came from the cache/store: defer the
                     # timeline update until a miss actually needs it.
                     # Keyed by weight-sharing group, so a later change to
-                    # the same group supersedes the earlier one; replay
+                    # the same group supersedes the earlier one; splice
                     # order is otherwise irrelevant (costs are pure
                     # functions of the strategy).
                     lag[graph.group_key(op_id)] = (op_id, new_cfg)

@@ -80,7 +80,9 @@ class DeltaStats:
     counts: ``"noop"`` for identity proposals it short-circuits before
     the splice, ``"full"`` for completed full sweeps, ``"load_reject"``
     for proposals its pre-splice load bound rejects, and ``"sweep_stop"``
-    for sweeps stopped by their rejection bound.
+    for sweeps stopped by their rejection bound -- plus ``"sync"`` for
+    the one sweep of each lag catch-up
+    (:meth:`~repro.sim.simulator.Simulator.sync`).
     """
 
     invocations: int = 0

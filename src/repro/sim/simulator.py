@@ -18,7 +18,8 @@ algorithms share the same incremental task-graph update:
     the splice, then the sweep's load-plus-idle bound
     (:func:`~repro.sim.full_sim.full_simulate`).  Every decision is
     counted in ``DeltaStats.route_counts`` (``"noop"``, ``"full"``,
-    ``"load_reject"``, ``"sweep_stop"``), which rides through ``SearchTrace`` into
+    ``"load_reject"``, ``"sweep_stop"``, and ``"sync"`` for a lag
+    catch-up, below), which rides through ``SearchTrace`` into
     ``PlanResult.extras``, the ``result.summary()`` repair line and the
     ``repro.exp`` trial rows;
 ``"delta"``
@@ -36,6 +37,11 @@ early rejection only ever replaces a cost the caller would reject.
 the times of nearly every later task: on the end-to-end benchmark's
 searches no incremental repair beats the full sweep (README "Timeline
 algorithms" has the measurements).
+
+:meth:`Simulator.sync` catches the live state up with changes decided
+elsewhere -- the MCMC chain's lag of proposals a cache or store
+answered: it splices every changed group and sweeps once, under every
+algorithm, since only the timeline the catch-up ends on is ever read.
 """
 
 from __future__ import annotations
@@ -214,6 +220,32 @@ class Simulator:
         self._pending = None
         self.reverts += 1
         return self.timeline.makespan
+
+    def sync(self, changes) -> bool:
+        """Catch up with already-decided ``(op_id, cfg)`` changes in one sweep.
+
+        Splices each change whose config differs from the live one (no
+        undo record), then runs one full sweep: a cost is a pure function
+        of the strategy, so only the timeline the catch-up ends on is
+        needed.  ``delta`` takes the same sweep, which is bit-identical to
+        what it would repair.  Returns whether it swept; ``auto`` counts
+        each sweep as route ``"sync"``.  Not valid while a proposal is
+        pending.
+        """
+        if self._pending is not None:
+            raise RuntimeError("a proposal is pending (commit or revert first)")
+        tg = self.task_graph
+        spliced = False
+        for op_id, cfg in changes:
+            if cfg != tg.strategy[op_id]:
+                tg.replace_config(op_id, cfg)
+                spliced = True
+        if not spliced:
+            return False
+        self.timeline = full_simulate(tg)
+        if self.algorithm == "auto":
+            self._count("sync")
+        return True
 
     def metrics(self) -> IterationMetrics:
         return compute_metrics(self.task_graph, self.timeline)

@@ -135,6 +135,7 @@ class TestDefaultsAndSummary:
             "noop": "identity no-op",
             "load_reject": "load rejection",
             "sweep_stop": "stopped sweep",
+            "sync": "lag sync",
         }
         assert set(routes) <= set(names) and routes.get("full", 0) > 0
         line = next(s for s in res.summary().splitlines() if s.startswith("timeline repair:"))
@@ -150,6 +151,7 @@ class TestDefaultsAndSummary:
             _repair_mix({"noop": 2, "load_reject": 4, "full": 20, "sweep_stop": 9})
             == "20 full sweeps, 9 stopped sweeps, 4 load rejections, 2 identity no-ops"
         )
+        assert _repair_mix({"full": 12, "sync": 3}) == "12 full sweeps, 3 lag syncs"
 
     def test_summary_omits_the_line_without_route_counts(self, lenet_graph, topo4):
         res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search(

@@ -724,6 +724,32 @@ class TestVersionMismatch:
             srv.close()
             t.join(timeout=10)
 
+    def test_refusal_releases_the_workers_already_connected(self, lenet_graph, topo2):
+        """A real daemon that completed the handshake before the stale one
+        gets its ``bye``, and the stale one's socket is closed: the
+        ``--once`` daemon exits and the stale one sees EOF while the
+        exception, and the frames its traceback holds, are still alive."""
+        proc, good = spawn_local_worker(once=True)
+        srv, t = self._stale_daemon(2)
+        stale = f"127.0.0.1:{srv.getsockname()[1]}"
+        specs = make_specs(lenet_graph, topo2, n=1, iterations=5)
+        ctx = ExecutionContext(
+            graph=lenet_graph, topology=topo2, profiler=OpProfiler(), cluster=(good, stale)
+        )
+        try:
+            with pytest.raises(VersionMismatchError) as refused:
+                DistributedExecutor().run(ctx, specs)
+            assert refused.value.__traceback__ is not None
+            proc.wait(timeout=10)
+            t.join(timeout=10)
+            assert not t.is_alive()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=10)  # reaps it and closes its pipes
+            srv.close()
+            t.join(timeout=10)
+
     def test_mismatch_is_a_protocol_error(self):
         # Callers catching ProtocolError keep working.
         assert issubclass(VersionMismatchError, ProtocolError)

@@ -1,9 +1,11 @@
 """Model-based test of the simulator's speculative reconfiguration.
 
 For every timeline algorithm a hypothesis state machine interleaves
-``propose`` (random and identity configs), ``commit``, ``revert`` and
-``reconfigure`` on small random MLP and weight-shared LSTM graphs.  After
-every step the live timeline must equal a literal Algorithm 1
+``propose`` (random and identity configs), ``commit``, ``revert``,
+``reconfigure`` and ``sync`` (a batch of already-decided changes, as the
+MCMC chain's lag catch-up applies them: some identities, some to a group
+the batch already changed) on small random MLP and weight-shared LSTM
+graphs.  After every step the live timeline must equal a literal Algorithm 1
 (``sim_helpers.algorithm1``) bit for bit, the cost must be its makespan,
 and the task graph must pass ``TaskGraph.check_consistent``: well-formed
 rows, free slots and bookkeeping, and task by task equal to a build of
@@ -109,6 +111,37 @@ class SimulatorMachine(RuleBasedStateMachine):
     def reconfigure(self, pick, identity):
         oid, cfg = self._draw(pick, identity)
         assert self.sim.reconfigure(oid, cfg) == self.sim.cost
+
+    @precondition(lambda self: self.before is None)
+    @rule(
+        changes=st.lists(
+            st.tuples(st.integers(0, 2**20), st.sampled_from(["random", "identity", "regroup"])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def sync(self, changes):
+        graph = self.graph
+        expected = dict(self.sim.strategy.items())
+        batch, changed = [], False
+        for pick, how in changes:
+            if how == "regroup" and batch:
+                # Another change to a group the batch already changed,
+                # through any of its members.
+                members = graph.group_members(batch[pick % len(batch)][0])
+                oid = members[pick % len(members)]
+                cfg = self.space.random_config(oid, np.random.default_rng(pick))
+            else:
+                oid, cfg = self._draw(pick, how == "identity")
+            batch.append((oid, cfg))
+            changed |= cfg != expected[oid]
+            for m in graph.group_members(oid):
+                expected[m] = cfg
+        syncs = self.sim.delta_stats.route_counts.get("sync", 0)
+        assert self.sim.sync(batch) == changed
+        assert dict(self.sim.strategy.items()) == expected
+        counted = changed and self.algorithm == "auto"
+        assert self.sim.delta_stats.route_counts.get("sync", 0) == syncs + counted
 
     @invariant()
     def timeline_is_a_full_sweep(self):
