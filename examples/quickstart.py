@@ -38,7 +38,7 @@ def main() -> None:
     # 4. The execution optimizer: MCMC over the SOAP space (Section 6),
     #    through the unified planner facade.  The config is a frozen
     #    dataclass that round-trips through JSON (`cfg.to_json()`), ready
-    #    to ship to remote search workers.
+    #    to ship to a planning server (step 10).
     planner = Planner(graph, topo, profiler=profiler)
     cfg = SearchConfig(
         budget=BudgetConfig(iterations=500),
@@ -90,27 +90,13 @@ def main() -> None:
     print(f"\nexperiment spec '{spec.name}': {len(spec.trials())} trials, "
           f"first: {spec.trials()[0].trial_id}")
 
-    # 9. Distributed search: the MCMC chains can run on worker daemons
-    #    instead of this process.  Start one per machine:
+    # 9. Parallel chains: the MCMC chains can run on a local process
+    #    pool instead of one after another in this process,
     #
-    #        python -m repro.search.worker --bind 0.0.0.0:7070
+    #        planner.search("mcmc", cfg.replace(execution=ExecutionConfig(workers=2)))
     #
-    #    (--capacity N serves N concurrent chains per daemon) and point
-    #    the (still JSON-serializable) config at them:
-    #
-    #        cfg = cfg.replace(execution=ExecutionConfig(
-    #            executor="distributed",
-    #            cluster=("gpu-a:7070", "gpu-b:7070*2"),  # *2 caps in-flight chains
-    #        ))
-    #        planner.search("mcmc", cfg)
-    #
-    #    Results are bit-identical to the local executors for the same
-    #    seeds; dead workers re-queue their chains (an errored chain is
-    #    retried once on a different worker) and evaluations flush back
-    #    to the coordinator's store without a shared filesystem.
-    #    See examples/distributed_search.py for a runnable loopback demo.
-    print("\ndistributed search: see examples/distributed_search.py "
-          "(python -m repro.search.worker --bind HOST:PORT)")
+    #    with bit-identical results for the same seeds: every chain
+    #    carries its own seed, so where it runs is pure capacity.
 
     # 10. Planner as a service: a resident server (python -m
     #    repro.plan.serve) interns the problem on first sight and keeps

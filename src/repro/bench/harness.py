@@ -61,11 +61,9 @@ class BenchScale:
     # persistence).  Sweeps that re-search the same (model, cluster) pair
     # warm-start from it; see repro.search.store.
     store_dir: str | None = None
-    # Chain executor ("auto"/"inprocess"/"pool"/"distributed") and the
-    # worker-daemon cluster for the distributed one; results are
+    # Chain executor ("auto"/"inprocess"/"pool"); results are
     # bit-identical across executors (see repro.search.exec).
     search_executor: str = "auto"
-    search_cluster: tuple[str, ...] = ()
     # Timeline algorithm driving every search's simulator
     # ("auto"/"full"/"delta"); result-neutral (bit-identical timelines),
     # pure throughput.  "auto" skips identity proposals and re-simulates
@@ -105,12 +103,10 @@ def current_scale() -> BenchScale:
 
     ``REPRO_WORKERS`` and ``REPRO_CACHE`` override the scale's search
     fan-out and cache capacity, ``REPRO_CACHE_DIR`` points the persistent
-    cross-run strategy store at a directory, ``REPRO_EXECUTOR`` /
-    ``REPRO_CLUSTER`` select the chain executor and its worker-daemon
-    cluster (comma-separated ``host:port[*capacity]`` list), and
-    ``REPRO_SIM_ALGO`` picks the timeline algorithm
-    (``auto``/``full``/``delta``) -- results are invariant
-    to all of these; only wall time and cache accounting change.
+    cross-run strategy store at a directory, ``REPRO_EXECUTOR`` selects
+    the chain executor, and ``REPRO_SIM_ALGO`` picks the timeline
+    algorithm (``auto``/``full``/``delta``) -- results are invariant to
+    all of these; only wall time and cache accounting change.
     """
     scale = FULL_SCALE if os.environ.get("REPRO_FULL") == "1" else CI_SCALE
     overrides = {}
@@ -122,10 +118,6 @@ def current_scale() -> BenchScale:
         overrides["store_dir"] = os.environ["REPRO_CACHE_DIR"]
     if os.environ.get("REPRO_EXECUTOR"):
         overrides["search_executor"] = os.environ["REPRO_EXECUTOR"]
-    if os.environ.get("REPRO_CLUSTER"):
-        from repro.search.exec import parse_cluster
-
-        overrides["search_cluster"] = parse_cluster(os.environ["REPRO_CLUSTER"])
     if os.environ.get("REPRO_SIM_ALGO"):
         from repro.sim.simulator import ALGORITHMS
 
@@ -186,12 +178,12 @@ def search_config(
 
     Every benchmark search goes through this one translation, so the
     env-var overrides (``REPRO_WORKERS``/``REPRO_CACHE``/
-    ``REPRO_CACHE_DIR``/``REPRO_EXECUTOR``/``REPRO_CLUSTER``) reach the
-    unified planner API uniformly.  The
-    backend-specific knobs the scale owns (REINFORCE's episode budget)
-    ride along in ``backend_options``.  Pass ``store_dir=None`` to force
-    persistence *off* even when the scale names a store directory (the
-    controlled warm/cold A-B benches need a deliberately cold store).
+    ``REPRO_CACHE_DIR``/``REPRO_EXECUTOR``) reach the unified planner
+    API uniformly.  The backend-specific knobs the scale owns
+    (REINFORCE's episode budget) ride along in ``backend_options``.
+    Pass ``store_dir=None`` to force persistence *off* even when the
+    scale names a store directory (the controlled warm/cold A-B benches
+    need a deliberately cold store).
     """
     return SearchConfig(
         budget=BudgetConfig(iterations=budget_iters if budget_iters is not None else scale.search_iters),
@@ -199,7 +191,6 @@ def search_config(
             workers=workers if workers is not None else scale.search_workers,
             cache_size=cache_size if cache_size is not None else scale.sim_cache_size,
             executor=scale.search_executor,
-            cluster=scale.search_cluster,
         ),
         store=StoreConfig(root=scale.store_dir if store_dir is ... else store_dir),
         inits=tuple(inits),

@@ -3,9 +3,9 @@
 The evaluation layer on top of :mod:`repro.plan`: declare a grid of
 models x clusters x backends x seeds x store warm/cold x executors as a
 frozen, JSON-round-trippable :class:`ExperimentSpec`; execute it with
-:class:`ExperimentRunner` (per-trial timeout, failure capture, resume,
-loopback distributed fleets); accumulate every outcome in an append-only
-flock-guarded :class:`ResultsTable` shard keyed by the spec digest; and
+:class:`ExperimentRunner` (per-trial timeout, failure capture, resume);
+accumulate every outcome in an append-only flock-guarded
+:class:`ResultsTable` shard keyed by the spec digest; and
 render cross-experiment comparison tables plus regression deltas against
 a baseline run with :func:`render_report` -- exit-nonzero on threshold
 breach, so CI gates on the trajectory instead of overwriting it.

@@ -13,7 +13,7 @@ Subcommands:
     Summarize every shard under the table root.
 ``--smoke``
     Self-contained end-to-end check in a temp directory: tiny grid
-    (including one distributed-executor trial), injected failure, resume
+    (including one ``pool``-executor trial), injected failure, resume
     with zero re-executions, fresh second run, regression report.
 """
 
@@ -78,7 +78,7 @@ def _cmd_list(args) -> int:
 def _smoke() -> int:
     """End-to-end console check (CI's experiment-smoke fast path)."""
     from repro.exp.spec import ClusterPoint, ExperimentSpec
-    from repro.plan import BudgetConfig, SearchConfig
+    from repro.plan import BudgetConfig, ExecutionConfig, SearchConfig
 
     spec = ExperimentSpec(
         name="smoke",
@@ -87,10 +87,13 @@ def _smoke() -> int:
         backends=("mcmc",),
         seeds=(0,),
         store_modes=("cold", "warm"),
-        executors=("inprocess", "distributed"),
-        distributed_workers=1,
+        executors=("inprocess", "pool"),
         trial_timeout_s=120.0,
-        search=SearchConfig(budget=BudgetConfig(iterations=8), inits=("data_parallel",)),
+        search=SearchConfig(
+            budget=BudgetConfig(iterations=8),
+            execution=ExecutionConfig(workers=2),
+            inits=("data_parallel", "random"),
+        ),
     )
     fail_id = spec.trials()[0].trial_id
     with tempfile.TemporaryDirectory(prefix="repro-exp-smoke-") as root:
@@ -121,7 +124,7 @@ def _smoke() -> int:
             if r.get("store_mode") == "warm" and r.get("status") == "ok"
         ]
         assert warm and all(r["store_warm_hits"] > 0 for r in warm), warm
-    print("[exp] smoke OK: grid + distributed trial + failure capture + resume + report")
+    print("[exp] smoke OK: grid + pool trial + failure capture + resume + report")
     return 0
 
 

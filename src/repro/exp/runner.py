@@ -23,12 +23,6 @@ timeouts
     ``spec.trial_timeout_s`` bounds each trial via ``SIGALRM`` (main
     thread on POSIX; silently unenforced elsewhere) -- a hung search
     becomes an error row, not a hung run.
-distributed trials
-    Trials whose executor is ``"distributed"`` run their chains on
-    worker daemons: the addresses in ``spec.search.execution.cluster``
-    when set, else a loopback fleet of ``spec.distributed_workers``
-    daemons spawned once per run (first distributed trial) and
-    terminated when the run ends.
 store modes
     ``"warm"`` trials share one store root under the table root
     (``<root>/store/<spec digest>``), so they hit evaluations earlier
@@ -43,14 +37,14 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.bench.harness import cluster as build_cluster
 from repro.exp.results import ResultsTable
 from repro.exp.spec import ExperimentSpec, Trial
 from repro.models.registry import get_model
-from repro.plan import ExecutionConfig, Planner, StoreConfig
+from repro.plan import Planner, StoreConfig
 
 __all__ = ["InjectedFailure", "TrialTimeout", "RunStats", "ExperimentRunner", "run_experiment"]
 
@@ -134,8 +128,6 @@ class ExperimentRunner:
         self._graphs: dict = {}
         self._topos: dict = {}
         self._planners: dict = {}
-        self._fleet_procs: list = []
-        self._fleet_addrs: tuple[str, ...] = ()
 
     # -- run-id / resume ---------------------------------------------------
     def _pick_run(self, results) -> tuple[str, set[str]]:
@@ -172,54 +164,9 @@ class ExperimentRunner:
     def _warm_store_root(self) -> str:
         return str(self.table.root / "store" / self.digest)
 
-    def _distributed_cluster(self) -> tuple[str, ...]:
-        """The worker fleet distributed trials dispatch to, spawning the
-        loopback daemons on first use when the spec names no addresses."""
-        if self.spec.search.execution.cluster:
-            return self.spec.search.execution.cluster
-        if not self._fleet_addrs:
-            from repro.search.worker import spawn_local_worker
-
-            procs, addrs = [], []
-            for _ in range(self.spec.distributed_workers):
-                proc, addr = spawn_local_worker()
-                procs.append(proc)
-                addrs.append(addr)
-            self._fleet_procs = procs
-            self._fleet_addrs = tuple(addrs)
-            self._progress(f"[exp] spawned loopback worker fleet: {', '.join(addrs)}")
-        return self._fleet_addrs
-
-    def _shutdown_fleet(self) -> None:
-        for proc in self._fleet_procs:
-            try:
-                proc.terminate()
-                proc.wait(timeout=10)
-            except Exception:
-                try:
-                    proc.kill()
-                except Exception:
-                    pass
-        self._fleet_procs = []
-        self._fleet_addrs = ()
-
     def _trial_config(self, trial: Trial):
         cfg = self.spec.search
-        execution = cfg.execution
-        if trial.executor == "distributed":
-            execution = ExecutionConfig(
-                workers=execution.workers,
-                cache_size=execution.cache_size,
-                executor="distributed",
-                cluster=self._distributed_cluster(),
-            )
-        else:
-            execution = ExecutionConfig(
-                workers=execution.workers,
-                cache_size=execution.cache_size,
-                executor=trial.executor,
-                cluster=(),
-            )
+        execution = replace(cfg.execution, executor=trial.executor)
         store = (
             StoreConfig(root=self._warm_store_root(), shared=cfg.store.shared)
             if trial.store_mode == "warm"
@@ -273,36 +220,33 @@ class ExperimentRunner:
             f"[exp] {self.spec.name}: run {run_id}, {len(trials)} trials "
             f"({len(done & {t.trial_id for t in trials})} already recorded)"
         )
-        try:
-            for trial in trials:
-                if trial.trial_id in done:
-                    stats.skipped += 1
-                    continue
-                try:
-                    outcome = self._execute_trial(trial)
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:
-                    outcome = {
-                        "status": "error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "error_trace": "".join(
-                            traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
-                        )[-2000:],
-                    }
-                    stats.errors += 1
-                    stats.error_trials.append(trial.trial_id)
-                    self._progress(f"[exp]   {trial.trial_id}: ERROR {outcome['error']}")
-                else:
-                    self._progress(
-                        f"[exp]   {trial.trial_id}: ok "
-                        f"cost={outcome['cost_us'] / 1e3:.3f}ms wall={outcome['wall_s']:.2f}s"
-                    )
-                row = {**base, **trial.to_row(), "group": trial.group, **outcome}
-                stats.rows_appended += self.table.append(self.digest, [row])
-                stats.executed += 1
-        finally:
-            self._shutdown_fleet()
+        for trial in trials:
+            if trial.trial_id in done:
+                stats.skipped += 1
+                continue
+            try:
+                outcome = self._execute_trial(trial)
+            except KeyboardInterrupt:
+                raise
+            except BaseException as exc:
+                outcome = {
+                    "status": "error",
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "error_trace": "".join(
+                        traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
+                    )[-2000:],
+                }
+                stats.errors += 1
+                stats.error_trials.append(trial.trial_id)
+                self._progress(f"[exp]   {trial.trial_id}: ERROR {outcome['error']}")
+            else:
+                self._progress(
+                    f"[exp]   {trial.trial_id}: ok "
+                    f"cost={outcome['cost_us'] / 1e3:.3f}ms wall={outcome['wall_s']:.2f}s"
+                )
+            row = {**base, **trial.to_row(), "group": trial.group, **outcome}
+            stats.rows_appended += self.table.append(self.digest, [row])
+            stats.executed += 1
         stats.wall_s = time.perf_counter() - t0
         self._progress(
             f"[exp] {self.spec.name}/{run_id}: {stats.executed} executed "

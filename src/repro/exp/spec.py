@@ -156,9 +156,6 @@ class ExperimentSpec:
     executors: tuple[str, ...] = ("inprocess",)
     algorithms: tuple[str, ...] = ("auto",)
     model_scale: str = "ci"
-    # Loopback worker daemons the runner spawns when a trial's executor is
-    # "distributed" and ``search.execution.cluster`` names no addresses.
-    distributed_workers: int = 2
     # Per-trial wall-clock limit; a trial past it records an error row and
     # the run continues (None disables).
     trial_timeout_s: float | None = None
@@ -195,8 +192,6 @@ class ExperimentSpec:
                 )
         if len(set(t.trial_id for t in self.trials())) != len(self.trials()):
             raise ValueError("duplicate axis values collapse trial ids; deduplicate the spec")
-        if self.distributed_workers < 1:
-            raise ValueError("distributed_workers must be >= 1")
         if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
             raise ValueError("trial_timeout_s must be positive (or None)")
         if not 0 <= self.regression_threshold:
@@ -239,7 +234,6 @@ class ExperimentSpec:
             "executors": list(self.executors),
             "algorithms": list(self.algorithms),
             "model_scale": self.model_scale,
-            "distributed_workers": self.distributed_workers,
             "trial_timeout_s": self.trial_timeout_s,
             "regression_threshold": self.regression_threshold,
             "search": self.search.to_dict(),

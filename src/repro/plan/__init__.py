@@ -26,32 +26,22 @@ Quickstart::
 ``python -m repro.plan --list-backends`` prints the registry (CI runs it
 so backend-registration breakage fails loudly).
 
-Distributed search
-------------------
-The ``mcmc`` backend's chains can execute on remote worker daemons: start
-``python -m repro.search.worker --bind 0.0.0.0:7070`` on each machine and
-point the config at them::
+Parallel chains
+---------------
+The ``mcmc`` backend's chains can run on a local process pool::
 
-    cfg = SearchConfig(
-        execution=ExecutionConfig(
-            executor="distributed",
-            cluster=("gpu-a:7070", "gpu-b:7070"),
-        ),
-    )
+    cfg = SearchConfig(execution=ExecutionConfig(workers=4))
     result = planner.search("mcmc", cfg)
 
 Results are bit-identical to ``executor="inprocess"`` for the same seeds
-(chains are pure functions of their spec); dead workers are re-queued,
-a chain errored by one worker is retried once on a different one, and
-remote evaluations flush back into the coordinator's persistent store --
-no shared filesystem required.  See :mod:`repro.search.exec`.
+(chains are pure functions of their spec).  See :mod:`repro.search.exec`.
 
 Planning server
 ---------------
 For interactive callers there is also a *resident* planning service:
-``python -m repro.plan.serve`` keeps interned problems, open store
-shards, and (optionally) a standing worker fleet warm between requests,
-with admission control and in-flight request dedup.  Talk to it with
+``python -m repro.plan.serve`` keeps interned problems and open store
+shards warm between requests, with admission control and in-flight
+request dedup.  Talk to it with
 :class:`PlanClient` (or one-shot :func:`plan_remote`)::
 
     from repro.plan import PlanClient

@@ -142,12 +142,8 @@ class McmcBackend:
         store_context = _store_context(planner, config)
         executor = execution.executor
         if executor == "auto":
-            # A configured cluster is an explicit request for remote
-            # workers; otherwise fan out locally when it can actually help.
-            if execution.cluster:
-                executor = "distributed"
-            else:
-                executor = "pool" if workers > 1 and len(specs) > 1 else "inprocess"
+            # Fan out locally only when it can actually help.
+            executor = "pool" if workers > 1 and len(specs) > 1 else "inprocess"
         ctx = ExecutionContext(
             graph=graph,
             topology=topology,
@@ -160,7 +156,6 @@ class McmcBackend:
             store_context=store_context,
             store_shared=config.store.shared,
             workers=workers,
-            cluster=tuple(execution.cluster),
         )
         results = get_executor(executor).run(ctx, specs)
         wall = time.perf_counter() - t0

@@ -1,7 +1,7 @@
 """Client for the planning server (:mod:`repro.plan.serve`).
 
-:class:`PlanClient` speaks the plan dialect of the length-prefixed wire
-protocol (:mod:`repro.search.exec.protocol`) and mirrors the
+:class:`PlanClient` speaks the length-prefixed wire protocol of
+:mod:`repro.plan.protocol` and mirrors the
 :class:`~repro.plan.Planner` surface over the network::
 
     from repro.plan.client import PlanClient
@@ -28,7 +28,7 @@ to hold many sessions; admission control and per-session fairness are
 its job, see :mod:`repro.plan.serve`).
 
 Only connect over trusted networks: requests and results travel as
-pickles (see :mod:`repro.search.exec.protocol`).
+pickles (see :mod:`repro.plan.protocol`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from typing import Any
 from repro.plan.config import SearchConfig
 from repro.plan.errors import PlanRejectedError, PlanServiceError
 from repro.plan.result import PlanResult
-from repro.search.exec.protocol import (
+from repro.plan.protocol import (
     SERVE_PROTOCOL_VERSION,
     ProtocolError,
+    parse_address,
     recv_msg,
     send_msg,
 )
@@ -56,11 +57,9 @@ class PlanClient:
     """One connection to a planning server (see module docstring)."""
 
     def __init__(self, address: str, *, connect_timeout_s: float = _CONNECT_TIMEOUT_S):
-        host, _, port = address.rpartition(":")
-        if not host:
-            raise ValueError(f"server address {address!r} is not of the form host:port")
+        host, port = parse_address(address)
         self.address = address
-        self._sock = socket.create_connection((host, int(port)), timeout=connect_timeout_s)
+        self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
         self._sock.settimeout(_HANDSHAKE_TIMEOUT_S)
         try:
             send_msg(self._sock, {"type": "plan_hello", "version": SERVE_PROTOCOL_VERSION})

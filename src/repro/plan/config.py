@@ -68,31 +68,21 @@ class ExecutionConfig:
     """How chains execute: executor selection, fan-out, and cache size.
 
     ``executor`` names a registered chain executor
-    (:mod:`repro.search.exec`): ``"auto"`` (distributed when ``cluster``
-    is non-empty, else pool when ``workers > 1``, else in-process),
-    ``"inprocess"``, ``"pool"``, or ``"distributed"`` -- the last
-    dispatching chains to the
-    ``python -m repro.search.worker`` daemons listed in ``cluster`` as
-    ``"host:port"`` strings (``"host:port*N"`` caps the chains in flight
-    there at ``N``).  The fleet is the cluster: it is fixed for the whole
-    search, and no worker joins once dispatch has started.  Results are
-    bit-identical across executors for a fixed seed set; the choice is
-    pure capacity.
+    (:mod:`repro.search.exec`): ``"auto"`` (pool when ``workers > 1``
+    and there is more than one chain, else in-process), ``"inprocess"``,
+    or ``"pool"`` (a local process pool of ``workers`` processes).
+    Results are bit-identical across executors for a fixed seed set; the
+    choice is pure capacity.
     """
 
     workers: int = 1
     cache_size: int = DEFAULT_CACHE_SIZE
     executor: str = "auto"
-    cluster: tuple[str, ...] = ()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionConfig":
         _check_keys(cls, data, "ExecutionConfig")
-        kwargs: dict[str, Any] = dict(data)
-        if "cluster" in kwargs:
-            # JSON has no tuples: round-trip the address list losslessly.
-            kwargs["cluster"] = tuple(kwargs["cluster"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -152,8 +142,8 @@ class SearchConfig:
     # full sweep -- see repro.sim.simulator), "delta" (cut-time
     # incremental repair, kept for the paper's Table 4), or "full"
     # (from-scratch on every proposal).  Result-neutral -- all three are
-    # bit-identical -- and serialized like every other field, so remote
-    # ChainSpec dispatch honors it.
+    # bit-identical -- and serialized like every other field, so a
+    # planning server honors it.
     algorithm: str = "auto"
     beta_scale: float = 50.0
     backend_options: dict = field(default_factory=dict)
@@ -177,10 +167,7 @@ class SearchConfig:
         """A JSON-safe nested dict (tuples become lists)."""
         return {
             "budget": dataclasses.asdict(self.budget),
-            "execution": {
-                **dataclasses.asdict(self.execution),
-                "cluster": list(self.execution.cluster),
-            },
+            "execution": dataclasses.asdict(self.execution),
             "store": dataclasses.asdict(self.store),
             "early_stop": dataclasses.asdict(self.early_stop),
             "inits": list(self.inits),

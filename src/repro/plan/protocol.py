@@ -1,37 +1,20 @@
-"""Wire protocol between the distributed coordinator and worker daemons.
+"""Wire protocol between the planning server and its clients.
 
 Frames are length-prefixed: a one-byte encoding tag (``J`` for UTF-8
 JSON, ``P`` for pickle) followed by a 4-byte big-endian payload length
-and the payload.  Control messages (handshake, best-cost broadcasts,
-shutdown) travel as JSON so a daemon can be probed with ``nc``; anything
-carrying live Python objects (the problem environment, chain specs and
-results) travels as pickle.  Every message is a dict with a ``"type"``
-key.
+and the payload.  Control messages (handshake, stats, shutdown) travel
+as JSON so a server can be probed with ``nc``; anything carrying live
+Python objects (problems, configs, results) travels as pickle.  Every
+message is a dict with a ``"type"`` key.
 
-The protocol is versioned: the coordinator's ``hello`` carries
-:data:`PROTOCOL_VERSION` and a worker refuses mismatched coordinators,
-so a cluster of stale daemons fails loudly at handshake instead of
-corrupting a search.  Version-mismatch errors
-(:class:`VersionMismatchError`) always name both sides' versions.
-
-The worker dialect's frames: ``hello`` / ``hello_ack`` (JSON handshake;
-the ack carries the daemon's version, pid and chain capacity), ``env``
-(pickle: the :class:`~repro.search.exec.base.ExecutionContext` plus a
-snapshot of the coordinator's store entries), ``chain`` and ``result``
-(pickle: a spec out, a result and the worker's new evaluations back),
-``best`` (JSON: an improved cost, upstream and re-broadcast for early
-stop), ``error`` (JSON: a chain that failed on the worker) and ``bye``.
-
-Planning-service dialect
-------------------------
-The planning server (:mod:`repro.plan.serve`) rides the same frame
-format with its own message types and its own version constant
-(:data:`SERVE_PROTOCOL_VERSION`), so the worker and plan dialects evolve
-independently:
+The plan dialect (:mod:`repro.plan.serve`, :mod:`repro.plan.client`):
 
 ``plan_hello`` / ``plan_hello_ack``
     JSON handshake (client sends its version; the server acks with
-    version and pid).
+    version and pid).  Each side refuses a peer speaking another
+    :data:`SERVE_PROTOCOL_VERSION`: the client raises a
+    :class:`ProtocolError` naming both versions, and the server ends the
+    session.
 ``plan_request``
     Pickle: ``{id, backend, config}`` plus either a full ``problem``
     (graph/topology/profiler/training) or a bare ``digest`` naming a
@@ -45,12 +28,12 @@ independently:
     JSON: the server's counters (requests, dedup, interned problems,
     queue depth) -- probe-able with ``nc``.
 ``bye``
-    Ends the session (shared with the worker dialect).
+    Ends the session.
 
 Security note: pickle frames execute arbitrary code on unpickling, as in
-every pickle-based RPC (``multiprocessing`` included).  Worker daemons
-and planning servers must only be bound on trusted networks; they are
-internal services, not public ones.
+every pickle-based RPC (``multiprocessing`` included).  Planning servers
+must only be bound on trusted networks; they are internal services, not
+public ones.
 """
 
 from __future__ import annotations
@@ -62,24 +45,24 @@ import struct
 from typing import Any
 
 __all__ = [
-    "PROTOCOL_VERSION",
+    "MAX_FRAME_BYTES",
     "SERVE_PROTOCOL_VERSION",
     "ProtocolError",
-    "VersionMismatchError",
+    "parse_address",
     "send_msg",
     "recv_msg",
 ]
 
-# v3: v1's frames; v2's join, evaluation-sharing and budget frames are gone.
-PROTOCOL_VERSION = 3
-SERVE_PROTOCOL_VERSION = 1
+# v2: ``ExecutionConfig`` lost its ``cluster`` field, so a v1 client's
+# every request would fail to parse; the handshake refuses it instead.
+SERVE_PROTOCOL_VERSION = 2
 
 _TAG_JSON = b"J"
 _TAG_PICKLE = b"P"
 _LEN = struct.Struct("!I")
 # A frame larger than this is a corrupt length prefix, not a real
-# payload (the biggest legitimate frame is the pickled problem
-# environment -- a few MB for paper-scale graphs).
+# payload (the biggest legitimate frame is a pickled problem -- a few MB
+# for paper-scale graphs).
 MAX_FRAME_BYTES = 1 << 30
 
 
@@ -87,13 +70,31 @@ class ProtocolError(RuntimeError):
     """A malformed or version-mismatched frame."""
 
 
-class VersionMismatchError(ProtocolError):
-    """Handshake between different protocol versions.
+def parse_address(addr: str, *, bind: bool = False) -> tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)``; loud on malformed addresses.
 
-    A stale daemon in the cluster is a deployment error, not a transient
-    fault: the coordinator raises this instead of degrading to the
-    surviving workers, and the message names both sides' versions.
+    The port must be an integer in 1-65535; a ``bind`` address may also
+    use port 0, which asks the kernel for a free port.  (``socket``
+    itself would wrap port 70000 to 4464 when connecting, and only fail
+    on it when binding.)
     """
+    host, sep, port = addr.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"address {addr!r} is not of the form host:port")
+    try:
+        port_n = int(port)
+    except ValueError:
+        raise ValueError(
+            f"address {addr!r} is not of the form host:port "
+            f"(port {port!r} is not an integer)"
+        ) from None
+    low = 0 if bind else 1
+    if not low <= port_n <= 65535:
+        raise ValueError(
+            f"address {addr!r} is not of the form host:port "
+            f"(port {port_n} is outside {low}-65535)"
+        )
+    return host, port_n
 
 
 def send_msg(sock: socket.socket, msg: dict, *, pickled: bool = False) -> None:

@@ -16,12 +16,9 @@ per invocation:
   :func:`~repro.search.store.shared_store` handle per shard stays open
   and parsed across requests instead of being re-read from disk each
   run.
-* **Warm worker fleet.**  ``--cluster host:port,...`` points every
-  search at a standing fleet of ``python -m repro.search.worker``
-  daemons; ``--workers N`` selects local pool fan-out instead.
-  Execution resources belong to the server -- cluster entries in client
-  configs are ignored.  The fleet is fixed for the server's lifetime:
-  changing it takes a restart.
+* **Server-owned fan-out.**  ``--workers N`` replaces the pool fan-out
+  (``ExecutionConfig.workers``) of every request, so execution
+  resources belong to the server, not to its clients.
 
 Production behaviour:
 
@@ -50,7 +47,7 @@ stdout (with ``--bind host:0`` the kernel picks the port), which is what
 :func:`spawn_local_server` and the CI ``serve-smoke`` job parse.
 
 Only bind on trusted networks: requests and results travel as pickles
-(see :mod:`repro.search.exec.protocol`).
+(see :mod:`repro.plan.protocol`).
 """
 
 from __future__ import annotations
@@ -68,18 +65,18 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.plan.config import ExecutionConfig, SearchConfig, StoreConfig
+from repro.plan.config import SearchConfig, StoreConfig
 from repro.plan.planner import Planner
-from repro.search.exec.distributed import dedupe_cluster
-from repro.search.exec.protocol import (
+from repro.plan.protocol import (
     SERVE_PROTOCOL_VERSION,
     ProtocolError,
+    parse_address,
     recv_msg,
     send_msg,
 )
 from repro.search.store import flush_shared_stores, shared_store
 
-__all__ = ["PlanServer", "ServeStats", "serve", "spawn_local_server", "main"]
+__all__ = ["PlanServer", "ServeStats", "spawn_local_server", "main"]
 
 
 def _log(msg: str) -> None:
@@ -168,19 +165,14 @@ class PlanServer:
         serve_workers: int = 2,
         queue_limit: int = 32,
         exec_workers: int | None = None,
-        cluster: tuple[str, ...] = (),
         request_delay_s: float = 0.0,
         announce_stream=None,
     ):
-        host, _, port = bind.rpartition(":")
-        if not host:
-            raise ValueError(f"--bind {bind!r} is not of the form host:port")
-        self._host, self._port = host, int(port)
+        self._host, self._port = parse_address(bind, bind=True)
         self.store_root = store_root
         self.serve_workers = max(1, int(serve_workers))
         self.queue_limit = max(1, int(queue_limit))
         self.exec_workers = exec_workers
-        self.cluster = dedupe_cluster(cluster) if cluster else ()
         # "host:port" of the request listener once serve_forever binds it.
         self.address: str | None = None
         self.request_delay_s = request_delay_s  # test aid: widens the dedup window
@@ -347,25 +339,14 @@ class PlanServer:
         """The runnable config: client search *policy*, server *resources*.
 
         The store always points at the server's root with shared handles
-        (resident mode); execution fan-out comes from the server's
-        ``--workers``/``--cluster`` -- a client cannot point this server
-        at its own cluster, and a client-side ``distributed`` request
-        without a server fleet falls back to ``auto``.
+        (resident mode), and the server's ``--workers``, when given,
+        replaces the client's pool fan-out.
         """
         cfg = SearchConfig.from_dict(data) if not isinstance(data, SearchConfig) else data
         store = StoreConfig(root=self.store_root, shared=self.store_root is not None)
         ex = cfg.execution
-        if self.cluster:
-            ex = ExecutionConfig(
-                workers=ex.workers, cache_size=ex.cache_size,
-                executor="distributed", cluster=self.cluster,
-            )
-        else:
-            executor = "auto" if ex.executor == "distributed" else ex.executor
-            workers = self.exec_workers if self.exec_workers is not None else ex.workers
-            ex = ExecutionConfig(
-                workers=workers, cache_size=ex.cache_size, executor=executor, cluster=(),
-            )
+        if self.exec_workers is not None:
+            ex = dataclasses.replace(ex, workers=self.exec_workers)
         return cfg.replace(store=store, execution=ex)
 
     def _handle(self, session: _Session, msg: dict) -> None:
@@ -553,15 +534,9 @@ class PlanServer:
             d["queued"] = self._queued
             d["running"] = self._running
             d["sessions"] = len(self._sessions)
-            d["cluster"] = list(self.cluster)
         d["problems_resident"] = len(self._problems)
         d["draining"] = self._draining.is_set()
         return d
-
-
-def serve(bind: str = "127.0.0.1:0", **kwargs) -> None:
-    """Construct a :class:`PlanServer` and serve until SIGTERM."""
-    PlanServer(bind, **kwargs).serve_forever()
 
 
 def spawn_local_server(
@@ -570,16 +545,14 @@ def spawn_local_server(
     serve_workers: int = 2,
     queue_limit: int = 32,
     workers: int | None = None,
-    cluster: tuple[str, ...] = (),
     request_delay_s: float = 0.0,
     env: dict | None = None,
 ) -> tuple["subprocess.Popen", str]:
     """Start a loopback planning server subprocess; returns ``(proc, "host:port")``.
 
-    Mirrors :func:`repro.search.worker.spawn_local_worker`: binds port 0,
-    parses the ``REPRO-PLAN-SERVE`` announce line, and leaves process
-    ownership with the caller (``proc.send_signal(SIGTERM)`` for a
-    graceful drain, ``proc.kill()`` to abort).
+    Binds port 0, parses the ``REPRO-PLAN-SERVE`` announce line, and
+    leaves process ownership with the caller (``proc.send_signal(SIGTERM)``
+    for a graceful drain, ``proc.kill()`` to abort).
     """
     import repro
 
@@ -596,8 +569,6 @@ def spawn_local_server(
         args += ["--queue-limit", str(queue_limit)]
     if workers is not None:
         args += ["--workers", str(workers)]
-    if cluster:
-        args += ["--cluster", ",".join(cluster)]
     if request_delay_s > 0.0:
         args += ["--request-delay-s", str(request_delay_s)]
     proc = subprocess.Popen(args, stdout=subprocess.PIPE, text=True, env=full_env)
@@ -699,12 +670,6 @@ def main(argv: list[str] | None = None) -> int:
         help="local process-pool fan-out per search (default: the client config's)",
     )
     parser.add_argument(
-        "--cluster",
-        default="",
-        metavar="HOST:PORT,...",
-        help="standing worker-daemon fleet every search dispatches to",
-    )
-    parser.add_argument(
         "--request-delay-s",
         type=float,
         default=0.0,
@@ -718,16 +683,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         return _smoke()
-    cluster = tuple(a.strip() for a in args.cluster.split(",") if a.strip())
-    serve(
-        args.bind,
-        store_root=args.store_root,
-        serve_workers=args.serve_workers,
-        queue_limit=args.queue_limit,
-        exec_workers=args.workers,
-        cluster=cluster,
-        request_delay_s=args.request_delay_s,
-    )
+    try:
+        server = PlanServer(
+            args.bind,
+            store_root=args.store_root,
+            serve_workers=args.serve_workers,
+            queue_limit=args.queue_limit,
+            exec_workers=args.workers,
+            request_delay_s=args.request_delay_s,
+        )
+    except ValueError as exc:
+        parser.error(f"--bind: {exc}")
+    server.serve_forever()
     return 0
 
 

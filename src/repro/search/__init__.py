@@ -13,7 +13,6 @@ from repro.search.exec import (
     ChainExecutor,
     ChainResult,
     ChainSpec,
-    DistributedExecutor,
     ExecutionContext,
     InProcessExecutor,
     ProcessPoolExecutor,
@@ -24,7 +23,6 @@ from repro.search.exec import (
 from repro.search.store import (
     STORE_FORMAT_VERSION,
     CompactionStats,
-    MemoryStore,
     StoreStats,
     StrategyStore,
     default_store_root,
@@ -57,9 +55,7 @@ __all__ = [
     "ExecutionContext",
     "InProcessExecutor",
     "ProcessPoolExecutor",
-    "DistributedExecutor",
     "available_executors",
     "get_executor",
     "register_executor",
-    "MemoryStore",
 ]

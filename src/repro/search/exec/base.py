@@ -4,11 +4,11 @@
 The search layer is split in two.  *Policy* -- which chains to run, with
 which seeds and budgets -- lives in :mod:`repro.plan` and arrives here as
 a list of :class:`ChainSpec`.  *Mechanism* -- where those chains execute
--- is a :class:`ChainExecutor`: in this process, on a local process pool,
-or on remote worker daemons (:mod:`repro.search.exec.distributed`).
-Executors are registered in a string-keyed registry mirroring the search
-backend registry, so new transports (an MPI fan-out, a batch scheduler)
-plug in without touching the orchestration above them.
+-- is a :class:`ChainExecutor`: in this process or on a local process
+pool (:mod:`repro.search.exec.local`).  Executors are registered in a
+string-keyed registry mirroring the search backend registry, so new
+transports (an MPI fan-out, a batch scheduler) plug in without touching
+the orchestration above them.
 
 Every executor funnels into :func:`run_one_chain`, which runs one MCMC
 chain against a fresh simulator.  Because simulated costs are pure
@@ -53,8 +53,8 @@ __all__ = [
 DEFAULT_CACHE_SIZE = 4096
 
 # How many should_stop() polls to answer from the last best-channel read
-# before re-reading the (possibly cross-process) best -- keeps lock and
-# socket traffic off the per-iteration hot path.
+# before re-reading the (possibly cross-process) best -- keeps lock
+# traffic off the per-iteration hot path.
 _POLL_STRIDE = 8
 
 
@@ -63,7 +63,7 @@ class ChainSpec:
     """One chain: a name, an initial strategy, and its MCMC budget/seed.
 
     Picklable by construction -- this is the unit of work every executor
-    dispatches, including over the distributed wire protocol.
+    dispatches, including to pool worker processes.
     """
 
     name: str
@@ -97,8 +97,7 @@ class ExecutionContext:
 
     The problem triple (graph/topology/profiler) plus the evaluation
     policy that is shared by every chain.  Picklable whenever the problem
-    is -- the pool executor ships it once per worker process and the
-    distributed executor once per worker daemon.
+    is -- the pool executor ships it once per worker process.
     """
 
     graph: OperatorGraph
@@ -109,9 +108,7 @@ class ExecutionContext:
     early_stop_cost: float | None = None
     cache_size: int = DEFAULT_CACHE_SIZE
     # Persistent store: root directory + precomputed context digest
-    # (``None`` disables persistence).  Remote workers never see the
-    # filesystem behind ``store_root``; they get a snapshot of the
-    # coordinator's entries instead and flush back over the wire.
+    # (``None`` disables persistence).
     store_root: str | None = None
     store_context: str | None = None
     # Reuse process-wide shared shard handles (repro.search.store.shared_store)
@@ -119,9 +116,8 @@ class ExecutionContext:
     # resident-state mode.  Result-neutral; only open/accounting behavior
     # differs.
     store_shared: bool = False
-    # Executor-specific placement knobs.
+    # Pool fan-out (the other executors ignore it).
     workers: int = 1
-    cluster: tuple[str, ...] = ()
 
 
 @runtime_checkable
@@ -129,8 +125,7 @@ class BestChannel(Protocol):
     """Cross-chain broadcast of the best cost seen so far.
 
     Executors provide the implementation matched to their transport: a
-    plain float in-process, a locked shared-memory value across a pool,
-    a socket message stream across machines.
+    plain float in-process, a locked shared-memory value across a pool.
     """
 
     def publish(self, cost: float) -> None:
@@ -206,12 +201,12 @@ def run_one_chain(
     store,
     best: BestChannel | None,
 ) -> ChainResult:
-    """Run one chain against a fresh simulator (any process, any host).
+    """Run one chain against a fresh simulator (in any process).
 
-    The single code path shared by every executor: the in-process loop,
-    the pool worker, and the remote worker daemon all call this, which is
-    what makes cross-executor bit-identity a structural property rather
-    than a test-enforced one.
+    The single code path shared by every executor: the in-process loop
+    and the pool worker both call this, which is what makes
+    cross-executor bit-identity a structural property rather than a
+    test-enforced one.
     """
     t0 = time.perf_counter()
     if ctx.early_stop_cost is not None and best is not None:

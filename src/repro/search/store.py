@@ -72,7 +72,6 @@ __all__ = [
     "StoreStats",
     "CompactionStats",
     "StrategyStore",
-    "MemoryStore",
     "shared_store",
     "flush_shared_stores",
 ]
@@ -335,9 +334,9 @@ class StrategyStore:
         self.context = context
         self.path = self.root / f"{context}.shard"
         self.stats = StoreStats()
-        # Guards the mutating/iterating operations (record/entries/flush)
-        # so one handle can be shared by concurrent searches in threads
-        # (the planning server's resident shards; see shared_store()).
+        # Guards the mutating operations (record/flush) so one handle
+        # can be shared by concurrent searches in threads (the planning
+        # server's resident shards; see shared_store()).
         # get() stays lock-free: a plain dict read is atomic under the GIL
         # and sits on the per-proposal hot path.
         self._lock = threading.Lock()
@@ -446,16 +445,6 @@ class StrategyStore:
         if fingerprint in self._warm:
             self.stats.warm_hits += 1
         return cost
-
-    def entries(self) -> list[tuple[int, float]]:
-        """Every known ``(fingerprint, cost)`` pair (snapshot + recorded).
-
-        The payload the distributed coordinator ships to remote workers,
-        which see this store only through that snapshot (no shared
-        filesystem; see :class:`MemoryStore`).
-        """
-        with self._lock:
-            return list(self._snapshot.items())
 
     def record(self, fingerprint: int, cost_us: float) -> None:
         """Buffer one evaluation for the next :meth:`flush`."""
@@ -606,82 +595,6 @@ class StrategyStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StrategyStore({str(self.path)!r}, entries={len(self)})"
-
-
-class MemoryStore:
-    """In-memory store overlay for workers with no shared filesystem.
-
-    Implements the same consult/record/flush surface as
-    :class:`StrategyStore` (so :func:`~repro.search.mcmc.mcmc_search` and
-    :func:`~repro.search.exec.base.run_one_chain` cannot tell them
-    apart), but persists nothing locally: it is seeded from a snapshot of
-    the coordinator's entries (which count as warm, exactly like
-    disk-loaded entries), and everything recorded since the last drain
-    sits in an outbox that the worker daemon ships back with each chain
-    result for the *coordinator* to flush -- the remote-flush path for
-    clusters without NFS.
-    """
-
-    def __init__(self, entries=()):
-        self.stats = StoreStats()
-        items = entries.items() if isinstance(entries, dict) else entries
-        self._snapshot: dict[int, float] = {int(fp): float(cost) for fp, cost in items}
-        self._warm: set[int] = set(self._snapshot)
-        self._pending: dict[int, float] = {}
-        self._outbox: dict[int, float] = {}
-        self.stats.loaded = len(self._snapshot)
-
-    def __len__(self) -> int:
-        return len(self._snapshot)
-
-    def __contains__(self, fingerprint: int) -> bool:
-        return fingerprint in self._snapshot
-
-    def get(self, fingerprint: int) -> float | None:
-        cost = self._snapshot.get(fingerprint)
-        if cost is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if fingerprint in self._warm:
-            self.stats.warm_hits += 1
-        return cost
-
-    def record(self, fingerprint: int, cost_us: float) -> None:
-        if fingerprint in self._snapshot:
-            return
-        self._snapshot[fingerprint] = cost_us
-        self._pending[fingerprint] = cost_us
-
-    def flush(self) -> int:
-        """Stage pending evaluations into the outbox; returns the count.
-
-        "Durability" here means *handed to the transport*: the worker
-        drains the outbox into its next result message, and real
-        persistence happens when the coordinator flushes its
-        :class:`StrategyStore`.
-        """
-        n = len(self._pending)
-        self._outbox.update(self._pending)
-        self._pending.clear()
-        self.stats.appended += n
-        return n
-
-    def drain_outbox(self) -> list[tuple[int, float]]:
-        """Flushed-but-unshipped evaluations, clearing the outbox."""
-        out = list(self._outbox.items())
-        self._outbox.clear()
-        return out
-
-    def entries(self) -> list[tuple[int, float]]:
-        return list(self._snapshot.items())
-
-    def reload(self) -> int:
-        """No backing file to merge from; present for interface parity."""
-        return 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MemoryStore(entries={len(self)}, outbox={len(self._outbox)})"
 
 
 # -- shared open-shard handles -------------------------------------------------

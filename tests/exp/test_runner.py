@@ -5,7 +5,7 @@ import pytest
 from repro.exp.results import ResultsTable
 from repro.exp.runner import ExperimentRunner, run_experiment
 from repro.exp.spec import ClusterPoint, ExperimentSpec
-from repro.plan import BudgetConfig, SearchConfig
+from repro.plan import BudgetConfig, ExecutionConfig, SearchConfig
 
 
 def tiny_spec(**overrides):
@@ -169,19 +169,22 @@ class TestStoresAndWarmth:
         assert sum(r["store_appended"] for r in rows) > 0
 
 
-class TestDistributed:
-    def test_distributed_trial_matches_inprocess(self, tmp_path):
+class TestPoolTrial:
+    def test_pool_trial_matches_inprocess(self, tmp_path):
         spec = tiny_spec(
-            executors=("inprocess", "distributed"),
-            distributed_workers=1,
+            executors=("inprocess", "pool"),
             trial_timeout_s=120.0,
+            search=SearchConfig(
+                budget=BudgetConfig(iterations=5),
+                execution=ExecutionConfig(workers=2),
+                inits=("data_parallel", "random"),
+            ),
         )
         runner = ExperimentRunner(spec, root=tmp_path, progress=quiet)
         stats = runner.run()
         assert stats.executed == 2 and stats.errors == 0
-        assert runner._fleet_procs == []  # fleet torn down with the run
         res = ResultsTable(tmp_path).results(spec.digest())
         out = res.trial_outcomes("r1")
         local = out["mlp/p100x2/mcmc/s0/cold/inprocess/auto"]
-        remote = out["mlp/p100x2/mcmc/s0/cold/distributed/auto"]
-        assert remote["cost_us"] == local["cost_us"]  # executor is pure capacity
+        pooled = out["mlp/p100x2/mcmc/s0/cold/pool/auto"]
+        assert pooled["cost_us"] == local["cost_us"]  # executor is pure capacity

@@ -137,11 +137,12 @@ class TestSerialization:
 
 
 def test_committed_ci_grid_spec_parses(request):
-    # The committed example must stay loadable and include at least one
-    # distributed-executor trial (the acceptance grid).
+    # The committed example must stay loadable and cover both executors,
+    # with a pool that really fans out (the acceptance grid).
     root = request.config.rootpath
     spec = load_spec(root / "examples" / "experiments" / "ci_grid.json")
     trials = spec.trials()
-    assert any(t.executor == "distributed" for t in trials)
+    assert {t.executor for t in trials} == {"inprocess", "pool"}
+    assert spec.search.execution.workers > 1 and len(spec.search.inits) > 1
     assert any(t.store_mode == "warm" for t in trials)
     assert len(trials) >= 12

@@ -22,8 +22,7 @@ def full_config() -> SearchConfig:
         execution=ExecutionConfig(
             workers=3,
             cache_size=128,
-            executor="distributed",
-            cluster=("gpu-a:7070", "gpu-b:7071"),
+            executor="pool",
         ),
         store=StoreConfig(root="/tmp/some-store"),
         early_stop=EarlyStopConfig(cost_us=123.5),
@@ -60,21 +59,9 @@ class TestRoundTrip:
         assert cfg.inits == ("expert",)
         assert isinstance(cfg.inits, tuple)
 
-    def test_cluster_serializes_as_list_restores_as_tuple(self):
-        """JSON has no tuples: the worker-daemon address list must survive
-        the round trip losslessly (config equality included)."""
-        cfg = full_config()
-        payload = cfg.to_dict()
-        assert payload["execution"]["cluster"] == ["gpu-a:7070", "gpu-b:7071"]
-        restored = SearchConfig.from_json(cfg.to_json())
-        assert restored.execution.cluster == ("gpu-a:7070", "gpu-b:7071")
-        assert isinstance(restored.execution.cluster, tuple)
-        assert restored == cfg
-
     def test_executor_defaults(self):
         cfg = SearchConfig()
         assert cfg.execution.executor == "auto"
-        assert cfg.execution.cluster == ()
 
 
 class TestUnknownKeys:
@@ -85,10 +72,16 @@ class TestUnknownKeys:
             SearchConfig.from_dict(payload)
 
     # ``budget.adaptive`` and ``execution.join_bind`` were settable until
-    # the fleet became fixed; a config that still carries them fails.
+    # the fleet became fixed, and ``execution.cluster`` until the socket
+    # executor was deleted; a config that still carries them fails.
     @pytest.mark.parametrize(
         "section,key",
-        [("budget", "iters"), ("budget", "adaptive"), ("execution", "join_bind")],
+        [
+            ("budget", "iters"),
+            ("budget", "adaptive"),
+            ("execution", "join_bind"),
+            ("execution", "cluster"),
+        ],
     )
     def test_nested_unknown_key_rejected(self, section, key):
         payload = SearchConfig().to_dict()

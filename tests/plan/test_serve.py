@@ -13,12 +13,14 @@ The load-bearing guarantees:
   hanging or dropping;
 * **graceful drain** -- SIGTERM finishes in-flight searches, flushes the
   store, and exits 0;
-* **standing fleet** -- a server started with a cluster dispatches every
-  search to it.
+* **handshake** -- a client and a server speaking different plan
+  protocol versions part at the handshake, and bad addresses fail before
+  any socket is opened.
 """
 
 import io
 import signal
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -33,10 +35,12 @@ from repro.plan import (
     PlanServiceError,
     SearchConfig,
 )
+from repro.plan import client as client_module
+from repro.plan import serve as serve_module
 from repro.plan.client import plan_remote
+from repro.plan.protocol import SERVE_PROTOCOL_VERSION, ProtocolError, recv_msg, send_msg
 from repro.plan.serve import PlanServer, spawn_local_server
 from repro.search.store import StrategyStore
-from repro.search.worker import spawn_local_worker
 
 CFG = SearchConfig(budget=BudgetConfig(iterations=25), inits=("data_parallel",), seed=0)
 
@@ -227,21 +231,52 @@ class TestGracefulDrain:
         assert "drained (0 store evaluation(s) flushed)" in capsys.readouterr().err
 
 
-class TestStandingFleet:
-    """``--cluster``: every search the server admits dispatches to its
-    standing worker fleet, which is fixed for the server's lifetime."""
+class TestHandshake:
+    def test_client_of_another_version_is_refused(self, monkeypatch):
+        """A v1 client (whose configs still carry ``execution.cluster``)
+        fails at the handshake naming both versions, and the server ends
+        the session instead of answering its requests."""
+        assert SERVE_PROTOCOL_VERSION == 2
+        with _inproc_server() as server:
+            monkeypatch.setattr(client_module, "SERVE_PROTOCOL_VERSION", 1)
+            with pytest.raises(ProtocolError, match=r"speaks plan protocol v2.*speaks v1"):
+                PlanClient(server.address)
+            host, port = server.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.settimeout(10)
+                send_msg(sock, {"type": "plan_hello", "version": 1})
+                assert recv_msg(sock)["version"] == 2
+                assert recv_msg(sock) is None  # the server hung up
 
-    def test_searches_dispatch_to_the_standing_fleet(self, lenet_graph, topo2):
-        proc, addr = spawn_local_worker(once=True)
-        try:
-            with _inproc_server(cluster=(addr,)) as server:
-                assert server.stats_dict()["cluster"] == [addr]
-                local = Planner(lenet_graph, topo2).search("mcmc", CFG)
-                with PlanClient(server.address) as client:
-                    remote = client.plan(lenet_graph, topo2, config=CFG)
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
-        assert remote.best_cost_us == local.best_cost_us
-        assert remote.best_strategy.signature() == local.best_strategy.signature()
-        assert {r.worker_pid for r in remote.extras["chains"]} == {proc.pid}
+
+BAD_ADDRESSES = ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:-1", ":7180"]
+
+
+class TestAddressValidation:
+    """A malformed ``host:port`` fails in the constructor with the
+    address in the message: a client used to dial 70000 mod 65536, and a
+    server used to die in ``serve_forever`` on it."""
+
+    @pytest.mark.parametrize("addr", BAD_ADDRESSES)
+    def test_client_rejects_bad_address(self, addr):
+        with pytest.raises(ValueError, match="not of the form host:port"):
+            PlanClient(addr)
+
+    @pytest.mark.parametrize("addr", BAD_ADDRESSES)
+    def test_server_rejects_bad_bind_address(self, addr):
+        with pytest.raises(ValueError, match="not of the form host:port"):
+            PlanServer(addr)
+
+    def test_command_line_rejects_bad_bind_before_serving(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            serve_module.main(["--bind", "127.0.0.1:70000"])
+        assert exited.value.code == 2
+        assert "'127.0.0.1:70000'" in capsys.readouterr().err
+
+    def test_port_zero_binds_a_free_port(self):
+        # spawn_local_server passes ``--bind 127.0.0.1:0``.
+        with _server() as (_, addr):
+            host, port = addr.rsplit(":", 1)
+            assert host == "127.0.0.1" and int(port) > 0
+            with PlanClient(addr) as client:
+                assert client.stats()["sessions"] == 1

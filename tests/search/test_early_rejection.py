@@ -23,12 +23,12 @@ from repro.models.lenet import lenet
 from repro.profiler.profiler import OpProfiler
 from repro.search.cache import SimulationCache, strategy_fingerprint
 from repro.search.mcmc import MCMCConfig, mcmc_search
-from repro.search.store import MemoryStore
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import Simulator
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
+from search_helpers import MemoryStore
 from test_lazy_sync import small_graph
 
 ITERATIONS = 60

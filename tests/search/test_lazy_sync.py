@@ -39,13 +39,14 @@ from repro.models.rnn import stacked_lstm
 from repro.profiler.profiler import OpProfiler
 from repro.search.cache import SimulationCache, strategy_fingerprint
 from repro.search.mcmc import MCMCConfig, mcmc_search
-from repro.search.store import MemoryStore
 from repro.sim import simulator as simulator_module
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator
 from repro.sim.taskgraph import TaskGraph
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
+
+from search_helpers import MemoryStore
 
 ITERATIONS = 60
 

@@ -12,6 +12,7 @@ Both rest on the simulated cost being a pure function of the strategy
 (canonical tie-breaking), which ``tests/sim`` locks down separately.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -134,6 +135,19 @@ class TestEarlyStopBroadcast:
         res = run_specs(lenet_graph, topo4, specs, early_stop_cost=1e18)
         assert res[0].trace.stop_reason == "early_stop"
         assert res[1].skipped
+
+    def test_pool_target_crosses_processes(self, lenet_graph, topo4):
+        """The pool's shared best carries one worker's cost to the others:
+        with two workers, the third chain starts only after another chain
+        has published its initial cost, so it is skipped."""
+        specs = [
+            ChainSpec(n, data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=30, seed=i))
+            for i, n in enumerate("abc")
+        ]
+        res = run_specs(lenet_graph, topo4, specs, "pool", workers=2, early_stop_cost=1e18)
+        assert all(r.skipped or r.trace.stop_reason == "early_stop" for r in res)
+        assert res[2].skipped
+        assert os.getpid() not in {r.worker_pid for r in res}  # all ran in the pool
 
     def test_no_target_means_no_early_stop(self, lenet_graph, topo4):
         specs = [
