@@ -168,7 +168,7 @@ class ExperimentRunner:
         cfg = self.spec.search
         execution = replace(cfg.execution, executor=trial.executor)
         store = (
-            StoreConfig(root=self._warm_store_root(), shared=cfg.store.shared)
+            StoreConfig(root=self._warm_store_root())
             if trial.store_mode == "warm"
             else StoreConfig(root=None)
         )
@@ -201,9 +201,15 @@ class ExperimentRunner:
             "store_warm_hits": stats.warm_hits,
             "store_appended": stats.appended,
         }
+        extras = result.extras or {}
+        # Processes that ran the chains, when the backend reports them
+        # (mcmc): a "pool" trial whose pool has one worker runs in the
+        # caller and records 1.
+        if "workers" in extras:
+            row["workers"] = extras["workers"]
         # Timeline-repair mix, when the backend surfaced it (mcmc fleets
         # running auto): identity no-ops, full sweeps, early rejections.
-        routes = (result.extras or {}).get("route_counts")
+        routes = extras.get("route_counts")
         if routes:
             row["route_counts"] = dict(routes)
         return row

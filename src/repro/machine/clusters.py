@@ -11,8 +11,7 @@ reproducing the paper's *shape* is the compute-to-communication ratio and
 the intra- vs inter-node gap, both of which these numbers preserve.
 
 Link policies are module-level callables (not closures) so topologies can
-be pickled into process-pool search workers (:mod:`repro.search.exec`)
-and planning-server requests (:mod:`repro.plan.serve`).
+be pickled into process-pool search workers (:mod:`repro.search.exec`).
 """
 
 from __future__ import annotations

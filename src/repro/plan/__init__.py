@@ -36,20 +36,13 @@ The ``mcmc`` backend's chains can run on a local process pool::
 Results are bit-identical to ``executor="inprocess"`` for the same seeds
 (chains are pure functions of their spec).  See :mod:`repro.search.exec`.
 
-Planning server
----------------
-For interactive callers there is also a *resident* planning service:
-``python -m repro.plan.serve`` keeps interned problems and open store
-shards warm between requests, with admission control and in-flight
-request dedup.  Talk to it with
-:class:`PlanClient` (or one-shot :func:`plan_remote`)::
-
-    from repro.plan import PlanClient
-
-    with PlanClient("plan-host:7180") as client:
-        result = client.plan(graph, topology, config=cfg)
-
-See :mod:`repro.plan.serve` and :mod:`repro.plan.client`.
+Repeated searches
+-----------------
+A :class:`Planner` keeps its profiler, and with it the construction memo
+(``OpProfiler.memo``), across searches.  Reuse one planner for every
+search of a ``(graph, topology)`` problem, as
+:class:`~repro.exp.runner.ExperimentRunner` does: later searches then
+skip the task geometry earlier ones computed in this process.
 """
 
 from repro.plan.config import (
@@ -62,8 +55,6 @@ from repro.plan.config import (
 from repro.plan.errors import (
     DuplicateBackendError,
     PlanError,
-    PlanRejectedError,
-    PlanServiceError,
     SearchError,
     UnknownBackendError,
 )
@@ -77,7 +68,6 @@ from repro.plan.registry import (
 from repro.plan.result import PlanResult, comparison_rows
 from repro.plan.backends import register_builtins
 from repro.plan.planner import Planner
-from repro.plan.client import PlanClient, plan_remote
 
 register_builtins()
 
@@ -96,12 +86,8 @@ __all__ = [
     "get_backend",
     "available_backends",
     "register_builtins",
-    "PlanClient",
-    "plan_remote",
     "PlanError",
     "SearchError",
     "UnknownBackendError",
     "DuplicateBackendError",
-    "PlanRejectedError",
-    "PlanServiceError",
 ]

@@ -40,7 +40,7 @@ from repro.search.cache import CacheStats
 # Importing the package also registers the built-in executors.
 from repro.search.exec import ChainSpec, ExecutionContext, get_executor
 from repro.search.mcmc import MCMCConfig
-from repro.search.store import StoreStats, StrategyStore, shared_store
+from repro.search.store import StoreStats, StrategyStore
 from repro.sim.simulator import simulate_strategy
 from repro.soap.presets import data_parallelism, expert_strategy
 from repro.soap.space import ConfigSpace
@@ -154,7 +154,6 @@ class McmcBackend:
             cache_size=execution.cache_size,
             store_root=config.store.root if store_context is not None else None,
             store_context=store_context,
-            store_shared=config.store.shared,
             workers=workers,
         )
         results = get_executor(executor).run(ctx, specs)
@@ -232,13 +231,7 @@ class ExhaustiveBackend:
         # Same context digest the mcmc backend uses -> complete-strategy
         # evaluations are shared between the two (see module docstring).
         context = _store_context(planner, config)
-        store = None
-        if context is not None:
-            store = (
-                shared_store(config.store.root, context)
-                if config.store.shared
-                else StrategyStore(config.store.root, context)
-            )
+        store = StrategyStore(config.store.root, context) if context is not None else None
         t0 = time.perf_counter()
         ex = _exhaustive_impl(
             planner.graph,

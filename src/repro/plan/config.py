@@ -4,7 +4,7 @@
 budget, execution fan-out, persistent store, and early stop each get
 their own small namespace, every backend consumes the same object, and
 the whole thing round-trips losslessly through JSON, so a config can be
-shipped to a planning server or embedded in an experiment spec.
+embedded in an experiment spec.
 
 Use :meth:`SearchConfig.replace` (or :func:`dataclasses.replace` on any
 sub-config) to derive variants::
@@ -70,7 +70,9 @@ class ExecutionConfig:
     ``executor`` names a registered chain executor
     (:mod:`repro.search.exec`): ``"auto"`` (pool when ``workers > 1``
     and there is more than one chain, else in-process), ``"inprocess"``,
-    or ``"pool"`` (a local process pool of ``workers`` processes).
+    or ``"pool"`` (a local process pool of ``workers`` processes, at most
+    one per chain; a pool of one worker runs the chains in the caller).
+    ``PlanResult.extras["workers"]`` counts the processes that ran them.
     Results are bit-identical across executors for a fixed seed set; the
     choice is pure capacity.
     """
@@ -87,18 +89,9 @@ class ExecutionConfig:
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Persistent cross-run strategy store (``None`` root disables it).
-
-    ``shared=True`` makes searches reuse one process-wide open handle per
-    shard (:func:`repro.search.store.shared_store`) instead of re-opening
-    and re-parsing the shard each run -- the resident-state mode the
-    planning server (:mod:`repro.plan.serve`) forces on every request.
-    Result-neutral; per-run warm/cold store accounting is what changes
-    (entries this process recorded stay "cold" across later searches).
-    """
+    """Persistent cross-run strategy store (``None`` root disables it)."""
 
     root: str | None = None
-    shared: bool = False
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StoreConfig":
@@ -142,8 +135,7 @@ class SearchConfig:
     # full sweep -- see repro.sim.simulator), "delta" (cut-time
     # incremental repair, kept for the paper's Table 4), or "full"
     # (from-scratch on every proposal).  Result-neutral -- all three are
-    # bit-identical -- and serialized like every other field, so a
-    # planning server honors it.
+    # bit-identical -- and serialized like every other field.
     algorithm: str = "auto"
     beta_scale: float = 50.0
     backend_options: dict = field(default_factory=dict)

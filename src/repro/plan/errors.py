@@ -7,8 +7,6 @@ __all__ = [
     "SearchError",
     "UnknownBackendError",
     "DuplicateBackendError",
-    "PlanRejectedError",
-    "PlanServiceError",
 ]
 
 
@@ -39,24 +37,6 @@ class UnknownBackendError(PlanError, KeyError):
 
     def __str__(self) -> str:  # KeyError.__str__ would repr() the message
         return self.args[0]
-
-
-class PlanRejectedError(PlanError, RuntimeError):
-    """The planning server declined to admit a request (queue full, draining).
-
-    A *clean* refusal, not a failure: the server is protecting itself
-    under load, and the client should back off and retry rather than
-    treat the problem as unsolvable.  ``reason`` carries the server's
-    explanation verbatim.
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"plan request rejected by server: {reason}")
-
-
-class PlanServiceError(PlanError, RuntimeError):
-    """The planning server accepted a request but the search failed there."""
 
 
 class DuplicateBackendError(PlanError, ValueError):

@@ -111,11 +111,6 @@ class ExecutionContext:
     # (``None`` disables persistence).
     store_root: str | None = None
     store_context: str | None = None
-    # Reuse process-wide shared shard handles (repro.search.store.shared_store)
-    # instead of opening the shard per run -- the planning server's
-    # resident-state mode.  Result-neutral; only open/accounting behavior
-    # differs.
-    store_shared: bool = False
     # Pool fan-out (the other executors ignore it).
     workers: int = 1
 

@@ -26,7 +26,7 @@ from repro.search.exec.base import (
     SharedBest,
     run_one_chain,
 )
-from repro.search.store import StrategyStore, shared_store
+from repro.search.store import StrategyStore
 
 __all__ = ["InProcessExecutor", "ProcessPoolExecutor"]
 
@@ -34,11 +34,6 @@ __all__ = ["InProcessExecutor", "ProcessPoolExecutor"]
 def _open_store(ctx: ExecutionContext) -> StrategyStore | None:
     if ctx.store_root is None or ctx.store_context is None:
         return None
-    if ctx.store_shared:
-        # Resident-state mode (the planning server): one open handle per
-        # (root, context) for the life of this process, reload()ed on
-        # reuse instead of re-parsed from disk.
-        return shared_store(ctx.store_root, ctx.store_context)
     return StrategyStore(ctx.store_root, ctx.store_context)
 
 

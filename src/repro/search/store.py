@@ -72,8 +72,6 @@ __all__ = [
     "StoreStats",
     "CompactionStats",
     "StrategyStore",
-    "shared_store",
-    "flush_shared_stores",
 ]
 
 STORE_FORMAT_VERSION = 1
@@ -213,8 +211,8 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     # Hits answered by entries that came from *disk* (the snapshot loaded
-    # at open, or merged by a reload) rather than recorded by this run --
-    # i.e. the cross-run persistence actually paying off.
+    # at open) rather than recorded by this run -- i.e. the cross-run
+    # persistence actually paying off.
     warm_hits: int = 0
     appended: int = 0  # new entries flushed to disk
     dropped: int = 0  # corrupt/torn lines skipped during load
@@ -334,22 +332,20 @@ class StrategyStore:
         self.context = context
         self.path = self.root / f"{context}.shard"
         self.stats = StoreStats()
-        # Guards the mutating operations (record/flush) so one handle
-        # can be shared by concurrent searches in threads (the planning
-        # server's resident shards; see shared_store()).
-        # get() stays lock-free: a plain dict read is atomic under the GIL
-        # and sits on the per-proposal hot path.
+        # Guards the mutating operations (record/flush) so threads may
+        # share one handle.  get() stays lock-free: a plain dict read is
+        # atomic under the GIL and sits on the per-proposal hot path.
         self._lock = threading.Lock()
         self._snapshot: dict[int, float] = {}
         self._pending: dict[int, float] = {}
-        # Fingerprints whose value came from disk (initial load or a
-        # reload merge) -- hits on these count as *warm* hits.
+        # Fingerprints whose value came from disk -- hits on these count
+        # as *warm* hits.
         self._warm: set[int] = set()
-        # (st_size, st_mtime_ns) of the shard as of the last read, so
-        # reload() can skip re-parsing an unchanged file; None = unknown.
-        self._disk_state: tuple[int, int] | None = None
-        # Valid records parsed by the last _load (duplicates included) --
-        # the duplicate-ratio input of the scheduled-compaction check.
+        # Shard size read at open (None = no readable shard) -- the size
+        # input of the scheduled-compaction check.
+        self._disk_size: int | None = None
+        # Valid records read at open (duplicates included) -- the
+        # duplicate-ratio input of the scheduled-compaction check.
         self._load_records = 0
         self._writable = True
         try:
@@ -384,50 +380,24 @@ class StrategyStore:
             self._snapshot[record[0]] = record[1]
 
     def _load(self) -> None:
-        before = set(self._snapshot)
-        self._load_records = 0
         try:
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 with _FileLock(fh, exclusive=False):
                     self._parse(fh)
-                    # Captured under the shared lock, so the recorded
-                    # state matches exactly what was parsed.
-                    st = os.fstat(fh.fileno())
-                    self._disk_state = (st.st_size, st.st_mtime_ns)
+                    # Read under the shared lock, so the size matches
+                    # exactly what was parsed.
+                    self._disk_size = os.fstat(fh.fileno()).st_size
         except FileNotFoundError:
-            self._disk_state = None
+            pass  # nothing persisted yet: an empty store
         except OSError as exc:
-            self._disk_state = None
             warnings.warn(
                 f"strategy store shard {self.path} unreadable ({exc}); starting empty",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        # Entries we did not already know about came from disk: hits on
-        # them are warm hits.  Our own recorded entries stay cold even
-        # after a flush + reload round-trip (they are in ``before``).
-        self._warm.update(fp for fp in self._snapshot if fp not in before)
+        # Everything loaded came from disk: hits on it are warm hits.
+        self._warm.update(self._snapshot)
         self.stats.loaded = len(self._snapshot)
-
-    def reload(self) -> int:
-        """Merge entries appended by other processes since open.
-
-        Cheap when nothing changed: the shard's ``(size, mtime)`` is
-        compared against the state recorded by the last read, and an
-        unchanged file skips the re-parse entirely -- so a search can
-        poll ``reload()`` periodically without rescanning a large shard
-        every time.
-        """
-        if self._disk_state is not None:
-            try:
-                st = os.stat(self.path)
-                if (st.st_size, st.st_mtime_ns) == self._disk_state:
-                    return 0
-            except OSError:
-                pass  # vanished or unstatable: fall through to the full load
-        before = len(self._snapshot)
-        self._load()
-        return len(self._snapshot) - before
 
     # -- lookup / record ---------------------------------------------------
     def __len__(self) -> int:
@@ -502,7 +472,6 @@ class StrategyStore:
             self._writable = False
             return 0
         self.stats.appended += len(pending)
-        self._disk_state = None  # our append changed the file; force re-stat
         return len(pending)
 
     def _maybe_auto_compact(self) -> None:
@@ -514,9 +483,8 @@ class StrategyStore:
         search passes through it, the rewrite runs at most once per open,
         and the thresholds keep small or duplicate-free shards untouched.
         """
-        if not self._writable or self._disk_state is None:
+        if not self._writable or self._disk_size is None:
             return
-        size = self._disk_state[0]
         records = self._load_records
         duplicates = records - len(self._snapshot)
         if duplicates <= 0:
@@ -528,7 +496,7 @@ class StrategyStore:
             records >= AUTO_COMPACT_MIN_RECORDS
             and duplicates / records >= AUTO_COMPACT_DUP_RATIO
         )
-        if size < AUTO_COMPACT_MIN_BYTES and not dup_heavy:
+        if self._disk_size < AUTO_COMPACT_MIN_BYTES and not dup_heavy:
             return
         swept = self.compact()
         self.stats.auto_compactions += 1
@@ -584,7 +552,6 @@ class StrategyStore:
         # snapshot (disk-sourced entries count as warm, as in _load).
         self._warm.update(fp for fp in entries if fp not in self._snapshot)
         self._snapshot.update(entries)
-        self._disk_state = None  # the rewrite changed the file; force re-stat
         return CompactionStats(
             kept=len(entries),
             duplicates_dropped=records - len(entries),
@@ -595,50 +562,3 @@ class StrategyStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StrategyStore({str(self.path)!r}, entries={len(self)})"
-
-
-# -- shared open-shard handles -------------------------------------------------
-# A long-running process serving many searches over the same context (the
-# repro.plan.serve daemon) should not re-open and re-parse the shard per
-# request: opening is a mkdir + full file read + possible compaction sweep.
-# The registry below interns one StrategyStore per (root, context) for the
-# life of the process; reuse is a dict hit plus a cheap (size, mtime)
-# reload check that merges foreign appends.
-
-_SHARED_STORES: dict[tuple[str, str], StrategyStore] = {}
-_SHARED_STORES_LOCK = threading.Lock()
-
-
-def shared_store(root: str | os.PathLike, context: str) -> StrategyStore:
-    """A process-wide shared handle on one shard, opened at most once.
-
-    First call per ``(root, context)`` opens the shard from disk exactly
-    like ``StrategyStore(root, context)``; later calls return the same
-    (thread-safe) handle after a :meth:`StrategyStore.reload` -- which is
-    a single ``stat`` when no other process has appended.  Accounting
-    consequence: the handle's :class:`StoreStats` accumulate across every
-    search that shares it, and entries recorded by *this process* stay
-    cold hits forever -- callers wanting per-search numbers must diff
-    stats around their run (as :func:`~repro.search.exec.base.run_one_chain`
-    already does).
-    """
-    key = (os.fspath(Path(root).expanduser()), context)
-    with _SHARED_STORES_LOCK:
-        store = _SHARED_STORES.get(key)
-        if store is None:
-            store = StrategyStore(root, context)
-            _SHARED_STORES[key] = store
-            return store
-    store.reload()
-    return store
-
-
-def flush_shared_stores() -> int:
-    """Flush every shared handle; returns the entries written.
-
-    The planning server's drain path: buffered evaluations from in-flight
-    searches must reach disk before the process exits.
-    """
-    with _SHARED_STORES_LOCK:
-        stores = list(_SHARED_STORES.values())
-    return sum(s.flush() for s in stores)

@@ -188,3 +188,16 @@ class TestPoolTrial:
         local = out["mlp/p100x2/mcmc/s0/cold/inprocess/auto"]
         pooled = out["mlp/p100x2/mcmc/s0/cold/pool/auto"]
         assert pooled["cost_us"] == local["cost_us"]  # executor is pure capacity
+        assert local["workers"] == 1
+
+    def test_pool_of_one_worker_records_one_worker(self, tmp_path):
+        """Under the default workers=1 a pool trial runs its chains in the
+        caller; the row records that instead of passing for a pool run."""
+        spec = tiny_spec(
+            executors=("pool",), search=SearchConfig(budget=BudgetConfig(iterations=5))
+        )
+        run_experiment(spec, root=tmp_path, progress=quiet)
+        out = ResultsTable(tmp_path).results(spec.digest()).trial_outcomes("r1")
+        row = out["mlp/p100x2/mcmc/s0/cold/pool/auto"]
+        assert row["status"] == "ok"
+        assert row["workers"] == 1

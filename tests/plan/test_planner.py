@@ -1,5 +1,5 @@
 """Planner facade: error handling, store compaction, CLI, defaults,
-final metrics."""
+final metrics, reuse across searches."""
 
 import dataclasses
 import subprocess
@@ -178,3 +178,23 @@ class TestFinalMetrics:
         cold = simulate_strategy(lenet_graph, topo4, res.best_strategy, OpProfiler())
         for field in dataclasses.fields(cold):
             assert getattr(res.metrics, field.name) == getattr(cold, field.name), field.name
+
+
+class TestReusedPlanner:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_searches_equal_fresh_planners(self, lenet_graph, topo4, workers):
+        """Repeated searches reuse one planner, whose profiler memo stays
+        warm from search to search; each must equal a fresh planner's."""
+        reused = Planner(lenet_graph, topo4, OpProfiler())
+        for seed in range(3):
+            cfg = SearchConfig(
+                budget=BudgetConfig(iterations=20),
+                execution=ExecutionConfig(workers=workers),
+                seed=seed,
+            )
+            warm = reused.search("mcmc", cfg)
+            fresh = Planner(lenet_graph, topo4, OpProfiler()).search("mcmc", cfg)
+            assert warm.best_cost_us == fresh.best_cost_us, seed
+            assert warm.best_strategy.signature() == fresh.best_strategy.signature(), seed
+            assert warm.simulations == fresh.simulations, seed
+            assert warm.metrics.makespan_us == fresh.metrics.makespan_us, seed

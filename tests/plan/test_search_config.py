@@ -72,8 +72,9 @@ class TestUnknownKeys:
             SearchConfig.from_dict(payload)
 
     # ``budget.adaptive`` and ``execution.join_bind`` were settable until
-    # the fleet became fixed, and ``execution.cluster`` until the socket
-    # executor was deleted; a config that still carries them fails.
+    # the fleet became fixed, ``execution.cluster`` until the socket
+    # executor was deleted, and the store's ``shared`` flag until the
+    # planning server was; a config that still carries them fails.
     @pytest.mark.parametrize(
         "section,key",
         [
@@ -81,6 +82,7 @@ class TestUnknownKeys:
             ("budget", "adaptive"),
             ("execution", "join_bind"),
             ("execution", "cluster"),
+            ("store", "shared"),
         ],
     )
     def test_nested_unknown_key_rejected(self, section, key):

@@ -112,9 +112,5 @@ class MemoryStore:
     def entries(self) -> list[tuple[int, float]]:
         return list(self._snapshot.items())
 
-    def reload(self) -> int:
-        """No backing file to merge from; present for interface parity."""
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemoryStore(entries={len(self)}, outbox={len(self._outbox)})"

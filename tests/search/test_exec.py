@@ -10,7 +10,6 @@ import os
 import pytest
 
 from repro.plan import BudgetConfig, ExecutionConfig, Planner, SearchConfig
-from repro.plan.protocol import parse_address
 from repro.search.exec import (
     ChainSpec,
     available_executors,
@@ -145,30 +144,3 @@ class TestLocalExecutorParity:
             ran_here = {r.worker_pid == os.getpid() for r in chains}
             assert ran_here == {not fans_out}, (workers, inits)
             assert chains_equal(chains, explicit.extras["chains"][: len(inits)])
-
-
-class TestAddressValidation:
-    """``repro.plan.protocol.parse_address``, which the planning server and
-    its client share: ``host:abc`` must not leak a raw ``int()``
-    ValueError, and ports outside 1-65535 must fail here rather than at
-    connect or bind time."""
-
-    @pytest.mark.parametrize(
-        "bad",
-        ["host:abc", "host:", ":7070", "noport", "host:0", "host:-1", "host:65536"],
-    )
-    def test_parse_address_rejects_with_the_standard_message(self, bad):
-        with pytest.raises(ValueError, match="not of the form host:port"):
-            parse_address(bad)
-
-    def test_message_names_the_offending_entry(self):
-        with pytest.raises(ValueError, match="'gpu-a:70000'"):
-            parse_address("gpu-a:70000")
-        with pytest.raises(ValueError, match="'gpu-a:abc'"):
-            parse_address("gpu-a:abc")
-
-    def test_bind_address_may_use_port_zero(self):
-        assert parse_address("127.0.0.1:0", bind=True) == ("127.0.0.1", 0)
-        assert parse_address("gpu-a:7180") == ("gpu-a", 7180)
-        with pytest.raises(ValueError, match="outside 0-65535"):
-            parse_address("127.0.0.1:65536", bind=True)

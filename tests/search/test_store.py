@@ -356,23 +356,6 @@ class TestWarmColdAccounting:
         assert s.warm_hit_rate == pytest.approx(1 / 3)
         assert s.cold_hit_rate == pytest.approx(1 / 3)
 
-    def test_own_flushed_entries_stay_cold_after_reload(self, tmp_path):
-        store = StrategyStore(tmp_path, CTX)
-        store.record(5, 5.0)
-        store.flush()
-        store.reload()  # re-reads its own entry from disk
-        assert store.get(5) == 5.0
-        assert store.stats.warm_hits == 0  # we computed it; not a disk win
-
-    def test_peer_entries_merged_by_reload_count_warm(self, tmp_path):
-        mine = StrategyStore(tmp_path, CTX)
-        peer = StrategyStore(tmp_path, CTX)
-        peer.record(6, 6.0)
-        peer.flush()
-        assert mine.reload() == 1
-        assert mine.get(6) == 6.0
-        assert mine.stats.warm_hits == 1
-
     def test_warm_search_reports_warm_hits(self, tmp_path):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
@@ -539,74 +522,6 @@ class TestScheduledCompaction:
         assert warm.store_stats.auto_compactions >= 1
 
 
-class TestReloadMidSearch:
-    """StrategyStore.reload() merges peer appends while a search runs."""
-
-    def test_reload_short_circuits_on_unchanged_file(self, tmp_path):
-        store = StrategyStore(tmp_path, CTX)
-        store.record(1, 1.0)
-        store.flush()
-        peer = StrategyStore(tmp_path, CTX)
-        assert peer.reload() == 0  # stat unchanged: no re-parse
-        # The short-circuit must never mask a real change.
-        store.record(2, 2.0)
-        store.flush()
-        assert peer.reload() == 1
-        assert peer.get(2) == 2.0
-        assert peer.stats.warm_hits == 1
-
-    def test_peer_appends_during_running_search_become_warm_hits(self, tmp_path):
-        """A second process appends to the shard *while* an MCMC search is
-        mid-chain; after reload() the peer's evaluations answer lookups as
-        warm hits in the running process."""
-        from repro.profiler.profiler import OpProfiler
-        from repro.search.mcmc import MCMCConfig, mcmc_search
-        from repro.sim.simulator import Simulator
-        from repro.soap.presets import data_parallelism as dp
-        from repro.soap.space import ConfigSpace
-
-        graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
-        topo = single_node(2, "p100")
-        ctx = search_context(graph, topo)
-        store = StrategyStore(tmp_path, ctx)
-
-        peer_fps = [0xABC0 + i for i in range(5)]
-        peer_code = (
-            "from repro.search.store import StrategyStore\n"
-            f"s = StrategyStore({str(tmp_path)!r}, {ctx!r})\n"
-            + "".join(f"s.record({fp}, {float(i)!r})\n" for i, fp in enumerate(peer_fps))
-            + f"assert s.flush() == {len(peer_fps)}\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
-
-        progress = {"polls": 0, "merged": -1}
-
-        def mid_search_append():
-            # Called from inside the chain loop: the search is running.
-            progress["polls"] += 1
-            if progress["polls"] == 10:
-                subprocess.run(
-                    [sys.executable, "-c", peer_code], check=True, env=env
-                )
-                progress["merged"] = store.reload()
-            return False
-
-        sim = Simulator(graph, topo, dp(graph, topo), OpProfiler())
-        mcmc_search(
-            sim,
-            ConfigSpace(graph, topo),
-            MCMCConfig(iterations=40, seed=0, no_improve_frac=None),
-            store=store,
-            should_stop=mid_search_append,
-        )
-        assert progress["merged"] == len(peer_fps)
-        warm_before = store.stats.warm_hits
-        for i, fp in enumerate(peer_fps):
-            assert store.get(fp) == float(i)
-        assert store.stats.warm_hits == warm_before + len(peer_fps)
-
-
 # Module-level so it survives the trip into mp.Process under fork.
 def _racing_first_flush_proc(root, context, fp, barrier):
     store = StrategyStore(root, context)
@@ -674,32 +589,3 @@ class TestFirstFlushRace:
         assert len(merged) == n
         for fp in range(n):
             assert merged.get(fp) == float(fp)
-
-
-class TestSharedStores:
-    def test_same_key_returns_same_handle(self, tmp_path):
-        from repro.search.store import shared_store
-
-        a = shared_store(tmp_path, CTX)
-        b = shared_store(tmp_path, CTX)
-        other = shared_store(tmp_path, "e" * 32)
-        assert a is b
-        assert other is not a
-
-    def test_reuse_reloads_peer_appends(self, tmp_path):
-        from repro.search.store import shared_store
-
-        handle = shared_store(tmp_path, "d" * 32)
-        peer = StrategyStore(tmp_path, "d" * 32)
-        peer.record(7, 70.0)
-        peer.flush()
-        assert shared_store(tmp_path, "d" * 32).get(7) == 70.0
-        assert handle.get(7) == 70.0
-
-    def test_flush_shared_stores_persists_pending(self, tmp_path):
-        from repro.search.store import flush_shared_stores, shared_store
-
-        handle = shared_store(tmp_path, "c" * 32)
-        handle.record(42, 4.2)
-        assert flush_shared_stores() >= 1
-        assert StrategyStore(tmp_path, "c" * 32).get(42) == 4.2
