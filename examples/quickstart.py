@@ -70,9 +70,10 @@ def main() -> None:
           f"{delta.best_cost_us / 1e3:.3f} ms best iteration")
 
     # 8. Experiments: the paper's whole evaluation grid -- models x
-    #    clusters x backends x seeds x store warm/cold x executors -- is
-    #    one declarative JSON spec, executed into a persistent results
-    #    table (append-only JSONL, nothing ever overwritten):
+    #    clusters x backends x seeds x store warm/cold x timeline
+    #    algorithms -- is one declarative JSON spec, executed into a
+    #    persistent results table (append-only JSONL, nothing ever
+    #    overwritten):
     #
     #        python -m repro.exp run examples/experiments/ci_grid.json
     #        python -m repro.exp run examples/experiments/ci_grid.json --fresh
@@ -90,13 +91,14 @@ def main() -> None:
     print(f"\nexperiment spec '{spec.name}': {len(spec.trials())} trials, "
           f"first: {spec.trials()[0].trial_id}")
 
-    # 9. Parallel chains: the MCMC chains can run on a local process
-    #    pool instead of one after another in this process,
+    # 9. Parallel chains: with workers > 1 the MCMC chains run on a
+    #    local process pool instead of one after another in this process,
     #
     #        planner.search("mcmc", cfg.replace(execution=ExecutionConfig(workers=2)))
     #
     #    with bit-identical results for the same seeds: every chain
-    #    carries its own seed, so where it runs is pure capacity.
+    #    carries its own seed and chains exchange nothing, so where it
+    #    runs is pure capacity.
 
     # 10. Repeated searches: reuse the Planner.  It keeps its profiler,
     #     and with it the construction memo (`OpProfiler.memo`: each op's

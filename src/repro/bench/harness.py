@@ -61,9 +61,6 @@ class BenchScale:
     # persistence).  Sweeps that re-search the same (model, cluster) pair
     # warm-start from it; see repro.search.store.
     store_dir: str | None = None
-    # Chain executor ("auto"/"inprocess"/"pool"); results are
-    # bit-identical across executors (see repro.search.exec).
-    search_executor: str = "auto"
     # Timeline algorithm driving every search's simulator
     # ("auto"/"full"/"delta"); result-neutral (bit-identical timelines),
     # pure throughput.  "auto" skips identity proposals and re-simulates
@@ -103,10 +100,10 @@ def current_scale() -> BenchScale:
 
     ``REPRO_WORKERS`` and ``REPRO_CACHE`` override the scale's search
     fan-out and cache capacity, ``REPRO_CACHE_DIR`` points the persistent
-    cross-run strategy store at a directory, ``REPRO_EXECUTOR`` selects
-    the chain executor, and ``REPRO_SIM_ALGO`` picks the timeline
-    algorithm (``auto``/``full``/``delta``) -- results are invariant to
-    all of these; only wall time and cache accounting change.
+    cross-run strategy store at a directory, and ``REPRO_SIM_ALGO`` picks
+    the timeline algorithm (``auto``/``full``/``delta``) -- results are
+    invariant to all of these; only wall time and cache accounting
+    change.
     """
     scale = FULL_SCALE if os.environ.get("REPRO_FULL") == "1" else CI_SCALE
     overrides = {}
@@ -116,8 +113,6 @@ def current_scale() -> BenchScale:
         overrides["sim_cache_size"] = max(0, int(os.environ["REPRO_CACHE"]))
     if os.environ.get("REPRO_CACHE_DIR"):
         overrides["store_dir"] = os.environ["REPRO_CACHE_DIR"]
-    if os.environ.get("REPRO_EXECUTOR"):
-        overrides["search_executor"] = os.environ["REPRO_EXECUTOR"]
     if os.environ.get("REPRO_SIM_ALGO"):
         from repro.sim.simulator import ALGORITHMS
 
@@ -178,9 +173,9 @@ def search_config(
 
     Every benchmark search goes through this one translation, so the
     env-var overrides (``REPRO_WORKERS``/``REPRO_CACHE``/
-    ``REPRO_CACHE_DIR``/``REPRO_EXECUTOR``) reach the unified planner
-    API uniformly.  The backend-specific knobs the scale owns
-    (REINFORCE's episode budget) ride along in ``backend_options``.
+    ``REPRO_CACHE_DIR``) reach the unified planner API uniformly.  The
+    backend-specific knobs the scale owns (REINFORCE's episode budget)
+    ride along in ``backend_options``.
     Pass ``store_dir=None`` to force persistence *off* even when the
     scale names a store directory (the controlled warm/cold A-B benches
     need a deliberately cold store).
@@ -190,7 +185,6 @@ def search_config(
         execution=ExecutionConfig(
             workers=workers if workers is not None else scale.search_workers,
             cache_size=cache_size if cache_size is not None else scale.sim_cache_size,
-            executor=scale.search_executor,
         ),
         store=StoreConfig(root=scale.store_dir if store_dir is ... else store_dir),
         inits=tuple(inits),

@@ -1,8 +1,8 @@
 """Declarative experiment orchestration with a persistent results table.
 
 The evaluation layer on top of :mod:`repro.plan`: declare a grid of
-models x clusters x backends x seeds x store warm/cold x executors as a
-frozen, JSON-round-trippable :class:`ExperimentSpec`; execute it with
+models x clusters x backends x seeds x store warm/cold x timeline
+algorithms as a frozen, JSON-round-trippable :class:`ExperimentSpec`; execute it with
 :class:`ExperimentRunner` (per-trial timeout, failure capture, resume);
 accumulate every outcome in an append-only flock-guarded
 :class:`ResultsTable` shard keyed by the spec digest; and

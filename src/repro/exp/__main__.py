@@ -13,8 +13,9 @@ Subcommands:
     Summarize every shard under the table root.
 ``--smoke``
     Self-contained end-to-end check in a temp directory: tiny grid
-    (including one ``pool``-executor trial), injected failure, resume
-    with zero re-executions, fresh second run, regression report.
+    (its trials run their chains on a two-worker pool), injected
+    failure, resume with zero re-executions, fresh second run,
+    regression report.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def _smoke() -> int:
         backends=("mcmc",),
         seeds=(0,),
         store_modes=("cold", "warm"),
-        executors=("inprocess", "pool"),
         trial_timeout_s=120.0,
         search=SearchConfig(
             budget=BudgetConfig(iterations=8),
@@ -117,14 +117,12 @@ def _smoke() -> int:
         assert report.ok, report.breaches
         # Determinism across runs: zero cost deltas trial-for-trial.
         assert all(r["verdict"] in ("ok", "new") for r in report.rows), report.rows
-        results = table.results(spec.digest())
-        warm = [
-            r
-            for r in results.rows_for(s4.run_id)
-            if r.get("store_mode") == "warm" and r.get("status") == "ok"
-        ]
+        rows = table.results(spec.digest()).rows_for(s4.run_id)
+        # Every trial fanned its two chains out over the pool.
+        assert all(r.get("workers") == 2 for r in rows), rows
+        warm = [r for r in rows if r.get("store_mode") == "warm" and r.get("status") == "ok"]
         assert warm and all(r["store_warm_hits"] > 0 for r in warm), warm
-    print("[exp] smoke OK: grid + pool trial + failure capture + resume + report")
+    print("[exp] smoke OK: grid + pool trials + failure capture + resume + report")
     return 0
 
 

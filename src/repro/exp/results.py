@@ -264,7 +264,7 @@ class ExperimentResults:
     def group_rows(self, run: str | None = None) -> list[dict]:
         """Cross-experiment comparison rows: one per (model x cluster x
         backend) group, aggregated over its trials (seeds, store modes,
-        executors are replicates).
+        algorithms are replicates).
 
         Columns: best/mean cost, total wall and simulations, store
         hit-rate and warm hit-rate over the group's store lookups, and

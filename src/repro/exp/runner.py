@@ -37,7 +37,7 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.harness import cluster as build_cluster
@@ -165,15 +165,13 @@ class ExperimentRunner:
         return str(self.table.root / "store" / self.digest)
 
     def _trial_config(self, trial: Trial):
-        cfg = self.spec.search
-        execution = replace(cfg.execution, executor=trial.executor)
         store = (
             StoreConfig(root=self._warm_store_root())
             if trial.store_mode == "warm"
             else StoreConfig(root=None)
         )
-        return cfg.replace(
-            seed=trial.seed, execution=execution, store=store, algorithm=trial.algorithm
+        return self.spec.search.replace(
+            seed=trial.seed, store=store, algorithm=trial.algorithm
         )
 
     # -- trial execution ---------------------------------------------------
@@ -203,8 +201,8 @@ class ExperimentRunner:
         }
         extras = result.extras or {}
         # Processes that ran the chains, when the backend reports them
-        # (mcmc): a "pool" trial whose pool has one worker runs in the
-        # caller and records 1.
+        # (mcmc): 1 unless the spec asks for workers > 1 and the trial
+        # has more than one chain.
         if "workers" in extras:
             row["workers"] = extras["workers"]
         # Timeline-repair mix, when the backend surfaced it (mcmc fleets

@@ -1,12 +1,11 @@
 """Declarative experiment specs: a grid of trials, frozen and serializable.
 
 An :class:`ExperimentSpec` declares the paper's evaluation shape -- models
-x clusters x search backends x seeds x store warm/cold x executors x
-timeline algorithms -- as
-one frozen, JSON-round-trippable object, and expands it into a
-deterministic tuple of :class:`Trial`\\ s with *stable* trial ids: the id
-is a pure function of the trial's axis values, so re-running an edited
-spec re-executes only the rows that are actually new (the resume seam
+x clusters x search backends x seeds x store warm/cold x timeline
+algorithms -- as one frozen, JSON-round-trippable object, and expands it
+into a deterministic tuple of :class:`Trial`\\ s with *stable* trial ids:
+the id is a pure function of the trial's axis values, so re-running an
+edited spec re-executes only the rows that are actually new (the resume seam
 :mod:`repro.exp.runner` keys on), and two machines expanding the same
 spec agree on every id without coordination.
 
@@ -102,20 +101,19 @@ class Trial:
     backend: str
     seed: int
     store_mode: str
-    executor: str
     algorithm: str = "auto"
 
     @property
     def trial_id(self) -> str:
         return (
             f"{self.model}/{self.cluster.label}/{self.backend}"
-            f"/s{self.seed}/{self.store_mode}/{self.executor}/{self.algorithm}"
+            f"/s{self.seed}/{self.store_mode}/{self.algorithm}"
         )
 
     @property
     def group(self) -> str:
         """The aggregation group (model x cluster x backend) this trial
-        belongs to -- seeds/store modes/executors are replicates within it."""
+        belongs to -- seeds/store modes/algorithms are replicates within it."""
         return f"{self.model}/{self.cluster.label}/{self.backend}"
 
     def to_row(self) -> dict:
@@ -127,7 +125,6 @@ class Trial:
             "backend": self.backend,
             "seed": self.seed,
             "store_mode": self.store_mode,
-            "executor": self.executor,
             "algorithm": self.algorithm,
         }
 
@@ -138,10 +135,10 @@ class ExperimentSpec:
 
     The grid is the full cross product of the axes, expanded in a fixed
     order (models, then clusters, backends, seeds, store modes,
-    executors, algorithms) by :meth:`trials`.  ``search`` is the *base*
+    algorithms) by :meth:`trials`.  ``search`` is the *base*
     :class:`~repro.plan.SearchConfig` every trial derives from -- the
-    runner replaces the seed, store, executor, and timeline algorithm
-    per trial; everything else (budget, inits, backend options) applies
+    runner replaces the seed, store, and timeline algorithm per trial;
+    everything else (budget, execution, inits, backend options) applies
     grid-wide.  The ``algorithms`` axis is result-neutral (the timeline
     algorithms are bit-identical), so its rows double as a free
     cross-check: same group, same cost, different wall time.
@@ -153,7 +150,6 @@ class ExperimentSpec:
     backends: tuple[str, ...] = ("mcmc",)
     seeds: tuple[int, ...] = (0,)
     store_modes: tuple[str, ...] = ("cold",)
-    executors: tuple[str, ...] = ("inprocess",)
     algorithms: tuple[str, ...] = ("auto",)
     model_scale: str = "ci"
     # Per-trial wall-clock limit; a trial past it records an error row and
@@ -173,7 +169,6 @@ class ExperimentSpec:
             ("backends", self.backends),
             ("seeds", self.seeds),
             ("store_modes", self.store_modes),
-            ("executors", self.executors),
             ("algorithms", self.algorithms),
         ):
             if not values:
@@ -206,20 +201,18 @@ class ExperimentSpec:
                 for backend in self.backends:
                     for seed in self.seeds:
                         for mode in self.store_modes:
-                            for executor in self.executors:
-                                for algorithm in self.algorithms:
-                                    out.append(
-                                        Trial(
-                                            model=model,
-                                            model_scale=self.model_scale,
-                                            cluster=cp,
-                                            backend=backend,
-                                            seed=seed,
-                                            store_mode=mode,
-                                            executor=executor,
-                                            algorithm=algorithm,
-                                        )
+                            for algorithm in self.algorithms:
+                                out.append(
+                                    Trial(
+                                        model=model,
+                                        model_scale=self.model_scale,
+                                        cluster=cp,
+                                        backend=backend,
+                                        seed=seed,
+                                        store_mode=mode,
+                                        algorithm=algorithm,
                                     )
+                                )
         return tuple(out)
 
     # -- serialization -----------------------------------------------------
@@ -231,7 +224,6 @@ class ExperimentSpec:
             "backends": list(self.backends),
             "seeds": list(self.seeds),
             "store_modes": list(self.store_modes),
-            "executors": list(self.executors),
             "algorithms": list(self.algorithms),
             "model_scale": self.model_scale,
             "trial_timeout_s": self.trial_timeout_s,
@@ -243,7 +235,7 @@ class ExperimentSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         _check_keys(cls, data, "ExperimentSpec")
         kwargs: dict[str, Any] = dict(data)
-        for name in ("models", "backends", "seeds", "store_modes", "executors", "algorithms"):
+        for name in ("models", "backends", "seeds", "store_modes", "algorithms"):
             if name in kwargs:
                 kwargs[name] = tuple(kwargs[name])
         if "clusters" in kwargs:

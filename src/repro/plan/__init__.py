@@ -8,7 +8,7 @@ gives all of those searchers one backend-agnostic surface:
 * :class:`Planner` -- the facade, constructed from
   ``(graph, topology, profiler, training)``;
 * :class:`SearchConfig` -- a frozen, JSON-round-trippable search policy
-  (budget, execution, store and early-stop sub-configs);
+  (budget, execution and store sub-configs);
 * :class:`~repro.plan.registry.SearchBackend` + a string-keyed registry
   (:func:`register_backend` / :func:`get_backend` /
   :func:`available_backends`) under which ``mcmc``, ``exhaustive``,
@@ -33,8 +33,8 @@ The ``mcmc`` backend's chains can run on a local process pool::
     cfg = SearchConfig(execution=ExecutionConfig(workers=4))
     result = planner.search("mcmc", cfg)
 
-Results are bit-identical to ``executor="inprocess"`` for the same seeds
-(chains are pure functions of their spec).  See :mod:`repro.search.exec`.
+Results are bit-identical to ``workers=1`` for the same seeds (chains
+are pure functions of their spec).  See :mod:`repro.search.exec`.
 
 Repeated searches
 -----------------
@@ -47,7 +47,6 @@ skip the task geometry earlier ones computed in this process.
 
 from repro.plan.config import (
     BudgetConfig,
-    EarlyStopConfig,
     ExecutionConfig,
     SearchConfig,
     StoreConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "BudgetConfig",
     "ExecutionConfig",
     "StoreConfig",
-    "EarlyStopConfig",
     "PlanResult",
     "comparison_rows",
     "SearchBackend",

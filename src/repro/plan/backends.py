@@ -7,8 +7,8 @@ Each backend adapts one search engine to the common
 :class:`~repro.plan.result.PlanResult` whose cost/metrics are evaluated
 on the FlexFlow simulator substrate.  The MCMC orchestration lives
 here: chain specs from the config's inits and seeds, the store's context
-digest, executor selection, and aggregation of the per-chain accounting;
-the executors of :mod:`repro.search.exec` only run the chains.
+digest, and aggregation of the per-chain accounting;
+:func:`repro.search.exec.run_chains` only runs the chains.
 
 Store sharing
 -------------
@@ -33,12 +33,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.plan.config import SearchConfig
-from repro.plan.errors import SearchError
 from repro.plan.result import PlanResult
 from repro.plan.registry import register_backend
 from repro.search.cache import CacheStats
-# Importing the package also registers the built-in executors.
-from repro.search.exec import ChainSpec, ExecutionContext, get_executor
+from repro.search.exec import ChainSpec, ExecutionContext, run_chains
 from repro.search.mcmc import MCMCConfig
 from repro.search.store import StoreStats, StrategyStore
 from repro.sim.simulator import simulate_strategy
@@ -101,7 +99,6 @@ class McmcBackend:
         graph, topology = planner.graph, planner.topology
         profiler, training = planner.profiler, planner.training
         budget, execution = config.budget, config.execution
-        workers = max(1, execution.workers)
         space = ConfigSpace(graph, topology)
         rng = np.random.default_rng(config.seed)
 
@@ -140,75 +137,53 @@ class McmcBackend:
 
         t0 = time.perf_counter()
         store_context = _store_context(planner, config)
-        executor = execution.executor
-        if executor == "auto":
-            # Fan out locally only when it can actually help.
-            executor = "pool" if workers > 1 and len(specs) > 1 else "inprocess"
         ctx = ExecutionContext(
             graph=graph,
             topology=topology,
             profiler=profiler,
             algorithm=config.algorithm,
             training=training,
-            early_stop_cost=config.early_stop.cost_us,
             cache_size=execution.cache_size,
             store_root=config.store.root if store_context is not None else None,
             store_context=store_context,
-            workers=workers,
+            workers=execution.workers,
         )
-        results = get_executor(executor).run(ctx, specs)
+        results = run_chains(ctx, specs)
         wall = time.perf_counter() - t0
 
-        best_strategy: Strategy | None = None
-        best_cost = float("inf")
-        traces: dict = {}
-        init_costs: dict[str, float] = {}
         simulations = 0
         route_counts: dict[str, int] = {}
         for r in results:
-            if r.skipped:
-                continue
-            traces[r.name] = r.trace
-            init_costs[r.name] = r.init_cost_us
             simulations += r.trace.simulations + 1  # +1: the chain's init simulation
             for route, n in r.trace.route_counts.items():
                 route_counts[route] = route_counts.get(route, 0) + n
-            if r.best_cost_us < best_cost:
-                best_cost = r.best_cost_us
-                best_strategy = r.best_strategy
+        # The lowest cost; on a tie, the earliest chain in spec order.
+        best = min(results, key=lambda r: r.best_cost_us)
 
         # Aggregate per-chain accounting deltas: the authoritative totals,
         # since per-worker caches/stores are gone once the pool shuts down.
         cache_stats = reduce(CacheStats.merge, (r.cache for r in results), CacheStats())
         store_stats = reduce(StoreStats.merge, (r.store for r in results), StoreStats())
 
-        if best_strategy is None:
-            # Every chain was skipped -- e.g. an early-stop target of +inf
-            # marks the fleet "done" before any chain starts.  This used to
-            # die on a bare AssertionError; fail with an actionable error.
-            raise SearchError(
-                f"mcmc search produced no strategy: all {len(results)} chain(s) were "
-                f"skipped by the early-stop target "
-                f"(early_stop.cost_us={config.early_stop.cost_us!r}); "
-                "raise or remove the target so at least one chain runs"
-            )
-        metrics = simulate_strategy(graph, topology, best_strategy, profiler, training=training)
+        metrics = simulate_strategy(
+            graph, topology, best.best_strategy, profiler, training=training
+        )
         # Report the worker count actually observed (distinct processes that
         # ran chains), not the request: the pool clamps to the chain count
         # and falls back to in-process execution on unpicklable inputs.
-        observed_workers = len({r.worker_pid for r in results}) or 1
+        observed_workers = len({r.worker_pid for r in results})
         return PlanResult(
             backend=self.name,
-            best_strategy=best_strategy,
-            best_cost_us=best_cost,
+            best_strategy=best.best_strategy,
+            best_cost_us=best.best_cost_us,
             metrics=metrics,
             wall_time_s=wall,
             simulations=simulations,
             cache_stats=cache_stats,
             store_stats=store_stats,
             extras={
-                "traces": traces,
-                "init_costs": init_costs,
+                "traces": {r.name: r.trace for r in results},
+                "init_costs": {r.name: r.init_cost_us for r in results},
                 "chains": results,
                 "workers": observed_workers,
                 # Fleet-wide timeline-repair mix under auto (DeltaStats routes).

@@ -1,8 +1,8 @@
 """Structured, serializable search configuration.
 
 :class:`SearchConfig` is a frozen dataclass of frozen sub-configs:
-budget, execution fan-out, persistent store, and early stop each get
-their own small namespace, every backend consumes the same object, and
+budget, execution fan-out and persistent store each get their own
+small namespace, every backend consumes the same object, and
 the whole thing round-trips losslessly through JSON, so a config can be
 embedded in an experiment spec.
 
@@ -30,7 +30,6 @@ __all__ = [
     "BudgetConfig",
     "ExecutionConfig",
     "StoreConfig",
-    "EarlyStopConfig",
     "SearchConfig",
 ]
 
@@ -65,21 +64,29 @@ class BudgetConfig:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How chains execute: executor selection, fan-out, and cache size.
+    """How chains execute: fan-out and evaluation-cache size.
 
-    ``executor`` names a registered chain executor
-    (:mod:`repro.search.exec`): ``"auto"`` (pool when ``workers > 1``
-    and there is more than one chain, else in-process), ``"inprocess"``,
-    or ``"pool"`` (a local process pool of ``workers`` processes, at most
-    one per chain; a pool of one worker runs the chains in the caller).
-    ``PlanResult.extras["workers"]`` counts the processes that ran them.
-    Results are bit-identical across executors for a fixed seed set; the
-    choice is pure capacity.
+    With ``workers > 1`` and more than one chain, the chains run on a
+    local process pool of ``workers`` processes, at most one per chain
+    (:func:`repro.search.exec.run_chains`); otherwise they run one after
+    another in the caller.  ``PlanResult.extras["workers"]`` counts the
+    processes that ran them.  Results are bit-identical for every worker
+    count for a fixed seed set; the choice is pure capacity.
+    ``cache_size`` is the evaluation cache's capacity in each process
+    (0 turns the cache off).  Both must be ints, ``workers >= 1`` and
+    ``cache_size >= 0``; anything else raises ``ValueError``.
     """
 
     workers: int = 1
     cache_size: int = DEFAULT_CACHE_SIZE
-    executor: str = "auto"
+
+    def __post_init__(self):
+        for name, low in (("workers", 1), ("cache_size", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"ExecutionConfig.{name} must be an int >= {low}, got {value!r}"
+                )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionConfig":
@@ -100,18 +107,6 @@ class StoreConfig:
 
 
 @dataclass(frozen=True)
-class EarlyStopConfig:
-    """Target-cost early stop broadcast across chains (``None`` disables)."""
-
-    cost_us: float | None = None
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EarlyStopConfig":
-        _check_keys(cls, data, "EarlyStopConfig")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Everything a :class:`~repro.plan.Planner` backend needs besides the
     problem itself.
@@ -127,7 +122,6 @@ class SearchConfig:
     budget: BudgetConfig = BudgetConfig()
     execution: ExecutionConfig = ExecutionConfig()
     store: StoreConfig = StoreConfig()
-    early_stop: EarlyStopConfig = EarlyStopConfig()
     inits: tuple[str, ...] = ("data_parallel", "random")
     seed: int = 0
     # Timeline algorithm the chains' simulators run: "auto" (the
@@ -161,7 +155,6 @@ class SearchConfig:
             "budget": dataclasses.asdict(self.budget),
             "execution": dataclasses.asdict(self.execution),
             "store": dataclasses.asdict(self.store),
-            "early_stop": dataclasses.asdict(self.early_stop),
             "inits": list(self.inits),
             "seed": self.seed,
             "algorithm": self.algorithm,
@@ -178,7 +171,6 @@ class SearchConfig:
             ("budget", BudgetConfig),
             ("execution", ExecutionConfig),
             ("store", StoreConfig),
-            ("early_stop", EarlyStopConfig),
         ):
             if name in kwargs and not isinstance(kwargs[name], sub):
                 kwargs[name] = sub.from_dict(kwargs[name])

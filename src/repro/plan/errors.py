@@ -17,9 +17,8 @@ class PlanError(Exception):
 class SearchError(PlanError, RuntimeError):
     """A search backend ran but could not produce a strategy.
 
-    Raised, for example, when every MCMC chain is skipped by an
-    early-stop target before producing a result, or when an exhaustive
-    enumeration is asked to cover a space it cannot.  Deliberately a
+    Raised, for example, when an exhaustive enumeration is asked to
+    cover an empty strategy space.  Deliberately a
     :class:`RuntimeError` subclass so pre-existing broad handlers keep
     working.
     """

@@ -76,28 +76,10 @@ class Planner:
         store-capable backends (``mcmc``, ``exhaustive``) address one
         shared store context, so later backends warm-start from
         full-strategy evaluations earlier ones flushed; each backend's
-        warm/cold hit split is reported under
-        ``result.extras["store"]``.
+        warm/cold hit split is in its ``result.store_stats``.
         """
         cfg = config if config is not None else SearchConfig()
-        results: dict[str, PlanResult] = {}
-        for name in backends:
-            res = self.search(name, cfg)
-            stats = res.store_stats
-            if stats.lookups or stats.appended:
-                res.extras["store"] = {
-                    "loaded": stats.loaded,
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "hit_rate": stats.hit_rate,
-                    "warm_hits": stats.warm_hits,
-                    "cold_hits": stats.cold_hits,
-                    "warm_hit_rate": stats.warm_hit_rate,
-                    "cold_hit_rate": stats.cold_hit_rate,
-                    "appended": stats.appended,
-                }
-            results[name] = res
-        return results
+        return {name: self.search(name, cfg) for name in backends}
 
     # -- supporting services -----------------------------------------------
     def evaluate(self, strategy: Strategy) -> IterationMetrics:

@@ -10,15 +10,10 @@ from repro.search.exhaustive import ExhaustiveResult
 from repro.search.mcmc import MCMCConfig, SearchTrace, mcmc_search
 from repro.search.exec import (
     DEFAULT_CACHE_SIZE,
-    ChainExecutor,
     ChainResult,
     ChainSpec,
     ExecutionContext,
-    InProcessExecutor,
-    ProcessPoolExecutor,
-    available_executors,
-    get_executor,
-    register_executor,
+    run_chains,
 )
 from repro.search.store import (
     STORE_FORMAT_VERSION,
@@ -51,11 +46,6 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "ChainResult",
     "ChainSpec",
-    "ChainExecutor",
     "ExecutionContext",
-    "InProcessExecutor",
-    "ProcessPoolExecutor",
-    "available_executors",
-    "get_executor",
-    "register_executor",
+    "run_chains",
 ]

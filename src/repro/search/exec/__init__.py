@@ -1,72 +1,47 @@
-"""Pluggable chain executors: where search chains run.
+"""Chain execution: where search chains run.
 
 The execution layer behind the ``mcmc`` planner backend
 (:class:`repro.plan.backends.McmcBackend`), which turns a
 :class:`~repro.plan.SearchConfig` into :class:`ChainSpec`\\ s and an
-:class:`ExecutionContext` and hands them to one executor.  Two built-in
-executors implement the :class:`~repro.search.exec.base.ChainExecutor`
-protocol:
+:class:`ExecutionContext` and hands them to :func:`run_chains`.  It runs
+the chains one after another in the calling process, or, when
+``ExecutionConfig.workers`` and the chain count both exceed one, on a
+local process pool of at most one worker per chain.
 
-``inprocess``
-    Sequential chains in the calling process -- the deterministic
-    fallback, always available.
-``pool``
-    Local process-pool fan-out (``ExecutionConfig.workers``).
-
-Both produce bit-identical results for a fixed seed set (costs are pure
-functions of the strategy; every chain carries its own RNG), so the
-executor is a pure capacity decision.  Additional transports register
-through :func:`register_executor`.
+Each chain runs on its own budget and chains exchange nothing, as in the
+paper (Section 6.2), so the worker count is a pure capacity decision.
 
 Determinism
 -----------
+* Results are bit-identical for every worker count and every config,
+  for a fixed seed set: costs are pure functions of the strategy and
+  every chain carries its own RNG.
 * The evaluation cache and the persistent store only skip redundant
   simulations; accept / reject decisions are unchanged.  Hit
   *accounting* may vary with scheduling, because chains co-located in
   one pool worker share a cache; the search results never do.
-* With ``early_stop_cost=None`` (the default) every chain runs to its
-  own budget, and results are bit-identical across ``inprocess`` and
-  ``pool`` (any worker count).  A target cost broadcasts the global best
-  between chains and stops them once it is met: the returned best still
-  meets the target, but which chain found it first may vary with
-  timing.  Chains share no evaluations and pool no budgets: each runs on
-  its own budget, as in the paper.
 
 Persistence
 -----------
 The caller computes the store's search-context digest once and passes
-it in the context with ``store_root``.  Executors open the shard once
-per process and flush it when each chain completes.
+it in the context with ``store_root``.  Each process opens the shard
+once and flushes it when each chain completes.
 """
 
 from repro.search.exec.base import (
     DEFAULT_CACHE_SIZE,
-    BestChannel,
-    ChainExecutor,
     ChainResult,
     ChainSpec,
     ExecutionContext,
-    available_executors,
-    get_executor,
-    register_executor,
     run_one_chain,
 )
-from repro.search.exec.local import InProcessExecutor, ProcessPoolExecutor
-
-register_executor(InProcessExecutor.name, InProcessExecutor, overwrite=True)
-register_executor(ProcessPoolExecutor.name, ProcessPoolExecutor, overwrite=True)
+from repro.search.exec.local import run_chains
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "BestChannel",
-    "ChainExecutor",
     "ChainResult",
     "ChainSpec",
     "ExecutionContext",
-    "InProcessExecutor",
-    "ProcessPoolExecutor",
-    "available_executors",
-    "get_executor",
-    "register_executor",
+    "run_chains",
     "run_one_chain",
 ]

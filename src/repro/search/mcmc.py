@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -169,8 +168,6 @@ def mcmc_search(
     space: ConfigSpace,
     config: MCMCConfig,
     cache: SimulationCache | None = None,
-    should_stop: Callable[[], bool] | None = None,
-    on_improve: Callable[[float], None] | None = None,
     store=None,
 ) -> tuple[Strategy, float, SearchTrace]:
     """Run one Markov chain from the simulator's current strategy.
@@ -185,13 +182,6 @@ def mcmc_search(
     cache:
         Optional in-memory strategy-evaluation cache consulted on each
         proposal.  Does not change search results, only skips work.
-    should_stop:
-        Polled once per iteration; returning ``True`` terminates the
-        chain (used by the parallel orchestrator to broadcast an
-        early-stop across chains).
-    on_improve:
-        Called with the new best cost whenever the chain improves its
-        best-so-far (used to publish progress to sibling chains).
     store:
         Optional persistent :class:`~repro.search.store.StrategyStore`
         (or anything with ``get``/``record``) consulted *before* the
@@ -293,9 +283,6 @@ def mcmc_search(
             if stalled:
                 trace.stop_reason = "stall"
                 break
-        if should_stop is not None and should_stop():
-            trace.stop_reason = "early_stop"
-            break
 
         op_id = int(op_ids[int(rng.integers(0, len(op_ids)))])
         old_cfg = virtual[op_id] if virtual is not None else simulator.strategy[op_id]
@@ -366,8 +353,6 @@ def mcmc_search(
                     )
                     last_improve_t = time.perf_counter() - t0
                     last_improve_iter = it
-                    if on_improve is not None:
-                        on_improve(best_cost)
             elif simulated:
                 # Snapshot restore: no undo simulation.  A cache hit never
                 # touched the simulator, so there is nothing to revert.

@@ -16,7 +16,7 @@ id-based tie-breaking would make the simulated makespan depend on the
 the timeline is a pure function of
 ``(operator graph, topology, strategy, training)`` -- the property that
 the strategy-evaluation cache (:mod:`repro.search.cache`) and the
-cross-executor reproducibility of multi-chain search
+reproducibility of multi-chain search across worker counts
 (:mod:`repro.search.exec`) both rely on.
 
 The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`

@@ -16,7 +16,6 @@ def tiny_spec(**overrides):
         backends=("mcmc",),
         seeds=(0,),
         store_modes=("cold",),
-        executors=("inprocess",),
         search=SearchConfig(budget=BudgetConfig(iterations=5), inits=("data_parallel",)),
     )
     kwargs.update(overrides)
@@ -108,7 +107,7 @@ class TestFailureCapture:
         stats = run_experiment(spec, root=tmp_path, progress=quiet)
         assert stats.executed == 2 and stats.errors == 1
         res = ResultsTable(tmp_path).results(spec.digest())
-        bad = res.trial_outcomes("r1")["mlp/p100x2/no_such_backend/s0/cold/inprocess/auto"]
+        bad = res.trial_outcomes("r1")["mlp/p100x2/no_such_backend/s0/cold/auto"]
         assert "UnknownBackendError" in bad["error"]
 
     def test_error_rows_resume_as_recorded_unless_retry(self, tmp_path):
@@ -150,8 +149,8 @@ class TestStoresAndWarmth:
         run_experiment(spec, root=tmp_path, fresh=True, progress=quiet)
         res = ResultsTable(tmp_path).results(spec.digest())
         by_trial = res.trial_outcomes("r2")
-        warm = by_trial["mlp/p100x2/mcmc/s0/warm/inprocess/auto"]
-        cold = by_trial["mlp/p100x2/mcmc/s0/cold/inprocess/auto"]
+        warm = by_trial["mlp/p100x2/mcmc/s0/warm/auto"]
+        cold = by_trial["mlp/p100x2/mcmc/s0/cold/auto"]
         assert warm["store_warm_hits"] > 0, warm
         assert cold["store_lookups"] == 0, cold  # persistence off for cold trials
         # Warmth is result-neutral.
@@ -171,33 +170,30 @@ class TestStoresAndWarmth:
 
 class TestPoolTrial:
     def test_pool_trial_matches_inprocess(self, tmp_path):
-        spec = tiny_spec(
-            executors=("inprocess", "pool"),
-            trial_timeout_s=120.0,
-            search=SearchConfig(
-                budget=BudgetConfig(iterations=5),
-                execution=ExecutionConfig(workers=2),
-                inits=("data_parallel", "random"),
-            ),
-        )
-        runner = ExperimentRunner(spec, root=tmp_path, progress=quiet)
-        stats = runner.run()
-        assert stats.executed == 2 and stats.errors == 0
-        res = ResultsTable(tmp_path).results(spec.digest())
-        out = res.trial_outcomes("r1")
-        local = out["mlp/p100x2/mcmc/s0/cold/inprocess/auto"]
-        pooled = out["mlp/p100x2/mcmc/s0/cold/pool/auto"]
-        assert pooled["cost_us"] == local["cost_us"]  # executor is pure capacity
-        assert local["workers"] == 1
+        rows = {}
+        for workers in (1, 2):
+            spec = tiny_spec(
+                trial_timeout_s=120.0,
+                search=SearchConfig(
+                    budget=BudgetConfig(iterations=5),
+                    execution=ExecutionConfig(workers=workers),
+                    inits=("data_parallel", "random"),
+                ),
+            )
+            stats = ExperimentRunner(spec, root=tmp_path, progress=quiet).run()
+            assert stats.executed == 1 and stats.errors == 0
+            out = ResultsTable(tmp_path).results(spec.digest()).trial_outcomes("r1")
+            rows[workers] = out["mlp/p100x2/mcmc/s0/cold/auto"]
+        assert rows[2]["cost_us"] == rows[1]["cost_us"]  # the pool is pure capacity
+        assert rows[1]["workers"] == 1
+        assert rows[2]["workers"] == 2
 
     def test_pool_of_one_worker_records_one_worker(self, tmp_path):
-        """Under the default workers=1 a pool trial runs its chains in the
-        caller; the row records that instead of passing for a pool run."""
-        spec = tiny_spec(
-            executors=("pool",), search=SearchConfig(budget=BudgetConfig(iterations=5))
-        )
+        """Under the default workers=1 a trial runs its chains in the
+        caller, and its row records one worker."""
+        spec = tiny_spec(search=SearchConfig(budget=BudgetConfig(iterations=5)))
         run_experiment(spec, root=tmp_path, progress=quiet)
         out = ResultsTable(tmp_path).results(spec.digest()).trial_outcomes("r1")
-        row = out["mlp/p100x2/mcmc/s0/cold/pool/auto"]
+        row = out["mlp/p100x2/mcmc/s0/cold/auto"]
         assert row["status"] == "ok"
         assert row["workers"] == 1

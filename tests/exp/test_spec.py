@@ -16,7 +16,6 @@ def tiny_spec(**overrides):
         backends=("mcmc",),
         seeds=(0, 1),
         store_modes=("cold", "warm"),
-        executors=("inprocess",),
         search=SearchConfig(budget=BudgetConfig(iterations=5)),
     )
     kwargs.update(overrides)
@@ -32,7 +31,7 @@ class TestExpansion:
     def test_expansion_is_deterministic_and_ordered(self):
         a, b = tiny_spec().trials(), tiny_spec().trials()
         assert a == b
-        # models vary slowest, executors fastest
+        # models vary slowest, algorithms fastest
         assert [t.model for t in a[:8]] == ["mlp"] * 8
         assert a[0].store_mode == "cold" and a[1].store_mode == "warm"
 
@@ -40,7 +39,7 @@ class TestExpansion:
         trials = tiny_spec().trials()
         ids = [t.trial_id for t in trials]
         assert len(set(ids)) == len(ids)
-        assert "mlp/p100x2/mcmc/s0/cold/inprocess/auto" in ids
+        assert "mlp/p100x2/mcmc/s0/cold/auto" in ids
 
     def test_trial_id_survives_grid_growth(self):
         # Adding axis values must not move existing ids (the resume key).
@@ -137,12 +136,11 @@ class TestSerialization:
 
 
 def test_committed_ci_grid_spec_parses(request):
-    # The committed example must stay loadable and cover both executors,
-    # with a pool that really fans out (the acceptance grid).
+    # The committed example must stay loadable, with a pool that really
+    # fans out (the acceptance grid).
     root = request.config.rootpath
     spec = load_spec(root / "examples" / "experiments" / "ci_grid.json")
     trials = spec.trials()
-    assert {t.executor for t in trials} == {"inprocess", "pool"}
     assert spec.search.execution.workers > 1 and len(spec.search.inits) > 1
     assert any(t.store_mode == "warm" for t in trials)
     assert len(trials) >= 12

@@ -87,7 +87,7 @@ class TestSharedStoreContext:
         assert mcmc.store_stats.appended > 0
         # The enumeration ran against a store populated by the chains.
         assert ex.store_stats.warm_hits > 0
-        assert ex.extras["store"]["warm_hit_rate"] > 0.0
+        assert ex.store_stats.warm_hit_rate > 0.0
         # The store never changes what the enumeration finds.
         bare = planner.search("exhaustive", cfg.replace(store=StoreConfig(root=None)))
         assert ex.best_cost_us == bare.best_cost_us
@@ -105,10 +105,11 @@ class TestSharedStoreContext:
         planner.compare(["mcmc"], cfg)
         results = planner.compare(["mcmc", "exhaustive"], cfg)
         for name, res in results.items():
-            info = res.extras["store"]
-            assert info["hits"] == res.store_stats.hits, name
-            assert info["warm_hits"] + info["cold_hits"] == info["hits"], name
-            assert 0.0 <= info["warm_hit_rate"] <= 1.0
+            info = res.store_stats
+            assert info.lookups or info.appended, name
+            assert res.store_hits == info.hits, name
+            assert info.warm_hits + info.cold_hits == info.hits, name
+            assert 0.0 <= info.warm_hit_rate <= 1.0
         # The warm mcmc rerun answers every proposal from disk.
         mcmc = results["mcmc"].store_stats
         assert mcmc.warm_hits > 0

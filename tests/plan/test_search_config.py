@@ -6,7 +6,6 @@ import pytest
 
 from repro.plan import (
     BudgetConfig,
-    EarlyStopConfig,
     ExecutionConfig,
     SearchConfig,
     StoreConfig,
@@ -22,10 +21,8 @@ def full_config() -> SearchConfig:
         execution=ExecutionConfig(
             workers=3,
             cache_size=128,
-            executor="pool",
         ),
         store=StoreConfig(root="/tmp/some-store"),
-        early_stop=EarlyStopConfig(cost_us=123.5),
         inits=("data_parallel", "expert", "random"),
         seed=11,
         algorithm="full",
@@ -59,10 +56,6 @@ class TestRoundTrip:
         assert cfg.inits == ("expert",)
         assert isinstance(cfg.inits, tuple)
 
-    def test_executor_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.execution.executor == "auto"
-
 
 class TestUnknownKeys:
     def test_top_level_unknown_key_rejected(self):
@@ -73,8 +66,10 @@ class TestUnknownKeys:
 
     # ``budget.adaptive`` and ``execution.join_bind`` were settable until
     # the fleet became fixed, ``execution.cluster`` until the socket
-    # executor was deleted, and the store's ``shared`` flag until the
-    # planning server was; a config that still carries them fails.
+    # executor was deleted, the store's ``shared`` flag until the
+    # planning server was, and the execution section's ``executor`` until
+    # the worker count alone picked where chains run; a config that still
+    # carries them fails.
     @pytest.mark.parametrize(
         "section,key",
         [
@@ -83,6 +78,7 @@ class TestUnknownKeys:
             ("execution", "join_bind"),
             ("execution", "cluster"),
             ("store", "shared"),
+            ("execution", "executor"),
         ],
     )
     def test_nested_unknown_key_rejected(self, section, key):
@@ -91,11 +87,19 @@ class TestUnknownKeys:
         with pytest.raises(ValueError, match=key):
             SearchConfig.from_dict(payload)
 
-    @pytest.mark.parametrize("section", ["execution", "store", "early_stop"])
+    @pytest.mark.parametrize("section", ["execution", "store"])
     def test_every_sub_config_validates(self, section):
         payload = SearchConfig().to_dict()
         payload[section]["bogus"] = 1
         with pytest.raises(ValueError, match="bogus"):
+            SearchConfig.from_dict(payload)
+
+    def test_early_stop_section_rejected(self):
+        """The early-stop broadcast is gone; a config that still sets a
+        target fails instead of silently searching without one."""
+        payload = SearchConfig().to_dict()
+        payload["early_stop"] = {"cost_us": 123.5}
+        with pytest.raises(ValueError, match="early_stop"):
             SearchConfig.from_dict(payload)
 
     def test_non_mapping_rejected(self):
@@ -130,4 +134,25 @@ class TestReplaceAndOptions:
         assert cfg.algorithm == "auto"
         assert cfg.beta_scale == 50.0
         assert cfg.store.root is None
-        assert cfg.early_stop.cost_us is None
+
+
+class TestExecutionValidation:
+    # No workers, a negative count or cache size, and a count that is a
+    # string (as a hand-edited JSON spec may carry).
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("workers", 0, id="workers-0"),
+            pytest.param("workers", -3, id="workers-negative"),
+            pytest.param("cache_size", -1, id="cache_size-negative"),
+            pytest.param("workers", "2", id="workers-str"),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        """Refused when built, and so when a JSON config loads."""
+        with pytest.raises(ValueError, match=field):
+            ExecutionConfig(**{field: value})
+        payload = SearchConfig().to_dict()
+        payload["execution"][field] = value
+        with pytest.raises(ValueError, match=field):
+            SearchConfig.from_dict(payload)

@@ -1,9 +1,9 @@
-"""Shared helpers for the search tests: planner runs, executor runs and an
-in-memory store."""
+"""Shared helpers for the search tests: planner runs, hand-built chain runs
+and an in-memory store."""
 
 from repro.plan import BudgetConfig, ExecutionConfig, Planner, SearchConfig, StoreConfig
 from repro.profiler.profiler import OpProfiler
-from repro.search.exec import ExecutionContext, get_executor
+from repro.search.exec import ExecutionContext, run_chains
 from repro.search.store import StoreStats
 
 
@@ -25,16 +25,16 @@ def plan_mcmc(
     return Planner(graph, topo).search("mcmc", cfg)
 
 
-def run_specs(graph, topo, specs, executor="inprocess", **ctx_fields):
-    """Run hand-built ``ChainSpec``s on one named executor.
+def run_specs(graph, topo, specs, **ctx_fields):
+    """Run hand-built ``ChainSpec``s through ``run_chains``.
 
     ``ctx_fields`` are the other :class:`ExecutionContext` fields
-    (``workers``, ``early_stop_cost``, ...); the profiler is
-    a fresh noiseless one unless given.
+    (``workers``, ``cache_size``, ...); the profiler is a fresh
+    noiseless one unless given.
     """
     ctx_fields.setdefault("profiler", OpProfiler())
     ctx = ExecutionContext(graph=graph, topology=topo, **ctx_fields)
-    return get_executor(executor).run(ctx, specs)
+    return run_chains(ctx, specs)
 
 
 def chains_equal(a, b) -> bool:
@@ -42,7 +42,7 @@ def chains_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
     for x, y in zip(a, b):
-        if x.name != y.name or x.skipped != y.skipped:
+        if x.name != y.name:
             return False
         if x.best_cost_us != y.best_cost_us or x.init_cost_us != y.init_cost_us:
             return False

@@ -12,7 +12,6 @@ Both rest on the simulated cost being a pure function of the strategy
 (canonical tie-breaking), which ``tests/sim`` locks down separately.
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -72,7 +71,7 @@ class TestWorkerCountInvariance:
             ChainSpec("b", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=50, seed=9)),
         ]
         seq = run_specs(lenet_graph, topo4, specs)
-        par = run_specs(lenet_graph, topo4, specs, "pool", workers=2)
+        par = run_specs(lenet_graph, topo4, specs, workers=2)
         assert chains_equal(seq, par)
 
 
@@ -122,42 +121,6 @@ class TestCacheNeutrality:
         assert res.best_cost_us == res_off.best_cost_us
 
 
-class TestEarlyStopBroadcast:
-    def test_target_skips_remaining_chains(self, lenet_graph, topo4):
-        specs = [
-            ChainSpec("a", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=30, seed=0)),
-            ChainSpec("b", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=30, seed=1)),
-        ]
-        # An unreachable-low target keeps every chain running ...
-        res = run_specs(lenet_graph, topo4, specs, early_stop_cost=0.0)
-        assert not any(r.skipped for r in res)
-        # ... while a trivially-met target stops the fleet after chain one.
-        res = run_specs(lenet_graph, topo4, specs, early_stop_cost=1e18)
-        assert res[0].trace.stop_reason == "early_stop"
-        assert res[1].skipped
-
-    def test_pool_target_crosses_processes(self, lenet_graph, topo4):
-        """The pool's shared best carries one worker's cost to the others:
-        with two workers, the third chain starts only after another chain
-        has published its initial cost, so it is skipped."""
-        specs = [
-            ChainSpec(n, data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=30, seed=i))
-            for i, n in enumerate("abc")
-        ]
-        res = run_specs(lenet_graph, topo4, specs, "pool", workers=2, early_stop_cost=1e18)
-        assert all(r.skipped or r.trace.stop_reason == "early_stop" for r in res)
-        assert res[2].skipped
-        assert os.getpid() not in {r.worker_pid for r in res}  # all ran in the pool
-
-    def test_no_target_means_no_early_stop(self, lenet_graph, topo4):
-        specs = [
-            ChainSpec("a", data_parallelism(lenet_graph, topo4), MCMCConfig(iterations=25, seed=0)),
-        ]
-        (r,) = run_specs(lenet_graph, topo4, specs)
-        assert r.trace.stop_reason in ("iterations", "stall")
-        assert not r.skipped
-
-
 class TestFallbacks:
     def test_unpicklable_topology_falls_back_in_process(self, lenet_graph):
         devices = single_node(2, "p100").devices
@@ -168,14 +131,13 @@ class TestFallbacks:
         ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            par = run_specs(lenet_graph, topo, specs, "pool", workers=2)
+            par = run_specs(lenet_graph, topo, specs, workers=2)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         seq = run_specs(lenet_graph, topo, specs)
         assert chains_equal(seq, par)
 
     def test_empty_specs_rejected(self, lenet_graph, topo4):
-        """No inits means no chains: a ValueError, not the early-stop
-        SearchError an empty fleet would otherwise surface as."""
+        """No inits means no chains: a ValueError before any chain runs."""
         with pytest.raises(ValueError, match="inits is empty"):
             Planner(lenet_graph, topo4).search("mcmc", SearchConfig(inits=()))
 
