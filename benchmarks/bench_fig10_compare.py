@@ -1,7 +1,7 @@
-"""Figure 10 companion: every registered backend through Planner.compare.
+"""Figure 10 companion: all four backends through Planner.compare.
 
 The paper's Section 8 comparisons each pit FlexFlow against one baseline
-at a time; the unified planner API runs all four registered backends --
+at a time; the unified planner API runs all four backends --
 ``mcmc``, ``exhaustive`` (truncated), ``optcnn``, ``reinforce`` -- on one
 Inception/P100 problem under one SearchConfig and prints the shared
 comparison table.

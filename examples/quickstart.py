@@ -2,10 +2,10 @@
 
 Builds an operator graph, describes a machine, and drives the unified
 planner API (:mod:`repro.plan`): one ``Planner`` per ``(graph, machine)``
-problem, one serializable ``SearchConfig`` for search policy, and any
-registered backend -- ``mcmc``, ``optcnn``, ``reinforce``,
-``exhaustive`` -- runnable through the same two entry points,
-``Planner.search`` and ``Planner.compare``.
+problem, one serializable ``SearchConfig`` for search policy, and the
+four backends -- ``mcmc``, ``optcnn``, ``reinforce``, ``exhaustive`` --
+runnable through the same two entry points, ``Planner.search`` and
+``Planner.compare``.
 
 Run:  python examples/quickstart.py
 """

@@ -1,7 +1,8 @@
 """Automated-framework baselines the paper compares against (Section 8.2.3).
 
 Both run through the planner: ``Planner.search("optcnn")`` and
-``Planner.search("reinforce")`` (see :mod:`repro.plan.backends`).
+``Planner.search("reinforce")``, two of the four entries of
+:data:`repro.plan.backends.BACKENDS`.
 """
 
 from repro.baselines.optcnn import OptCNNResult

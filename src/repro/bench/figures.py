@@ -240,7 +240,7 @@ def fig10b_optcnn(
 
 
 # ---------------------------------------------------------------------------
-# Figure 10 companion: every registered backend on one (model, cluster) pair.
+# Figure 10 companion: all four backends on one (model, cluster) pair.
 # ---------------------------------------------------------------------------
 def fig10_backend_comparison(
     scale: BenchScale,
@@ -251,7 +251,7 @@ def fig10_backend_comparison(
 ) -> list[dict]:
     """The headline comparison through one ``Planner.compare`` call.
 
-    All four built-in backends search the same Inception/P100 problem
+    All four backends search the same Inception/P100 problem
     under one :class:`~repro.plan.SearchConfig` and land in one shared
     table (the surface Section 8 compares systems on).  Exhaustive
     enumeration of a real model is infeasible, so its candidate lists are

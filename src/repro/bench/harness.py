@@ -103,14 +103,15 @@ def current_scale() -> BenchScale:
     cross-run strategy store at a directory, and ``REPRO_SIM_ALGO`` picks
     the timeline algorithm (``auto``/``full``/``delta``) -- results are
     invariant to all of these; only wall time and cache accounting
-    change.
+    change.  The counts are not clamped: ``ExecutionConfig`` refuses a
+    bad one (``REPRO_WORKERS=0``) in :func:`search_config`.
     """
     scale = FULL_SCALE if os.environ.get("REPRO_FULL") == "1" else CI_SCALE
     overrides = {}
     if os.environ.get("REPRO_WORKERS"):
-        overrides["search_workers"] = max(1, int(os.environ["REPRO_WORKERS"]))
+        overrides["search_workers"] = int(os.environ["REPRO_WORKERS"])
     if os.environ.get("REPRO_CACHE"):
-        overrides["sim_cache_size"] = max(0, int(os.environ["REPRO_CACHE"]))
+        overrides["sim_cache_size"] = int(os.environ["REPRO_CACHE"])
     if os.environ.get("REPRO_CACHE_DIR"):
         overrides["store_dir"] = os.environ["REPRO_CACHE_DIR"]
     if os.environ.get("REPRO_SIM_ALGO"):

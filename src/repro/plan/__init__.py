@@ -1,4 +1,4 @@
-"""Unified planner API: one facade over every search backend.
+"""Unified planner API: one facade over the four search backends.
 
 The paper's headline result is a *comparison* -- the MCMC execution
 optimizer against OptCNN, REINFORCE, and globally-optimal exhaustive
@@ -9,11 +9,10 @@ gives all of those searchers one backend-agnostic surface:
   ``(graph, topology, profiler, training)``;
 * :class:`SearchConfig` -- a frozen, JSON-round-trippable search policy
   (budget, execution and store sub-configs);
-* :class:`~repro.plan.registry.SearchBackend` + a string-keyed registry
-  (:func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends`) under which ``mcmc``, ``exhaustive``,
-  ``optcnn``, and ``reinforce`` are registered;
 * :class:`PlanResult` -- the common result every backend returns.
+
+The backends are ``mcmc``, ``exhaustive``, ``optcnn`` and ``reinforce``,
+one table in :mod:`repro.plan.backends`.
 
 Quickstart::
 
@@ -22,9 +21,6 @@ Quickstart::
     planner = Planner(graph, topology)
     result = planner.search("mcmc", SearchConfig(budget=BudgetConfig(iterations=500)))
     table = planner.compare(["mcmc", "optcnn", "reinforce"])
-
-``python -m repro.plan --list-backends`` prints the registry (CI runs it
-so backend-registration breakage fails loudly).
 
 Parallel chains
 ---------------
@@ -51,24 +47,9 @@ from repro.plan.config import (
     SearchConfig,
     StoreConfig,
 )
-from repro.plan.errors import (
-    DuplicateBackendError,
-    PlanError,
-    SearchError,
-    UnknownBackendError,
-)
-from repro.plan.registry import (
-    SearchBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.plan.errors import PlanError, SearchError, UnknownBackendError
 from repro.plan.result import PlanResult, comparison_rows
-from repro.plan.backends import register_builtins
 from repro.plan.planner import Planner
-
-register_builtins()
 
 __all__ = [
     "Planner",
@@ -78,14 +59,7 @@ __all__ = [
     "StoreConfig",
     "PlanResult",
     "comparison_rows",
-    "SearchBackend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "available_backends",
-    "register_builtins",
     "PlanError",
     "SearchError",
     "UnknownBackendError",
-    "DuplicateBackendError",
 ]

@@ -115,8 +115,8 @@ class SearchConfig:
     the :class:`~repro.plan.Planner`; the config is pure search policy
     and therefore serializable.  ``backend_options`` carries
     backend-specific knobs keyed by backend name (e.g.
-    ``{"reinforce": {"episodes": 300}}``); each backend validates its own
-    option keys and ignores the other backends' entries.
+    ``{"reinforce": {"episodes": 300}}``); ``Planner.search`` refuses an
+    unknown backend name or key before any backend runs.
     """
 
     budget: BudgetConfig = BudgetConfig()

@@ -6,7 +6,6 @@ __all__ = [
     "PlanError",
     "SearchError",
     "UnknownBackendError",
-    "DuplicateBackendError",
 ]
 
 
@@ -25,25 +24,13 @@ class SearchError(PlanError, RuntimeError):
 
 
 class UnknownBackendError(PlanError, KeyError):
-    """``get_backend`` was asked for a name that is not registered."""
+    """``Planner.search`` was asked for a name that is not one of the
+    backends; the message lists the backends, sorted."""
 
-    def __init__(self, name: str, available: tuple[str, ...]):
+    def __init__(self, name: str, backends: tuple[str, ...]):
         self.name = name
-        self.available = available
-        super().__init__(
-            f"unknown search backend {name!r}; registered backends: {', '.join(available) or '(none)'}"
-        )
+        super().__init__(f"unknown search backend {name!r}; backends: {', '.join(backends)}")
 
     def __str__(self) -> str:  # KeyError.__str__ would repr() the message
         return self.args[0]
 
-
-class DuplicateBackendError(PlanError, ValueError):
-    """``register_backend`` would silently shadow an existing backend."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(
-            f"search backend {name!r} is already registered "
-            f"(pass overwrite=True to replace it)"
-        )

@@ -1,4 +1,4 @@
-"""The :class:`Planner` facade: one entry point for every search backend."""
+"""The :class:`Planner` facade: one entry point for the four search backends."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ from typing import Sequence
 
 from repro.ir.graph import OperatorGraph
 from repro.machine.topology import DeviceTopology
+from repro.plan.backends import BACKENDS, check_backend_options
 from repro.plan.config import SearchConfig
-from repro.plan.registry import get_backend
+from repro.plan.errors import UnknownBackendError
 from repro.plan.result import PlanResult
 from repro.profiler.profiler import OpProfiler
 from repro.search.store import (
@@ -34,8 +35,8 @@ class Planner:
     The planner owns the *problem* -- operator graph, device topology,
     profiler, and the training flag -- while a serializable
     :class:`~repro.plan.config.SearchConfig` owns the *search policy*.
-    Any registered :class:`~repro.plan.registry.SearchBackend` can be run
-    against the same problem::
+    Each of the four :data:`~repro.plan.backends.BACKENDS` runs against
+    the same problem::
 
         planner = Planner(graph, topology)
         result = planner.search("mcmc", SearchConfig(seed=0))
@@ -57,11 +58,16 @@ class Planner:
     # -- search ------------------------------------------------------------
     def search(self, backend: str, config: SearchConfig | None = None) -> PlanResult:
         """Run one backend; raises
-        :class:`~repro.plan.errors.UnknownBackendError` for unregistered
-        names and :class:`~repro.plan.errors.SearchError` when the backend
-        cannot produce a strategy."""
+        :class:`~repro.plan.errors.UnknownBackendError` for an unknown name,
+        ``ValueError`` before anything runs for a ``backend_options`` entry
+        no backend reads, and :class:`~repro.plan.errors.SearchError` when
+        the backend cannot produce a strategy."""
         cfg = config if config is not None else SearchConfig()
-        return get_backend(backend).run(self, cfg)
+        if backend not in BACKENDS:
+            raise UnknownBackendError(backend, tuple(sorted(BACKENDS)))
+        check_backend_options(cfg)
+        run, _ = BACKENDS[backend]
+        return run(self, cfg)
 
     def compare(
         self,

@@ -1,7 +1,7 @@
 """The backend-agnostic search result.
 
-Every :class:`~repro.plan.registry.SearchBackend` returns a
-:class:`PlanResult`: best strategy and its simulator-evaluated cost plus
+Each of the four backends (:data:`repro.plan.backends.BACKENDS`) returns
+a :class:`PlanResult`: best strategy and its simulator-evaluated cost plus
 the accounting every benchmark wants (wall time, simulation count,
 cache/store stats).  Backend-specific detail -- MCMC chain traces, OptCNN's
 additive-objective prediction, REINFORCE's episode history -- rides along

@@ -1,7 +1,7 @@
 """Chain execution: where search chains run.
 
-The execution layer behind the ``mcmc`` planner backend
-(:class:`repro.plan.backends.McmcBackend`), which turns a
+The execution layer behind the ``mcmc`` planner backend (its entry in
+:data:`repro.plan.backends.BACKENDS`), which turns a
 :class:`~repro.plan.SearchConfig` into :class:`ChainSpec`\\ s and an
 :class:`ExecutionContext` and hands them to :func:`run_chains`.  It runs
 the chains one after another in the calling process, or, when
@@ -15,7 +15,8 @@ Determinism
 -----------
 * Results are bit-identical for every worker count and every config,
   for a fixed seed set: costs are pure functions of the strategy and
-  every chain carries its own RNG.
+  every chain carries its own RNG.  So the chains a dead pool worker
+  took down re-run in the caller (``extras["chains_rerun"]``) unchanged.
 * The evaluation cache and the persistent store only skip redundant
   simulations; accept / reject decisions are unchanged.  Hit
   *accounting* may vary with scheduling, because chains co-located in

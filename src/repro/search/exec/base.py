@@ -72,6 +72,7 @@ class ChainResult:
     cache: CacheStats = field(default_factory=CacheStats)
     store: StoreStats = field(default_factory=StoreStats)
     worker_pid: int = 0  # process that ran the chain (observed, not requested)
+    rerun: bool = False  # re-run in the caller after its pool worker died
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ heavy ``ExecutionContext`` is pickled once for the whole pool and lazily
 unpickled once per worker, each task ships only its small
 :class:`~repro.search.exec.base.ChainSpec`, and an unpicklable problem
 (custom graph/topology/profiler) transparently degrades to the
-in-process path with a ``RuntimeWarning``.
+in-process path with a ``RuntimeWarning``.  A dead pool worker costs
+time, not the search: the chains it took down re-run in the caller,
+with a ``RuntimeWarning`` and ``ChainResult.rerun`` set.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import multiprocessing as mp
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.search.cache import SimulationCache
 from repro.search.exec.base import (
@@ -77,12 +80,19 @@ def _chain_task(spec: ChainSpec) -> ChainResult:
     return run_one_chain(_ctx, spec, _worker_cache, _worker_store)
 
 
+def _run_in_caller(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
+    cache = _new_cache(ctx.cache_size)
+    store = _open_store(ctx)
+    return [run_one_chain(ctx, s, cache, store) for s in specs]
+
+
 def run_chains(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
     """Run every chain; returns the results in spec order.
 
     The chains run in the caller unless ``min(ctx.workers, len(specs))``
     exceeds one; then they run on a local pool of that many processes.
-    Either way the results are bit-identical.
+    Either way the results are bit-identical.  Chains lost to a dead pool
+    worker re-run in the caller, as on the in-process path.
     """
     workers = min(ctx.workers, len(specs))
     if workers > 1:
@@ -97,9 +107,7 @@ def run_chains(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResul
             )
             workers = 1
     if workers <= 1:
-        cache = _new_cache(ctx.cache_size)
-        store = _open_store(ctx)
-        return [run_one_chain(ctx, s, cache, store) for s in specs]
+        return _run_in_caller(ctx, specs)
 
     mp_ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
     with ProcessPoolExecutor(
@@ -109,4 +117,17 @@ def run_chains(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResul
         initargs=(ctx.cache_size, ctx_bytes),
     ) as pool:
         futures = [pool.submit(_chain_task, s) for s in specs]
-        return [f.result() for f in futures]
+        # A dead worker breaks the pool: every chain not finished by then is lost.
+        lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
+        results = [None if i in lost else f.result() for i, f in enumerate(futures)]
+    if lost:
+        warnings.warn(
+            f"a pool worker died; re-running chain(s) "
+            f"{', '.join(specs[i].name for i in lost)} in the caller",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        for i, r in zip(lost, _run_in_caller(ctx, [specs[i] for i in lost])):
+            r.rerun = True
+            results[i] = r
+    return results

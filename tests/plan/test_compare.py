@@ -155,7 +155,7 @@ class TestSharedProfiler:
 @pytest.mark.slow
 class TestInceptionAcceptance:
     def test_compare_all_four_backends_on_inception_p100(self):
-        """Acceptance: all four registered backends on Inception/P100,
+        """Acceptance: all four backends on Inception/P100,
         one PlanResult per backend, one shared comparison table."""
         from repro.bench.figures import fig10_backend_comparison
         from repro.bench.harness import CI_SCALE

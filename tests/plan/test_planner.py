@@ -1,9 +1,7 @@
-"""Planner facade: error handling, store compaction, CLI, defaults,
+"""Planner facade: error handling, store compaction, defaults,
 final metrics, reuse across searches."""
 
 import dataclasses
-import subprocess
-import sys
 
 import pytest
 
@@ -13,6 +11,7 @@ from repro.plan import (
     Planner,
     SearchConfig,
     StoreConfig,
+    UnknownBackendError,
 )
 from repro.profiler.profiler import OpProfiler
 from repro.sim.simulator import simulate_strategy
@@ -23,10 +22,41 @@ class TestSearchErrors:
         with pytest.raises(ValueError, match="alien"):
             Planner(lenet_graph, topo4).search("mcmc", SearchConfig(inits=("alien",)))
 
-    def test_unknown_backend_option_rejected(self, lenet_graph, topo4):
-        cfg = SearchConfig(backend_options={"reinforce": {"episodess": 3}})
-        with pytest.raises(ValueError, match="episodess"):
-            Planner(lenet_graph, topo4).search("reinforce", cfg)
+    @pytest.mark.parametrize(
+        "backend,options,match",
+        [
+            pytest.param("reinforce", {"reinforce": {"episodess": 3}}, "episodess", id="bad-key"),
+            pytest.param(
+                "reinforce", {"reinfrce": {"episodes": 5}}, "reinfrce", id="misspelled-backend"
+            ),
+            pytest.param(
+                "mcmc", {"optcnn": {"max_sweep": 3}}, "max_sweep", id="other-backends-key"
+            ),
+        ],
+    )
+    def test_unknown_backend_option_rejected(self, lenet_graph, topo4, backend, options, match):
+        """Every entry is checked before any backend runs, including the
+        entries of backends other than the one searched."""
+        cfg = SearchConfig(budget=BudgetConfig(iterations=5), backend_options=options)
+        with pytest.raises(ValueError, match=match):
+            Planner(lenet_graph, topo4).search(backend, cfg)
+
+    def test_unknown_backend_name(self, lenet_graph, topo4):
+        with pytest.raises(UnknownBackendError, match="no-such-backend"):
+            Planner(lenet_graph, topo4).search("no-such-backend")
+
+    def test_unknown_backend_is_a_key_error(self, lenet_graph, topo4):
+        """Broad ``except KeyError`` handlers keep working."""
+        with pytest.raises(KeyError):
+            Planner(lenet_graph, topo4).search("no-such-backend")
+
+    def test_unknown_backend_error_lists_the_four(self, lenet_graph, topo4):
+        with pytest.raises(UnknownBackendError) as info:
+            Planner(lenet_graph, topo4).search("no-such-backend")
+        assert str(info.value) == (
+            "unknown search backend 'no-such-backend'; "
+            "backends: exhaustive, mcmc, optcnn, reinforce"
+        )
 
 
 class TestStoreCompaction:
@@ -74,20 +104,6 @@ class TestStoreCompaction:
         stats = Planner(lenet_graph, topo4).compact_store(root=str(tmp_path / "empty"))
         assert stats.kept == 0
         assert stats.duplicates_dropped == 0
-
-
-class TestConsoleCheck:
-    def test_list_backends_cli(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.plan", "--list-backends"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        listed = proc.stdout.split()
-        for name in ("mcmc", "exhaustive", "optcnn", "reinforce"):
-            assert name in listed
 
 
 class TestDefaultsAndSummary:

@@ -12,11 +12,14 @@ Both rest on the simulated cost being a pure function of the strategy
 (canonical tie-breaking), which ``tests/sim`` locks down separately.
 """
 
+import multiprocessing as mp
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+import repro.search.exec.local as exec_local
 from repro.machine.clusters import single_node
 from repro.machine.topology import DeviceTopology
 from repro.models.mlp import mlp
@@ -135,6 +138,32 @@ class TestFallbacks:
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         seq = run_specs(lenet_graph, topo, specs)
         assert chains_equal(seq, par)
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="needs fork to patch the workers"
+    )
+    def test_dead_worker_chains_rerun_in_caller(self, lenet_graph, topo4, monkeypatch):
+        """A pool worker that dies costs time, not the search: its chains
+        re-run in the caller and the result equals a ``workers=1`` search."""
+        test_pid = os.getpid()
+        run_one_chain = exec_local.run_one_chain
+
+        def dies_in_a_worker(ctx, spec, cache, store):
+            if spec.name == "random" and os.getpid() != test_pid:
+                os._exit(3)
+            return run_one_chain(ctx, spec, cache, store)
+
+        monkeypatch.setattr(exec_local, "run_one_chain", dies_in_a_worker)
+        with pytest.warns(RuntimeWarning, match="pool worker died.*random"):
+            pool = plan_mcmc(lenet_graph, topo4, 30, seed=3, workers=2)
+        monkeypatch.undo()
+        alone = plan_mcmc(lenet_graph, topo4, 30, seed=3, workers=1)
+        assert pool.extras["chains_rerun"] >= 1
+        assert alone.extras["chains_rerun"] == 0
+        assert pool.best_cost_us == alone.best_cost_us
+        assert pool.best_strategy.signature() == alone.best_strategy.signature()
+        for name, trace in alone.extras["traces"].items():
+            assert pool.extras["traces"][name].costs == trace.costs, name
 
     def test_empty_specs_rejected(self, lenet_graph, topo4):
         """No inits means no chains: a ValueError before any chain runs."""
