@@ -42,10 +42,6 @@ class ReinforceResult:
     history: list[float] = field(default_factory=list)  # best-so-far per episode
     episodes: int = 0
 
-    @property
-    def final_entropy(self) -> float:
-        return self.history[-1] if self.history else float("nan")
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)

@@ -327,11 +327,7 @@ def fig12_search_progress(scale: BenchScale, checkpoints: int = 8) -> list[dict]
         profiler = OpProfiler()
         sim = Simulator(graph, topo, data_parallelism(graph, topo), profiler, algorithm=algorithm)
         space = ConfigSpace(graph, topo)
-        cfg = MCMCConfig(
-            iterations=scale.search_iters,
-            seed=0,
-            checkpoint_every=max(1, scale.search_iters // checkpoints),
-        )
+        cfg = MCMCConfig(iterations=scale.search_iters, seed=0)
         cache = SimulationCache(scale.sim_cache_size) if scale.sim_cache_size > 0 else None
         _, best, trace = mcmc_search(sim, space, cfg, cache=cache)
         if not trace.times_s:

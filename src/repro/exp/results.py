@@ -2,10 +2,10 @@
 
 The persistence half of :mod:`repro.exp`: one JSONL shard per experiment
 spec (keyed by :meth:`~repro.exp.spec.ExperimentSpec.digest`), appended
-under an exclusive ``flock`` exactly like the strategy store
-(:mod:`repro.search.store`), read under a shared lock with corrupt or
-torn lines skipped -- a damaged trajectory degrades to fewer rows, it
-never takes down a run or a report.  Every row carries its run id,
+under an exclusive ``flock`` taken with the strategy store's
+:class:`~repro.search.store.FileLock`, read under a shared lock with
+corrupt or torn lines skipped -- a damaged trajectory degrades to fewer
+rows, it never takes down a run or a report.  Every row carries its run id,
 trial id, and a wall-clock ``recorded_unix`` stamp, so the file *is* the
 perf trajectory: re-running a spec appends, nothing ever overwrites.
 
@@ -30,10 +30,7 @@ import warnings
 from functools import cached_property
 from pathlib import Path
 
-try:  # POSIX advisory locking; absent on some platforms (degrades gracefully)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from repro.search.store import FileLock
 
 __all__ = [
     "RESULTS_FORMAT_VERSION",
@@ -49,21 +46,6 @@ RESULTS_FORMAT_VERSION = 1
 def default_table_root() -> str:
     """``REPRO_EXP_DIR`` from the environment, else ``./experiments``."""
     return os.environ.get("REPRO_EXP_DIR") or "experiments"
-
-
-class _Flock:
-    def __init__(self, fh, exclusive: bool):
-        self._fh, self._exclusive = fh, exclusive
-
-    def __enter__(self):
-        if fcntl is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX if self._exclusive else fcntl.LOCK_SH)
-        return self
-
-    def __exit__(self, *exc):
-        if fcntl is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-        return False
 
 
 class ResultsTable:
@@ -93,7 +75,7 @@ class ResultsTable:
             lines.append(json.dumps(stamped, sort_keys=True, default=str))
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.shard_path(digest), "a", encoding="utf-8") as fh:
-            with _Flock(fh, exclusive=True):
+            with FileLock(fh, exclusive=True):
                 fh.write("\n".join(lines) + "\n")
                 fh.flush()
         return len(rows)
@@ -110,7 +92,7 @@ class ResultsTable:
         dropped = 0
         try:
             with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                with _Flock(fh, exclusive=False):
+                with FileLock(fh, exclusive=False):
                     for line in fh:
                         line = line.strip()
                         if not line:

@@ -141,7 +141,6 @@ def _mcmc(planner, config: SearchConfig) -> PlanResult:
                 time_budget_s=budget.time_s,
                 no_improve_frac=budget.no_improve_frac,
                 seed=config.seed + 1000 * chain_idx,
-                checkpoint_every=budget.checkpoint_every,
             ),
         )
         for chain_idx, (name, init) in enumerate(candidates.items())

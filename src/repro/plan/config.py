@@ -47,14 +47,16 @@ def _check_keys(cls, data: Mapping[str, Any], label: str) -> None:
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Iteration/time budget of one search chain."""
+    """Iteration/time budget of one search chain.
+
+    Each chain's progress over its budget is in its ``SearchTrace``
+    (``PlanResult.extras["traces"]``), one entry per iteration.
+    """
 
     iterations: int = 1000
     time_s: float | None = None
     # Stall criterion fraction (Section 6.2 criterion (2)); None disables.
     no_improve_frac: float | None = 0.5
-    # SearchTrace checkpoint cadence (0 = final checkpoint only).
-    checkpoint_every: int = 0
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BudgetConfig":

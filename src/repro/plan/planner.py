@@ -11,12 +11,7 @@ from repro.plan.config import SearchConfig
 from repro.plan.errors import UnknownBackendError
 from repro.plan.result import PlanResult
 from repro.profiler.profiler import OpProfiler
-from repro.search.store import (
-    CompactionStats,
-    StrategyStore,
-    default_store_root,
-    search_context,
-)
+from repro.search.store import search_context
 from repro.sim.metrics import IterationMetrics
 from repro.sim.simulator import simulate_strategy
 from repro.soap.strategy import Strategy
@@ -27,6 +22,11 @@ __all__ = ["Planner"]
 # deliberately: untruncated enumeration is only feasible on tiny graphs
 # (opt in explicitly, usually with a ``max_configs_per_op`` option).
 DEFAULT_COMPARE_BACKENDS = ("mcmc", "optcnn", "reinforce")
+
+
+def _check_backend_name(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise UnknownBackendError(backend, tuple(sorted(BACKENDS)))
 
 
 class Planner:
@@ -41,6 +41,10 @@ class Planner:
         planner = Planner(graph, topology)
         result = planner.search("mcmc", SearchConfig(seed=0))
         table = planner.compare(["mcmc", "optcnn", "reinforce"])
+
+    With ``config.store.root`` set, searches read and append to the store
+    shard :meth:`store_context` names.  A shard only appends and nothing
+    rewrites it, so the planner has no store upkeep to run.
     """
 
     def __init__(
@@ -63,8 +67,7 @@ class Planner:
         no backend reads, and :class:`~repro.plan.errors.SearchError` when
         the backend cannot produce a strategy."""
         cfg = config if config is not None else SearchConfig()
-        if backend not in BACKENDS:
-            raise UnknownBackendError(backend, tuple(sorted(BACKENDS)))
+        _check_backend_name(backend)
         check_backend_options(cfg)
         run, _ = BACKENDS[backend]
         return run(self, cfg)
@@ -78,13 +81,20 @@ class Planner:
 
         Returns ``{backend name: PlanResult}`` preserving the given order
         (feed it to :func:`repro.plan.result.comparison_rows` for the
-        shared table).  When ``config.store.root`` is set, the
-        store-capable backends (``mcmc``, ``exhaustive``) address one
-        shared store context, so later backends warm-start from
-        full-strategy evaluations earlier ones flushed; each backend's
-        warm/cold hit split is in its ``result.store_stats``.
+        shared table).  Every name is checked before the first backend
+        runs, so a misspelled name late in the list raises
+        :class:`~repro.plan.errors.UnknownBackendError` without spending
+        the earlier searches; the first :meth:`search` checks the
+        ``backend_options`` before it runs.  When
+        ``config.store.root`` is set, the store-capable backends
+        (``mcmc``, ``exhaustive``) address one shared store context, so
+        later backends warm-start from full-strategy evaluations earlier
+        ones flushed; each backend's warm/cold hit split is in its
+        ``result.store_stats``.
         """
         cfg = config if config is not None else SearchConfig()
+        for name in backends:
+            _check_backend_name(name)
         return {name: self.search(name, cfg) for name in backends}
 
     # -- supporting services -----------------------------------------------
@@ -108,28 +118,6 @@ class Planner:
             algorithm=cfg.algorithm,
             noise_amplitude=self.profiler.noise_amplitude,
         )
-
-    def compact_store(
-        self, config: SearchConfig | None = None, root: str | None = None
-    ) -> CompactionStats:
-        """Rewrite this problem's store shard dropping duplicate entries.
-
-        Shards are append-only during searches (concurrent writers can
-        append the same fingerprint; every flush adds separator lines),
-        so long-lived caches grow past their information content.
-        Compaction rewrites the shard in place under the exclusive lock.
-        The root comes from ``root``, else ``config.store.root``, else
-        ``REPRO_CACHE_DIR``; with none of them set this raises
-        ``ValueError``.
-        """
-        cfg = config if config is not None else SearchConfig()
-        root = root if root is not None else (cfg.store.root or default_store_root())
-        if root is None:
-            raise ValueError(
-                "compact_store() needs a store root: pass root=, set "
-                "SearchConfig.store.root, or export REPRO_CACHE_DIR"
-            )
-        return StrategyStore(root, self.store_context(cfg)).compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.dims import Region
 from repro.ir.ops import Operation
-from repro.machine.device import Device, DeviceSpec
+from repro.machine.device import Device
 from repro.machine.topology import Connection
 from repro.profiler.cost_model import task_time_us, update_time_us
 
@@ -122,7 +122,3 @@ class OpProfiler:
     def comm_time(self, nbytes: float, connection: Connection) -> float:
         """Transfer time (us) of ``nbytes`` over ``connection`` (A2: s/b)."""
         return connection.transfer_us(nbytes)
-
-    def spec_time(self, op: Operation, out_region: Region, spec: DeviceSpec, backward: bool = False) -> float:
-        """Uncached estimate for a bare spec (used by baselines/tests)."""
-        return task_time_us(op, out_region, spec, backward=backward, noise_amplitude=self.noise_amplitude)

@@ -17,7 +17,6 @@ from repro.search.exec import (
 )
 from repro.search.store import (
     STORE_FORMAT_VERSION,
-    CompactionStats,
     StoreStats,
     StrategyStore,
     default_store_root,
@@ -32,7 +31,6 @@ __all__ = [
     "config_digest",
     "strategy_fingerprint",
     "STORE_FORMAT_VERSION",
-    "CompactionStats",
     "StoreStats",
     "StrategyStore",
     "default_store_root",

@@ -116,8 +116,6 @@ def _store_delta(after: StoreStats, before: StoreStats) -> StoreStats:
         warm_hits=after.warm_hits - before.warm_hits,
         appended=after.appended - before.appended,
         dropped=after.dropped,
-        auto_compactions=after.auto_compactions,
-        compaction_bytes_saved=after.compaction_bytes_saved,
     )
 
 

@@ -100,7 +100,8 @@ class MCMCConfig:
     ``beta_scale`` sets beta relative to the initial cost:
     ``beta = beta_scale / cost(S_0)``, so a proposal 1% worse than the
     current strategy is accepted with probability ``exp(-beta_scale/100)``
-    regardless of the model's absolute time scale.
+    regardless of the model's absolute time scale.  The chain's progress
+    is recorded every iteration in its :class:`SearchTrace`.
     """
 
     beta_scale: float = 50.0
@@ -113,16 +114,17 @@ class MCMCConfig:
     # ``time_budget_s``) alone.
     no_improve_frac: float | None = 0.5
     seed: int = 0
-    # Record a (iteration, best_cost_us, elapsed_s) checkpoint into the
-    # trace every this-many iterations (0 disables periodic checkpoints;
-    # a final checkpoint is always recorded).  Checkpoints survive the
-    # trip back from parallel-search worker processes and drive Figure 12.
-    checkpoint_every: int = 0
 
 
 @dataclass
 class SearchTrace:
-    """Progress record of one chain (drives Figure 12)."""
+    """Progress record of one chain (drives Figure 12).
+
+    One entry per iteration in ``costs``, ``best_costs`` and ``times_s``:
+    after ``i`` iterations the best cost is ``best_costs[i - 1]``, found
+    within ``times_s[i - 1]`` seconds, so any progress checkpoint is a
+    read of these lists.
+    """
 
     costs: list[float] = field(default_factory=list)  # current cost per iteration
     best_costs: list[float] = field(default_factory=list)  # best-so-far per iteration
@@ -136,7 +138,6 @@ class SearchTrace:
     cache_misses: int = 0
     store_hits: int = 0  # answered by the persistent cross-run store
     store_misses: int = 0
-    checkpoints: list[tuple[int, float, float]] = field(default_factory=list)
     stop_reason: str = "iterations"
     # Timeline-repair route telemetry, snapshotted from the simulator's
     # DeltaStats at chain end: how ``auto`` handled each simulation
@@ -149,9 +150,6 @@ class SearchTrace:
         self.costs.append(cost)
         self.best_costs.append(best)
         self.times_s.append(t)
-
-    def checkpoint(self, iteration: int, best: float, t: float) -> None:
-        self.checkpoints.append((iteration, best, t))
 
     @property
     def acceptance_rate(self) -> float:
@@ -359,11 +357,7 @@ def mcmc_search(
                 simulator.revert()
 
         trace.record(current_cost, best_cost, time.perf_counter() - t0)
-        if config.checkpoint_every > 0 and (it + 1) % config.checkpoint_every == 0:
-            trace.checkpoint(it + 1, best_cost, time.perf_counter() - t0)
         it += 1
 
-    if not trace.checkpoints or trace.checkpoints[-1][0] != len(trace.costs):
-        trace.checkpoint(len(trace.costs), best_cost, time.perf_counter() - t0)
     trace.route_counts = dict(simulator.delta_stats.route_counts)
     return best_strategy, best_cost, trace

@@ -32,11 +32,12 @@ strategy).
 Durability model
 ----------------
 One shard file per context, text lines of ``<fingerprint-hex>
-<cost-float-hex>``.  Writers append under an exclusive ``flock``;
-readers take a shared lock and tolerate torn or corrupt lines by
-skipping them (a damaged shard degrades to cache misses, it never
-crashes a search).  Appends are idempotent: duplicate fingerprints carry
-identical costs, last-in wins on load.
+<cost-float-hex>``.  A shard is an append-only log: writers append under
+an exclusive ``flock``, opening a store only reads its shard (under a
+shared lock), and nothing ever rewrites it.  Torn or corrupt lines are
+skipped on load (a damaged shard degrades to cache misses, it never
+crashes a search).  Appends are idempotent: two records of one
+fingerprint carry identical costs, and the last one wins on load.
 """
 
 from __future__ import annotations
@@ -62,28 +63,16 @@ from repro.sim import SIMULATOR_VERSION
 
 __all__ = [
     "STORE_FORMAT_VERSION",
-    "AUTO_COMPACT_MIN_BYTES",
-    "AUTO_COMPACT_MIN_RECORDS",
-    "AUTO_COMPACT_DUP_RATIO",
     "graph_digest",
     "topology_digest",
     "search_context",
     "default_store_root",
     "StoreStats",
-    "CompactionStats",
+    "FileLock",
     "StrategyStore",
 ]
 
 STORE_FORMAT_VERSION = 1
-
-# Scheduled compaction thresholds: a shard with duplicate records
-# (concurrent writers re-flushing the same evaluations) is rewritten at
-# open when it exceeds the size floor, or when enough of its records are
-# duplicates for the rewrite to pay for itself.  Small shards and shards
-# with nothing to reclaim are never touched.
-AUTO_COMPACT_MIN_BYTES = 4 << 20
-AUTO_COMPACT_MIN_RECORDS = 64
-AUTO_COMPACT_DUP_RATIO = 0.5
 
 _HEADER_PREFIX = "#repro-strategy-store"
 _DIGEST_CHARS = 32  # 128-bit hex digests for context components
@@ -216,10 +205,6 @@ class StoreStats:
     warm_hits: int = 0
     appended: int = 0  # new entries flushed to disk
     dropped: int = 0  # corrupt/torn lines skipped during load
-    # Scheduled compaction at open (see AUTO_COMPACT_*): sweeps run and
-    # bytes they reclaimed, so long-lived caches report their upkeep.
-    auto_compactions: int = 0
-    compaction_bytes_saved: int = 0
 
     @property
     def lookups(self) -> int:
@@ -250,28 +235,7 @@ class StoreStats:
             warm_hits=self.warm_hits + other.warm_hits,
             appended=self.appended + other.appended,
             dropped=max(self.dropped, other.dropped),
-            # Like loaded/dropped these are per-open facts, not per-chain
-            # deltas: chains sharing one store handle must not double-count.
-            auto_compactions=max(self.auto_compactions, other.auto_compactions),
-            compaction_bytes_saved=max(
-                self.compaction_bytes_saved, other.compaction_bytes_saved
-            ),
         )
-
-
-@dataclass
-class CompactionStats:
-    """Outcome of one :meth:`StrategyStore.compact` sweep."""
-
-    kept: int = 0  # unique entries surviving the rewrite
-    duplicates_dropped: int = 0  # redundant records removed
-    corrupt_dropped: int = 0  # unparseable lines removed
-    bytes_before: int = 0
-    bytes_after: int = 0
-
-    @property
-    def bytes_saved(self) -> int:
-        return max(0, self.bytes_before - self.bytes_after)
 
 
 def _parse_record(line: str) -> tuple[int, float] | None:
@@ -295,8 +259,12 @@ def _parse_record(line: str) -> tuple[int, float] | None:
     return fp, cost
 
 
-class _FileLock:
-    """``flock``-based advisory lock (no-op where ``fcntl`` is missing)."""
+class FileLock:
+    """``flock``-based advisory lock (no-op where ``fcntl`` is missing).
+
+    Shared by the two append-only logs: strategy-store shards and the
+    experiment results table (:mod:`repro.exp.results`).
+    """
 
     def __init__(self, fh, exclusive: bool):
         self._fh = fh
@@ -319,13 +287,15 @@ class StrategyStore:
     ``get`` answers from an in-memory snapshot loaded once at open (plus
     anything recorded since); ``record`` buffers new evaluations;
     ``flush`` appends the buffer to the shard file under an exclusive
-    lock.  Opening never raises on a damaged or unwritable shard -- the
-    store degrades to an empty (or read-only) one with a
-    ``RuntimeWarning``, because a broken cache must never take down a
-    search.
+    lock.  Opening only reads the shard, and nothing ever rewrites it: a
+    shard holding duplicate records (two handles that both loaded before
+    either flushed) loads the last of each, and they carry one cost.
+    Opening never raises on a damaged or unwritable shard -- the store
+    degrades to an empty (or read-only) one with a ``RuntimeWarning``,
+    because a broken cache must never take down a search.
     """
 
-    def __init__(self, root: str | os.PathLike, context: str, *, auto_compact: bool = True):
+    def __init__(self, root: str | os.PathLike, context: str):
         # expanduser: config files and CLI flags routinely say "~/.cache/...";
         # without it the shards land in a literal cwd-relative "~" directory.
         self.root = Path(root).expanduser()
@@ -341,12 +311,6 @@ class StrategyStore:
         # Fingerprints whose value came from disk -- hits on these count
         # as *warm* hits.
         self._warm: set[int] = set()
-        # Shard size read at open (None = no readable shard) -- the size
-        # input of the scheduled-compaction check.
-        self._disk_size: int | None = None
-        # Valid records read at open (duplicates included) -- the
-        # duplicate-ratio input of the scheduled-compaction check.
-        self._load_records = 0
         self._writable = True
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -358,8 +322,6 @@ class StrategyStore:
             )
             self._writable = False
         self._load()
-        if auto_compact:
-            self._maybe_auto_compact()
 
     # -- reading -----------------------------------------------------------
     def _parse(self, stream: io.TextIOBase) -> None:
@@ -376,17 +338,13 @@ class StrategyStore:
             if record is None:
                 self.stats.dropped += 1
                 continue
-            self._load_records += 1
             self._snapshot[record[0]] = record[1]
 
     def _load(self) -> None:
         try:
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
-                with _FileLock(fh, exclusive=False):
+                with FileLock(fh, exclusive=False):
                     self._parse(fh)
-                    # Read under the shared lock, so the size matches
-                    # exactly what was parsed.
-                    self._disk_size = os.fstat(fh.fileno()).st_size
         except FileNotFoundError:
             pass  # nothing persisted yet: an empty store
         except OSError as exc:
@@ -451,7 +409,7 @@ class StrategyStore:
             with open(self.path, "a", encoding="utf-8") as fh:
                 if self._flush_barrier is not None:
                     self._flush_barrier()
-                with _FileLock(fh, exclusive=True):
+                with FileLock(fh, exclusive=True):
                     if os.fstat(fh.fileno()).st_size == 0:
                         fh.write(f"{_HEADER_PREFIX} v{STORE_FORMAT_VERSION} ctx={self.context}\n")
                     else:
@@ -473,92 +431,6 @@ class StrategyStore:
             return 0
         self.stats.appended += len(pending)
         return len(pending)
-
-    def _maybe_auto_compact(self) -> None:
-        """Scheduled compaction: rewrite an overgrown shard right at open.
-
-        Shards only ever append during searches, so without an operator
-        running :meth:`compact` by hand a long-lived cache grows past its
-        information content.  Opening is the natural trigger point: every
-        search passes through it, the rewrite runs at most once per open,
-        and the thresholds keep small or duplicate-free shards untouched.
-        """
-        if not self._writable or self._disk_size is None:
-            return
-        records = self._load_records
-        duplicates = records - len(self._snapshot)
-        if duplicates <= 0:
-            # Nothing reclaimable: a rewrite would change no bytes but
-            # still repeat at every open (and an all-unique shard can
-            # never shrink below any size threshold).
-            return
-        dup_heavy = (
-            records >= AUTO_COMPACT_MIN_RECORDS
-            and duplicates / records >= AUTO_COMPACT_DUP_RATIO
-        )
-        if self._disk_size < AUTO_COMPACT_MIN_BYTES and not dup_heavy:
-            return
-        swept = self.compact()
-        self.stats.auto_compactions += 1
-        self.stats.compaction_bytes_saved += swept.bytes_saved
-
-    def compact(self) -> CompactionStats:
-        """Rewrite the shard in place, dropping duplicate fingerprints.
-
-        Shards only ever append during searches: concurrent writers can
-        each flush the same fingerprint, and every batch adds separator
-        lines, so a long-lived shard grows past its information content
-        (the ROADMAP's "shards only append" item).  Compaction re-reads
-        the file under the *exclusive* lock (no reader or writer can
-        interleave), keeps the last record per fingerprint, and rewrites
-        header + unique records.  Corrupt lines are dropped for good.
-        Like every other store operation it degrades instead of raising:
-        a missing or unwritable shard returns an all-zero
-        :class:`CompactionStats` with a ``RuntimeWarning``.
-        """
-        try:
-            with open(self.path, "r+", encoding="utf-8", errors="replace") as fh:
-                with _FileLock(fh, exclusive=True):
-                    bytes_before = os.fstat(fh.fileno()).st_size
-                    entries: dict[int, float] = {}
-                    records = corrupt = 0
-                    for line in fh:
-                        line = line.strip()
-                        if not line or line.startswith("#"):
-                            continue  # headers/separators are not records
-                        record = _parse_record(line)
-                        if record is None:
-                            corrupt += 1
-                            continue
-                        records += 1
-                        entries[record[0]] = record[1]
-                    fh.seek(0)
-                    fh.truncate()
-                    fh.write(f"{_HEADER_PREFIX} v{STORE_FORMAT_VERSION} ctx={self.context}\n")
-                    for fp, cost in entries.items():
-                        fh.write(f"{fp:032x} {float(cost).hex()}\n")
-                    fh.flush()
-                    bytes_after = os.fstat(fh.fileno()).st_size
-        except FileNotFoundError:
-            return CompactionStats()  # nothing persisted yet: a no-op sweep
-        except OSError as exc:
-            warnings.warn(
-                f"strategy store compaction of {self.path} failed ({exc}); shard left as-is",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return CompactionStats()
-        # The rewrite is the authoritative disk state; fold it into the
-        # snapshot (disk-sourced entries count as warm, as in _load).
-        self._warm.update(fp for fp in entries if fp not in self._snapshot)
-        self._snapshot.update(entries)
-        return CompactionStats(
-            kept=len(entries),
-            duplicates_dropped=records - len(entries),
-            corrupt_dropped=corrupt,
-            bytes_before=bytes_before,
-            bytes_after=bytes_after,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StrategyStore({str(self.path)!r}, entries={len(self)})"

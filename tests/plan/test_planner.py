@@ -1,5 +1,6 @@
-"""Planner facade: error handling, store compaction, defaults,
-final metrics, reuse across searches."""
+"""Planner facade: error handling (``compare`` checks every name before
+any search), defaults, final metrics, reuse across searches.  The
+planner has no store upkeep: shards only append (tests/search/test_store.py)."""
 
 import dataclasses
 
@@ -10,7 +11,6 @@ from repro.plan import (
     ExecutionConfig,
     Planner,
     SearchConfig,
-    StoreConfig,
     UnknownBackendError,
 )
 from repro.profiler.profiler import OpProfiler
@@ -58,52 +58,16 @@ class TestSearchErrors:
             "backends: exhaustive, mcmc, optcnn, reinforce"
         )
 
+    def test_compare_checks_every_name_before_any_search(self, lenet_graph, topo4, monkeypatch):
+        """A misspelled name late in the list fails before the earlier
+        backends spend their searches."""
+        from repro.plan import backends
 
-class TestStoreCompaction:
-    def test_compact_store_drops_duplicates(self, lenet_graph, topo4, tmp_path):
-        from repro.search.store import StrategyStore
-
-        root = tmp_path / "store"
-        planner = Planner(lenet_graph, topo4, profiler=OpProfiler())
-        cfg = SearchConfig(
-            budget=BudgetConfig(iterations=30),
-            store=StoreConfig(root=str(root)),
-            seed=0,
-        )
-        baseline = planner.search("mcmc", cfg)
-        assert baseline.store_stats.appended > 0
-
-        # Two independent store handles flushing the same entry produce a
-        # duplicate record; every flush also appends a separator line.
-        context = planner.store_context(cfg)
-        for _ in range(2):
-            dup = StrategyStore(root, context)
-            dup._snapshot.pop(12345, None)
-            dup.record(12345, 1.0)
-            dup.flush()
-
-        before = (root / f"{context}.shard").stat().st_size
-        stats = planner.compact_store(cfg)
-        assert stats.duplicates_dropped >= 1
-        assert stats.kept >= baseline.store_stats.appended
-        assert stats.bytes_after < before
-        assert stats.bytes_before == before
-
-        # Compaction is content-preserving: a warm rerun still hits and
-        # returns identical results.
-        warm = planner.search("mcmc", cfg)
-        assert warm.best_cost_us == baseline.best_cost_us
-        assert warm.store_stats.warm_hits > 0
-
-    def test_compact_store_without_root_rejected(self, lenet_graph, topo4, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(ValueError, match="store root"):
-            Planner(lenet_graph, topo4).compact_store()
-
-    def test_compact_missing_shard_is_noop(self, lenet_graph, topo4, tmp_path):
-        stats = Planner(lenet_graph, topo4).compact_store(root=str(tmp_path / "empty"))
-        assert stats.kept == 0
-        assert stats.duplicates_dropped == 0
+        ran = []
+        monkeypatch.setitem(backends.BACKENDS, "mcmc", (lambda *a: ran.append(a), {}))
+        with pytest.raises(UnknownBackendError, match="reinfrce"):
+            Planner(lenet_graph, topo4).compare(["mcmc", "reinfrce"])
+        assert ran == []
 
 
 class TestDefaultsAndSummary:

@@ -15,9 +15,7 @@ from repro.plan import (
 def full_config() -> SearchConfig:
     """A config with every field off its default."""
     return SearchConfig(
-        budget=BudgetConfig(
-            iterations=321, time_s=1.5, no_improve_frac=0.25, checkpoint_every=7
-        ),
+        budget=BudgetConfig(iterations=321, time_s=1.5, no_improve_frac=0.25),
         execution=ExecutionConfig(
             workers=3,
             cache_size=128,
@@ -67,9 +65,10 @@ class TestUnknownKeys:
     # ``budget.adaptive`` and ``execution.join_bind`` were settable until
     # the fleet became fixed, ``execution.cluster`` until the socket
     # executor was deleted, the store's ``shared`` flag until the
-    # planning server was, and the execution section's ``executor`` until
-    # the worker count alone picked where chains run; a config that still
-    # carries them fails.
+    # planning server was, the execution section's ``executor`` until
+    # the worker count alone picked where chains run, and the budget's
+    # checkpoint cadence until progress was read from the per-iteration
+    # trace; a config that still carries them fails.
     @pytest.mark.parametrize(
         "section,key",
         [
@@ -79,6 +78,7 @@ class TestUnknownKeys:
             ("execution", "cluster"),
             ("store", "shared"),
             ("execution", "executor"),
+            ("budget", "checkpoint_every"),
         ],
     )
     def test_nested_unknown_key_rejected(self, section, key):

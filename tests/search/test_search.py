@@ -85,16 +85,6 @@ class TestMCMC:
         assert trace.proposed == 50  # budget generous: iterations ran out first
         assert trace.stop_reason == "iterations"
 
-    def test_checkpoints_no_duplicate_final_entry(self, lenet_graph, topo4):
-        """A chain ending on a checkpoint boundary records it once."""
-        prof = OpProfiler()
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), prof)
-        cfg = MCMCConfig(iterations=20, seed=0, no_improve_frac=0.25, checkpoint_every=5)
-        _, _, trace = mcmc_search(sim, ConfigSpace(lenet_graph, topo4), cfg)
-        iters = [c[0] for c in trace.checkpoints]
-        assert iters == sorted(set(iters))  # strictly increasing, no dupes
-        assert iters[-1] == len(trace.costs)  # final state always recorded
-
     def test_zero_no_improve_frac_stops_immediately_without_error(self, lenet_graph, topo4):
         prof = OpProfiler()
         sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), prof)

@@ -8,6 +8,8 @@ The load-bearing guarantees (see ``repro/search/store.py``):
   shard degrades to cache misses and never crashes a search;
 * **concurrent writers** -- multiple processes appending to one shard
   converge to consistent contents (the union of their entries);
+* **append only** -- opening a store only reads its shard, so a shard
+  holding duplicate records loads each once and is never rewritten;
 * **composite keying** -- the context fingerprint separates any two
   searches whose costs could differ (one op attribute, one link
   bandwidth, a version bump) and unifies rebuilt-but-identical inputs;
@@ -19,6 +21,7 @@ import multiprocessing as mp
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -365,161 +368,44 @@ class TestWarmColdAccounting:
         assert warm.store_stats.warm_hits == warm.store_stats.hits > 0
 
 
-class TestCompaction:
-    def test_compact_dedupes_and_preserves_content(self, tmp_path):
-        # Two handles flushing the same fingerprints produce duplicate
-        # records (each handle dedupes only against its own snapshot).
-        for _ in range(3):
-            h = StrategyStore(tmp_path, CTX)
-            h._snapshot.clear()
-            for fp in range(10):
-                h.record(fp, float(fp) + 0.5)
-            h.flush()
-        stats = StrategyStore(tmp_path, CTX).compact()
-        assert stats.kept == 10
-        assert stats.duplicates_dropped == 20
-        assert stats.corrupt_dropped == 0
-        assert stats.bytes_after < stats.bytes_before
-        fresh = StrategyStore(tmp_path, CTX)
-        assert fresh.stats.loaded == 10
-        for fp in range(10):
-            assert fresh.get(fp) == float(fp) + 0.5
+def _replay_records(shard, times):
+    """Append the shard's record lines ``times`` more times: the duplicates
+    handles that loaded before each other's flushes would write."""
+    with open(shard, encoding="utf-8") as fh:
+        records = [line for line in fh if line.strip() and not line.startswith("#")]
+    with open(shard, "a", encoding="utf-8") as fh:
+        for _ in range(times):
+            fh.writelines(records)
 
-    def test_compact_drops_corrupt_lines_for_good(self, tmp_path):
+
+class TestAppendOnly:
+    def test_open_never_rewrites_a_shard(self, tmp_path):
         store = StrategyStore(tmp_path, CTX)
-        store.record(1, 1.0)
-        store.flush()
-        with open(_shard(tmp_path), "a", encoding="utf-8") as fh:
-            fh.write("garbage line\n")
-            fh.write(f"{2:032x} 0x1.8p+")  # torn tail, no newline
-        stats = StrategyStore(tmp_path, CTX).compact()
-        assert stats.kept == 1
-        assert stats.corrupt_dropped == 2
-        fresh = StrategyStore(tmp_path, CTX)
-        assert fresh.stats.dropped == 0  # the shard is pristine again
-        assert fresh.get(1) == 1.0
-
-    def test_compact_missing_shard_is_noop(self, tmp_path):
-        stats = StrategyStore(tmp_path, CTX).compact()
-        assert stats.kept == 0 and stats.duplicates_dropped == 0
-
-    def test_compact_rewrites_header(self, tmp_path):
-        store = StrategyStore(tmp_path, CTX)
-        store.record(1, 1.0)
-        store.flush()
-        store.compact()
-        with open(_shard(tmp_path), encoding="utf-8") as fh:
-            first = fh.readline()
-        assert first.startswith("#repro-strategy-store")
-        assert CTX in first
-
-    def test_compacted_store_still_warms_searches(self, tmp_path):
-        graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
-        topo = single_node(2, "p100")
-        cold = plan_mcmc(graph, topo, 60, seed=3, store=str(tmp_path))
-        ctx = search_context(graph, topo)
-        StrategyStore(tmp_path, ctx).compact()
-        warm = plan_mcmc(graph, topo, 60, seed=3, store=str(tmp_path))
-        assert warm.best_cost_us == cold.best_cost_us
-        assert warm.store_stats.misses == 0
-        assert warm.simulations == len(warm.extras["chains"])
-
-
-class TestScheduledCompaction:
-    """Compaction now triggers itself at open (AUTO_COMPACT_* thresholds):
-    a duplicate-heavy or oversized shard is rewritten before the search
-    starts, with the sweep logged on StoreStats."""
-
-    def _write_duplicate_heavy_shard(self, root, uniques=8, copies=12):
-        # Multiple handles flushing the same fingerprints produce
-        # duplicate records (each dedupes only against its own snapshot).
-        for _ in range(copies):
-            h = StrategyStore(root, CTX, auto_compact=False)
-            h._snapshot.clear()
-            for fp in range(uniques):
-                h.record(fp, float(fp) + 0.25)
-            h.flush()
-        return uniques * copies
-
-    def test_duplicate_heavy_shard_compacts_at_open(self, tmp_path):
-        from repro.search.store import AUTO_COMPACT_MIN_RECORDS
-
-        records = self._write_duplicate_heavy_shard(tmp_path)
-        assert records >= AUTO_COMPACT_MIN_RECORDS
-        size_before = os.path.getsize(_shard(tmp_path))
-        store = StrategyStore(tmp_path, CTX)
-        assert store.stats.auto_compactions == 1
-        assert store.stats.compaction_bytes_saved > 0
-        assert os.path.getsize(_shard(tmp_path)) < size_before
-        # Content is intact and a fresh open parses only unique records.
         for fp in range(8):
-            assert store.get(fp) == float(fp) + 0.25
-        fresh = StrategyStore(tmp_path, CTX)
-        assert fresh.stats.loaded == 8
-        assert fresh.stats.auto_compactions == 0  # already tight: no re-sweep
-
-    def test_small_or_clean_shards_left_alone(self, tmp_path):
-        store = StrategyStore(tmp_path, CTX, auto_compact=False)
-        for fp in range(10):
-            store.record(fp, float(fp))
+            store.record(fp, float(fp) + 0.25)
         store.flush()
-        again = StrategyStore(tmp_path, CTX)  # few records, no duplicates
-        assert again.stats.auto_compactions == 0
-
-    def test_auto_compact_optout(self, tmp_path):
-        self._write_duplicate_heavy_shard(tmp_path)
-        size_before = os.path.getsize(_shard(tmp_path))
-        store = StrategyStore(tmp_path, CTX, auto_compact=False)
-        assert store.stats.auto_compactions == 0
-        assert os.path.getsize(_shard(tmp_path)) == size_before
-
-    def test_oversized_shard_compacts_at_open(self, tmp_path, monkeypatch):
-        """Past the size floor even a *light* duplicate ratio (below the
-        small-shard AUTO_COMPACT_DUP_RATIO bar) triggers the sweep."""
-        import repro.search.store as store_mod
-
-        monkeypatch.setattr(store_mod, "AUTO_COMPACT_MIN_BYTES", 64)
-        for _ in range(2):  # two handles: every fingerprint recorded twice
-            store = StrategyStore(tmp_path, CTX, auto_compact=False)
-            store._snapshot.clear()
-            for fp in range(20):
-                store.record(fp, float(fp))
-            store.flush()
-        assert os.path.getsize(_shard(tmp_path)) >= 64
-        swept = StrategyStore(tmp_path, CTX)
-        assert swept.stats.auto_compactions == 1
-        assert swept.stats.loaded == 20
-
-    def test_duplicate_free_shard_never_resweeps(self, tmp_path, monkeypatch):
-        """An all-unique shard past the size floor has nothing to reclaim:
-        rewriting it at every open would loop forever for zero benefit."""
-        import repro.search.store as store_mod
-
-        monkeypatch.setattr(store_mod, "AUTO_COMPACT_MIN_BYTES", 64)
-        store = StrategyStore(tmp_path, CTX, auto_compact=False)
-        for fp in range(20):
-            store.record(fp, float(fp))
-        store.flush()
-        assert os.path.getsize(_shard(tmp_path)) >= 64
+        shard = Path(_shard(tmp_path))
+        _replay_records(shard, 11)  # 12 copies of 8 records
+        before = shard.read_bytes()
         opened = StrategyStore(tmp_path, CTX)
-        assert opened.stats.auto_compactions == 0
+        assert opened.stats.loaded == 8
+        assert opened.stats.dropped == 0
+        for fp in range(8):
+            assert opened.get(fp) == float(fp) + 0.25
+        assert shard.read_bytes() == before
 
-    def test_search_through_planner_reports_auto_compaction(self, tmp_path):
+    def test_duplicate_heavy_shard_warms_a_search_unchanged(self, tmp_path):
         graph = mlp(batch=8, in_dim=16, hidden=(16,), num_classes=4)
         topo = single_node(2, "p100")
         cold = plan_mcmc(graph, topo, 40, seed=3, store=str(tmp_path))
-        ctx = search_context(graph, topo)
-        shard = _shard(tmp_path, ctx)
-        # Forge a duplicate-heavy shard by replaying its records many times.
-        with open(shard, encoding="utf-8") as fh:
-            lines = [l for l in fh if l.strip() and not l.startswith("#")]
-        with open(shard, "a", encoding="utf-8") as fh:
-            need = max(0, 200 - len(lines)) // max(1, len(lines)) + 1
-            for _ in range(need):
-                fh.writelines(lines)
+        shard = Path(_shard(tmp_path, search_context(graph, topo)))
+        _replay_records(shard, 5)
+        before = shard.read_bytes()
         warm = plan_mcmc(graph, topo, 40, seed=3, store=str(tmp_path))
         assert warm.best_cost_us == cold.best_cost_us
-        assert warm.store_stats.auto_compactions >= 1
+        assert warm.store_stats.misses == 0
+        assert warm.simulations == len(warm.extras["chains"])
+        assert shard.read_bytes() == before
 
 
 # Module-level so it survives the trip into mp.Process under fork.
