@@ -42,6 +42,7 @@ from repro.search.exec import ChainSpec, ExecutionContext, run_chains
 from repro.search.exhaustive import _exhaustive_impl
 from repro.search.mcmc import MCMCConfig
 from repro.search.store import StoreStats, StrategyStore
+from repro.sim import full_sim
 from repro.sim.simulator import simulate_strategy
 from repro.soap.presets import data_parallelism, expert_strategy
 from repro.soap.space import ConfigSpace
@@ -199,6 +200,9 @@ def _mcmc(planner, config: SearchConfig) -> PlanResult:
             "chains_rerun": sum(r.rerun for r in results),
             # Fleet-wide timeline-repair mix under auto (DeltaStats routes).
             "route_counts": route_counts,
+            # Which heap loop simulated: "compiled", or "python" and why.
+            "timeline_sweep": full_sim.SWEEP,
+            "timeline_sweep_note": full_sim.SWEEP_NOTE,
         },
     )
 

@@ -94,6 +94,11 @@ class PlanResult:
         routes = self.extras.get("route_counts")
         if routes:
             lines.append(f"timeline repair: {_repair_mix(routes)}")
+        if self.extras.get("timeline_sweep") == "python":
+            # Slower, not wrong: say so, lest it read as a regression.
+            lines.append(
+                f"timeline sweep: python fallback ({self.extras.get('timeline_sweep_note')})"
+            )
         init_costs = self.extras.get("init_costs") or {}
         for name, c in init_costs.items():
             speedup = c / self.best_cost_us if self.best_cost_us > 0 else float("inf")

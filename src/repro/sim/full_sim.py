@@ -20,7 +20,7 @@ reproducibility of multi-chain search across worker counts
 (:mod:`repro.search.exec`) both rely on.
 
 The sweep runs on the flat :class:`~repro.sim.arrays.TaskArrays`
-substrate, and :func:`_sweep` is the one heap loop of the simulator:
+substrate, and ``_sweep`` is the one heap loop of the simulator:
 :func:`full_simulate` runs it over the whole graph and
 :func:`~repro.sim.delta_sim.delta_simulate` over its suffix.  The heap
 orders by ckey *rank* (integer comparisons, the same pop order), the
@@ -34,6 +34,17 @@ once its last predecessor has finished, at its final ready time.  Those
 three per-slot lists *are* the :class:`Timeline`; nothing is re-keyed by
 task id.  ``tests/sim`` checks every sweep against a literal Algorithm 1
 that orders its heap by ckey tuples.
+
+The loop runs as compiled code.  :func:`_python_sweep` is the loop in
+Python, and ``_sweep.c`` is its twin in C, with the same signature and
+contract: it pops in the same ``(ready, rank)`` order and adds and
+compares the same doubles, so it gives the same timelines bit for bit.
+On the first import of this module, :mod:`repro.sim.native` builds the C
+file into ``__pycache__`` (or loads it from there) and ``_sweep`` is bound
+to it.  If no compiler works, ``_sweep`` is :func:`_python_sweep`.
+:data:`SWEEP` says which loop this process runs, and :data:`SWEEP_NOTE`
+why it is the Python one; a search reports both (``PlanResult.extras``
+and ``result.summary()``).
 """
 
 from __future__ import annotations
@@ -41,9 +52,10 @@ from __future__ import annotations
 import heapq
 import math
 
+from repro.sim.native import load_sweep
 from repro.sim.taskgraph import TaskGraph
 
-__all__ = ["Timeline", "full_simulate"]
+__all__ = ["SWEEP", "SWEEP_NOTE", "Timeline", "full_simulate"]
 
 # End time of a slot the sweep has not scheduled (every real one is >= 0).
 _UNSET = -1.0
@@ -158,9 +170,12 @@ def full_simulate(tg: TaskGraph, bound: float = math.inf) -> Timeline | float:
     return Timeline(ready, start, end, max(dev_end))
 
 
-def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end,
-           lb=None, bound=math.inf):
+def _python_sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_end,
+                  lb=None, bound=math.inf):
     """Algorithm 1's heap loop, shared by the full and delta sweeps.
+
+    The fallback for, and reference of, the compiled loop ``_sweep.c``
+    (see the module docstring); both follow this contract.
 
     Pops ``heap`` in ``(readyTime, rank)`` order.  ``exe``/``dev``/``rank``
     are the arrays' columns, read in place, ``indeg``/``slot_ready``/
@@ -203,3 +218,11 @@ def _sweep(heap, exe, dev, rank, all_outs, indeg, slot_ready, start, end, dev_en
             if v == 0:
                 push(heap, (slot_ready[nxt], rank[nxt], nxt))
     return True
+
+
+# The one heap loop: the compiled twin of _python_sweep when it builds.
+# SWEEP_NOTE is why it did not ("" when it did).
+_compiled_sweep, SWEEP_NOTE = load_sweep()
+#: Which heap loop this process runs: ``"compiled"`` or ``"python"``.
+SWEEP = "python" if _compiled_sweep is None else "compiled"
+_sweep = _compiled_sweep or _python_sweep

@@ -1,6 +1,7 @@
 """Planner facade: error handling (``compare`` checks every name before
-any search), defaults, final metrics, reuse across searches.  The
-planner has no store upkeep: shards only append (tests/search/test_store.py)."""
+any search), defaults, the summary (repair mix, heap-loop fallback),
+final metrics, reuse across searches.  The planner has no store upkeep:
+shards only append (tests/search/test_store.py)."""
 
 import dataclasses
 
@@ -14,6 +15,7 @@ from repro.plan import (
     UnknownBackendError,
 )
 from repro.profiler.profiler import OpProfiler
+from repro.sim import full_sim
 from repro.sim.simulator import simulate_strategy
 
 
@@ -127,6 +129,19 @@ class TestDefaultsAndSummary:
         )
         assert res.extras["route_counts"] == {}
         assert "timeline repair" not in res.summary()
+
+    def test_summary_names_only_a_python_fallback(self, lenet_graph, topo4, monkeypatch):
+        cfg = SearchConfig(budget=BudgetConfig(iterations=5), seed=1)
+        res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search("mcmc", cfg)
+        assert res.extras["timeline_sweep"] == full_sim.SWEEP
+        assert res.extras["timeline_sweep_note"] == full_sim.SWEEP_NOTE
+        assert ("timeline sweep" in res.summary()) == (full_sim.SWEEP == "python")
+        monkeypatch.setattr(full_sim, "SWEEP", "python")
+        monkeypatch.setattr(full_sim, "SWEEP_NOTE", "compiler 'cc' not found")
+        res = Planner(lenet_graph, topo4, profiler=OpProfiler()).search("mcmc", cfg)
+        assert res.extras["timeline_sweep"] == "python"
+        lines = res.summary().splitlines()
+        assert "timeline sweep: python fallback (compiler 'cc' not found)" in lines
 
 
 class TestFinalMetrics:

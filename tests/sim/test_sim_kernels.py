@@ -5,16 +5,28 @@ orders ready-time ties by ckey rank.  Their contract is *bitwise* identity
 with :func:`sim_helpers.algorithm1`, which orders them by the ckey tuples
 themselves -- same dict contents, same makespan float -- on fixed and
 random graphs and on revert-heavy MCMC traces.
+
+The loop has two forms, the compiled ``_sweep.c`` and the Python
+``full_sim._python_sweep``, and both are held to that contract: each
+bit-identity class runs on the compiled loop, and its ``PythonLoop``
+subclass on the Python one.  :class:`TestLoopsAgree` runs the two side by
+side on random DAGs.  The compiled cases skip only when no compiler
+works (``full_sim.SWEEP == "python"``), which CI refuses.
 """
 
+import copy
+import heapq
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.mlp import mlp
 from repro.machine.clusters import single_node
 from repro.profiler.profiler import OpProfiler
-from repro.sim import delta_sim
+from repro.sim import delta_sim, full_sim
 from repro.sim.full_sim import full_simulate
 from repro.sim.simulator import Simulator
 from repro.sim.taskgraph import TaskGraph
@@ -22,6 +34,26 @@ from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
 
 from sim_helpers import algorithm1
+
+
+def compiled_loop():
+    """The compiled loop; skips the test when it could not be built."""
+    if full_sim._compiled_sweep is None:
+        pytest.skip(f"no compiled loop: {full_sim.SWEEP_NOTE}")
+    return full_sim._compiled_sweep
+
+
+LOOPS = {"compiled": compiled_loop, "python": lambda: full_sim._python_sweep}
+
+
+@pytest.fixture
+def sweep(request, monkeypatch):
+    """Bind ``_sweep``, in both modules that call it, to the loop the test
+    class names in ``loop``."""
+    fn = LOOPS[request.cls.loop]()
+    monkeypatch.setattr(full_sim, "_sweep", fn)
+    monkeypatch.setattr(delta_sim, "_sweep", fn)
+    return fn
 
 
 def assert_is_algorithm1(tl, tg):
@@ -41,7 +73,10 @@ def drift_strategy(graph, topo, seed, steps):
     return strat
 
 
+@pytest.mark.usefixtures("sweep")
 class TestFullKernelBitIdentity:
+    loop = "compiled"
+
     def _check(self, graph, topo, strat):
         tg = TaskGraph(graph, topo, strat, OpProfiler())
         assert_is_algorithm1(full_simulate(tg), tg)
@@ -60,13 +95,30 @@ class TestFullKernelBitIdentity:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_property_random_graphs(self, seed):
+        self._random_graph(seed)
+
+    def _random_graph(self, seed):
         graph = mlp(batch=16, in_dim=32, hidden=(64, 32), num_classes=8)
         topo = single_node(4, "p100")
         self._check(graph, topo, drift_strategy(graph, topo, seed, steps=5))
 
 
+class TestFullKernelBitIdentityPythonLoop(TestFullKernelBitIdentity):
+    loop = "python"
+
+    # One hypothesis test may run on one class's instances only
+    # (HealthCheck.differing_executors), so a subclass declares its own.
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_property_random_graphs(self, seed):
+        self._random_graph(seed)
+
+
+@pytest.mark.usefixtures("sweep")
 class TestSuffixDrainBitIdentity:
     """Mutation chains whose every repaired timeline is Algorithm 1's."""
+
+    loop = "compiled"
 
     def _chain(self, graph, topo, seed, steps, algorithm="delta"):
         space = ConfigSpace(graph, topo)
@@ -96,6 +148,9 @@ class TestSuffixDrainBitIdentity:
         """A revert-heavy proposal trace (the MCMC access pattern) under
         ``delta`` lands on Algorithm 1's timeline at every step: commits,
         snapshot reverts, and apply-then-undo pairs."""
+        self._revert_heavy_trace(seed)
+
+    def _revert_heavy_trace(self, seed):
         graph = mlp(batch=16, in_dim=32, hidden=(32,), num_classes=8)
         topo = single_node(3, "p100")
         sim = Simulator(
@@ -119,6 +174,71 @@ class TestSuffixDrainBitIdentity:
                 sim.reconfigure(oid, old)
             assert sim.cost == sim.timeline.makespan, f"step {step}"
             assert_is_algorithm1(sim.timeline, sim.task_graph)
+
+
+class TestSuffixDrainBitIdentityPythonLoop(TestSuffixDrainBitIdentity):
+    loop = "python"
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_property_revert_heavy_mcmc_traces(self, seed):
+        self._revert_heavy_trace(seed)
+
+
+# Times from a small set, so that ready times tie often; 0.1, 0.2 and 0.3
+# are not dyadic, so sums round (0.1 + 0.2 != 0.3).
+_TIMES = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5, 3.0])
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A random DAG (edges run from lower to higher slots, some twice) on
+    1-4 devices, unique ranks up to 62 bits, preset ready and device end
+    times (as ``delta``'s suffix has), and either no bound or random loads
+    and a random bound: ``_sweep``'s arguments after the heap."""
+    n = draw(st.integers(1, 24))
+    ndev = draw(st.integers(1, 4))
+    shift = draw(st.sampled_from([0, 30, 57]))
+    rank = [r << shift for r in draw(st.permutations(range(n)))]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    outs = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in pairs:
+        if a != b:
+            outs[min(a, b)].append(max(a, b))
+            indeg[max(a, b)] += 1
+    exe = [draw(_TIMES) for _ in range(n)]
+    dev = [draw(st.integers(0, ndev - 1)) for _ in range(n)]
+    ready = [draw(_TIMES) for _ in range(n)]
+    dev_end = [draw(_TIMES) for _ in range(ndev)]
+    lb, bound = None, math.inf
+    if draw(st.booleans()):
+        lb = [draw(_TIMES) * 4 for _ in range(ndev)]
+        bound = draw(st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.0, 12.0]))
+    return [exe, dev, rank, outs, indeg, ready, [0.0] * n, [-1.0] * n, dev_end, lb, bound]
+
+
+def run_loop(fn, inputs):
+    """``fn`` on a copy of ``inputs``, its heap seeded with every slot that
+    has no predecessor; returns its value, then the heap and every list."""
+    exe, dev, rank, outs, indeg, ready, start, end, dev_end, lb, bound = copy.deepcopy(inputs)
+    heap = [(ready[s], rank[s], s) for s in range(len(exe)) if not indeg[s]]
+    heapq.heapify(heap)
+    done = fn(heap, exe, dev, rank, outs, indeg, ready, start, end, dev_end, lb, bound)
+    return done, heap, ready, start, end, indeg, dev_end, lb
+
+
+class TestLoopsAgree:
+    @given(inputs=sweep_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_and_python_loops_leave_the_same_state(self, inputs):
+        compiled = run_loop(compiled_loop(), inputs)
+        python = run_loop(full_sim._python_sweep, inputs)
+        assert compiled[0] is python[0]
+        if python[0]:
+            # A completed sweep: every list, and the emptied heap, agree.
+            assert compiled == python
+            assert compiled[1] == []
 
 
 class TestAutoRouting:
