@@ -94,6 +94,10 @@ class Concat(Operation):
     def parallel_dims(self) -> dict[str, DimKind]:
         return elementwise_shape(self._out_shape)
 
+    def structure_key(self) -> tuple:
+        # input_region reads the axis and each input's offset along it.
+        return super().structure_key() + (self.axis, tuple(self.offsets))
+
     def input_region(self, out_region: Region, input_index: int) -> Region | None:
         offset = self.offsets[input_index]
         span = self._in_shapes[input_index].size(self.axis)

@@ -85,6 +85,10 @@ class Operation(abc.ABC):
         # common parallelization configuration and synchronize gradients
         # once per iteration, not once per step.
         self.param_group = param_group
+        # Filled by structure_key().  Set here rather than probed through
+        # __dict__: reading an op's __dict__ slows every later attribute
+        # load on it, which slowed AlexNet/4's search setup by about 4%.
+        self._structure_key: tuple | None = None
 
     # -- structure (abstract) ------------------------------------------------
     @property
@@ -175,6 +179,30 @@ class Operation(abc.ABC):
         """Hashable attributes distinguishing cost-relevant variants."""
         return ()
 
+    def structure_key(self) -> tuple:
+        """Everything task-graph construction reads of this op, as plain data.
+
+        The type name, output and input shapes, parallel dims, parameters
+        and :meth:`static_attrs`.  Ops with equal keys have equal task
+        regions, input regions, parameter shards and task signatures under
+        every configuration, so :class:`~repro.sim.taskgraph.TaskGraph`
+        construction computes those once for all of them: the unrolled
+        steps of a recurrent layer, the repeated blocks of Inception-v3.
+        A subclass whose geometry reads other state extends the key.  It
+        holds only strings, numbers, None and tuples of them, so hashing
+        it runs no Python code; it is computed once per op.
+        """
+        if self._structure_key is None:
+            self._structure_key = (
+                type(self).__name__,
+                _plain_shape(self.out_shape),
+                tuple(map(_plain_shape, self.input_shapes)),
+                tuple((n, kind.value) for n, kind in self.parallel_dims().items()),
+                tuple((p.name, p.shape, p.partition_dim, p.axis) for p in self.params),
+                self.static_attrs(),
+            )
+        return self._structure_key
+
     def task_signature(self, out_region: Region) -> tuple:
         """Cache key for the profiler: op type + static attrs + task extents.
 
@@ -211,6 +239,10 @@ class Operation(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, out={self.out_shape!r})"
+
+
+def _plain_shape(shape: TensorShape) -> tuple:
+    return (tuple((d.name, d.size) for d in shape.dims), shape.dtype_bytes)
 
 
 def elementwise_shape(shape: TensorShape) -> dict[str, DimKind]:

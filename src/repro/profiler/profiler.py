@@ -55,34 +55,36 @@ class OpProfiler:
 
     Besides the per-signature measurements, the profiler carries ``memo``:
     the work of building a :class:`~repro.sim.taskgraph.TaskGraph` that
-    depends only on an op and its degree vector, never on where its tasks
-    are placed.  Every task graph built with this profiler reads and fills
-    it, on the initial build and on every splice.  It holds three kinds of
-    entry, told apart by their key's shape; every value is a tuple of
-    numbers:
+    depends only on an op's structure and its degree vector, never on the
+    op's identity or where its tasks are placed.  Every task graph built
+    with this profiler reads and fills it, on the initial build and on
+    every splice.  It names an op by its structure id ``sid``, a small int,
+    and holds four kinds of entry, told apart by their key:
 
-    * ``(op, degrees, spec_keys, backward)`` -> one ``(forward_us,
+    * ``"structures"`` -> a dict from each
+      :meth:`~repro.ir.ops.Operation.structure_key` seen to its ``sid``,
+      assigned in order of first sight, so ops of one structure share one
+      ``sid`` on every graph built with this profiler;
+    * ``(sid, degrees, spec_keys, backward)`` -> one ``(forward_us,
       backward_us)`` pair per task, where ``spec_keys`` names each task's
       device spec and ``backward_us`` is 0.0 unless ``backward``;
-    * ``(src_op, dst_op, slot, src_degrees, dst_degrees)`` -> the tensor
+    * ``(src_sid, dst_sid, slot, src_degrees, dst_degrees)`` -> the tensor
       edge's ``(kj, ki, nbytes)`` overlaps: consumer task ``kj`` reads
       ``nbytes`` from producer task ``ki``;
-    * ``(op, degrees)`` -> the replica sets that hold parameters of the
-      weight group whose first op is ``op``, as ``(shard_idx, task_idxs,
-      shard_elems)``.
+    * ``(sid, degrees)`` -> the replica sets that hold parameters of a
+      weight group whose first op has structure ``sid``, as
+      ``(shard_idx, task_idxs, shard_elems)``.
 
-    Keys hold the :class:`~repro.ir.ops.Operation` objects themselves,
-    which hash by identity, not graph op ids: the exhaustive search's
-    lower bound builds renumbered subgraphs of the same ops under the
-    same profiler, and two graphs may reuse an id for different ops.
-    Holding the op also keeps it alive, so an identity is never reused
-    while its entries exist.
+    So the memo is plain data: numbers, strings, None, and tuples and
+    dicts of them.  No key holds a graph op id, so the exhaustive search's
+    lower bound, which builds renumbered subgraphs of the same ops under
+    the same profiler, reads the same entries as the full graph.
 
     The memo lives as long as this profiler -- one per
     :class:`~repro.plan.Planner` unless the caller shares one -- and has
-    no size cap: one problem has few distinct ops, degree vectors and
-    edges.  It is dropped when the profiler is pickled, so each process a
-    search runs in fills its own.
+    no size cap: one problem has few distinct structures, degree vectors
+    and edges.  It is dropped when the profiler is pickled, so each
+    process a search runs in fills its own.
     """
 
     noise_amplitude: float = 0.0

@@ -3,16 +3,19 @@
 :mod:`repro.sim.full_sim` calls :func:`load_sweep` once, when it is first
 imported.  The C source is compiled with the compiler Python was built
 with (``sysconfig``'s ``CC``) into this package's ``__pycache__``.  The
-file name is keyed by a hash of the source, the compiler flags and
-``sys.version`` (which names that compiler too), so a later import, a
-pool worker's included, loads the built file in about a millisecond, and
-an edited source or another interpreter builds its own.  That warm path
-reads no ``sysconfig`` data: loading it would add about 0.2 MB to every
-process's peak memory.  A build writes a temporary file in that
-directory and publishes it with :func:`os.replace`, so processes that
-import at once each load a whole file.  If ``__pycache__`` cannot be
-written, the build goes to a fresh temporary directory instead, which is
-removed once the extension is loaded.
+file is named by two hashes, one of the source and the compiler flags and
+one of ``sys.version`` (which names that compiler too), so a later
+import, a pool worker's included, loads the built file in about a
+millisecond, and an edited source or another interpreter builds its own.
+That warm path reads no ``sysconfig`` data: loading it would add about
+0.2 MB to every process's peak memory.  A build writes a temporary file
+in that directory and publishes it with :func:`os.replace`, so processes
+that import at once each load a whole file, and then deletes the builds
+of every other source.  It keeps other interpreters' builds of this
+source: interpreters that share an extension suffix (3.11.7 and 3.11.8)
+would otherwise evict each other and rebuild on every import.  If
+``__pycache__`` cannot be written, the build goes to a fresh temporary
+directory instead, which is removed once the extension is loaded.
 
 Nothing here may stop an import.  Any failure (no compiler, a compiler
 error, a timeout, a load error) makes :func:`load_sweep` return ``None``
@@ -21,6 +24,7 @@ and a one-line reason, and the simulator runs the Python loop.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import os
@@ -63,10 +67,10 @@ def load_sweep(cache: Path = CACHE, command: list[str] | None = None
     ``command`` (by default :func:`_compiler_command`) if it is not there.
     """
     try:
-        key = hashlib.sha256(
-            b"\0".join([SOURCE.read_bytes(), shlex.join(FLAGS).encode(), sys.version.encode()])
-        ).hexdigest()[:16]
-        path = cache / f"_sweep_{key}{EXTENSION_SUFFIXES[0]}"
+        source = hashlib.sha256(SOURCE.read_bytes() + b"\0" + shlex.join(FLAGS).encode())
+        interpreter = hashlib.sha256(sys.version.encode())
+        prefix = f"_sweep_{source.hexdigest()[:16]}_"
+        path = cache / f"{prefix}{interpreter.hexdigest()[:8]}{EXTENSION_SUFFIXES[0]}"
         if path.exists():
             return _load(path), ""
         cmd = _compiler_command() if command is None else command
@@ -86,6 +90,10 @@ def load_sweep(cache: Path = CACHE, command: list[str] | None = None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in cache.glob("_sweep_*"):  # temporary files start with "."
+            if not old.name.startswith(prefix):
+                with contextlib.suppress(OSError):
+                    old.unlink()
         return _load(path), ""
     except Exception as exc:
         why = str(exc) if isinstance(exc, _BuildError) else f"{type(exc).__name__}: {exc}"

@@ -22,13 +22,17 @@ communication tasks, and its parameter-sync tasks, which is the
 (Algorithm 2).
 
 Task regions, producer/consumer overlaps and replica sets depend only on
-an op and its degree vector, not on device placement.  Like the paper's
-simulator, which measures each task shape once and reuses the number
-(Section 5.1), construction computes them once per profiler: the first
-build or splice that needs an (op, degree vector) or (edge, degree
-vectors) key stores the result in :attr:`OpProfiler.memo
-<repro.profiler.profiler.OpProfiler>`, and every later one binds its
-devices, connections, transfer times and ckeys to the stored numbers.
+an op's structure (:meth:`~repro.ir.ops.Operation.structure_key`) and
+its degree vector, not on the op itself or device placement.  Like the
+paper's simulator, which reuses a measurement for "all future tasks with
+the same operation type and output size" (Section 5.1), construction
+computes them once per profiler: the first build or splice that needs a
+(structure, degree vector) or (edge structures, degree vectors) key
+stores the result in :attr:`OpProfiler.memo
+<repro.profiler.profiler.OpProfiler>`, and every later one, for any op
+of that structure, binds its devices, connections, transfer times and
+ckeys to the stored numbers.  So a splice of a weight-shared layer
+computes the geometry of its unrolled steps once.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ class TaskGraph:
 
         self._memo = profiler.memo
         self._spec_keys = [d.spec.key for d in topology.devices]
+        self._sid = self._structure_ids()
         # The tasks themselves: columns and adjacency rows indexed by task
         # id, which is the task's slot (see repro.sim.arrays).
         self.arrays = TaskArrays()
@@ -217,16 +222,33 @@ class TaskGraph:
         return self.arrays.num_live
 
     # -- construction --------------------------------------------------------
-    def _task_times(self, op, cfg, make_bwd: bool) -> tuple[tuple[float, float], ...]:
-        """Each task's ``(forward_us, backward_us)`` for ``op`` under ``cfg``.
+    def _structure_ids(self) -> list[int]:
+        """Each op's structure as a small int, indexed by op id.
 
-        Read through the profiler's memo (filled on a miss); ``backward_us``
-        is 0.0 unless ``make_bwd``.
+        Interned in the profiler's memo, so ops with equal
+        :meth:`~repro.ir.ops.Operation.structure_key` get one id on every
+        graph built with this profiler, and the memo entries keyed by it
+        serve them all.  One lookup per op per build; splices only index
+        the list.
+        """
+        table = self._memo.setdefault("structures", {})  # structure_key -> id
+        op = self.graph.op
+        return [table.setdefault(op(oid).structure_key(), len(table)) for oid in self.graph.op_ids]
+
+    def _task_times(self, oid: int, cfg, make_bwd: bool) -> tuple[tuple[float, float], ...]:
+        """Each task's ``(forward_us, backward_us)`` for op ``oid`` under ``cfg``.
+
+        Read through the profiler's memo under the op's structure, the
+        degree vector and the tasks' device specs (filled on a miss, from
+        the profiler's per-signature times); ``backward_us`` is 0.0 unless
+        ``make_bwd``.  Ops of one structure get the same times because
+        their tasks have the same signatures.
         """
         devices = cfg.devices
-        key = (op, cfg.degrees, tuple([self._spec_keys[d] for d in devices]), make_bwd)
+        key = (self._sid[oid], cfg.degrees, tuple([self._spec_keys[d] for d in devices]), make_bwd)
         times = self._memo.get(key)
         if times is None:
+            op = self.graph.op(oid)
             prof, topo = self.profiler, self.topology
             times = []
             for k, d in enumerate(devices):
@@ -244,7 +266,7 @@ class TaskGraph:
         cfg = self.strategy[oid]
         devices = cfg.devices
         make_bwd = self.training and not op.is_source
-        times = self._task_times(op, cfg, make_bwd)
+        times = self._task_times(oid, cfg, make_bwd)
         fwd_ids: list[int] = []
         bwd_ids: list[int] = []
         _, s_op, s_k, s_bwd = self._rank_shifts[0]
@@ -270,13 +292,13 @@ class TaskGraph:
         The communication tasks it creates are tracked per edge in
         ``edge_tasks``, so a reconfiguration can splice them out.
         """
-        src_op = self.graph.op(edge.src)
-        dst_op = self.graph.op(edge.dst)
         src_cfg = self.strategy[edge.src]
         dst_cfg = self.strategy[edge.dst]
-        key = (src_op, dst_op, edge.slot, src_cfg.degrees, dst_cfg.degrees)
+        sid = self._sid
+        key = (sid[edge.src], sid[edge.dst], edge.slot, src_cfg.degrees, dst_cfg.degrees)
         overlaps = self._memo.get(key)
         if overlaps is None:
+            src_op, dst_op = self.graph.op(edge.src), self.graph.op(edge.dst)
             dtype = src_op.out_shape.dtype_bytes
             overlaps = []
             for kj in range(dst_cfg.num_tasks):
@@ -349,7 +371,7 @@ class TaskGraph:
         if not op0.params or any(not self.bwd[m] for m in members):
             return
         cfg = self.strategy[members[0]]  # group members share one config
-        key = (op0, cfg.degrees)
+        key = (self._sid[members[0]], cfg.degrees)
         shards = self._memo.get(key)
         if shards is None:
             pdims = {n for n, kind in op0.parallel_dims().items() if kind.name == "PARAMETER"}
@@ -443,8 +465,7 @@ class TaskGraph:
         for m in self.graph.group_members(op_id):
             for t in self.fwd[m] + self.bwd[m]:
                 loads[dev[t]] -= exe[t]
-            op = self.graph.op(m)
-            times = self._task_times(op, new_cfg, self.training and not op.is_source)
+            times = self._task_times(m, new_cfg, self.training and not self.graph.op(m).is_source)
             for d, (fwd_us, bwd_us) in zip(new_cfg.devices, times):
                 loads[d] += fwd_us + bwd_us
         kind = arr.kind
@@ -465,8 +486,10 @@ class TaskGraph:
         them against the (unchanged) neighbor configurations.  This is
         ``UpdateTaskGraph`` from Algorithm 2.  The rebuild runs the same
         construction methods as a fresh build, so a degree vector the
-        profiler's memo has seen costs no region, overlap or profiler
-        work: only devices, connections and ranks are bound anew.  The
+        profiler's memo has seen for an op of the same structure costs no
+        region, overlap or profiler work (the members of a weight-shared
+        group compute theirs once per structure): only devices,
+        connections and ranks are bound anew.  The
         new tasks reuse free ids, the removed tasks' first, before the
         slot table grows.  The arrays' kept sweep inputs (in-degrees,
         sources, loads) are refreshed for the removed, new and
@@ -645,7 +668,10 @@ class TaskGraph:
           :class:`~repro.sim.arrays.TaskArrays`);
         * task for task by ckey (kind, device, exe time, bytes,
           predecessor and successor ckeys), the graph equals a build of
-          ``self.strategy`` whose profiler has an empty construction memo.
+          ``self.strategy`` whose profiler has an empty construction memo
+          and gives every op its own structure, so it shares no memo entry
+          between two ops: a structure key that misses an input of its
+          entries' values shows as a difference.
         """
         arr = self.arrays
         live = self.tasks
@@ -678,11 +704,20 @@ class TaskGraph:
         drift = [(d, a, b) for d, (a, b) in enumerate(zip(arr.load, fresh)) if abs(a - b) > tol]
         assert not drift, f"kept loads (id, kept, fresh) differ from a fresh sum: {drift}"
         # deepcopy drops the memo (OpProfiler.__getstate__) and keeps the times.
-        cold = TaskGraph(
+        cold = _OwnStructures(
             self.graph, self.topology, self.strategy, copy.deepcopy(self.profiler), self.training
         )
         assert len(live) == cold.num_tasks, f"{len(live)} live tasks, cold build {cold.num_tasks}"
         assert _by_ckey(self) == _by_ckey(cold), "graph differs from a cold build"
+
+
+class _OwnStructures(TaskGraph):
+    """A build in which no two ops share a structure id: on an empty memo,
+    each op's entries are computed from that op alone
+    (:meth:`TaskGraph.check_consistent`'s oracle)."""
+
+    def _structure_ids(self) -> list[int]:
+        return list(self.graph.op_ids)
 
 
 def _by_ckey(tg: TaskGraph) -> dict:

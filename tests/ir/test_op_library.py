@@ -1,5 +1,8 @@
 """Unit tests for the concrete operator library (Table 1 semantics)."""
 
+import math
+from collections import defaultdict
+
 import pytest
 
 from repro.ir.dims import DimKind, Region, TensorShape
@@ -7,6 +10,11 @@ from repro.ir.op_conv import Conv1D, Conv2D, Pool1D, Pool2D
 from repro.ir.op_dense import Embedding, Flatten, MatMul, Softmax
 from repro.ir.op_misc import BatchNorm, Concat, Elementwise, Input
 from repro.ir.op_rnn import Attention, LSTMCell
+from repro.machine.clusters import single_node
+from repro.models.registry import MODEL_NAMES, get_model
+from repro.profiler.profiler import OpProfiler
+from repro.soap.config import ParallelConfig
+from repro.soap.space import ConfigSpace
 
 
 def region_of(op, **ranges):
@@ -269,3 +277,92 @@ class TestElementwiseAndBN:
         op = Input("in", TensorShape.of(4, sample=8, channel=4))
         assert op.is_source
         assert op.parallel_dims()["channel"] is DimKind.ATTRIBUTE
+
+
+def construction_reads(op, degree_vectors):
+    """What task-graph construction reads of ``op`` under each degree
+    vector: every task's region, input regions, parameter shard volume and
+    profiler signature."""
+    reads = []
+    for degrees in degree_vectors:
+        cfg = ParallelConfig(degrees, tuple(range(math.prod(d for _, d in degrees))))
+        for k in range(cfg.num_tasks):
+            region = cfg.task_region(op, k)
+            reads.append((
+                degrees,
+                region,
+                tuple(op.input_region(region, i) for i in range(len(op.input_shapes))),
+                op.param_shard_volume(region),
+                op.task_signature(region),
+            ))
+    return reads
+
+
+def assert_differ_only_in_static_attrs(a, b):
+    assert type(a) is type(b)
+    assert a.out_shape == b.out_shape and a.input_shapes == b.input_shapes
+    assert a.parallel_dims() == b.parallel_dims() and a.params == b.params
+    assert a.static_attrs() != b.static_attrs()
+
+
+class TestStructureKey:
+    """Ops with one ``structure_key`` share their task-graph construction
+    (the profiler memo's entries), so the key must cover all it reads."""
+
+    def test_equal_keys_read_equal_geometry_in_the_bench_models(self):
+        topo = single_node(4, "p100")
+        by_key = defaultdict(list)  # structure key -> [(graph, space, op id)], across models
+        for name in MODEL_NAMES + ("lenet", "rnnlm_small", "mlp"):
+            graph = get_model(name, scale="ci")
+            space = ConfigSpace(graph, topo)
+            for oid in graph.op_ids:
+                by_key[graph.op(oid).structure_key()].append((graph, space, oid))
+        shared = 0
+        for members in by_key.values():
+            graph, space, oid = members[0]
+            degree_vectors = space.degree_vectors(oid)
+            expected = construction_reads(graph.op(oid), degree_vectors)
+            for graph, space, oid in members[1:]:
+                assert space.degree_vectors(oid) == degree_vectors
+                assert construction_reads(graph.op(oid), degree_vectors) == expected
+                shared += 1
+        assert shared > 300  # unrolled steps and repeated blocks
+
+    def test_stride_is_in_the_key(self):
+        """Both give a 2x2 output, but output row 1 reads input rows
+        [3, 6) at stride 3 and [4, 7) at stride 4."""
+        a, b = (
+            Conv2D("c", batch=2, in_channels=3, out_channels=4, in_hw=(8, 8), kernel=(3, 3),
+                   stride=(s, s))
+            for s in (3, 4)
+        )
+        assert_differ_only_in_static_attrs(a, b)
+        row1 = region_of(a, height=(1, 2))
+        assert a.input_region(row1, 0).range("height") == (3, 6)
+        assert b.input_region(row1, 0).range("height") == (4, 7)
+        assert a.structure_key() != b.structure_key()
+
+    def test_elementwise_kind_is_in_the_key(self):
+        """Equal geometry, but a tanh task takes longer than a relu task."""
+        shape = TensorShape.of(4, sample=64, channel=1024)
+        relu, tanh = (Elementwise(kind, kind, shape) for kind in ("relu", "tanh"))
+        assert_differ_only_in_static_attrs(relu, tanh)
+        full = shape.full_region()
+        assert relu.input_region(full, 0) == tanh.input_region(full, 0)
+        device = single_node(1, "p100").device(0)
+        assert OpProfiler().task_time(relu, full, device) < OpProfiler().task_time(tanh, full, device)
+        assert relu.structure_key() != tanh.structure_key()
+
+    def test_the_key_is_plain_data_computed_once(self):
+        op = Conv2D("c", batch=2, in_channels=3, out_channels=4, in_hw=(8, 8))
+        key = op.structure_key()
+        assert op.structure_key() is key
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                for item in x:
+                    yield from leaves(item)
+            else:
+                yield x
+
+        assert {type(x) for x in leaves(key)} <= {str, int, bool, type(None)}

@@ -7,6 +7,7 @@ import dataclasses
 
 import pytest
 
+from repro.bench.harness import CI_SCALE, bench_model, cluster
 from repro.plan import (
     BudgetConfig,
     ExecutionConfig,
@@ -182,3 +183,23 @@ class TestReusedPlanner:
             assert warm.best_strategy.signature() == fresh.best_strategy.signature(), seed
             assert warm.simulations == fresh.simulations, seed
             assert warm.metrics.makespan_us == fresh.metrics.makespan_us, seed
+
+    def test_the_memo_holds_plain_data(self):
+        """After a search, the profiler memo's keys and values name ops by
+        structure id, never by the op itself: only numbers, strings, None,
+        and tuples and dicts of them."""
+        graph, _ = bench_model("rnnlm", CI_SCALE)
+        planner = Planner(graph, cluster("p100", 4), OpProfiler())
+        planner.search("mcmc", SearchConfig(budget=BudgetConfig(iterations=30), seed=0))
+
+        def leaves(x):
+            if isinstance(x, dict):
+                x = [item for pair in x.items() for item in pair]
+            if isinstance(x, (tuple, list)):
+                for item in x:
+                    yield from leaves(item)
+            else:
+                yield x
+
+        assert planner.profiler.memo
+        assert {type(x) for x in leaves(planner.profiler.memo)} <= {str, int, float, bool, type(None)}

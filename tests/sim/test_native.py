@@ -166,6 +166,27 @@ class TestLoader:
         fn, why = native.load_sweep(tmp_path, cc)
         assert fn is None and why.startswith("ImportError: ")
 
+    def test_a_build_deletes_other_sources_and_keeps_other_interpreters(self, tmp_path):
+        # The "compiler" writes a file that does not load: the pruning
+        # runs once a build is published, whether or not it loads.
+        cc = [sys.executable, "-c", "import sys; open(sys.argv[-1], 'w').write('stub')"]
+        native.load_sweep(tmp_path / "probe", cc)
+        [name] = built_files(tmp_path / "probe")  # _sweep_<source>_<interpreter><EXT>
+        source, interpreter = name[len("_sweep_"):-len(EXT)].split("_")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = [f"_sweep_{'0' * 16}_{interpreter}{EXT}", f"_sweep_{'1' * 16}{EXT}"]
+        other_interpreter = f"_sweep_{source}_{'f' * 8}{EXT}"
+        in_flight = f".{name}.abc.tmp"  # another process's build, not yet published
+        for planted in stale + [other_interpreter, in_flight]:
+            (cache / planted).write_text("")
+        native.load_sweep(cache, cc)
+        assert built_files(cache) == sorted([in_flight, name, other_interpreter])
+        # A warm load deletes nothing.
+        (cache / stale[0]).write_text("")
+        native.load_sweep(cache, cc)
+        assert built_files(cache) == sorted([in_flight, name, other_interpreter, stale[0]])
+
     def test_an_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path, monkeypatch):
         # The cache's parent is a file, so the cache cannot be made.
         (tmp_path / "file").write_text("")

@@ -9,9 +9,10 @@ graphs.  After every step the live timeline must equal a literal Algorithm 1
 (``sim_helpers.algorithm1``) bit for bit, the cost must be its makespan,
 and the task graph must pass ``TaskGraph.check_consistent``: well-formed
 rows, free slots and bookkeeping, and task by task equal to a build of
-the same strategy with a cold profiler, which catches a construction-memo
-key that misses an input of its value.  The live timeline must equal that
-cold build's too, by ckey.  A revert must restore the exact pre-proposal
+the same strategy with a cold profiler whose memo gives every op its own
+structure, which catches a construction-memo key (or an op structure key)
+that misses an input of its value.  The live timeline must equal a cold
+build's too, by ckey.  A revert must restore the exact pre-proposal
 strategy and cost, and the slot table as it was: every task in its own
 slot with its fields and edges, the same table size and the same free
 slots, since the timeline a revert restores is indexed by slot.  On

@@ -5,11 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.ir.builder import GraphBuilder
+from repro.ir.dims import TensorShape
+from repro.ir.graph import OperatorGraph
+from repro.ir.op_conv import Conv2D
+from repro.ir.op_misc import Input
 from repro.ir.ops import Operation
 from repro.machine.device import Device, spec_for
 from repro.machine.topology import DeviceTopology
 from repro.models.lenet import lenet
 from repro.models.mlp import mlp
+from repro.models.rnn import stacked_lstm
 from repro.profiler.profiler import OpProfiler
 from repro.sim import taskgraph
 from repro.sim.taskgraph import TaskGraph, TaskKind
@@ -226,6 +232,47 @@ class TestConstructionMemo:
         arr = tg.arrays
         assert any(arr.kind[t] == TaskKind.COMM and arr.ckey[t][2] == oid for t in tg.tasks)
         self.assert_cold_build(tg)
+
+    def test_a_group_splice_computes_each_structure_once(self, topo4, monkeypatch):
+        """A 4-step LSTM layer has two structures: the first step, which
+        has no state input, and the three steps after it."""
+        b = GraphBuilder("lstm", batch=8)
+        stacked_lstm(b, steps=4, layers=1, hidden=16, vocab=32, embed_dim=16)
+        graph = b.graph
+        tg = build(graph, topo4, data_parallelism(graph, topo4))
+        oid = graph.id_of("lstm1.t0")
+        assert len(graph.group_members(oid)) == 4
+        calls = []
+        task_time = OpProfiler.task_time
+        monkeypatch.setattr(
+            OpProfiler, "task_time", lambda *args, **kw: calls.append(1) or task_time(*args, **kw)
+        )
+        tg.replace_config(oid, ParallelConfig((("channel", 2),), (0, 1)))
+        assert len(calls) == 2 * 2 * 2  # structures x tasks x (forward, backward)
+        monkeypatch.undo()
+        self.assert_cold_build(tg)
+
+    def test_the_oracle_catches_a_key_that_misses_an_input(self, topo4, monkeypatch):
+        """Two convs that differ only in stride: a key without static_attrs
+        makes the second read the first's overlaps and times."""
+        graph = OperatorGraph("strides")
+        x = graph.add_op(Input("x", TensorShape.of(4, sample=4, channel=1, height=8, width=8)))
+        for s in (3, 4):
+            conv = Conv2D(f"s{s}", batch=4, in_channels=1, out_channels=2, in_hw=(8, 8),
+                          kernel=(3, 3), stride=(s, s))
+            graph.add_op(conv, [x])
+        rows = (("height", 2),)
+        strategy = Strategy({0: ParallelConfig(rows, (0, 1)), 1: ParallelConfig(rows, (2, 3)),
+                             2: ParallelConfig(rows, (2, 3))})
+        monkeypatch.setattr(
+            Operation, "structure_key",
+            lambda op: (type(op).__name__, op.out_shape, op.input_shapes, op.params),
+        )
+        tg = build(graph, topo4, strategy)
+        with pytest.raises(AssertionError, match="cold build"):
+            tg.check_consistent()
+        monkeypatch.undo()
+        build(graph, topo4, strategy).check_consistent()
 
     def test_training_and_inference_graphs_share_a_profiler(self, lenet_graph, topo4):
         prof = OpProfiler()
