@@ -35,9 +35,9 @@ def test_table4(benchmark, scale):
 
 @pytest.mark.slow
 def test_table4_parallel_orchestration(benchmark, scale):
-    """Sequential vs parallel+cached search on the Inception preset.
+    """Sequential vs parallel search on the Inception preset.
 
-    Correctness (identical best cost, cache hits observed) is asserted
+    Correctness (identical best cost and simulation count) is asserted
     unconditionally; the wall-time bound is only meaningful when the
     machine actually has enough cores to run the chains concurrently.
     """
@@ -45,13 +45,10 @@ def test_table4_parallel_orchestration(benchmark, scale):
     rows = run_once(benchmark, lambda: table4_parallel_search(scale, workers=workers))
     print_table(rows, "Table 4 companion -- search orchestration (seconds)")
     seq, par = rows[0], rows[1]
-    # Same chains regardless of worker count: bit-identical best cost.
+    # Same chains regardless of worker count: bit-identical best cost,
+    # and the same proposals simulated.
     assert par["best_iter_ms"] == pytest.approx(seq["best_iter_ms"], abs=0.0, rel=0.0)
-    # The evaluation cache must actually be exercised.
-    assert par["cache_hit_rate"] > 0.0, rows
-    # The cache never *adds* simulator work (it strictly skips re-proposed
-    # strategies; equality means no full-strategy repeat occurred).
-    assert par["simulations"] <= seq["simulations"], rows
+    assert par["simulations"] == seq["simulations"], rows
     if (os.cpu_count() or 1) >= workers:
         assert par["wall_s"] <= 0.6 * seq["wall_s"], rows
 

@@ -6,7 +6,7 @@ P100 cluster, then show where the discovered strategy spends its time.
 
 Run:  python examples/cnn_search.py [--gpus 8] [--iters 300]
 
-Warm-cache reruns
+Warm-store reruns
 -----------------
 Pass ``--store-dir`` (or export ``REPRO_CACHE_DIR``) to persist every
 strategy evaluation to disk.  The first run over a given (model,
@@ -50,9 +50,6 @@ def main() -> None:
         help="processes for chain fan-out (same result for any value)",
     )
     ap.add_argument(
-        "--cache-size", type=int, default=4096, help="strategy-evaluation cache entries (0 = off)"
-    )
-    ap.add_argument(
         "--store-dir",
         default=default_store_root(),
         help="persistent strategy-store directory for warm reruns "
@@ -70,7 +67,7 @@ def main() -> None:
         "mcmc",
         SearchConfig(
             budget=BudgetConfig(iterations=args.iters),
-            execution=ExecutionConfig(workers=args.workers, cache_size=args.cache_size),
+            execution=ExecutionConfig(workers=args.workers),
             store=StoreConfig(root=args.store_dir),
             seed=0,
         ),

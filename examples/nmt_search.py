@@ -7,7 +7,7 @@ dimension, LSTM layers combining batch and inter-layer parallelism.
 
 Run:  python examples/nmt_search.py [--steps 10] [--iters 400]
 
-Warm-cache reruns
+Warm-store reruns
 -----------------
 As in ``cnn_search.py``, ``--store-dir`` (or ``REPRO_CACHE_DIR``)
 persists strategy evaluations across runs.  NMT searches are the
@@ -44,9 +44,6 @@ def main() -> None:
         help="processes for chain fan-out (same result for any value)",
     )
     ap.add_argument(
-        "--cache-size", type=int, default=4096, help="strategy-evaluation cache entries (0 = off)"
-    )
-    ap.add_argument(
         "--store-dir",
         default=default_store_root(),
         help="persistent strategy-store directory for warm reruns "
@@ -64,7 +61,7 @@ def main() -> None:
         "mcmc",
         SearchConfig(
             budget=BudgetConfig(iterations=args.iters),
-            execution=ExecutionConfig(workers=args.workers, cache_size=args.cache_size),
+            execution=ExecutionConfig(workers=args.workers),
             store=StoreConfig(root=args.store_dir),
             seed=0,
         ),

@@ -36,7 +36,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.reference import ReferenceConfig, reference_execute
 from repro.runtime.training import Trainer
-from repro.search.cache import SimulationCache
 from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.sim.full_sim import full_simulate
 from repro.sim.metrics import throughput_samples_per_sec
@@ -328,8 +327,7 @@ def fig12_search_progress(scale: BenchScale, checkpoints: int = 8) -> list[dict]
         sim = Simulator(graph, topo, data_parallelism(graph, topo), profiler, algorithm=algorithm)
         space = ConfigSpace(graph, topo)
         cfg = MCMCConfig(iterations=scale.search_iters, seed=0)
-        cache = SimulationCache(scale.sim_cache_size) if scale.sim_cache_size > 0 else None
-        _, best, trace = mcmc_search(sim, space, cfg, cache=cache)
+        _, best, trace = mcmc_search(sim, space, cfg)
         if not trace.times_s:
             continue
         total = trace.times_s[-1]
@@ -471,7 +469,7 @@ def table4_search_time(
 
 
 # ---------------------------------------------------------------------------
-# Table 4 companion: sequential vs parallel+cached search orchestration.
+# Table 4 companion: sequential vs parallel search orchestration.
 # ---------------------------------------------------------------------------
 def table4_parallel_search(
     scale: BenchScale,
@@ -480,28 +478,22 @@ def table4_parallel_search(
     workers: int = 4,
     seed: int = 0,
 ) -> list[dict]:
-    """Same search run sequentially-uncached and fanned-out-with-cache.
+    """Same search run sequentially and fanned out over ``workers``.
 
     Both rows drive identical Markov chains (per-chain seeds + canonical
-    tie-breaking make results independent of worker count and caching),
-    so ``best_iter_ms`` must agree exactly; the interesting columns are
-    wall time and cache hit rate.  The ``inits`` list is widened to one
-    chain per worker so the fan-out has enough independent chains to
+    tie-breaking make results independent of worker count), so
+    ``best_iter_ms`` and ``simulations`` must agree exactly; the
+    interesting column is wall time.  The ``inits`` list is widened to
+    one chain per worker so the fan-out has enough independent chains to
     spread.
     """
     graph, _ = bench_model(model, scale)
     topo = cluster("p100", min(gpus, scale.max_gpus_p100))
     inits = ("data_parallel", "expert") + ("random",) * max(2, workers - 2)
     rows = []
-    for label, w, cache in (
-        ("sequential", 1, 0),
-        ("parallel+cache", workers, scale.sim_cache_size),
-    ):
+    for label, w in (("sequential", 1), ("parallel", workers)):
         res = Planner(graph, topo, profiler=OpProfiler()).search(
-            "mcmc",
-            search_config(
-                scale, seed=seed, inits=inits, workers=w, cache_size=cache, store_dir=None
-            ),
+            "mcmc", search_config(scale, seed=seed, inits=inits, workers=w, store_dir=None)
         )
         rows.append(
             {
@@ -510,7 +502,6 @@ def table4_parallel_search(
                 "best_iter_ms": res.best_cost_us / 1e3,
                 "wall_s": res.wall_time_s,
                 "simulations": res.simulations,
-                "cache_hit_rate": res.cache_hit_rate,
             }
         )
     return rows

@@ -56,7 +56,6 @@ class BenchScale:
     sim_accuracy_strategies: int  # strategies per point in Fig. 11
     table4_iters: int  # search iterations per Table 4 cell
     search_workers: int = 1  # process fan-out for multi-chain search
-    sim_cache_size: int = 4096  # strategy-evaluation cache per worker
     # Directory of the persistent cross-run strategy store (None disables
     # persistence).  Sweeps that re-search the same (model, cluster) pair
     # warm-start from it; see repro.search.store.
@@ -78,7 +77,6 @@ CI_SCALE = BenchScale(
     sim_accuracy_strategies=4,
     table4_iters=20,
     search_workers=1,
-    sim_cache_size=4096,
 )
 
 FULL_SCALE = BenchScale(
@@ -91,27 +89,24 @@ FULL_SCALE = BenchScale(
     sim_accuracy_strategies=8,
     table4_iters=100,
     search_workers=4,
-    sim_cache_size=65536,
 )
 
 
 def current_scale() -> BenchScale:
     """CI scale unless ``REPRO_FULL=1`` is set in the environment.
 
-    ``REPRO_WORKERS`` and ``REPRO_CACHE`` override the scale's search
-    fan-out and cache capacity, ``REPRO_CACHE_DIR`` points the persistent
-    cross-run strategy store at a directory, and ``REPRO_SIM_ALGO`` picks
-    the timeline algorithm (``auto``/``full``/``delta``) -- results are
-    invariant to all of these; only wall time and cache accounting
-    change.  The counts are not clamped: ``ExecutionConfig`` refuses a
-    bad one (``REPRO_WORKERS=0``) in :func:`search_config`.
+    ``REPRO_WORKERS`` overrides the scale's search fan-out,
+    ``REPRO_CACHE_DIR`` points the persistent cross-run strategy store at
+    a directory, and ``REPRO_SIM_ALGO`` picks the timeline algorithm
+    (``auto``/``full``/``delta``) -- results are invariant to all of
+    these; only wall time and store accounting change.  The worker count
+    is not clamped: ``ExecutionConfig`` refuses a bad one
+    (``REPRO_WORKERS=0``) in :func:`search_config`.
     """
     scale = FULL_SCALE if os.environ.get("REPRO_FULL") == "1" else CI_SCALE
     overrides = {}
     if os.environ.get("REPRO_WORKERS"):
         overrides["search_workers"] = int(os.environ["REPRO_WORKERS"])
-    if os.environ.get("REPRO_CACHE"):
-        overrides["sim_cache_size"] = int(os.environ["REPRO_CACHE"])
     if os.environ.get("REPRO_CACHE_DIR"):
         overrides["store_dir"] = os.environ["REPRO_CACHE_DIR"]
     if os.environ.get("REPRO_SIM_ALGO"):
@@ -166,15 +161,14 @@ def search_config(
     seed: int = 0,
     inits: tuple[str, ...] = ("data_parallel", "random"),
     workers: int | None = None,
-    cache_size: int | None = None,
     store_dir: "str | None" = ...,  # Ellipsis sentinel: default to scale.store_dir
     budget_iters: int | None = None,
 ) -> SearchConfig:
     """The scale's knobs as a planner :class:`SearchConfig`.
 
     Every benchmark search goes through this one translation, so the
-    env-var overrides (``REPRO_WORKERS``/``REPRO_CACHE``/
-    ``REPRO_CACHE_DIR``) reach the unified planner API uniformly.  The
+    env-var overrides (``REPRO_WORKERS``/``REPRO_CACHE_DIR``/
+    ``REPRO_SIM_ALGO``) reach the unified planner API uniformly.  The
     backend-specific knobs the scale owns (REINFORCE's episode budget)
     ride along in ``backend_options``.
     Pass ``store_dir=None`` to force persistence *off* even when the
@@ -184,8 +178,7 @@ def search_config(
     return SearchConfig(
         budget=BudgetConfig(iterations=budget_iters if budget_iters is not None else scale.search_iters),
         execution=ExecutionConfig(
-            workers=workers if workers is not None else scale.search_workers,
-            cache_size=cache_size if cache_size is not None else scale.sim_cache_size,
+            workers=workers if workers is not None else scale.search_workers
         ),
         store=StoreConfig(root=scale.store_dir if store_dir is ... else store_dir),
         inits=tuple(inits),

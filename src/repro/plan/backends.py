@@ -37,7 +37,6 @@ from repro.baselines.optcnn import _optcnn_impl
 from repro.baselines.reinforce import _reinforce_impl
 from repro.plan.config import SearchConfig
 from repro.plan.result import PlanResult
-from repro.search.cache import CacheStats
 from repro.search.exec import ChainSpec, ExecutionContext, run_chains
 from repro.search.exhaustive import _exhaustive_impl
 from repro.search.mcmc import MCMCConfig
@@ -155,7 +154,6 @@ def _mcmc(planner, config: SearchConfig) -> PlanResult:
         profiler=profiler,
         algorithm=config.algorithm,
         training=training,
-        cache_size=execution.cache_size,
         store_root=config.store.root if store_context is not None else None,
         store_context=store_context,
         workers=execution.workers,
@@ -172,9 +170,8 @@ def _mcmc(planner, config: SearchConfig) -> PlanResult:
     # The lowest cost; on a tie, the earliest chain in spec order.
     best = min(results, key=lambda r: r.best_cost_us)
 
-    # Aggregate per-chain accounting deltas: the authoritative totals,
-    # since per-worker caches/stores are gone once the pool shuts down.
-    cache_stats = reduce(CacheStats.merge, (r.cache for r in results), CacheStats())
+    # Aggregate per-chain store deltas: the authoritative totals, since
+    # per-worker store handles are gone once the pool shuts down.
     store_stats = reduce(StoreStats.merge, (r.store for r in results), StoreStats())
 
     metrics = _final_metrics(planner, best.best_strategy)
@@ -189,7 +186,6 @@ def _mcmc(planner, config: SearchConfig) -> PlanResult:
         metrics=metrics,
         wall_time_s=wall,
         simulations=simulations,
-        cache_stats=cache_stats,
         store_stats=store_stats,
         extras={
             "traces": {r.name: r.trace for r in results},

@@ -24,8 +24,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.search.exec.base import DEFAULT_CACHE_SIZE
-
 __all__ = [
     "BudgetConfig",
     "ExecutionConfig",
@@ -66,7 +64,7 @@ class BudgetConfig:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How chains execute: fan-out and evaluation-cache size.
+    """How chains execute: their fan-out.
 
     With ``workers > 1`` and more than one chain, the chains run on a
     local process pool of ``workers`` processes, at most one per chain
@@ -74,21 +72,17 @@ class ExecutionConfig:
     another in the caller.  ``PlanResult.extras["workers"]`` counts the
     processes that ran them.  Results are bit-identical for every worker
     count for a fixed seed set; the choice is pure capacity.
-    ``cache_size`` is the evaluation cache's capacity in each process
-    (0 turns the cache off).  Both must be ints, ``workers >= 1`` and
-    ``cache_size >= 0``; anything else raises ``ValueError``.
+    ``workers`` must be an int ``>= 1``; anything else raises
+    ``ValueError``.
     """
 
     workers: int = 1
-    cache_size: int = DEFAULT_CACHE_SIZE
 
     def __post_init__(self):
-        for name, low in (("workers", 1), ("cache_size", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(
-                    f"ExecutionConfig.{name} must be an int >= {low}, got {value!r}"
-                )
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(
+                f"ExecutionConfig.workers must be an int >= 1, got {self.workers!r}"
+            )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionConfig":

@@ -3,7 +3,7 @@
 Each of the four backends (:data:`repro.plan.backends.BACKENDS`) returns
 a :class:`PlanResult`: best strategy and its simulator-evaluated cost plus
 the accounting every benchmark wants (wall time, simulation count,
-cache/store stats).  Backend-specific detail -- MCMC chain traces, OptCNN's
+store stats).  Backend-specific detail -- MCMC chain traces, OptCNN's
 additive-objective prediction, REINFORCE's episode history -- rides along
 in ``extras`` so callers that only want the common surface never touch
 it.
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.search.cache import CacheStats
 from repro.search.store import StoreStats
 from repro.sim.metrics import IterationMetrics, throughput_samples_per_sec
 from repro.soap.strategy import Strategy
@@ -38,23 +37,10 @@ class PlanResult:
     metrics: IterationMetrics
     wall_time_s: float = 0.0
     simulations: int = 0
-    cache_stats: CacheStats = field(default_factory=CacheStats)
     store_stats: StoreStats = field(default_factory=StoreStats)
     extras: dict[str, Any] = field(default_factory=dict)
 
     # -- accounting shorthands ---------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        return self.cache_stats.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache_stats.misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_stats.hit_rate
-
     @property
     def store_hits(self) -> int:
         return self.store_stats.hits
@@ -80,11 +66,6 @@ class PlanResult:
             f"search wall time: {self.wall_time_s:.2f} s "
             f"({self.simulations} simulations, {self.simulations_per_sec:.0f}/s)",
         ]
-        if self.cache_stats.lookups:
-            lines.append(
-                f"evaluation cache: {self.cache_hits} hits / {self.cache_misses} misses "
-                f"({self.cache_hit_rate:.1%} hit rate)"
-            )
         if self.store_stats.lookups or self.store_stats.appended:
             lines.append(
                 f"persistent store: {self.store_hits} hits / {self.store_misses} misses "

@@ -1,20 +1,9 @@
 """Execution optimizer (paper Section 6): MCMC search plus exhaustive reference."""
 
-from repro.search.cache import (
-    CacheStats,
-    SimulationCache,
-    config_digest,
-    strategy_fingerprint,
-)
+from repro.search.cache import config_digest, strategy_fingerprint
 from repro.search.exhaustive import ExhaustiveResult
 from repro.search.mcmc import MCMCConfig, SearchTrace, mcmc_search
-from repro.search.exec import (
-    DEFAULT_CACHE_SIZE,
-    ChainResult,
-    ChainSpec,
-    ExecutionContext,
-    run_chains,
-)
+from repro.search.exec import ChainResult, ChainSpec, ExecutionContext, run_chains
 from repro.search.store import (
     STORE_FORMAT_VERSION,
     StoreStats,
@@ -26,8 +15,6 @@ from repro.search.store import (
 )
 
 __all__ = [
-    "CacheStats",
-    "SimulationCache",
     "config_digest",
     "strategy_fingerprint",
     "STORE_FORMAT_VERSION",
@@ -41,7 +28,6 @@ __all__ = [
     "MCMCConfig",
     "SearchTrace",
     "mcmc_search",
-    "DEFAULT_CACHE_SIZE",
     "ChainResult",
     "ChainSpec",
     "ExecutionContext",

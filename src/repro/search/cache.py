@@ -1,31 +1,32 @@
-"""Strategy fingerprints and the bounded strategy-evaluation cache.
+"""Strategy fingerprints: stable hashes of whole parallelization strategies.
 
-The MCMC search re-proposes previously simulated strategies constantly:
-with low acceptance rates the chain sits at one strategy for many
-iterations, and per-op configuration spaces are small enough that the
-same proposal recurs.  Since canonical tie-breaking made the simulated
-cost a *pure function* of ``(graph, topology, strategy, training)`` (see
-:mod:`repro.sim.full_sim`), those re-evaluations can be answered from a
-cache keyed by the strategy alone -- skipping both the apply and the undo
-simulation of a rejected proposal.
+The persistent :class:`~repro.search.store.StrategyStore` keys every
+evaluation by the fingerprint of its strategy, and ``mcmc_search``
+computes one per proposal when it has a store.  Since canonical
+tie-breaking made the simulated cost a *pure function* of ``(graph,
+topology, strategy, training)`` (see :mod:`repro.sim.full_sim`), a
+recorded cost answers any later proposal of the same strategy, in this
+search or a later one.
 
-Fingerprints are *stable* hashes: built from BLAKE2b digests of each
-``(op id, ParallelConfig)`` pair and combined with XOR, so they are
+Fingerprints are built from BLAKE2b digests of each ``(op id,
+ParallelConfig)`` pair and combined with XOR, so they are
 
 * independent of the dict order in which a :class:`Strategy` stores its
   configs (XOR commutes);
 * identical across processes and interpreter runs (no dependence on
-  ``PYTHONHASHSEED`` -- required for the multi-process search
-  orchestrator to share or compare cache accounting);
+  ``PYTHONHASHSEED`` -- required for a store shard written by one
+  process to answer another);
 * updatable in O(group size) per MCMC proposal: XOR out the digests of
   the reconfigured ops, XOR in the new ones (:class:`FingerprintTracker`).
+
+The module also holds a :class:`SimulationCache` stub that nothing
+calls: the end-to-end benchmark's tracer still wraps its ``get`` and
+``put`` (see the note over it at the end).
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.soap.config import ParallelConfig
@@ -35,11 +36,9 @@ __all__ = [
     "config_digest",
     "strategy_fingerprint",
     "FingerprintTracker",
-    "CacheStats",
-    "SimulationCache",
 ]
 
-_DIGEST_BYTES = 16  # 128-bit digests: collisions are negligible at any cache size
+_DIGEST_BYTES = 16  # 128-bit digests: collisions are negligible at any store size
 
 
 def config_digest(op_id: int, cfg: ParallelConfig) -> int:
@@ -101,92 +100,17 @@ class FingerprintTracker:
         self.fingerprint = fingerprint
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting of one :class:`SimulationCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    capacity: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Aggregate accounting across chains/workers.
-
-        Counters (hits/misses/evictions) are summed; ``size`` takes the
-        maximum, not the sum -- co-located chains snapshot the *same*
-        shared per-worker cache, and summing those snapshots would
-        report an occupancy above ``capacity``.
-        """
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            size=max(self.size, other.size),
-            capacity=max(self.capacity, other.capacity),
-        )
-
-
+# Removed: the in-memory LRU of simulated costs.  The end-to-end
+# benchmark's tracer (benchmarks/e2e/tracing.py) still lists ``get`` and
+# ``put`` of this class among its wrap points, and its tests require every
+# point to resolve; nothing calls them, so the layers they fed
+# (``cache.lookup_ms`` and ``cache.hit_rate``) read 0.  Delete the class
+# together with those wrap points.
 class SimulationCache:
-    """Bounded LRU map from strategy fingerprint to simulated cost (us).
+    """Removed: the in-memory evaluation cache; a store answers proposals."""
 
-    A ``capacity`` of 0 disables the cache entirely: every ``get`` misses
-    and ``put`` is a no-op, so search behaviour (which is byte-identical
-    cached or uncached -- costs are pure functions of the strategy) can be
-    compared directly against the cached run's accounting.
-    """
+    def get(self, *args, **kwargs):
+        raise NotImplementedError("the in-memory evaluation cache was removed")
 
-    __slots__ = ("capacity", "_data", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 0:
-            raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._data: OrderedDict[int, float] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, fingerprint: int) -> float | None:
-        """Cached cost for ``fingerprint``, or ``None``; counts the lookup."""
-        if self.capacity == 0:
-            self.misses += 1
-            return None
-        cost = self._data.get(fingerprint)
-        if cost is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(fingerprint)
-        self.hits += 1
-        return cost
-
-    def put(self, fingerprint: int, cost_us: float) -> None:
-        if self.capacity == 0:
-            return
-        if fingerprint in self._data:
-            self._data.move_to_end(fingerprint)
-        self._data[fingerprint] = cost_us
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            size=len(self._data),
-            capacity=self.capacity,
-        )
+    def put(self, *args, **kwargs):
+        raise NotImplementedError("the in-memory evaluation cache was removed")

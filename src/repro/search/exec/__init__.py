@@ -17,10 +17,11 @@ Determinism
   for a fixed seed set: costs are pure functions of the strategy and
   every chain carries its own RNG.  So the chains a dead pool worker
   took down re-run in the caller (``extras["chains_rerun"]``) unchanged.
-* The evaluation cache and the persistent store only skip redundant
-  simulations; accept / reject decisions are unchanged.  Hit
-  *accounting* may vary with scheduling, because chains co-located in
-  one pool worker share a cache; the search results never do.
+* The persistent store only skips redundant simulations; accept /
+  reject decisions are unchanged, and a chain without a store simulates
+  every non-identity proposal.  Store hit *accounting* may vary with
+  scheduling, because chains co-located in one process share a store
+  handle; the search results never do.
 
 Persistence
 -----------
@@ -30,7 +31,6 @@ once and flushes it when each chain completes.
 """
 
 from repro.search.exec.base import (
-    DEFAULT_CACHE_SIZE,
     ChainResult,
     ChainSpec,
     ExecutionContext,
@@ -39,7 +39,6 @@ from repro.search.exec.base import (
 from repro.search.exec.local import run_chains
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
     "ChainResult",
     "ChainSpec",
     "ExecutionContext",

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from repro.ir.graph import OperatorGraph
 from repro.machine.topology import DeviceTopology
 from repro.profiler.profiler import OpProfiler
-from repro.search.cache import CacheStats, SimulationCache
 from repro.search.mcmc import MCMCConfig, SearchTrace, mcmc_search
 from repro.search.store import StoreStats
 from repro.sim.simulator import Simulator
@@ -31,14 +30,11 @@ from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
     "ChainSpec",
     "ChainResult",
     "ExecutionContext",
     "run_one_chain",
 ]
-
-DEFAULT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -65,11 +61,9 @@ class ChainResult:
     init_cost_us: float
     trace: SearchTrace = field(default_factory=SearchTrace)
     wall_time_s: float = 0.0
-    # This chain's *own* cache/store activity (deltas, not the shared
-    # per-worker structures' cumulative totals -- chains co-located in one
-    # worker share a cache and store snapshot, so raw snapshots would
-    # double-count).
-    cache: CacheStats = field(default_factory=CacheStats)
+    # This chain's *own* store activity (a delta, not the shared store
+    # handle's cumulative totals -- chains co-located in one process share
+    # a handle, so raw snapshots would double-count).
     store: StoreStats = field(default_factory=StoreStats)
     worker_pid: int = 0  # process that ran the chain (observed, not requested)
     rerun: bool = False  # re-run in the caller after its pool worker died
@@ -89,23 +83,12 @@ class ExecutionContext:
     profiler: OpProfiler
     algorithm: str = "auto"
     training: bool = True
-    cache_size: int = DEFAULT_CACHE_SIZE
     # Persistent store: root directory + precomputed context digest
     # (``None`` disables persistence).
     store_root: str | None = None
     store_context: str | None = None
     # Processes to fan the chains out over (at most one per chain).
     workers: int = 1
-
-
-def _stats_delta(after: CacheStats, before: CacheStats) -> CacheStats:
-    return CacheStats(
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        evictions=after.evictions - before.evictions,
-        size=after.size,
-        capacity=after.capacity,
-    )
 
 
 def _store_delta(after: StoreStats, before: StoreStats) -> StoreStats:
@@ -119,12 +102,7 @@ def _store_delta(after: StoreStats, before: StoreStats) -> StoreStats:
     )
 
 
-def run_one_chain(
-    ctx: ExecutionContext,
-    spec: ChainSpec,
-    cache: SimulationCache | None,
-    store,
-) -> ChainResult:
+def run_one_chain(ctx: ExecutionContext, spec: ChainSpec, store) -> ChainResult:
     """Run one chain against a fresh simulator (in any process).
 
     The single code path shared by the in-process loop and the pool
@@ -132,7 +110,6 @@ def run_one_chain(
     structural property rather than a test-enforced one.
     """
     t0 = time.perf_counter()
-    cache_before = cache.stats() if cache is not None else CacheStats()
     store_before = replace(store.stats) if store is not None else StoreStats()
 
     sim = Simulator(
@@ -145,9 +122,7 @@ def run_one_chain(
     )
     init_cost = sim.cost
     space = ConfigSpace(ctx.graph, ctx.topology)
-    best_strategy, best_cost, trace = mcmc_search(
-        sim, space, spec.config, cache=cache, store=store
-    )
+    best_strategy, best_cost, trace = mcmc_search(sim, space, spec.config, store=store)
     if store is not None:
         # Chain completion is the durability point: evaluations from this
         # chain survive pool teardown and warm future searches.
@@ -155,9 +130,6 @@ def run_one_chain(
         store_delta = _store_delta(replace(store.stats), store_before)
     else:
         store_delta = StoreStats()
-    cache_delta = (
-        _stats_delta(cache.stats(), cache_before) if cache is not None else CacheStats()
-    )
     return ChainResult(
         name=spec.name,
         best_strategy=best_strategy,
@@ -165,7 +137,6 @@ def run_one_chain(
         init_cost_us=init_cost,
         trace=trace,
         wall_time_s=time.perf_counter() - t0,
-        cache=cache_delta,
         store=store_delta,
         worker_pid=os.getpid(),
     )

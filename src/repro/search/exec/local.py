@@ -1,7 +1,7 @@
 """Chain execution on the local machine: :func:`run_chains`.
 
 With one worker or one chain, the chains run one after another in the
-calling process, sharing one evaluation cache and one store handle.
+calling process, sharing one store handle when a store is configured.
 Otherwise they fan out over a ``concurrent.futures`` process pool: the
 heavy ``ExecutionContext`` is pickled once for the whole pool and lazily
 unpickled once per worker, each task ships only its small
@@ -20,7 +20,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.search.cache import SimulationCache
 from repro.search.exec.base import (
     ChainResult,
     ChainSpec,
@@ -38,27 +37,20 @@ def _open_store(ctx: ExecutionContext) -> StrategyStore | None:
     return StrategyStore(ctx.store_root, ctx.store_context)
 
 
-def _new_cache(cache_size: int) -> SimulationCache | None:
-    # capacity 0 = caching off: skip fingerprint bookkeeping entirely.
-    return SimulationCache(cache_size) if cache_size > 0 else None
-
-
 # -- pool-worker-side state ----------------------------------------------------
-# Populated by the pool initializer in each worker process.  The cache and
-# store snapshot are shared by every chain that lands in this worker
-# (sound: costs are pure functions of the strategy).  The ExecutionContext
-# is pickled once in the parent and lazily unpickled once per worker --
-# per-task payloads carry only the small ChainSpec.
-_worker_cache: SimulationCache | None = None
+# Populated by the pool initializer in each worker process.  The store
+# handle is shared by every chain that lands in this worker (sound: costs
+# are pure functions of the strategy).  The ExecutionContext is pickled
+# once in the parent and lazily unpickled once per worker -- per-task
+# payloads carry only the small ChainSpec.
 _worker_store: StrategyStore | None = None
 _ctx_bytes: bytes | None = None
 _ctx: ExecutionContext | None = None
 _store_pending = False
 
 
-def _init_worker(cache_size: int, ctx_bytes: bytes) -> None:
-    global _worker_cache, _worker_store, _ctx_bytes, _ctx, _store_pending
-    _worker_cache = _new_cache(cache_size)
+def _init_worker(ctx_bytes: bytes) -> None:
+    global _worker_store, _ctx_bytes, _ctx, _store_pending
     # Store opening (a mkdir + shard read) is deferred out of the
     # initializer to the first chain task, so workers the pool spins up
     # but never hands a chain to don't touch the disk.
@@ -77,13 +69,12 @@ def _chain_task(spec: ChainSpec) -> ChainResult:
     if _store_pending:
         _worker_store = _open_store(_ctx)
         _store_pending = False  # opened (or degraded); don't retry per chain
-    return run_one_chain(_ctx, spec, _worker_cache, _worker_store)
+    return run_one_chain(_ctx, spec, _worker_store)
 
 
 def _run_in_caller(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
-    cache = _new_cache(ctx.cache_size)
     store = _open_store(ctx)
-    return [run_one_chain(ctx, s, cache, store) for s in specs]
+    return [run_one_chain(ctx, s, store) for s in specs]
 
 
 def run_chains(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResult]:
@@ -114,7 +105,7 @@ def run_chains(ctx: ExecutionContext, specs: list[ChainSpec]) -> list[ChainResul
         max_workers=workers,
         mp_context=mp_ctx,
         initializer=_init_worker,
-        initargs=(ctx.cache_size, ctx_bytes),
+        initargs=(ctx_bytes,),
     ) as pool:
         futures = [pool.submit(_chain_task, s) for s in specs]
         # A dead worker breaks the pool: every chain not finished by then is lost.

@@ -22,49 +22,51 @@ state *without* the undo re-simulation the apply-then-undo scheme
 needed; at low acceptance rates that halves the simulator work per
 rejected proposal.
 
-Cached evaluation and lazy timeline sync
-----------------------------------------
-When a :class:`~repro.search.cache.SimulationCache` and/or a persistent
-:class:`~repro.search.store.StrategyStore` is supplied, each proposal's
-strategy fingerprint is looked up (store first, then the in-memory LRU)
+Store lookups and lazy timeline sync
+------------------------------------
+When a persistent :class:`~repro.search.store.StrategyStore` is
+supplied, each proposal's strategy fingerprint is looked up in it
 *before* invoking the simulator.  Because the simulated cost is a pure
 function of the strategy (canonical tie-breaking, see
 :mod:`repro.sim.full_sim`), a hit answers the proposal without any
 simulator work -- even an *accepted* hit: the live timeline is left
 lagging behind the chain's current strategy and only caught up when the
-next cache *miss* actually needs the simulator.  The lag keeps each
+next store *miss* actually needs the simulator.  The lag keeps each
 weight-sharing group's latest change, and the catch-up
 (:meth:`~repro.sim.Simulator.sync`) splices each lagged group once and
 then sweeps once, because only the timeline it ends on is ever read; it
 counts as one simulation.  On a fully warm store a chain therefore runs
 its entire trajectory without simulating anything beyond its initial
-strategy.  Cached and uncached chains take identical
-accept / reject decisions and -- for iteration-bounded chains -- return
-identical results: caching only removes redundant simulator work.  Two
-caveats: with *time-based* stopping (``time_budget_s`` or its wall-clock
-stall criterion) the stop point depends on how fast iterations run, so a
-warm cache can legitimately carry the chain further before the budget
-fires; and the lazy sync leaves the simulator at the last *simulated*
-state of the chain, not necessarily its final state.
+strategy.  A chain without a store neither fingerprints nor lags: every
+non-identity proposal goes to the simulator.  Chains with and without a
+store take identical accept / reject decisions and -- for
+iteration-bounded chains -- return identical results: the store only
+removes redundant simulator work.  Two caveats: with *time-based*
+stopping (``time_budget_s`` or its wall-clock stall criterion) the stop
+point depends on how fast iterations run, so a warm store can
+legitimately carry the chain further before the budget fires; and the
+lazy sync leaves the simulator at the last *simulated* state of the
+chain, not necessarily its final state.
 
 Early rejection
 ---------------
 A worse proposal is accepted iff ``u < exp(-beta * (new - current))``,
 so a uniform ``u`` drawn first gives the cost ``current - ln(u) / beta``
 at or above which the chain must reject (the "early rejection" MCMC of
-Solonen et al., 2012).  On a cache or store miss the chain peeks that
-uniform -- saving and restoring the generator's state, so the stream is
-consumed exactly as without the peek -- and passes the threshold, plus a
+Solonen et al., 2012).  Before each simulation of a chain without a
+store -- that is, on every non-identity proposal -- the chain peeks that
+uniform, saving and restoring the generator's state so the stream is
+consumed exactly as without the peek, and passes the threshold, plus a
 relative margin of 1e-9 against rounding, to
 :meth:`~repro.sim.Simulator.propose`.  Under ``auto`` the simulator
 returns ``inf`` as soon as a lower bound on the proposal's makespan
 exceeds it.  The decision line still applies the exact test: an ``inf``
 cost draws the same uniform and rejects, so decisions, traces and
 results are those of an exact chain, and only simulator work is skipped.
-An early-rejected proposal has no exact cost, so it is never cached; a
-later proposal of the same strategy is simulated again.  A chain with a
-store passes no bound, because the store persists exact costs for later
-searches; ``beta <= 0`` and a peeked uniform of 0.0 give no bound either.
+A chain with a store passes no bound: the store persists exact costs
+for later searches, and an early rejection has none (an ``inf`` is never
+recorded in any case).  ``beta <= 0`` and a peeked uniform of 0.0 give
+no bound either.
 
 Stopping
 --------
@@ -84,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.search.cache import FingerprintTracker, SimulationCache
+from repro.search.cache import FingerprintTracker
 from repro.sim.simulator import Simulator
 from repro.soap.config import ParallelConfig
 from repro.soap.space import ConfigSpace
@@ -123,7 +125,8 @@ class SearchTrace:
     One entry per iteration in ``costs``, ``best_costs`` and ``times_s``:
     after ``i`` iterations the best cost is ``best_costs[i - 1]``, found
     within ``times_s[i - 1]`` seconds, so any progress checkpoint is a
-    read of these lists.
+    read of these lists.  ``store_hits`` and ``store_misses`` count the
+    chain's store lookups, and stay 0 without a store.
     """
 
     costs: list[float] = field(default_factory=list)  # current cost per iteration
@@ -134,8 +137,6 @@ class SearchTrace:
     # Simulator.propose calls (early-rejected ones included) plus lag
     # catch-ups that swept: one each, however many groups a catch-up spliced.
     simulations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     store_hits: int = 0  # answered by the persistent cross-run store
     store_misses: int = 0
     stop_reason: str = "iterations"
@@ -155,36 +156,27 @@ class SearchTrace:
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposed if self.proposed else 0.0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
 
 def mcmc_search(
     simulator: Simulator,
     space: ConfigSpace,
     config: MCMCConfig,
-    cache: SimulationCache | None = None,
     store=None,
 ) -> tuple[Strategy, float, SearchTrace]:
     """Run one Markov chain from the simulator's current strategy.
 
-    Returns ``(best_strategy, best_cost_us, trace)``.  Without a cache or
-    store the simulator is left at the final (not necessarily best) state
-    of the chain; with one it is left at the last state a simulation was
+    Returns ``(best_strategy, best_cost_us, trace)``.  Without a store
+    the simulator is left at the final (not necessarily best) state of
+    the chain; with one it is left at the last state a simulation was
     actually needed for (see the lazy-sync note in the module docstring).
 
     Parameters
     ----------
-    cache:
-        Optional in-memory strategy-evaluation cache consulted on each
-        proposal.  Does not change search results, only skips work.
     store:
         Optional persistent :class:`~repro.search.store.StrategyStore`
-        (or anything with ``get``/``record``) consulted *before* the
-        in-memory cache; new evaluations are recorded into it (the
-        caller flushes).  Result-neutral, like the cache.
+        (or anything with ``get``/``record``) consulted on each proposal
+        before the simulator; new evaluations are recorded into it (the
+        caller flushes).  Result-neutral: it only skips simulator work.
     """
     rng = np.random.default_rng(config.seed)
     graph = simulator.graph
@@ -196,31 +188,23 @@ def mcmc_search(
 
     trace = SearchTrace()
 
-    # -- fingerprinted evaluation (cache and/or persistent store) ----------
-    use_fp = cache is not None or store is not None
+    # -- store lookups (only with a store) ----------------------------------
     tracker: FingerprintTracker | None = None
-    # With fingerprinting on, the chain's *current* strategy is tracked
-    # here (the simulator may lag behind it -- see module docstring);
-    # ``lag`` holds accepted-but-unapplied group reconfigurations keyed by
+    # With a store, the chain's *current* strategy is tracked here (the
+    # simulator may lag behind it -- see module docstring); ``lag`` holds
+    # accepted-but-unapplied group reconfigurations keyed by
     # weight-sharing group so superseded changes collapse.
     virtual: dict[int, ParallelConfig] | None = None
     lag: dict[str, tuple[int, ParallelConfig]] = {}
 
     def lookup(fp: int) -> float | None:
-        """Store first, then the LRU; counts each layer's accounting."""
-        if store is not None:
-            cost = store.get(fp)
-            if cost is not None:
-                trace.store_hits += 1
-                return cost
+        """The store's cost for ``fp``, or ``None``; counts the lookup."""
+        cost = store.get(fp)
+        if cost is None:
             trace.store_misses += 1
-        if cache is not None:
-            cost = cache.get(fp)
-            if cost is not None:
-                trace.cache_hits += 1
-                return cost
-            trace.cache_misses += 1
-        return None
+        else:
+            trace.store_hits += 1
+        return cost
 
     def rejection_bound() -> float:
         """The cost above which this proposal's Metropolis-Hastings test
@@ -237,22 +221,16 @@ def mcmc_search(
         threshold = current_cost - math.log(u) / beta
         return threshold + 1e-9 * abs(threshold)
 
-    def remember(fp: int, cost: float) -> None:
-        if cache is not None:
-            cache.put(fp, cost)
-        if store is not None:
-            store.record(fp, cost)
-
     def sync_timeline() -> None:
         """Catch the simulator up with the lag: one sweep, if anything changed."""
         if simulator.sync(lag.values()):
             trace.simulations += 1
         lag.clear()
 
-    if use_fp:
+    if store is not None:
         tracker = FingerprintTracker(simulator.strategy)
         virtual = dict(simulator.strategy.items())
-        remember(tracker.fingerprint, current_cost)
+        store.record(tracker.fingerprint, current_cost)
 
     best_strategy = Strategy(virtual) if virtual is not None else simulator.strategy.copy()
 
@@ -289,37 +267,35 @@ def mcmc_search(
 
         if new_cfg == old_cfg:
             # Identity proposal: the proposed strategy *is* the current
-            # one, so the fingerprint layers answer it (a guaranteed hit
-            # unless the entry was evicted).  Always accepted (equal
-            # cost), no work.
+            # one, which the store holds (the chain recorded or read every
+            # cost it reached), so the lookup hits.  Always accepted
+            # (equal cost), no work.
             if tracker is not None:
-                hit = lookup(tracker.fingerprint)
-                if hit is None:
-                    remember(tracker.fingerprint, current_cost)
+                lookup(tracker.fingerprint)
             trace.accepted += 1
         else:
             proposal = None
-            cached_cost = None
+            stored_cost = None
             members: tuple[int, ...] = ()
             if tracker is not None:
                 members = graph.group_members(op_id)
                 fp_new, new_digests = tracker.propose(members, new_cfg)
                 proposal = (fp_new, new_digests)
-                cached_cost = lookup(fp_new)
+                stored_cost = lookup(fp_new)
 
-            if cached_cost is not None:
-                new_cost = cached_cost
+            if stored_cost is not None:
+                new_cost = stored_cost
                 simulated = False
             else:
                 # The simulator is only needed now: catch it up with any
-                # accepted-from-cache changes before proposing.
+                # changes accepted from the store before proposing.
                 sync_timeline()
                 new_cost = simulator.propose(op_id, new_cfg, rejection_bound())
                 trace.simulations += 1
                 simulated = True
-                # An early rejection (inf) has no exact cost to remember.
+                # An early rejection (inf) has no exact cost to record.
                 if proposal is not None and new_cost < math.inf:
-                    remember(proposal[0], new_cost)
+                    store.record(proposal[0], new_cost)
 
             # The exact test, also for an early rejection: an inf cost
             # draws the same uniform and rejects.
@@ -330,8 +306,8 @@ def mcmc_search(
                 if simulated:
                     simulator.commit()
                 else:
-                    # Decision came from the cache/store: defer the
-                    # timeline update until a miss actually needs it.
+                    # Decision came from the store: defer the timeline
+                    # update until a miss actually needs it.
                     # Keyed by weight-sharing group, so a later change to
                     # the same group supersedes the earlier one; splice
                     # order is otherwise irrelevant (costs are pure
@@ -339,9 +315,8 @@ def mcmc_search(
                     lag[graph.group_key(op_id)] = (op_id, new_cfg)
                 trace.accepted += 1
                 current_cost = new_cost
-                if tracker is not None and proposal is not None:
+                if proposal is not None:
                     tracker.commit(*proposal)
-                if virtual is not None:
                     for m in members:
                         virtual[m] = new_cfg
                 if new_cost < best_cost:
@@ -352,7 +327,7 @@ def mcmc_search(
                     last_improve_t = time.perf_counter() - t0
                     last_improve_iter = it
             elif simulated:
-                # Snapshot restore: no undo simulation.  A cache hit never
+                # Snapshot restore: no undo simulation.  A store hit never
                 # touched the simulator, so there is nothing to revert.
                 simulator.revert()
 

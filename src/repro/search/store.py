@@ -1,12 +1,12 @@
 """Persistent, process-safe strategy-evaluation store.
 
-The in-memory :class:`~repro.search.cache.SimulationCache` dies with its
-worker process, so Table-4-style sweeps that re-search the same
-``(model, cluster)`` pair redo every simulation.  This module persists
-strategy evaluations across *runs*: an append-only shard file per search
-context, safe for concurrent multi-process writers, consulted by
-:func:`~repro.search.mcmc.mcmc_search` and flushed by pool workers when a
-chain completes.
+Table-4-style sweeps re-search the same ``(model, cluster)`` pair, and
+without a store each search redoes every simulation.  This module
+persists strategy evaluations across *runs*: an append-only shard file
+per search context, safe for concurrent multi-process writers, consulted
+by :func:`~repro.search.mcmc.mcmc_search` before it simulates a proposal
+and flushed when each chain completes.  It is the only thing that
+answers a proposal without the simulator.
 
 Keying
 ------
@@ -24,10 +24,10 @@ the cost model or simulator changes invalidates every stale entry
 without touching disk: stale shards simply stop being addressed.
 
 Within a context, entries are keyed by
-:func:`~repro.search.cache.strategy_fingerprint` -- the same stable
-128-bit fingerprint the in-memory cache uses -- so a store hit and a
-cache hit are interchangeable (costs are pure functions of the
-strategy).
+:func:`~repro.search.cache.strategy_fingerprint`, a stable 128-bit
+fingerprint of the whole strategy, so any search of the context can
+answer a proposal from an entry another one recorded (costs are pure
+functions of the strategy).
 
 Durability model
 ----------------
@@ -35,7 +35,7 @@ One shard file per context, text lines of ``<fingerprint-hex>
 <cost-float-hex>``.  A shard is an append-only log: writers append under
 an exclusive ``flock``, opening a store only reads its shard (under a
 shared lock), and nothing ever rewrites it.  Torn or corrupt lines are
-skipped on load (a damaged shard degrades to cache misses, it never
+skipped on load (a damaged shard degrades to store misses, it never
 crashes a search).  Appends are idempotent: two records of one
 fingerprint carry identical costs, and the last one wins on load.
 """
@@ -292,7 +292,7 @@ class StrategyStore:
     either flushed) loads the last of each, and they carry one cost.
     Opening never raises on a damaged or unwritable shard -- the store
     degrades to an empty (or read-only) one with a ``RuntimeWarning``,
-    because a broken cache must never take down a search.
+    because a broken store must never take down a search.
     """
 
     def __init__(self, root: str | os.PathLike, context: str):

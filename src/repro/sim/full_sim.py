@@ -15,7 +15,7 @@ id-based tie-breaking would make the simulated makespan depend on the
 *path* the search took to reach a strategy.  With canonical tie-breaking
 the timeline is a pure function of
 ``(operator graph, topology, strategy, training)`` -- the property that
-the strategy-evaluation cache (:mod:`repro.search.cache`) and the
+the persistent strategy store (:mod:`repro.search.store`) and the
 reproducibility of multi-chain search across worker counts
 (:mod:`repro.search.exec`) both rely on.
 

@@ -39,9 +39,9 @@ searches no incremental repair beats the full sweep (README "Timeline
 algorithms" has the measurements).
 
 :meth:`Simulator.sync` catches the live state up with changes decided
-elsewhere -- the MCMC chain's lag of proposals a cache or store
-answered: it splices every changed group and sweeps once, under every
-algorithm, since only the timeline the catch-up ends on is ever read.
+elsewhere -- the MCMC chain's lag of proposals its store answered: it
+splices every changed group and sweeps once, under every algorithm,
+since only the timeline the catch-up ends on is ever read.
 """
 
 from __future__ import annotations

@@ -24,18 +24,13 @@ class TestScales:
         assert current_scale().name == "full"
 
     def test_bad_env_counts_are_refused_not_clamped(self, monkeypatch):
-        """``REPRO_WORKERS``/``REPRO_CACHE`` pass through as parsed, so
+        """``REPRO_WORKERS`` passes through as parsed, so
         ``ExecutionConfig`` refuses a bad value and names the field."""
         monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert search_config(current_scale()).execution.workers == 3
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ValueError, match="workers"):
-            search_config(current_scale())
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        monkeypatch.setenv("REPRO_CACHE", "-1")
-        with pytest.raises(ValueError, match="cache_size"):
             search_config(current_scale())
 
     def test_scaled_device_counts(self):

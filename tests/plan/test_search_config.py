@@ -16,10 +16,7 @@ def full_config() -> SearchConfig:
     """A config with every field off its default."""
     return SearchConfig(
         budget=BudgetConfig(iterations=321, time_s=1.5, no_improve_frac=0.25),
-        execution=ExecutionConfig(
-            workers=3,
-            cache_size=128,
-        ),
+        execution=ExecutionConfig(workers=3),
         store=StoreConfig(root="/tmp/some-store"),
         inits=("data_parallel", "expert", "random"),
         seed=11,
@@ -66,9 +63,10 @@ class TestUnknownKeys:
     # the fleet became fixed, ``execution.cluster`` until the socket
     # executor was deleted, the store's ``shared`` flag until the
     # planning server was, the execution section's ``executor`` until
-    # the worker count alone picked where chains run, and the budget's
+    # the worker count alone picked where chains run, the budget's
     # checkpoint cadence until progress was read from the per-iteration
-    # trace; a config that still carries them fails.
+    # trace, and ``execution.cache_size`` until the in-memory evaluation
+    # cache was deleted; a config that still carries them fails.
     @pytest.mark.parametrize(
         "section,key",
         [
@@ -79,6 +77,7 @@ class TestUnknownKeys:
             ("store", "shared"),
             ("execution", "executor"),
             ("budget", "checkpoint_every"),
+            ("execution", "cache_size"),
         ],
     )
     def test_nested_unknown_key_rejected(self, section, key):
@@ -137,14 +136,13 @@ class TestReplaceAndOptions:
 
 
 class TestExecutionValidation:
-    # No workers, a negative count or cache size, and a count that is a
-    # string (as a hand-edited JSON spec may carry).
+    # No workers, a negative count, and a count that is a string (as a
+    # hand-edited JSON spec may carry).
     @pytest.mark.parametrize(
         "field,value",
         [
             pytest.param("workers", 0, id="workers-0"),
             pytest.param("workers", -3, id="workers-negative"),
-            pytest.param("cache_size", -1, id="cache_size-negative"),
             pytest.param("workers", "2", id="workers-str"),
         ],
     )

@@ -13,7 +13,7 @@ def plan_mcmc(
     """One ``Planner.search("mcmc")`` with ``iterations`` per chain.
 
     ``store`` is the store root (``None``: no store); ``execution`` are
-    :class:`ExecutionConfig` fields (``workers``, ``cache_size``, ...).
+    :class:`ExecutionConfig` fields (``workers``).
     """
     cfg = SearchConfig(
         budget=BudgetConfig(iterations=iterations),
@@ -29,7 +29,7 @@ def run_specs(graph, topo, specs, **ctx_fields):
     """Run hand-built ``ChainSpec``s through ``run_chains``.
 
     ``ctx_fields`` are the other :class:`ExecutionContext` fields
-    (``workers``, ``cache_size``, ...); the profiler is a fresh
+    (``workers``, ``algorithm``, ...); the profiler is a fresh
     noiseless one unless given.
     """
     ctx_fields.setdefault("profiler", OpProfiler())

@@ -41,17 +41,13 @@ class TestAlgorithmSelection:
         for alg, res in results.items():
             assert res.best_cost_us == base.best_cost_us, alg
             assert res.best_strategy.signature() == base.best_strategy.signature(), alg
-        assert results["delta"].simulations == base.simulations
-        # auto's early rejections leave no exact cost to cache, so a
-        # re-proposed strategy may be simulated again: its decisions must
-        # match, and its extra simulations are bounded by its rejections.
+            # Without a store every non-identity proposal is simulated,
+            # auto's early-rejected ones included, so the counts match.
+            assert res.simulations == base.simulations, alg
         auto = results["auto"]
         for name, trace in base.extras["traces"].items():
             assert auto.extras["traces"][name].costs == trace.costs, name
             assert auto.extras["traces"][name].accepted == trace.accepted, name
-        routes = auto.extras["route_counts"]
-        early = routes.get("load_reject", 0) + routes.get("sweep_stop", 0)
-        assert base.simulations <= auto.simulations <= base.simulations + early
 
     def test_pool_delta_matches_full_workers4(self, lenet_graph, topo2):
         planner = Planner(lenet_graph, topo2)

@@ -1,26 +1,26 @@
 """Model-based test of the MCMC chain's lazy timeline sync.
 
-With a cache or a store, ``mcmc_search`` answers a proposal from a
-fingerprint hit without touching the simulator, even when it accepts it:
-the accepted change waits in a lag, and the simulator catches up with it
-only when a later miss needs a simulation.  The lag lives inside
-``mcmc_search``, so this is a hypothesis property over whole chains.  On
-the small random MLP and LSTM graphs of ``tests/sim/test_simulator_state.py``
-every chain runs three ways:
+With a store, ``mcmc_search`` answers a proposal from a fingerprint hit
+without touching the simulator, even when it accepts it: the accepted
+change waits in a lag, and the simulator catches up with it only when a
+later miss needs a simulation.  The lag lives inside ``mcmc_search``, so
+this is a hypothesis property over whole chains.  On the small random
+MLP and LSTM graphs of ``tests/sim/test_simulator_state.py`` every chain
+runs two ways:
 
-* without a cache (every non-identity proposal is simulated);
-* with a ``SimulationCache`` of 1-64 entries, so entries are evicted and
-  their strategies simulated again;
+* without a store (every non-identity proposal is simulated);
 * with a ``MemoryStore`` seeded from part of an earlier chain, so runs of
-  warm hits build up long lags.
+  warm hits build up long lags.  The chain also hits the entries it
+  records itself, so lags build up within one run as well.
 
-The three must take identical decisions -- the same per-iteration costs,
-acceptances, best cost and best strategy -- and no cached run may simulate
-more than the uncached one.  After every run the simulator's timeline must
-equal a from-scratch full sweep of its task graph, bit for bit, and the
-graph must pass ``TaskGraph.check_consistent`` (well formed, and equal to
-a cold build of its strategy); under ``auto`` the route counts must add up
-to the chain's simulations, a lag catch-up counting as one.
+The two must take identical decisions -- the same per-iteration costs,
+acceptances, best cost and best strategy -- and the store run may not
+simulate more than the storeless one.  After every run the simulator's
+timeline must equal a from-scratch full sweep of its task graph, bit for
+bit, and the graph must pass ``TaskGraph.check_consistent`` (well formed,
+and equal to a cold build of its strategy); under ``auto`` the route
+counts must add up to the chain's simulations, a lag catch-up counting
+as one.
 
 The catch-up itself is ``Simulator.sync``: one splice per changed group
 and one full sweep under every algorithm, nothing for a lag of live
@@ -37,7 +37,7 @@ from repro.machine.clusters import single_node
 from repro.models.mlp import mlp
 from repro.models.rnn import stacked_lstm
 from repro.profiler.profiler import OpProfiler
-from repro.search.cache import SimulationCache, strategy_fingerprint
+from repro.search.cache import strategy_fingerprint
 from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.sim import simulator as simulator_module
 from repro.sim.full_sim import full_simulate
@@ -61,11 +61,11 @@ def small_graph(kind: str, width: int):
     return b.graph
 
 
-def run_chain(graph, topo, init, algorithm, config, **lookups):
+def run_chain(graph, topo, init, algorithm, config, store=None):
     """One chain on a fresh simulator; returns ``(best, cost, trace)``
     after checking the simulator against a from-scratch sweep."""
     sim = Simulator(graph, topo, init, OpProfiler(), algorithm=algorithm)
-    best, cost, trace = mcmc_search(sim, ConfigSpace(graph, topo), config, **lookups)
+    best, cost, trace = mcmc_search(sim, ConfigSpace(graph, topo), config, store=store)
     tg = sim.task_graph
     assert full_simulate(tg).equals(sim.timeline, tol=0.0)
     assert sim.cost == sim.timeline.makespan
@@ -84,7 +84,6 @@ def run_chain(graph, topo, init, algorithm, config, **lookups):
     seed=st.integers(0, 2**16),
     random_init=st.booleans(),
     beta_scale=st.sampled_from([5.0, 50.0]),
-    capacity=st.integers(1, 64),
     earlier_seed=st.integers(0, 2),
     earlier_iterations=st.integers(1, ITERATIONS),
     stride=st.integers(1, 3),
@@ -97,7 +96,6 @@ def test_cache_and_store_runs_match_the_uncached_chain(
     seed,
     random_init,
     beta_scale,
-    capacity,
     earlier_seed,
     earlier_iterations,
     stride,
@@ -127,14 +125,11 @@ def test_cache_and_store_runs_match_the_uncached_chain(
     seeded = MemoryStore(earlier.drain_outbox()[::stride])
 
     runs = {
-        "uncached": run_chain(graph, topo, init, algorithm, config),
-        "cache": run_chain(
-            graph, topo, init, algorithm, config, cache=SimulationCache(capacity)
-        ),
+        "storeless": run_chain(graph, topo, init, algorithm, config),
         "store": run_chain(graph, topo, init, algorithm, config, store=seeded),
     }
 
-    best, cost, trace = runs["uncached"]
+    best, cost, trace = runs["storeless"]
     for name, (b, c, t) in runs.items():
         assert t.costs == trace.costs, name
         assert t.accepted == trace.accepted, name

@@ -1,15 +1,11 @@
-"""Property tests for multi-chain search orchestration and the evaluation cache.
+"""Property tests for multi-chain search orchestration.
 
-The two load-bearing guarantees (see :mod:`repro.search.exec`):
-
-* worker-count invariance -- ``Planner.search("mcmc")`` with ``workers=k``
-  returns the same best cost/strategy as with ``workers=1`` for any ``k``
-  and seed;
-* cache neutrality -- cached and uncached searches take identical
-  accept/reject decisions and return identical results.
-
-Both rest on the simulated cost being a pure function of the strategy
-(canonical tie-breaking), which ``tests/sim`` locks down separately.
+The load-bearing guarantee (see :mod:`repro.search.exec`) is worker-count
+invariance: ``Planner.search("mcmc")`` with ``workers=k`` returns the
+same best cost/strategy as with ``workers=1`` for any ``k`` and seed.
+It rests on the simulated cost being a pure function of the strategy
+(canonical tie-breaking), which ``tests/sim`` locks down separately;
+store neutrality is ``tests/search/test_store.py``'s subject.
 """
 
 import multiprocessing as mp
@@ -25,9 +21,8 @@ from repro.machine.topology import DeviceTopology
 from repro.models.mlp import mlp
 from repro.plan import Planner, SearchConfig
 from repro.profiler.profiler import OpProfiler
-from repro.search.cache import SimulationCache
 from repro.search.exec import ChainSpec
-from repro.search.mcmc import MCMCConfig, mcmc_search
+from repro.search.mcmc import MCMCConfig
 from repro.sim.simulator import Simulator
 from repro.soap.presets import data_parallelism
 from repro.soap.space import ConfigSpace
@@ -78,52 +73,6 @@ class TestWorkerCountInvariance:
         assert chains_equal(seq, par)
 
 
-class TestCacheNeutrality:
-    def test_property_cached_equals_uncached(self):
-        """Cached and uncached searches return identical results."""
-        for seed in range(5):
-            rng = np.random.default_rng(100 + seed)
-            graph = random_graph(rng)
-            topo = single_node(2, "p100")
-            outcomes = {}
-            for cache_size in (0, 4096):
-                outcomes[cache_size] = plan_mcmc(graph, topo, 60, seed=seed, cache_size=cache_size)
-            assert outcomes[0].best_cost_us == outcomes[4096].best_cost_us, f"seed {seed}"
-            for name in outcomes[0].extras["traces"]:
-                t0 = outcomes[0].extras["traces"][name]
-                t1 = outcomes[4096].extras["traces"][name]
-                assert t0.costs == t1.costs, f"seed {seed} chain {name}"
-                assert t0.accepted == t1.accepted
-            # Uncached runs report no cache activity at all.
-            assert outcomes[0].cache_hits == 0
-            # The cache never adds simulator work.
-            assert outcomes[4096].simulations <= outcomes[0].simulations
-
-    def test_cached_mcmc_chain_equals_uncached(self, lenet_graph, topo4):
-        runs = {}
-        for label, cache in (("off", None), ("on", SimulationCache(1024))):
-            sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
-            _, cost, trace = mcmc_search(
-                sim,
-                ConfigSpace(lenet_graph, topo4),
-                MCMCConfig(iterations=120, seed=5, no_improve_frac=None),
-                cache=cache,
-            )
-            runs[label] = (cost, trace.costs, trace.accepted)
-        assert runs["on"] == runs["off"]
-
-    def test_small_space_search_hits_cache(self, topo2):
-        """On a tiny space the chain re-proposes strategies and must hit."""
-        graph = mlp(batch=8, in_dim=16, hidden=(), num_classes=4)
-        res = plan_mcmc(graph, topo2, 300, seed=0, cache_size=4096)
-        assert res.cache_hits > 0
-        assert 0.0 < res.cache_hit_rate <= 1.0
-        # Hits translate into strictly fewer simulations than a cache-less run.
-        res_off = plan_mcmc(graph, topo2, 300, seed=0, cache_size=0)
-        assert res.simulations < res_off.simulations
-        assert res.best_cost_us == res_off.best_cost_us
-
-
 class TestFallbacks:
     def test_unpicklable_topology_falls_back_in_process(self, lenet_graph):
         devices = single_node(2, "p100").devices
@@ -148,10 +97,10 @@ class TestFallbacks:
         test_pid = os.getpid()
         run_one_chain = exec_local.run_one_chain
 
-        def dies_in_a_worker(ctx, spec, cache, store):
+        def dies_in_a_worker(ctx, spec, store):
             if spec.name == "random" and os.getpid() != test_pid:
                 os._exit(3)
-            return run_one_chain(ctx, spec, cache, store)
+            return run_one_chain(ctx, spec, store)
 
         monkeypatch.setattr(exec_local, "run_one_chain", dies_in_a_worker)
         with pytest.warns(RuntimeWarning, match="pool worker died.*random"):
@@ -201,62 +150,65 @@ class TestSpeculativeSimulator:
 
 class TestOptimizeSurface:
     def test_result_reports_cache_and_workers(self, lenet_graph, topo4):
-        res = plan_mcmc(lenet_graph, topo4, 40, seed=0, workers=1, cache_size=512)
+        res = plan_mcmc(lenet_graph, topo4, 40, seed=0, workers=1)
         assert res.extras["workers"] == 1
-        assert res.cache_hits + res.cache_misses > 0
-        assert "evaluation cache" in res.summary()
         assert len(res.extras["chains"]) == len(res.extras["traces"])
 
     def test_repeated_random_inits_become_chains(self, lenet_graph, topo4):
         res = plan_mcmc(lenet_graph, topo4, 20, seed=0, inits=("random", "random", "random"))
         assert set(res.extras["init_costs"]) == {"random", "random_2", "random_3"}
 
-    def test_per_chain_cache_stats_are_deltas(self, lenet_graph, topo4):
-        """Chains sharing a worker cache report their own activity, not the
-        cache's cumulative totals (which would double-count)."""
+    def test_per_chain_cache_stats_are_deltas(self, lenet_graph, topo4, tmp_path):
+        """Chains sharing a store handle report their own activity, not the
+        handle's cumulative totals (which would double-count)."""
         res = plan_mcmc(
             lenet_graph,
             topo4,
             40,
             seed=0,
             inits=("data_parallel", "random", "random"),
+            store=str(tmp_path / "store"),
             workers=1,
-            cache_size=4096,
         )
         chains = res.extras["chains"]
         for r in chains:
-            assert r.cache.hits == r.trace.cache_hits, r.name
-            assert r.cache.misses == r.trace.cache_misses, r.name
-        assert sum(r.cache.hits for r in chains) == res.cache_hits
+            assert r.store.hits == r.trace.store_hits, r.name
+            assert r.store.misses == r.trace.store_misses, r.name
+        assert sum(r.store.hits for r in chains) == res.store_stats.hits > 0
 
-    def test_cache_stats_aggregate_across_workers(self, lenet_graph, topo4):
-        """Regression: per-worker SimulationCache stats used to die with
-        the pool (only hit/miss trace counters survived; evictions were
-        silently dropped).  PlanResult.cache_stats must aggregate the
-        full accounting from the ChainResult deltas, for any worker
-        count."""
+    def test_cache_stats_aggregate_across_workers(self, lenet_graph, topo4, tmp_path):
+        """``PlanResult.store_stats`` sums the per-chain store deltas, so
+        pool workers' accounting survives the pool, for any worker count."""
         for workers in (1, 2):
             res = plan_mcmc(
                 lenet_graph,
                 topo4,
-                60,
+                40,
                 seed=0,
-                workers=workers,
                 inits=("data_parallel", "random", "random"),
-                cache_size=8,  # tiny: forces evictions
+                store=str(tmp_path / f"store-{workers}"),
+                workers=workers,
             )
-            agg = res.cache_stats
+            agg = res.store_stats
             chains, traces = res.extras["chains"], res.extras["traces"]
-            assert agg.hits == sum(r.cache.hits for r in chains) == res.cache_hits
-            assert agg.misses == sum(r.cache.misses for r in chains) == res.cache_misses
-            assert agg.evictions == sum(r.cache.evictions for r in chains)
+            assert agg.hits == sum(r.store.hits for r in chains) > 0, f"workers={workers}"
+            assert agg.misses == sum(r.store.misses for r in chains) > 0
+            assert agg.appended == sum(r.store.appended for r in chains)
             # Totals agree with the per-chain trace counters too.
-            assert agg.hits == sum(t.cache_hits for t in traces.values())
-            assert agg.misses == sum(t.cache_misses for t in traces.values())
-            # The latent bug: evictions happened but were dropped on pool
-            # teardown.  Now they survive.
-            assert agg.evictions > 0, f"workers={workers}"
-            assert agg.capacity == 8
+            assert agg.hits == sum(t.store_hits for t in traces.values())
+            assert agg.misses == sum(t.store_misses for t in traces.values())
+
+    def test_a_storeless_search_never_fingerprints(self, lenet_graph, topo4, monkeypatch):
+        """Without a store nothing can answer a proposal, so a chain
+        tracks no fingerprint and never lags: no lag sync ever runs."""
+
+        def refuse(strategy):
+            raise AssertionError("a storeless chain fingerprinted its strategy")
+
+        monkeypatch.setattr("repro.search.mcmc.FingerprintTracker", refuse)
+        res = plan_mcmc(lenet_graph, topo4, 60, seed=0)
+        assert res.simulations > len(res.extras["chains"])
+        assert "sync" not in res.extras["route_counts"]
 
     def test_workers_reports_observed_processes(self, lenet_graph, topo4):
         seq = plan_mcmc(lenet_graph, topo4, 20, seed=0, workers=1)

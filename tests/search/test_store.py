@@ -5,7 +5,7 @@ The load-bearing guarantees (see ``repro/search/store.py``):
 * **roundtrip** -- entries flushed by one process are visible to a fresh
   process opening the same root (the whole point of persistence);
 * **corruption tolerance** -- a truncated, garbage, or partially-written
-  shard degrades to cache misses and never crashes a search;
+  shard degrades to store misses and never crashes a search;
 * **concurrent writers** -- multiple processes appending to one shard
   converge to consistent contents (the union of their entries);
 * **append only** -- opening a store only reads its shard, so a shard

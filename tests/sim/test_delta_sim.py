@@ -109,7 +109,7 @@ class TestDeltaEqualsFull:
 
     def test_cost_is_path_independent(self, lenet_graph, topo4):
         """Revisiting a strategy via different mutation paths gives the
-        bitwise-identical cost (the invariant the evaluation cache needs)."""
+        bitwise-identical cost (the invariant the strategy store needs)."""
         from repro.sim.simulator import simulate_strategy
 
         prof = OpProfiler()

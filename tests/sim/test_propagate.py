@@ -138,7 +138,7 @@ class TestPropagateEqualsFull:
 
     def test_cost_is_path_independent(self, lenet_graph, topo4):
         """Same strategy reached via different splice paths: bitwise-equal
-        cost under every repair path (the cache-soundness invariant)."""
+        cost under every repair path (the store-soundness invariant)."""
         from repro.sim.simulator import simulate_strategy
 
         prof = OpProfiler()

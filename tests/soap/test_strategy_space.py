@@ -111,7 +111,7 @@ class TestConfigSpace:
 
 
 class TestStrategyFingerprint:
-    """The canonical fingerprint behind the strategy-evaluation cache."""
+    """The canonical fingerprint behind the strategy store."""
 
     def test_equal_strategies_hash_equal(self, lenet_graph, topo4, rng):
         space = ConfigSpace(lenet_graph, topo4)
